@@ -34,18 +34,12 @@ from .arith import (
     TiltElement,
     UntiltElement,
     element_from_json,
+    has_p_power_denominator,
 )
 from .polyroots import Polynomial
 from .tiltkit import sharp
 
 _SIGNS = ("<", ">")
-
-
-def _is_p_power_denominator(q: Fraction, p: int) -> bool:
-    den = q.denominator
-    while den % p == 0:
-        den //= p
-    return den == 1
 
 
 def _frac_json(q: Fraction) -> dict:
@@ -202,7 +196,7 @@ class AdicPoint:
             return 1
         if self.kind == "halo":
             return 5
-        if _is_p_power_denominator(self.radius_exp, self.config.p):
+        if has_p_power_denominator(self.radius_exp, self.config.p):
             return 2
         return 3
 

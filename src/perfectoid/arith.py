@@ -168,6 +168,14 @@ class ValExp:
         return f"ValExp({self.num}/{self.p}^{self.denpow})"
 
 
+def has_p_power_denominator(q: Fraction, p: int) -> bool:
+    """Whether the reduced denominator of q is a power of p (1 included)."""
+    den = q.denominator
+    while den % p == 0:
+        den //= p
+    return den == 1
+
+
 class _Infinity:
     """Valuation of an element with no visible digits; absorbs addition."""
 

@@ -26,7 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import sympy
 
 from .arith import (
     ConfigError,
@@ -241,46 +240,79 @@ def sharp_const(config: FieldConfig, c: int) -> UntiltElement:
 # Witt vectors
 # =====================================================================
 
+def _poly_mul(a: dict, b: dict) -> dict:
+    """Product of integer polynomials stored as {exponent tuple: coeff}."""
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple([i + j for i, j in zip(ma, mb)])
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def _poly_pow(a: dict, e: int) -> dict:
+    """a^e for e >= 1, by square-and-multiply."""
+    acc = None
+    while True:
+        if e & 1:
+            acc = a if acc is None else _poly_mul(acc, a)
+        e >>= 1
+        if not e:
+            return acc
+        a = _poly_mul(a, a)
+
+
+def _poly_add_scaled(acc: dict, a: dict, scale: int) -> None:
+    """acc += scale * a, in place."""
+    for m, c in a.items():
+        acc[m] = acc.get(m, 0) + scale * c
+
+
 @lru_cache(maxsize=None)
 def _witt_structure_integer(p: int, op: str, length: int):
     """Universal Witt component polynomials S_0..S_{length-1} over Z.
 
     Solved from the ghost-component identities w_k(S) = w_k(X) op w_k(Y)
     and stored as {exponent tuple: integer coeff} over the generators
-    x0..x_{n-1}, y0..y_{n-1}.
+    x0..x_{n-1}, y0..y_{n-1}; each component is returned as a tuple of
+    (exponent tuple, coeff) pairs in descending exponent order.
     """
-    xs = sympy.symbols(f"x0:{length}")
-    ys = sympy.symbols(f"y0:{length}")
-    gens = list(xs) + list(ys)
+    if op not in ("add", "mul"):
+        raise KernelError(f"unknown Witt operation {op!r}")
+    nvars = 2 * length
 
-    def ghost(vals, k):
-        return sum(p ** j * vals[j] ** (p ** (k - j)) for j in range(k + 1))
+    def ghost(offset, k):
+        # w_k = sum_j p^j * v_j^(p^(k-j)) over the variables v_j at offset
+        out = {}
+        for j in range(k + 1):
+            monom = [0] * nvars
+            monom[offset + j] = p ** (k - j)
+            out[tuple(monom)] = p ** j
+        return out
 
-    exprs = []
+    # powers[j] holds S_j^(p^(k-j)) for the current k
+    powers: list[dict] = []
     tables = []
     for k in range(length):
         if op == "add":
-            target = ghost(xs, k) + ghost(ys, k)
-        elif op == "mul":
-            target = ghost(xs, k) * ghost(ys, k)
+            acc = ghost(0, k)
+            _poly_add_scaled(acc, ghost(length, k), 1)
         else:
-            raise KernelError(f"unknown Witt operation {op!r}")
-        acc = target - sum(
-            p ** j * exprs[j] ** (p ** (k - j)) for j in range(k))
-        poly = sympy.Poly(sympy.expand(acc), *gens)
+            acc = _poly_mul(ghost(0, k), ghost(length, k))
+        powers = [_poly_pow(s, p) for s in powers]
+        for j, s in enumerate(powers):
+            _poly_add_scaled(acc, s, -p ** j)
         scale = p ** k
-        terms = []
-        for monom, coeff in poly.terms():
-            q, r = divmod(int(coeff), scale)
+        component = {}
+        for monom, coeff in acc.items():
+            q, r = divmod(coeff, scale)
             if r:
                 raise KernelError(
                     "Witt recursion produced a nonintegral component")
             if q:
-                terms.append((monom, q))
-        exprs.append(sympy.Add(*(
-            c * sympy.prod(g ** e for g, e in zip(gens, monom))
-            for monom, c in terms)))
-        tables.append(tuple(terms))
+                component[monom] = q
+        powers.append(component)
+        tables.append(tuple(sorted(component.items(), reverse=True)))
     return tuple(tables)
 
 

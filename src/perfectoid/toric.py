@@ -19,10 +19,13 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor, gcd
 
-from sympy import Matrix
-from sympy.matrices.normalforms import smith_normal_form
-
-from .arith import ConfigError, FieldConfig, KernelError, UntiltElement
+from .arith import (
+    ConfigError,
+    FieldConfig,
+    KernelError,
+    UntiltElement,
+    has_p_power_denominator,
+)
 from .tatealg import (
     ClassicalPoint,
     ContractReport,
@@ -104,6 +107,28 @@ def _matrix_rank(rows) -> int:
                 M[r] = [x - f * y for x, y in zip(M[r], M[rank])]
         rank += 1
     return rank
+
+
+def _det(rows) -> int:
+    """Exact determinant of a square integer matrix (Bareiss elimination).
+
+    Every division below is exact, so all entries stay integers.
+    """
+    M = [list(row) for row in rows]
+    n = len(M)
+    sign, prev = 1, 1
+    for i in range(n - 1):
+        if M[i][i] == 0:
+            piv = next((r for r in range(i + 1, n) if M[r][i] != 0), None)
+            if piv is None:
+                return 0
+            M[i], M[piv] = M[piv], M[i]
+            sign = -sign
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                M[r][c] = (M[r][c] * M[i][i] - M[r][i] * M[i][c]) // prev
+        prev = M[i][i]
+    return sign * M[n - 1][n - 1]
 
 
 def _solve_conic(columns, target) -> bool:
@@ -537,12 +562,20 @@ def is_smooth(fan: Fan) -> bool:
     for cone in fan.maximal_cones:
         if not cone.generators:
             continue
-        if len(cone.generators) != cone.dim:
+        k = len(cone.generators)
+        if k != cone.dim:
             return False
-        snf = smith_normal_form(Matrix([list(v) for v in cone.generators]))
-        for i in range(len(cone.generators)):
-            if abs(snf[i, i]) != 1:
-                return False
+        # k independent generators extend to a lattice basis exactly
+        # when the gcd of their k x k minors (the product of the Smith
+        # invariant factors) is 1
+        g = 0
+        for cols in combinations(range(fan.rank), k):
+            g = gcd(g, _det([[v[c] for c in cols]
+                             for v in cone.generators]))
+            if g == 1:
+                break
+        if g != 1:
+            return False
     return True
 
 
@@ -637,13 +670,6 @@ class TWeilDivisor:
         return "<divisor " + (" + ".join(parts) or "0") + ">"
 
 
-def _p_power_denominator(a: Fraction, p: int) -> bool:
-    den = a.denominator
-    while den % p == 0:
-        den //= p
-    return den == 1
-
-
 def sections(fan: Fan, divisor: TWeilDivisor, dencap: int = 0,
              p: int | None = None) -> list[tuple[Fraction, ...]]:
     """Lattice points of the divisor's section polytope.
@@ -667,7 +693,7 @@ def sections(fan: Fan, divisor: TWeilDivisor, dencap: int = 0,
         raise ConeError("fractional data needs the prime p")
     if p is not None:
         for a in divisor.coefficients:
-            if not _p_power_denominator(a, p):
+            if not has_p_power_denominator(a, p):
                 raise ConeError(
                     f"coefficient {a} has a denominator not a power of "
                     f"{p}")

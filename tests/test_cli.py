@@ -1,6 +1,8 @@
 """Command-line plumbing: input resolution, exit codes, canonical output."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -350,3 +352,11 @@ def test_suite_exit_code_follows_failures(runner, monkeypatch):
     result = invoke(runner, "suite")
     assert result.exit_code == 1
     assert json.loads(result.output)[0]["passed"] is False
+
+
+def test_package_import_does_not_load_sympy():
+    probe = ("import sys, perfectoid.cli, perfectoid.suite; "
+             "print('sympy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "False\n"

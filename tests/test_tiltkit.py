@@ -192,7 +192,8 @@ def test_witt_length_and_kind_validation():
         witt_mul(WittVector.zero(C3, 5), WittVector.zero(C3, 5))
 
 
-@pytest.mark.parametrize("p,length", [(2, 3), (3, 3), (2, 4)])
+@pytest.mark.parametrize("p,length", [(2, 3), (3, 3), (2, 4), (5, 3),
+                                      (3, 4)])
 @pytest.mark.parametrize("op", ["add", "mul"])
 def test_witt_polynomials_match_ghost_components(p, length, op):
     # Independent check over the integers: evaluate the cached component

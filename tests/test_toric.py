@@ -144,6 +144,18 @@ def test_index_two_cone_is_singular():
     assert not is_complete(f)
 
 
+@pytest.mark.parametrize("rank,cone,smooth", [
+    (3, [(1, 1, 0), (1, -1, 0)], False),               # index 2
+    (3, [(1, 0, 0), (1, 1, 0)], True),
+    (3, [(1, 0, 0), (1, 2, 1)], True),
+    (4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 3, 0)], False),  # index 3
+])
+def test_smoothness_of_cones_below_full_dimension(rank, cone, smooth):
+    # fewer generators than the rank: no square determinant applies,
+    # the gcd of the maximal minors decides
+    assert is_smooth(Fan(rank, [cone])) is smooth
+
+
 def test_single_quadrant_is_incomplete():
     assert not is_complete(Fan(2, [[(1, 0), (0, 1)]]))
 
