@@ -321,6 +321,21 @@ class _DigitElement:
     def _normalize(acc, config, bound):
         raise NotImplementedError
 
+    @classmethod
+    def _canonical(cls, config: FieldConfig, digits: dict[ValExp, int],
+                   precexp: ValExp):
+        """Wraps digits that are already in canonical form, unchecked.
+
+        The caller guarantees what ``_normalize`` would establish: keys are
+        ValExp on the config's lattice, strictly below precexp <= prec,
+        inserted in increasing order, with values in 1..p-1.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "precexp", precexp)
+        object.__setattr__(self, "digits", digits)
+        return self
+
     # -- constructors ----------------------------------------------------
 
     @classmethod

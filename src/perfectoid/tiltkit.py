@@ -14,18 +14,17 @@ untilting homomorphism ``theta``.
 
 Powering x_n to the p^n-th power dominates the cost, so it runs on a
 dense "layer" representation of the finite field layer generated by
-p^(1/p^M): an array of p^M integer coefficients modulo p^N indexed by
-the fractional part of the exponent, with index overflow folded back by
-u^(p^M) = p.  Convolutions use numpy int64 when the coefficient bound
-allows and exact big-int arithmetic otherwise.
+p^(1/p^M): a list of p^M integer coefficients modulo p^K indexed by the
+fractional part of the exponent, i.e. an element of the ring
+(Z/p^K)[u]/(u^(p^M) - p).  Products pack each coefficient list into one
+Python integer (Kronecker substitution), multiply the two integers and
+fold the overflowing half back by u^(p^M) = p before unpacking.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .arith import (
     ConfigError,
@@ -34,78 +33,92 @@ from .arith import (
     PrecisionError,
     TiltElement,
     UntiltElement,
+    ValExp,
 )
 
 # =====================================================================
 # Layer-ring powering
 # =====================================================================
 
-# np.convolve accumulates up to p^M products of coefficients < p^prec;
-# stay well inside int64.
-_INT64_GUARD = 2 ** 62
-
-
 def _layer_from_element(x: UntiltElement) -> tuple[list[int], int]:
-    """Dense coefficients C_r of x = sum_r C_r * p^(r/p^M), C_r < p^N."""
+    """Dense coefficients C_r of x = sum_r C_r * p^(r/p^M).
+
+    Every digit lies below x.precexp, so C_r < p^ceil(precexp).
+    """
     m = max((e.denpow for e in x.digits), default=0)
     p = x.config.p
     scale = p ** m
     coeffs = [0] * scale
     for e, c in x.digits.items():
-        f = e.as_fraction()
-        q = int(f)
-        r = (f - q) * scale
-        coeffs[int(r)] += c * p ** q
+        q, r = divmod(e.num * p ** (m - e.denpow), scale)
+        coeffs[r] += c * p ** q
     return coeffs, m
 
 
-def _layer_to_element(coeffs, m: int, config: FieldConfig,
-                      precexp) -> UntiltElement:
+def _layer_to_element(coeffs: list[int], m: int, config: FieldConfig,
+                      precexp: ValExp) -> UntiltElement:
+    """The element sum_r C_r * p^(r/p^M) modulo p^precexp.
+
+    Base-p digit q of C_r sits at exponent q + r/p^M; these exponents are
+    pairwise distinct, so the digits already form the canonical expansion
+    and need no carries.  They are emitted in increasing exponent order.
+    """
     p = config.p
     scale = p ** m
-    digits: dict[Fraction, int] = {}
-    for r, value in enumerate(coeffs):
-        value = int(value)
-        q = 0
-        while value:
-            value, d = divmod(value, p)
+    # q + r/scale < precexp  <=>  (q*scale + r) * p^denpow < num * scale
+    limit = precexp.num * scale
+    den = p ** precexp.denpow
+    rest = list(coeffs)
+    live = [r for r, c in enumerate(rest) if c]
+    digits = {}
+    q = 0
+    while live:
+        for r in live:
+            rest[r], d = divmod(rest[r], p)
             if d:
-                digits[q + Fraction(r, scale)] = d
-            q += 1
-    return UntiltElement(config, digits, precexp)
+                num = q * scale + r
+                if num * den >= limit:
+                    return UntiltElement._canonical(config, digits, precexp)
+                digits[ValExp(num, m, p)] = d
+        live = [r for r in live if rest[r]]
+        q += 1
+    return UntiltElement._canonical(config, digits, precexp)
 
 
-def _layer_mul_numpy(a, b, p: int, length: int, mod: int):
-    conv = np.convolve(a, b)
-    if len(conv) > length:
-        # u^(p^M) = p: fold the overflowing indices back down.
-        head = conv[:length].copy()
-        tail = conv[length:]
-        head[:len(tail)] += p * tail
-        conv = head
-    return conv % mod
+def _pack(coeffs: list[int], width: int) -> int:
+    """The integer with coeffs[i] in byte slot i (little-endian)."""
+    buf = bytearray()
+    for c in coeffs:
+        buf += c.to_bytes(width, "little")
+    return int.from_bytes(buf, "little")
 
 
-def _layer_mul_python(a, b, p: int, length: int, mod: int):
-    out = [0] * length
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj == 0:
-                continue
-            k = i + j
-            term = ai * bj
-            if k >= length:
-                k -= length
-                term *= p
-            out[k] = (out[k] + term) % mod
-    return out
+def _layer_mul(a: list[int], b: list[int], p: int, mod: int) -> list[int]:
+    """a * b in (Z/mod)[u]/(u^L - p), by Kronecker substitution.
+
+    Each coefficient gets a byte-aligned slot wide enough for a folded
+    product coefficient, at most L * (mod-1)^2 * (p+1), so slots never
+    carry into each other.  Passing a is b squares.
+    """
+    length = len(a)
+    width = ((length * (mod - 1) ** 2 * (p + 1)).bit_length() + 7) // 8
+    packed = _pack(a, width)
+    prod = packed * (packed if a is b else _pack(b, width))
+    # u^L = p: fold the upper L-1 slots back onto the lower ones.
+    bits = 8 * width * length
+    prod = (prod & ((1 << bits) - 1)) + p * (prod >> bits)
+    data = prod.to_bytes(width * length, "little")
+    from_bytes = int.from_bytes
+    return [from_bytes(data[i:i + width], "little") % mod
+            for i in range(0, width * length, width)]
 
 
-def untilt_power_pn(x: UntiltElement, n: int,
-                    use_numpy: bool | None = None) -> UntiltElement:
-    """x^(p^n) modulo p^N, computed on the dense layer representation."""
+def untilt_power_pn(x: UntiltElement, n: int) -> UntiltElement:
+    """x^(p^n) modulo p^precexp, computed on the dense layer representation.
+
+    The result keeps x's precision exponent; the layer arithmetic runs
+    modulo p^ceil(precexp), which holds every digit below it.
+    """
     if n < 0:
         raise KernelError(f"negative power tower height {n}")
     config = x.config
@@ -115,17 +128,8 @@ def untilt_power_pn(x: UntiltElement, n: int,
     if x.is_zero():
         kf = min(x.precexp.as_fraction() * p ** n, Fraction(prec))
         return UntiltElement.zero(config, kf)
-    coeffs, m = _layer_from_element(x)
-    length = len(coeffs)
-    mod = p ** prec
-    if use_numpy is None:
-        use_numpy = length * (mod - 1) ** 2 * (p + 1) < _INT64_GUARD
-    if use_numpy:
-        vec = np.array(coeffs, dtype=np.int64)
-        mul = lambda u, v: _layer_mul_numpy(u, v, p, length, mod)
-    else:
-        vec = coeffs
-        mul = lambda u, v: _layer_mul_python(u, v, p, length, mod)
+    vec, m = _layer_from_element(x)
+    mod = p ** -(-x.precexp.num // p ** x.precexp.denpow)
     for _ in range(n):
         # square-and-multiply for the exponent p
         acc = None
@@ -133,13 +137,11 @@ def untilt_power_pn(x: UntiltElement, n: int,
         e = p
         while e:
             if e & 1:
-                acc = base if acc is None else mul(acc, base)
+                acc = base if acc is None else _layer_mul(acc, base, p, mod)
             e >>= 1
             if e:
-                base = mul(base, base)
+                base = _layer_mul(base, base, p, mod)
         vec = acc
-    if use_numpy:
-        vec = vec.tolist()
     return _layer_to_element(vec, m, config, x.precexp)
 
 
@@ -205,11 +207,10 @@ def sharp(x: TiltElement, target_prec: int) -> UntiltElement:
             acc[ef] = c
     if not acc:
         return UntiltElement.zero(config, target_prec)
-    # Build the lift at a full-precision representative; any choice
-    # changes the p^n-th power only beyond p^(n+1).
-    base = UntiltElement(config, acc, Fraction(config.prec))
-    power = untilt_power_pn(base, n)
-    return power.with_precision(target_prec)
+    # Any lift of the root's residue changes the p^n-th power only beyond
+    # p^(n+1), so the digitwise lift serves; it is exact below target_prec.
+    base = UntiltElement(config, acc, target_prec)
+    return untilt_power_pn(base, n)
 
 
 def sharp_const(config: FieldConfig, c: int) -> UntiltElement:

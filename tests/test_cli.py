@@ -356,7 +356,7 @@ def test_suite_exit_code_follows_failures(runner, monkeypatch):
 
 def test_package_import_does_not_load_sympy():
     probe = ("import sys, perfectoid.cli, perfectoid.suite; "
-             "print('sympy' in sys.modules)")
+             "print('sympy' in sys.modules, 'numpy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"

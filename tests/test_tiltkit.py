@@ -34,6 +34,7 @@ C2 = FieldConfig(2, 8, 4)
 # prec = p^2 so target-3 sharps are certified representative-independent:
 # the twice-rooted input is still known mod t and the limit argument applies.
 TC3 = FieldConfig(3, 9, 6)
+W2 = FieldConfig(2, 32, 6)     # wide coefficients: 2^32 * 2^32 > 2^64
 
 
 def tilt_int(config, n):
@@ -148,13 +149,39 @@ def test_sharp_frobenius_equivariant(data):
 @settings(max_examples=40)
 @given(data=st.data())
 def test_power_tower_paths_agree(data):
-    x = data.draw(elements(C3, "untilt", max_denpow=2, max_terms=4))
+    # The layer-ring power against naive digit multiplication.  At p = 2,
+    # prec 32 a product coefficient bound exceeds 2^64, which exercises
+    # the Kronecker slot width.
+    config, max_n, max_terms = data.draw(
+        st.sampled_from([(C3, 3, 4), (W2, 2, 3)]))
+    x = data.draw(elements(config, "untilt", max_denpow=2,
+                           max_terms=max_terms))
+    n = data.draw(st.integers(min_value=0, max_value=max_n))
+    power = untilt_power_pn(x, n)
+    naive = (x ** (config.p ** n)).with_precision(power.precexp)
+    assert power == naive
+
+
+def _assert_canonical(r):
+    assert UntiltElement(r.config, r.digits, r.precexp) == r
+    assert list(r.digits) == sorted(r.digits)
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_layer_results_are_canonical(data):
+    # untilt_power_pn and sharp build their results without renormalizing;
+    # rebuilding through the normalizing constructor must change nothing.
+    config = data.draw(st.sampled_from([C3, C2, W2]))
+    x = data.draw(elements(config, "untilt", max_denpow=2, max_terms=4,
+                           vary_precision=True))
+    if data.draw(st.booleans()):
+        # a unit: its power has digits right up to a fractional precexp
+        x = x + 1
     n = data.draw(st.integers(min_value=0, max_value=3))
-    via_numpy = untilt_power_pn(x, n, use_numpy=True)
-    via_python = untilt_power_pn(x, n, use_numpy=False)
-    naive = (x ** (3 ** n)).with_precision(via_numpy.precexp)
-    assert via_numpy == via_python
-    assert via_numpy == naive
+    _assert_canonical(untilt_power_pn(x, n))
+    y = data.draw(elements(TC3, "tilt", max_denpow=1, max_terms=4))
+    _assert_canonical(sharp(y, data.draw(st.integers(1, 3))))
 
 
 # =====================================================================
