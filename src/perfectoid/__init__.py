@@ -10,6 +10,7 @@ calculus, and toric section/transfer computations.
 
 from .arith import (
     INF,
+    BudgetError,
     ConfigError,
     DencapError,
     DivisionError,
@@ -33,6 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "INF",
+    "BudgetError",
     "ConfigError",
     "DencapError",
     "DivisionError",

@@ -61,6 +61,10 @@ class DivisionError(KernelError):
     """Exact division was requested but the quotient is not integral."""
 
 
+class BudgetError(KernelError):
+    """An operation would need more time or memory than its fixed budget."""
+
+
 # =====================================================================
 # Exponents
 # =====================================================================

@@ -9,24 +9,25 @@ in the characteristic-0 field; the limit is well defined modulo p^(n+1)
 as soon as the n-th root is known modulo t.  ``sharp`` computes exactly
 that finite-stage value.  On top of it sit the Teichmüller lift of a
 residue digit (``sharp_const``), finite-length Witt vectors over the
-tilt with their universal addition/multiplication polynomials, and the
-untilting homomorphism ``theta``.
+tilt, and the untilting homomorphism ``theta``.  The tilt is perfect, so
+its Witt vectors form the strict p-ring (Z/p^n)[t^(1/p^inf)]: Witt sums
+and products are ring operations on Teichmüller expansions.
 
-Powering x_n to the p^n-th power dominates the cost, so it runs on a
-dense "layer" representation of the finite field layer generated by
-p^(1/p^M): a list of p^M integer coefficients modulo p^K indexed by the
-fractional part of the exponent, i.e. an element of the ring
-(Z/p^K)[u]/(u^(p^M) - p).  Products pack each coefficient list into one
-Python integer (Kronecker substitution), multiply the two integers and
-fold the overflowing half back by u^(p^M) = p before unpacking.
+Powering in ``sharp`` runs on a dense "layer": the p^M coefficients of
+an element of (Z/mod)[u]/(u^(p^M) - p), u = p^(1/p^M).  Products pack
+each coefficient list into one Python integer (Kronecker substitution),
+multiply the two integers and fold the upper half back by u^(p^M) = p.
+Witt expansions are sparse maps on u = t^(1/p^M) that switch to the
+same product, truncated at t^prec, once they grow long.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from itertools import accumulate
 
 from .arith import (
+    BudgetError,
     ConfigError,
     FieldConfig,
     KernelError,
@@ -40,19 +41,18 @@ from .arith import (
 # Layer-ring powering
 # =====================================================================
 
-def _layer_from_element(x: UntiltElement) -> tuple[list[int], int]:
-    """Dense coefficients C_r of x = sum_r C_r * p^(r/p^M).
+def _layer_from_element(x: UntiltElement, m: int) -> list[int]:
+    """Dense coefficients C_r of x = sum_r C_r * p^(r/p^m).
 
     Every digit lies below x.precexp, so C_r < p^ceil(precexp).
     """
-    m = max((e.denpow for e in x.digits), default=0)
     p = x.config.p
     scale = p ** m
     coeffs = [0] * scale
     for e, c in x.digits.items():
         q, r = divmod(e.num * p ** (m - e.denpow), scale)
         coeffs[r] += c * p ** q
-    return coeffs, m
+    return coeffs
 
 
 def _layer_to_element(coeffs: list[int], m: int, config: FieldConfig,
@@ -93,24 +93,39 @@ def _pack(coeffs: list[int], width: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _layer_mul(a: list[int], b: list[int], p: int, mod: int) -> list[int]:
-    """a * b in (Z/mod)[u]/(u^L - p), by Kronecker substitution.
+def _layer_mul(a: list[int], b: list[int], c: int, mod: int) -> list[int]:
+    """a * b in (Z/mod)[u]/(u^L - c), by Kronecker substitution.
 
-    Each coefficient gets a byte-aligned slot wide enough for a folded
-    product coefficient, at most L * (mod-1)^2 * (p+1), so slots never
+    c = p gives the layer ring of the untilt side; c = 0 truncates at
+    u^L, which is the t-adic truncation of the Witt layer.  Each
+    coefficient gets a byte-aligned slot wide enough for a folded
+    product coefficient, at most L * (mod-1)^2 * (c+1), so slots never
     carry into each other.  Passing a is b squares.
     """
     length = len(a)
-    width = ((length * (mod - 1) ** 2 * (p + 1)).bit_length() + 7) // 8
+    width = ((length * (mod - 1) ** 2 * (c + 1)).bit_length() + 7) // 8
     packed = _pack(a, width)
     prod = packed * (packed if a is b else _pack(b, width))
-    # u^L = p: fold the upper L-1 slots back onto the lower ones.
+    # u^L = c: fold the upper L-1 slots back onto the lower ones.
     bits = 8 * width * length
-    prod = (prod & ((1 << bits) - 1)) + p * (prod >> bits)
+    prod = (prod & ((1 << bits) - 1)) + c * (prod >> bits)
     data = prod.to_bytes(width * length, "little")
     from_bytes = int.from_bytes
     return [from_bytes(data[i:i + width], "little") % mod
             for i in range(0, width * length, width)]
+
+
+def _pow_pn(vec, p: int, k: int, mul):
+    """vec^(p^k) by k rounds of square-and-multiply with the product mul."""
+    for _ in range(k):
+        acc, base, e = None, vec, p
+        while e:
+            if e & 1:
+                acc = base if acc is None else mul(acc, base)
+            if e := e >> 1:
+                base = mul(base, base)
+        vec = acc
+    return vec
 
 
 def untilt_power_pn(x: UntiltElement, n: int) -> UntiltElement:
@@ -128,20 +143,11 @@ def untilt_power_pn(x: UntiltElement, n: int) -> UntiltElement:
     if x.is_zero():
         kf = min(x.precexp.as_fraction() * p ** n, Fraction(prec))
         return UntiltElement.zero(config, kf)
-    vec, m = _layer_from_element(x)
+    m = max((e.denpow for e in x.digits), default=0)
     mod = p ** -(-x.precexp.num // p ** x.precexp.denpow)
-    for _ in range(n):
-        # square-and-multiply for the exponent p
-        acc = None
-        base = vec
-        e = p
-        while e:
-            if e & 1:
-                acc = base if acc is None else _layer_mul(acc, base, p, mod)
-            e >>= 1
-            if e:
-                base = _layer_mul(base, base, p, mod)
-        vec = acc
+    # No name holds the input layer, so it is freed after the first round.
+    vec = _pow_pn(_layer_from_element(x, m), p, n,
+                  lambda a, b: _layer_mul(a, b, p, mod))
     return _layer_to_element(vec, m, config, x.precexp)
 
 
@@ -241,110 +247,6 @@ def sharp_const(config: FieldConfig, c: int) -> UntiltElement:
 # Witt vectors
 # =====================================================================
 
-def _poly_mul(a: dict, b: dict) -> dict:
-    """Product of integer polynomials stored as {exponent tuple: coeff}."""
-    out: dict = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = tuple([i + j for i, j in zip(ma, mb)])
-            out[m] = out.get(m, 0) + ca * cb
-    return {m: c for m, c in out.items() if c}
-
-
-def _poly_pow(a: dict, e: int) -> dict:
-    """a^e for e >= 1, by square-and-multiply."""
-    acc = None
-    while True:
-        if e & 1:
-            acc = a if acc is None else _poly_mul(acc, a)
-        e >>= 1
-        if not e:
-            return acc
-        a = _poly_mul(a, a)
-
-
-def _poly_add_scaled(acc: dict, a: dict, scale: int) -> None:
-    """acc += scale * a, in place."""
-    for m, c in a.items():
-        acc[m] = acc.get(m, 0) + scale * c
-
-
-@lru_cache(maxsize=None)
-def _witt_structure_integer(p: int, op: str, length: int):
-    """Universal Witt component polynomials S_0..S_{length-1} over Z.
-
-    Solved from the ghost-component identities w_k(S) = w_k(X) op w_k(Y)
-    and stored as {exponent tuple: integer coeff} over the generators
-    x0..x_{n-1}, y0..y_{n-1}; each component is returned as a tuple of
-    (exponent tuple, coeff) pairs in descending exponent order.
-    """
-    if op not in ("add", "mul"):
-        raise KernelError(f"unknown Witt operation {op!r}")
-    nvars = 2 * length
-
-    def ghost(offset, k):
-        # w_k = sum_j p^j * v_j^(p^(k-j)) over the variables v_j at offset
-        out = {}
-        for j in range(k + 1):
-            monom = [0] * nvars
-            monom[offset + j] = p ** (k - j)
-            out[tuple(monom)] = p ** j
-        return out
-
-    # powers[j] holds S_j^(p^(k-j)) for the current k
-    powers: list[dict] = []
-    tables = []
-    for k in range(length):
-        if op == "add":
-            acc = ghost(0, k)
-            _poly_add_scaled(acc, ghost(length, k), 1)
-        else:
-            acc = _poly_mul(ghost(0, k), ghost(length, k))
-        powers = [_poly_pow(s, p) for s in powers]
-        for j, s in enumerate(powers):
-            _poly_add_scaled(acc, s, -p ** j)
-        scale = p ** k
-        component = {}
-        for monom, coeff in acc.items():
-            q, r = divmod(coeff, scale)
-            if r:
-                raise KernelError(
-                    "Witt recursion produced a nonintegral component")
-            if q:
-                component[monom] = q
-        powers.append(component)
-        tables.append(tuple(sorted(component.items(), reverse=True)))
-    return tuple(tables)
-
-
-@lru_cache(maxsize=None)
-def _witt_structure(p: int, op: str, length: int):
-    """The integer component polynomials reduced into characteristic p."""
-    out = []
-    for terms in _witt_structure_integer(p, op, length):
-        table = {}
-        for monom, coeff in terms:
-            c = coeff % p
-            if c:
-                table[monom] = c
-        out.append(table)
-    return tuple(out)
-
-
-def _tilt_power(x: TiltElement, e: int) -> TiltElement:
-    """x^e using free Frobenius twists for the p-power part of e."""
-    p = x.config.p
-    out = TiltElement.one(x.config)
-    twisted = x
-    while e:
-        e, d = divmod(e, p)
-        if d:
-            out = out * twisted ** d
-        if e:
-            twisted = twisted.frobenius()
-    return out
-
-
 class WittVector:
     """A finite-length Witt vector (x_0, ..., x_{n-1}) over the tilt."""
 
@@ -419,38 +321,146 @@ class WittVector:
         return cls(components[0].config, components)
 
 
-_WITT_MAX_LENGTH = 4
+# A Witt product costs min(term pairs, _DENSE_RATIO * dense size) units;
+# one Witt operation may spend _WITT_WORK_BUDGET of them (0.2-0.7 us a
+# unit on one Xeon core: 1-3 s), and the overrunning product is refused.
+_DENSE_RATIO = 4
+_WITT_WORK_BUDGET = 2 ** 22
 
 
 def _witt_op(a: WittVector, b: WittVector, op: str) -> WittVector:
+    """Witt addition or multiplication in the strict p-ring.
+
+    Over the perfect ring R = F_p[t^(1/p^inf)], (x_0, ..., x_{n-1}) is
+    sum_i p^i [x_i^(1/p^i)] in W_n(R) = (Z/p^n)[t^(1/p^inf)], where [y]
+    is the Teichmüller lift.  Both operands become sparse maps {j: C_j}
+    on u = t^(1/p^M), p^m the deepest digit denominator, M = m + n - 1;
+    their sum or product C is peeled: component k is (C mod p)^(p^k),
+    and C becomes (C - [C mod p]) / p.  All of it runs modulo an ideal
+    inside W(t^prec R), the kernel of reading components modulo t^prec:
+    the p^i digit of C_j is dropped once u^j >= t^(prec/p^i), as
+    p^i t^(prec/p^i) = V^i [t^prec].  Long products run on the dense
+    layer (Z/p^n)[u]/(u^L), L = prec * p^M.
+    """
     if a.config != b.config or a.length != b.length:
         raise ConfigError("Witt operands must share config and length")
-    n = a.length
-    if n > _WITT_MAX_LENGTH:
-        raise KernelError(
-            f"Witt arithmetic is provided for length <= {_WITT_MAX_LENGTH}, "
-            f"got {n}")
     config = a.config
-    tables = _witt_structure(config.p, op, n)
-    values = list(a.components) + list(b.components)
+    p, prec, n = config.p, config.prec, a.length
+    m = max((e.denpow for x in a.components + b.components
+             for e in x.digits), default=0)
+    depth = m + n - 1
+    size = prec * p ** depth
+    bounds = [prec * p ** (depth - i) for i in range(n)]
+    levels, spent = {}, 0
+
+    def reduce(acc: dict, shift: int) -> dict:
+        # C_j modulo p^(levels(j) - shift), for a layer divided by p^shift
+        out = {}
+        for j, c in acc.items():
+            if (kept := levels.get(j)) is None:
+                kept = levels[j] = sum(j < bound for bound in bounds)
+            if kept > shift and (c := c % p ** (kept - shift)):
+                out[j] = c
+        return out
+
+    def add(x: dict, y: dict, scale: int = 1) -> dict:
+        for j, c in y.items():
+            x[j] = x.get(j, 0) + scale * c
+        return x
+
+    def mul(x: dict, y: dict, shift: int) -> dict:
+        nonlocal spent
+        pairs = len(x) * len(y)
+        spent += min(pairs, _DENSE_RATIO * size)
+        if spent > _WITT_WORK_BUDGET:
+            raise BudgetError(
+                f"Witt {op} of length {n} on the 1/p^{m} lattice overruns "
+                f"its budget of {_WITT_WORK_BUDGET} units at a product of "
+                f"{pairs} term pairs over {size} coefficients")
+        if pairs > _DENSE_RATIO * size:
+            vx = [x.get(j, 0) for j in range(size)]
+            vy = vx if x is y else [y.get(j, 0) for j in range(size)]
+            prod = _layer_mul(vx, vy, 0, p ** (n - shift))
+            return reduce(dict(enumerate(prod)), shift)
+        acc = {}
+        terms = sorted(y.items())
+        for jx, cx in x.items():
+            for jy, cy in terms:
+                if jx + jy >= size:
+                    break
+                acc[jx + jy] = acc.get(jx + jy, 0) + cx * cy
+        return reduce(acc, shift)
+
+    def teichmuller(root: dict, k: int, shift: int) -> dict:
+        # [y] modulo p^(k+1) from a lift of y^(1/p^k), raised to p^k
+        return _pow_pn(root, p, k, lambda x, y: mul(x, y, shift))
+
+    def expand(w: WittVector) -> dict:
+        total = {}
+        for i, x in enumerate(w.components):
+            root = {e.num * p ** (m - e.denpow): d
+                    for e, d in x.digits.items()}
+            add(total, teichmuller(root, n - i - 1, i), p ** i)
+        return reduce(total, 0)
+
+    def prefix(w: WittVector, value) -> list[Fraction]:
+        return list(accumulate(map(value, w.components), min))
+
+    ka, kb = (prefix(w, lambda x: x.precexp.as_fraction()) for w in (a, b))
+    if op == "add":
+        layer = reduce(add(expand(a), expand(b)), 0)
+        kept = [min(k1, k2) for k1, k2 in zip(ka, kb)]
+    else:
+        layer = mul(expand(a), expand(b), 0)
+        va, vb = (prefix(w, TiltElement._effective_valuation)
+                  for w in (a, b))
+        kept = [min(k1 + v2, k2 + v1, prec)
+                for k1, k2, v1, v2 in zip(ka, kb, va, vb)]
     out = []
-    for table in tables:
-        comp = TiltElement.zero(config)
-        for monom, coeff in table.items():
-            term = TiltElement.from_int(config, coeff)
-            for idx, e in enumerate(monom):
-                if e:
-                    term = term * _tilt_power(values[idx], e)
-            comp = comp + term
-        out.append(comp)
+    for k in range(n):
+        # The layer keeps only u^j below t^(prec/p^k), and its residue
+        # is x_k^(1/p^k), on the 1/p^(m+k) lattice.
+        step = p ** k
+        residue = {j: d for j, c in sorted(layer.items()) if (d := c % p)}
+        precexp = config.exp(kept[k])
+        limit = -(-kept[k].numerator * p ** depth // kept[k].denominator)
+        digits = {ValExp(j * step, depth, p): d for j, d in residue.items()
+                  if j * step < limit}
+        out.append(TiltElement._canonical(config, digits, precexp))
+        if k < n - 1:
+            down = p ** (n - k - 1)
+            root = {j // down: d for j, d in residue.items()}
+            add(layer, teichmuller(root, n - k - 1, k), -1)
+            # C - [C mod p] vanishes mod p, so the division is exact
+            layer = {j: c // p for j, c in reduce(layer, k).items()}
     return WittVector(config, out)
 
 
 def witt_add(a: WittVector, b: WittVector) -> WittVector:
+    """The Witt sum a + b.
+
+    Component k is known modulo t^K_k, where K_k is the smallest
+    precision exponent among the components 0..k of a and of b:
+    W(R) -> W(R/I) has kernel W(I), so refining any of those components
+    changes component k only by a multiple of t^K_k.
+
+    Raises:
+        BudgetError: the operation would overrun its work budget.
+    """
     return _witt_op(a, b, "add")
 
 
 def witt_mul(a: WittVector, b: WittVector) -> WittVector:
+    """The Witt product a * b.
+
+    Component k is known modulo t^min(K_a + V_b, K_b + V_a, prec), with
+    K_a the smallest precision exponent and V_a the smallest certified
+    valuation among the components 0..k of a (likewise for b): the
+    digit product rule lifted through W(I) * W(J) in W(IJ).
+
+    Raises:
+        BudgetError: the operation would overrun its work budget.
+    """
     return _witt_op(a, b, "mul")
 
 

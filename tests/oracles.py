@@ -10,8 +10,14 @@ so that a bug in either side shows up as a disagreement.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
-from perfectoid.arith import FieldConfig, TiltElement, UntiltElement
+from perfectoid.arith import (
+    FieldConfig,
+    KernelError,
+    TiltElement,
+    UntiltElement,
+)
 
 
 # ---------------------------------------------------------------------
@@ -117,6 +123,123 @@ def all_dense_vectors(config: FieldConfig, limit_idx: int):
             vec[j] = c % p
             c //= p
         yield vec
+
+
+# ---------------------------------------------------------------------
+# Witt vectors through the universal component polynomials.
+#
+# The package computes Witt sums and products in the strict p-ring;
+# here the universal polynomials S_k come from the ghost-component
+# identities over the integers and are evaluated term by term on tilt
+# elements.
+# ---------------------------------------------------------------------
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    """Product of integer polynomials stored as {exponent tuple: coeff}."""
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple([i + j for i, j in zip(ma, mb)])
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def _poly_pow(a: dict, e: int) -> dict:
+    """a^e for e >= 1, by square-and-multiply."""
+    acc = None
+    while True:
+        if e & 1:
+            acc = a if acc is None else _poly_mul(acc, a)
+        e >>= 1
+        if not e:
+            return acc
+        a = _poly_mul(a, a)
+
+
+def _poly_add_scaled(acc: dict, a: dict, scale: int) -> None:
+    """acc += scale * a, in place."""
+    for m, c in a.items():
+        acc[m] = acc.get(m, 0) + scale * c
+
+
+@lru_cache(maxsize=None)
+def _witt_structure_integer(p: int, op: str, length: int):
+    """Universal Witt component polynomials S_0..S_{length-1} over Z.
+
+    Solved from the ghost-component identities w_k(S) = w_k(X) op w_k(Y)
+    and stored as {exponent tuple: integer coeff} over the generators
+    x0..x_{n-1}, y0..y_{n-1}; each component is returned as a tuple of
+    (exponent tuple, coeff) pairs in descending exponent order.
+    """
+    if op not in ("add", "mul"):
+        raise KernelError(f"unknown Witt operation {op!r}")
+    nvars = 2 * length
+
+    def ghost(offset, k):
+        # w_k = sum_j p^j * v_j^(p^(k-j)) over the variables v_j at offset
+        out = {}
+        for j in range(k + 1):
+            monom = [0] * nvars
+            monom[offset + j] = p ** (k - j)
+            out[tuple(monom)] = p ** j
+        return out
+
+    # powers[j] holds S_j^(p^(k-j)) for the current k
+    powers: list[dict] = []
+    tables = []
+    for k in range(length):
+        if op == "add":
+            acc = ghost(0, k)
+            _poly_add_scaled(acc, ghost(length, k), 1)
+        else:
+            acc = _poly_mul(ghost(0, k), ghost(length, k))
+        powers = [_poly_pow(s, p) for s in powers]
+        for j, s in enumerate(powers):
+            _poly_add_scaled(acc, s, -p ** j)
+        scale = p ** k
+        component = {}
+        for monom, coeff in acc.items():
+            q, r = divmod(coeff, scale)
+            if r:
+                raise KernelError(
+                    "Witt recursion produced a nonintegral component")
+            if q:
+                component[monom] = q
+        powers.append(component)
+        tables.append(tuple(sorted(component.items(), reverse=True)))
+    return tuple(tables)
+
+
+def witt_by_tables(a, b, op: str) -> list:
+    """Components of a op b from the tables, reduced modulo p and
+    evaluated with tilt-element arithmetic (Frobenius for p-th powers)."""
+    config = a.config
+    p = config.p
+    values = list(a.components) + list(b.components)
+
+    def power(x, e):
+        out = TiltElement.one(config)
+        while e:
+            e, d = divmod(e, p)
+            if d:
+                out = out * x ** d
+            if e:
+                x = x.frobenius()
+        return out
+
+    out = []
+    for terms in _witt_structure_integer(p, op, a.length):
+        comp = TiltElement.zero(config)
+        for monom, coeff in terms:
+            if coeff % p == 0:
+                continue
+            term = TiltElement.from_int(config, coeff % p)
+            for idx, e in enumerate(monom):
+                if e:
+                    term = term * power(values[idx], e)
+            comp = comp + term
+        out.append(comp)
+    return out
 
 
 # ---------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -11,6 +12,7 @@ from perfectoid.arith import FieldConfig, TiltElement, UntiltElement
 from perfectoid.cli import dumps, main
 from perfectoid.polyroots import Polynomial
 from perfectoid.suite import CheckResult
+from perfectoid.tiltkit import WittVector
 
 
 @pytest.fixture
@@ -84,6 +86,34 @@ def test_witt_mul_squares_the_uniformizer(runner):
     doc = json.loads(result.output)
     assert doc["components"][0]["terms"] == [
         {"num": 2, "denpow": 0, "digit": 1}]
+
+
+def _witt_json(config, comps):
+    return dumps(WittVector(config, comps).to_json())
+
+
+def test_witt_mul_beyond_length_four(runner):
+    config = FieldConfig(2, 8, 4)
+    t = TiltElement.uniformizer(config)
+    doc = _witt_json(config, [t, TiltElement.one(config), t, t * t, t])
+    result = invoke(runner, "witt", "mul", doc, doc)
+    assert result.exit_code == 0
+    out = json.loads(result.output)
+    assert out["length"] == 5
+    assert len(out["components"]) == 5
+
+
+def test_witt_overbudget_product_is_a_domain_error(runner):
+    config = FieldConfig(5, 8, 6)
+    wide = TiltElement(config, {Fraction(2 * j + 1, 5 ** 6): 1
+                                for j in range(2100)})
+    doc = _witt_json(config, [wide] + [TiltElement.zero(config)] * 7)
+    result = invoke(runner, "witt", "mul", doc, doc)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    error = json.loads(result.stderr)
+    assert error["error"] == "BudgetError"
+    assert f"{2100 ** 2} term pairs" in error["message"]
 
 
 def test_witt_lift_respects_length(runner):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import elements
 from perfectoid.arith import (
     INF,
+    BudgetError,
     FieldConfig,
     KernelError,
     PrecisionError,
@@ -19,7 +21,6 @@ from perfectoid.arith import (
 )
 from perfectoid.tiltkit import (
     WittVector,
-    _witt_structure_integer,
     sharp,
     sharp_const,
     theta,
@@ -163,7 +164,7 @@ def test_power_tower_paths_agree(data):
 
 
 def _assert_canonical(r):
-    assert UntiltElement(r.config, r.digits, r.precexp) == r
+    assert type(r)(r.config, r.digits, r.precexp) == r
     assert list(r.digits) == sorted(r.digits)
 
 
@@ -216,7 +217,84 @@ def test_witt_length_and_kind_validation():
     with pytest.raises(KernelError):
         witt_add(WittVector.zero(C3, 2), WittVector.zero(C3, 3))
     with pytest.raises(KernelError):
-        witt_mul(WittVector.zero(C3, 5), WittVector.zero(C3, 5))
+        WittVector.zero(C3, C3.prec + 1)
+    # No length cap below the working precision: length 5 at p = 2
+    # matches the universal polynomials.
+    rng = random.Random(5)
+    for _ in range(2):
+        a, b = (_random_witt(rng, C2, 5, 1) for _ in range(2))
+        _assert_matches_tables(a, b)
+
+
+def test_witt_refuses_overbudget_products_before_allocating():
+    # 2100 digits on the 1/5^6 lattice: the first square of the
+    # Teichmüller expansion has 2100^2 term pairs, over the budget, and
+    # its dense form would have 8 * 5^13 (about 10^10) coefficients.
+    config = FieldConfig(5, 8, 6)
+    wide = TiltElement(config, {Fraction(2 * j + 1, 5 ** 6): 1
+                                for j in range(2100)})
+    a = WittVector(config, [wide] + [TiltElement.zero(config)] * 7)
+    for op in (witt_mul, witt_add):
+        with pytest.raises(BudgetError, match=f"{2100 ** 2} term pairs "
+                                              f"over {8 * 5 ** 13}"):
+            op(a, a)
+
+
+def test_witt_sparse_inputs_on_deep_lattices_stay_cheap():
+    # A monomial on the 1/5^6 lattice at length 8: its layer is one term,
+    # although the dense layer would have 8 * 5^13 coefficients.
+    config = FieldConfig(5, 8, 6)
+    deep = TiltElement.monomial(config, 1, Fraction(1, 5 ** 6))
+    zeros = [TiltElement.zero(config)] * 7
+    square = witt_mul(WittVector(config, [deep] + zeros),
+                      WittVector(config, [deep] + zeros))
+    assert square == WittVector(config, [deep * deep] + zeros)
+    # Short vectors with a few digits on the deepest lattice agree with
+    # the universal polynomials.
+    rng = random.Random(56)
+    for length in (2, 3):
+        for _ in range(2):
+            a, b = (_random_witt(rng, config, length, 6) for _ in range(2))
+            _assert_matches_tables(a, b)
+
+
+def _random_witt(rng, config, length, max_denpow):
+    # exact components with fractional exponents; about one in four is 0
+    scale = config.p ** max_denpow
+    comps = []
+    for _ in range(length):
+        digits = {}
+        for _ in range(rng.choice([0, 1, 2, 3])):
+            digits[Fraction(rng.randrange(config.prec * scale), scale)] = \
+                rng.randrange(1, config.p)
+        comps.append(TiltElement(config, digits))
+    return WittVector(config, comps)
+
+
+def _assert_matches_tables(a, b, ops=("add", "mul")):
+    for op in ops:
+        got = (witt_add if op == "add" else witt_mul)(a, b)
+        want = oracles.witt_by_tables(a, b, op)
+        assert [c.dumps() for c in got.components] == \
+            [c.dumps() for c in want]
+        for c in got.components:
+            _assert_canonical(c)
+
+
+@pytest.mark.parametrize("p,length,ops", [
+    *[(p, n, ("add", "mul")) for p in (2, 3) for n in (1, 2, 3, 4)],
+    *[(5, n, ("add", "mul")) for n in (1, 2, 3)],
+    (5, 4, ("mul",)),
+])
+def test_witt_strict_p_ring_matches_universal_polynomials(p, length, ops):
+    # The strict p-ring against term-by-term evaluation of the universal
+    # component polynomials, on exact inputs.
+    config = {2: FieldConfig(2, 8, 4), 3: FieldConfig(3, 6, 3),
+              5: FieldConfig(5, 4, 2)}[p]
+    rng = random.Random(p * 100 + length)
+    for _ in range(3 if length < 4 else 1):
+        a, b = (_random_witt(rng, config, length, 1) for _ in range(2))
+        _assert_matches_tables(a, b, ops)
 
 
 @pytest.mark.parametrize("p,length", [(2, 3), (3, 3), (2, 4), (5, 3),
@@ -226,7 +304,7 @@ def test_witt_polynomials_match_ghost_components(p, length, op):
     # Independent check over the integers: evaluate the cached component
     # polynomials on numbers and compare ghost components directly.
     rng = random.Random(p * 1000 + length)
-    tables = _witt_structure_integer(p, op, length)
+    tables = oracles._witt_structure_integer(p, op, length)
 
     def ghost(vals, k):
         return sum(p ** j * vals[j] ** (p ** (k - j)) for j in range(k + 1))
@@ -271,6 +349,41 @@ def test_witt_ring_axioms(p, prec, data):
     assert witt_mul(witt_mul(a, b), c) == witt_mul(a, witt_mul(b, c))
     assert witt_mul(a, witt_add(b, c)) == \
         witt_add(witt_mul(a, b), witt_mul(a, c))
+
+
+@pytest.mark.parametrize("op", [witt_add, witt_mul])
+@settings(max_examples=150)
+@given(data=st.data())
+def test_witt_precision_is_honest_under_refinement(op, data):
+    # Refining every input component compatibly (new digits only at or
+    # above its precision exponent, then exact) changes each result
+    # component only at or above the precision exponent it reported.
+    config = data.draw(st.sampled_from([FieldConfig(2, 6, 3),
+                                        FieldConfig(3, 4, 3)]))
+    length = data.draw(st.integers(min_value=1, max_value=3))
+    scale = config.p ** 1
+
+    def draw_pair():
+        coarse, fine = [], []
+        for _ in range(length):
+            x = data.draw(elements(config, "tilt", max_terms=3,
+                                   max_denpow=1, vary_precision=True))
+            start = int(x.precexp.as_fraction() * scale)
+            limit = config.prec * scale
+            extra = data.draw(st.dictionaries(
+                st.integers(min_value=start, max_value=limit - 1),
+                st.integers(min_value=1, max_value=config.p - 1),
+                min_size=1, max_size=2)) if start < limit else {}
+            digits = dict(x.digits)
+            digits.update({Fraction(j, scale): c for j, c in extra.items()})
+            coarse.append(x)
+            fine.append(TiltElement(config, digits, config.prec))
+        return WittVector(config, coarse), WittVector(config, fine)
+
+    (a, a_fine), (b, b_fine) = draw_pair(), draw_pair()
+    got, refined = op(a, b), op(a_fine, b_fine)
+    for r, f in zip(got.components, refined.components):
+        assert f.with_precision(r.precexp) == r
 
 
 def test_witt_json_round_trip():
