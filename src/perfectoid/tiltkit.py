@@ -17,18 +17,31 @@ Powering in ``sharp`` runs on a dense "layer": the p^M coefficients of
 an element of (Z/mod)[u]/(u^(p^M) - p), u = p^(1/p^M).  Products pack
 each coefficient list into one Python integer (Kronecker substitution),
 multiply the two integers and fold the upper half back by u^(p^M) = p.
-Witt expansions are sparse maps on u = t^(1/p^M) that switch to the
-same product, truncated at t^prec, once they grow long.
+Each slot has the fewest whole bytes that hold a folded coefficient;
+slots of up to 8 bytes are packed and unpacked in C, through arrays of
+machine words, and wider ones a coefficient at a time.  A p^n-th power
+takes n p-th-power rounds, and the modulus grows with them: round i of
+n runs modulo p^max(K - (n - i), 1), K the precision exponent rounded
+up, because a = a' modulo p^j (j >= 1) gives a^p = a'^p modulo
+p^(j+1).  ``sharp`` thus powers modulo p^(i+1) in round i, not p^K
+throughout.  A layer too large to power within a fixed budget is
+refused before it is allocated.  Witt expansions are sparse maps on
+u = t^(1/p^M) that switch to the same product, truncated at t^prec,
+once they grow long.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 
 from .arith import (
     BudgetError,
     ConfigError,
+    DencapError,
     FieldConfig,
     KernelError,
     PrecisionError,
@@ -41,18 +54,33 @@ from .arith import (
 # Layer-ring powering
 # =====================================================================
 
-def _layer_from_element(x: UntiltElement, m: int) -> list[int]:
-    """Dense coefficients C_r of x = sum_r C_r * p^(r/p^m).
+# Array type codes of the machine words, by size in bytes.  Packing
+# through them reads the array's bytes as a little-endian integer; other
+# hosts pack every slot one coefficient at a time.
+_WORD_CODES = ({array(code).itemsize: code for code in "BHILQ"}
+               if sys.byteorder == "little" else {})
+
+# The last round of a layer power squares an integer of p^m slots at its
+# full slot width.  CPython multiplies big integers by Karatsuba: on one
+# Xeon core a 2^18-byte square takes about 0.35 s and a 2^19-byte one
+# about 1 s, and a power runs several such products a round.  A power
+# whose packed layer would exceed _LAYER_BUDGET bytes is refused before
+# its layer is allocated.
+_LAYER_BUDGET = 2 ** 18
+
+
+def _layer_points(x: UntiltElement, m: int) -> dict[int, int]:
+    """The nonzero coefficients {r: C_r} of x = sum_r C_r * p^(r/p^m).
 
     Every digit lies below x.precexp, so C_r < p^ceil(precexp).
     """
     p = x.config.p
     scale = p ** m
-    coeffs = [0] * scale
+    points = {}
     for e, c in x.digits.items():
         q, r = divmod(e.num * p ** (m - e.denpow), scale)
-        coeffs[r] += c * p ** q
-    return coeffs
+        points[r] = points.get(r, 0) + c * p ** q
+    return points
 
 
 def _layer_to_element(coeffs: list[int], m: int, config: FieldConfig,
@@ -85,6 +113,13 @@ def _layer_to_element(coeffs: list[int], m: int, config: FieldConfig,
     return UntiltElement._canonical(config, digits, precexp)
 
 
+def _slot_width(length: int, mod: int, c: int) -> int:
+    """Bytes of a Kronecker slot of (Z/mod)[u]/(u^length - c): the fewest
+    that hold a folded product coefficient, at most
+    length * (mod-1)^2 * (c+1)."""
+    return ((length * (mod - 1) ** 2 * (c + 1)).bit_length() + 7) // 8
+
+
 def _pack(coeffs: list[int], width: int) -> int:
     """The integer with coeffs[i] in byte slot i (little-endian)."""
     buf = bytearray()
@@ -93,26 +128,63 @@ def _pack(coeffs: list[int], width: int) -> int:
     return int.from_bytes(buf, "little")
 
 
+def _unpack(data: bytes, width: int) -> list[int]:
+    """The width-byte slots of data as ints."""
+    from_bytes = int.from_bytes
+    return [from_bytes(data[i:i + width], "little")
+            for i in range(0, len(data), width)]
+
+
+def _pack_words(coeffs: list[int], width: int) -> int:
+    """_pack for width <= 8, in C: the coefficients become an array of
+    machine words, and when width is not itself a word size, strided
+    copies drop the bytes of each word above width."""
+    size = 1 << (width - 1).bit_length()
+    words = array(_WORD_CODES[size], coeffs)
+    if size == width:
+        return int.from_bytes(words, "little")
+    src = memoryview(words).cast("B")
+    buf = bytearray(len(coeffs) * width)
+    for k in range(width):
+        buf[k::width] = src[k::size]
+    return int.from_bytes(buf, "little")
+
+
+def _unpack_words(data: bytes, width: int) -> list[int]:
+    """_unpack for width <= 8, in C, by the reverse strided copies."""
+    size = 1 << (width - 1).bit_length()
+    if size != width:
+        buf = bytearray(len(data) // width * size)
+        for k in range(width):
+            buf[k::size] = data[k::width]
+        data = buf
+    return memoryview(data).cast(_WORD_CODES[size]).tolist()
+
+
 def _layer_mul(a: list[int], b: list[int], c: int, mod: int) -> list[int]:
     """a * b in (Z/mod)[u]/(u^L - c), by Kronecker substitution.
 
     c = p gives the layer ring of the untilt side; c = 0 truncates at
-    u^L, which is the t-adic truncation of the Witt layer.  Each
-    coefficient gets a byte-aligned slot wide enough for a folded
-    product coefficient, at most L * (mod-1)^2 * (c+1), so slots never
-    carry into each other.  Passing a is b squares.
+    u^L, which is the t-adic truncation of the Witt layer.  Every
+    coefficient lies in 0..mod-1 and gets a slot of the fewest whole
+    bytes that hold a folded product coefficient (``_slot_width``), so
+    slots never carry into each other.  Slots of up to 8 bytes are
+    packed and unpacked through arrays of machine words, in C; wider
+    ones one coefficient at a time.  Passing a is b squares.
     """
     length = len(a)
-    width = ((length * (mod - 1) ** 2 * (c + 1)).bit_length() + 7) // 8
-    packed = _pack(a, width)
-    prod = packed * (packed if a is b else _pack(b, width))
+    width = _slot_width(length, mod, c)
+    if width <= 8 and _WORD_CODES:
+        pack, unpack = _pack_words, _unpack_words
+    else:
+        pack, unpack = _pack, _unpack
+    packed = pack(a, width)
+    prod = packed * (packed if a is b else pack(b, width))
     # u^L = c: fold the upper L-1 slots back onto the lower ones.
     bits = 8 * width * length
     prod = (prod & ((1 << bits) - 1)) + c * (prod >> bits)
-    data = prod.to_bytes(width * length, "little")
-    from_bytes = int.from_bytes
-    return [from_bytes(data[i:i + width], "little") % mod
-            for i in range(0, width * length, width)]
+    return [v % mod for v in unpack(prod.to_bytes(width * length, "little"),
+                                     width)]
 
 
 def _pow_pn(vec, p: int, k: int, mul):
@@ -128,11 +200,51 @@ def _pow_pn(vec, p: int, k: int, mul):
     return vec
 
 
+def _power_layer(points: dict[int, int], m: int, config: FieldConfig,
+                 n: int, precexp: ValExp) -> UntiltElement:
+    """(sum_r C_r * u^r)^(p^n) modulo p^precexp, u = p^(1/p^m), n >= 1.
+
+    points holds the nonzero C_r.  With K = ceil(precexp), round i of n
+    raises to the p-th power modulo p^max(K - (n - i), 1): if a = a'
+    modulo p^j with j >= 1, then a^p = a'^p modulo p^(j+1), since every
+    middle binomial coefficient is divisible by p and jp >= j + 1.  So
+    an input known modulo p^max(K - n, 1) is enough for round 1, and
+    each round's result, reduced modulo its own modulus, is exact for
+    the next; the last round runs modulo p^K.
+
+    Raises:
+        BudgetError: the packed layer would exceed _LAYER_BUDGET bytes.
+    """
+    p = config.p
+    top = -(-precexp.num // p ** precexp.denpow)
+    size = p ** m
+    width = _slot_width(size, p ** top, p)
+    if size * width > _LAYER_BUDGET:
+        raise BudgetError(
+            f"a p^{n}-th power on the 1/{p}^{m} lattice needs a layer of "
+            f"{size} slots of {width} bytes, over the budget of "
+            f"{_LAYER_BUDGET} bytes")
+    mod = p ** max(top - n, 1)
+    vec = [0] * size
+    for r, c in points.items():
+        vec[r] = c % mod
+    for left in range(n - 1, -1, -1):
+        mod = p ** max(top - left, 1)
+        vec = _pow_pn(vec, p, 1, partial(_layer_mul, c=p, mod=mod))
+    return _layer_to_element(vec, m, config, precexp)
+
+
 def untilt_power_pn(x: UntiltElement, n: int) -> UntiltElement:
     """x^(p^n) modulo p^precexp, computed on the dense layer representation.
 
-    The result keeps x's precision exponent; the layer arithmetic runs
-    modulo p^ceil(precexp), which holds every digit below it.
+    The result keeps x's precision exponent.  The layer arithmetic runs
+    modulo a power of p that grows by one with each p-th-power round and
+    reaches p^ceil(precexp), which holds every digit below it, in the
+    last round (see _power_layer for why that is exact).
+
+    Raises:
+        KernelError: n is negative.
+        BudgetError: the layer would be too large to power.
     """
     if n < 0:
         raise KernelError(f"negative power tower height {n}")
@@ -143,12 +255,8 @@ def untilt_power_pn(x: UntiltElement, n: int) -> UntiltElement:
     if x.is_zero():
         kf = min(x.precexp.as_fraction() * p ** n, Fraction(prec))
         return UntiltElement.zero(config, kf)
-    m = max((e.denpow for e in x.digits), default=0)
-    mod = p ** -(-x.precexp.num // p ** x.precexp.denpow)
-    # No name holds the input layer, so it is freed after the first round.
-    vec = _pow_pn(_layer_from_element(x, m), p, n,
-                  lambda a, b: _layer_mul(a, b, p, mod))
-    return _layer_to_element(vec, m, config, x.precexp)
+    m = max(e.denpow for e in x.digits)
+    return _power_layer(_layer_points(x, m), m, config, n, x.precexp)
 
 
 # =====================================================================
@@ -160,7 +268,11 @@ def sharp(x: TiltElement, target_prec: int) -> UntiltElement:
 
     With n = target_prec - 1, takes the exact n-fold p-th root of x,
     lifts its residue digitwise, and raises the lift to the p^n-th
-    power; the result is independent of the choice of lift.
+    power; the result is independent of the choice of lift.  The root
+    is an exponent re-index done in integers, and its digits below 1
+    are the layer's coefficients directly.  The power runs on the layer
+    modulo p^(i+1) in round i (see _power_layer): a lift known modulo p
+    is known modulo p^(i+1) after i p-th-power rounds.
 
     The lift-independence argument needs the rooted input still known
     modulo t, i.e. x known modulo t^(p^n).  Below that the function is
@@ -179,6 +291,7 @@ def sharp(x: TiltElement, target_prec: int) -> UntiltElement:
     Raises:
         PrecisionError: target out of range or input too coarse.
         DencapError: the root chain leaves the exponent lattice.
+        BudgetError: the layer would be too large to power.
     """
     if not isinstance(x, TiltElement):
         raise ConfigError(
@@ -197,7 +310,10 @@ def sharp(x: TiltElement, target_prec: int) -> UntiltElement:
             f"sharp to precision {target_prec} needs input known modulo "
             f"t^{target_prec}, have t^{x.precexp}")
     n = target_prec - 1
-    pn = config.p ** n
+    if n == 0:
+        # no root and no power: the digitwise lift modulo p, with no layer
+        return UntiltElement(config, x.digits, 1)
+    p, cap = config.p, config.dencap
     # Root the exponents directly: digits live in the prime field, where
     # the p-th root is the identity, so the n-fold root of x has digits
     # {e/p^n: c}.  Chaining pth_root here would floor the precision
@@ -205,18 +321,25 @@ def sharp(x: TiltElement, target_prec: int) -> UntiltElement:
     # discarding the exponent-0 digits the lift needs; all the lift uses
     # of the root is its residue modulo t, which the validated input
     # precision pins down.
-    acc = {}
+    roots = []
     for e, c in x.digits.items():
-        ef = e.as_fraction() / pn
-        config.exp(ef)
-        if ef < 1:
-            acc[ef] = c
-    if not acc:
+        num, den = e.num, e.denpow + n
+        while den and num % p == 0:
+            num //= p
+            den -= 1
+        if den > cap:
+            raise DencapError(
+                f"exponent {Fraction(num, p ** den)} needs denominator "
+                f"p^{den}, cap is p^{cap}")
+        if num < p ** den:
+            roots.append((num, den, c))
+    if not roots:
         return UntiltElement.zero(config, target_prec)
     # Any lift of the root's residue changes the p^n-th power only beyond
     # p^(n+1), so the digitwise lift serves; it is exact below target_prec.
-    base = UntiltElement(config, acc, target_prec)
-    return untilt_power_pn(base, n)
+    m = max(den for _, den, _ in roots)
+    points = {num * p ** (m - den): c for num, den, c in roots}
+    return _power_layer(points, m, config, n, ValExp(target_prec, 0, p))
 
 
 def sharp_const(config: FieldConfig, c: int) -> UntiltElement:

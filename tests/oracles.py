@@ -112,6 +112,20 @@ def dense_frobenius_tilt(u, config: FieldConfig) -> list[int]:
     return out
 
 
+def layer_mul_schoolbook(a, b, c: int, mod: int) -> list[int]:
+    """a * b in (Z/mod)[u]/(u^L - c), L = len(a): every product of two
+    coefficients added into its slot, u^(L+k) folded to c * u^k."""
+    length = len(a)
+    out = [0] * length
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < length:
+                out[i + j] += x * y
+            else:
+                out[i + j - length] += c * x * y
+    return [v % mod for v in out]
+
+
 def all_dense_vectors(config: FieldConfig, limit_idx: int):
     """Every digit vector supported on indices < limit_idx (brute force)."""
     p = config.p

@@ -1,7 +1,9 @@
 """The multiplicative lift, Witt vectors and untilting."""
 
 import random
+import tracemalloc
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +23,8 @@ from perfectoid.arith import (
 )
 from perfectoid.tiltkit import (
     WittVector,
+    _layer_mul,
+    _slot_width,
     sharp,
     sharp_const,
     theta,
@@ -147,20 +151,74 @@ def test_sharp_frobenius_equivariant(data):
     assert lhs == rhs
 
 
-@settings(max_examples=40)
+@settings(max_examples=80)
 @given(data=st.data())
 def test_power_tower_paths_agree(data):
     # The layer-ring power against naive digit multiplication.  At p = 2,
     # prec 32 a product coefficient bound exceeds 2^64, which exercises
-    # the Kronecker slot width.
+    # the byte slots.  Varied (often fractional) precision exponents and
+    # n up to prec + 1 make n exceed ceil(precexp), so that the early
+    # rounds run modulo p.
     config, max_n, max_terms = data.draw(
-        st.sampled_from([(C3, 3, 4), (W2, 2, 3)]))
+        st.sampled_from([(C3, 3, 4), (W2, 2, 3), (FieldConfig(3, 3, 2), 4, 4),
+                         (FieldConfig(5, 3, 2), 3, 3)]))
     x = data.draw(elements(config, "untilt", max_denpow=2,
-                           max_terms=max_terms))
+                           max_terms=max_terms,
+                           vary_precision=data.draw(st.booleans())))
+    if data.draw(st.booleans()):
+        x = x + 1
     n = data.draw(st.integers(min_value=0, max_value=max_n))
     power = untilt_power_pn(x, n)
     naive = (x ** (config.p ** n)).with_precision(power.precexp)
     assert power == naive
+
+
+@pytest.mark.parametrize("bits", [8, 16, 24, 32, 40, 48, 56, 64])
+@pytest.mark.parametrize("side", ["below", "above"])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_layer_mul_matches_schoolbook(bits, side, data):
+    # The modulus puts the folded coefficient bound L*(mod-1)^2*(c+1)
+    # just below or just above 2^bits: both sides of every slot width of
+    # 1 to 8 bytes, packed through machine words, and of the switch to
+    # byte-by-byte packing above 64 bits.  Each fold (c = 0 and c = p)
+    # is checked on a product, a square (a is b) and length 1.
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    length = data.draw(st.integers(min_value=1, max_value=24))
+    for c in (0, p):
+        scale = length * (c + 1)
+        mod = 1 + isqrt((2 ** bits - 1) // scale) + (side == "above")
+        bound = scale * (mod - 1) ** 2
+        assert (bound < 2 ** bits) == (side == "below")
+        assert (_slot_width(length, mod, c) <= bits // 8) == \
+            (side == "below")
+        coeffs = st.lists(st.one_of(st.just(mod - 1),
+                                    st.integers(0, mod - 1)),
+                          min_size=length, max_size=length)
+        a, b = data.draw(coeffs), data.draw(coeffs)
+        for x, y in ((a, b), (a, a), (a[:1], b[:1])):
+            assert _layer_mul(x, y, c, mod) == \
+                oracles.layer_mul_schoolbook(x, y, c, mod)
+
+
+def test_power_refuses_oversized_layer_before_allocating():
+    # A digit at 1/5^12 asks for a layer of 5^12 (about 2.4 * 10^8)
+    # slots.  sharp and theta reach it by rooting t^(1/5^9) three times.
+    config = FieldConfig(5, 4, 12)
+    deep = UntiltElement.monomial(config, 1, Fraction(1, 5 ** 12))
+    root = TiltElement.monomial(config, 1, Fraction(1, 5 ** 9))
+    calls = [lambda: untilt_power_pn(deep, 1), lambda: sharp(root, 4),
+             lambda: theta(WittVector.teichmuller(root, 4))]
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(BudgetError,
+                               match=f"layer of {5 ** 12} slots"):
+                call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def _assert_canonical(r):
