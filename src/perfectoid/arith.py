@@ -648,6 +648,31 @@ class TiltElement(_DigitElement):
         kf = Fraction((kf * den).__floor__(), den)
         return TiltElement(self.config, acc, kf)
 
+    def root(self, n: int) -> "TiltElement":
+        """The exact p^n-th root, at full working precision.
+
+        Digits live in the prime field, where the p-th root is the
+        identity, so the root has the digits {e/p^n: c}, in self's
+        order: each exponent is divided by p^n in integers.  The result
+        is promoted to full working precision, taking self as exact by
+        convention (its digits are the chosen representative of its
+        class).  This is the one such promotion of a root; ``pth_root``
+        floors the precision exponent instead.
+
+        Raises DencapError when a divided exponent leaves the lattice.
+        """
+        config = self.config
+        p, cap = config.p, config.dencap
+        digits = {}
+        for e, c in self.digits.items():
+            r = ValExp(e.num, e.denpow + n, p)
+            if r.denpow > cap:
+                raise DencapError(
+                    f"exponent {r} needs denominator p^{r.denpow}, "
+                    f"cap is p^{cap}")
+            digits[r] = c
+        return TiltElement._canonical(config, digits, config.full_precision())
+
 
 # =====================================================================
 # The mod-p identification between the two rings

@@ -432,14 +432,6 @@ def charp_root(P: Polynomial, budget: int = 4000):
 # Tilt-to-untilt polynomial transfer
 # =====================================================================
 
-def _iterated_root(x: TiltElement, n: int) -> TiltElement:
-    for _ in range(n):
-        x = x.pth_root()
-    # digits are exact by convention, so the precision lost to the
-    # root chain is restored by choosing the canonical representative
-    return x.with_precision(x.config.prec)
-
-
 def fw_transfer(P: Polynomial, n: int) -> Polynomial:
     """Move a tilt polynomial across the correspondence at stage n.
 
@@ -456,7 +448,7 @@ def fw_transfer(P: Polynomial, n: int) -> Polynomial:
         sharp(a_i^(1/p^n)) at full working precision.
 
     Raises:
-        DencapError: a coefficient's root chain leaves the lattice.
+        DencapError: a coefficient's root leaves the lattice.
     """
     if P.kind != "tilt":
         raise ConfigError("fw_transfer expects a polynomial over the tilt")
@@ -469,7 +461,7 @@ def fw_transfer(P: Polynomial, n: int) -> Polynomial:
         if c.is_zero():
             out.append(UntiltElement.zero(P.config, full))
         else:
-            out.append(sharp(_iterated_root(c, n), full))
+            out.append(sharp(c.root(n), full))
     return Polynomial(out)
 
 
@@ -504,7 +496,7 @@ def transfer_agreement(P: Polynomial, n: int, resolution: int = 2):
             if c.is_zero():
                 lifted = UntiltElement.zero(config, prec)
             else:
-                lifted = sharp(_iterated_root(c, stage), prec)
+                lifted = sharp(c.root(stage), prec)
             pair.append(untilt_power_pn(lifted, stage))
         diff = pair[1] - pair[0]
         v = diff.valuation()

@@ -490,19 +490,6 @@ def _residue_lift(f: HomogeneousElement) -> HomogeneousElement:
                               config.prec)
 
 
-def _tilt_root_exact(x: TiltElement, n: int) -> TiltElement:
-    # n-fold digit root at full precision; digit values are fixed by the
-    # root (they live in the prime field) and exponents divide by p^n.
-    config = x.config
-    pn = config.p ** n
-    acc = {}
-    for e, c in x.digits.items():
-        ef = e.as_fraction() / pn
-        config.exp(ef)
-        acc[ef] = c
-    return TiltElement(config, acc, Fraction(config.prec))
-
-
 def tilt_power(g: HomogeneousElement, i) -> HomogeneousElement:
     """g^i for rational i >= 0 in Z[1/p], on the tilt side.
 
@@ -529,7 +516,7 @@ def tilt_power(g: HomogeneousElement, i) -> HomogeneousElement:
     pm = config.p ** ve.denpow
     rooted = HomogeneousElement(
         config, "tilt", g.nvars, g.degree / pm,
-        {m.scaled(Fraction(1, pm)): _tilt_root_exact(c, ve.denpow)
+        {m.scaled(Fraction(1, pm)): c.root(ve.denpow)
          for m, c in g.terms.items()},
         config.prec)
     return rooted ** ve.num
@@ -871,7 +858,7 @@ def _coord_power(x: UntiltElement, preimage, e: Fraction,
     if ve.denpow == 0:
         return x ** ve.num
     if preimage is not None:
-        root = _tilt_root_exact(preimage, ve.denpow)
+        root = preimage.root(ve.denpow)
         return sharp(root, config.prec) ** ve.num
     digs = x.sorted_digits()
     if len(digs) == 1 and digs[0][1] == 1:
@@ -890,7 +877,7 @@ def _tilt_coord_power(y: TiltElement, e: Fraction,
     ve = ValExp.from_fraction(e, config.p, config.dencap)
     if y.is_zero():
         return TiltElement.zero(config, config.prec)
-    return _tilt_root_exact(y, ve.denpow) ** ve.num
+    return y.root(ve.denpow) ** ve.num
 
 
 def evaluate(F: HomogeneousElement, point):

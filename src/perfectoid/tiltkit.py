@@ -25,9 +25,11 @@ n runs modulo p^max(K - (n - i), 1), K the precision exponent rounded
 up, because a = a' modulo p^j (j >= 1) gives a^p = a'^p modulo
 p^(j+1).  ``sharp`` thus powers modulo p^(i+1) in round i, not p^K
 throughout.  A layer too large to power within a fixed budget is
-refused before it is allocated.  Witt expansions are sparse maps on
-u = t^(1/p^M) that switch to the same product, truncated at t^prec,
-once they grow long.
+refused before it is allocated.  ``theta`` sums its Teichmüller
+expansion on one such layer, each component rooted once by
+``TiltElement.root``, and ``sharp`` is theta of a Teichmüller vector.
+Witt expansions are sparse maps on u = t^(1/p^M) that switch to the
+same product, truncated at t^prec, once they grow long.
 """
 
 from __future__ import annotations
@@ -36,12 +38,11 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 
 from .arith import (
     BudgetError,
     ConfigError,
-    DencapError,
     FieldConfig,
     KernelError,
     PrecisionError,
@@ -69,15 +70,16 @@ _WORD_CODES = ({array(code).itemsize: code for code in "BHILQ"}
 _LAYER_BUDGET = 2 ** 18
 
 
-def _layer_points(x: UntiltElement, m: int) -> dict[int, int]:
-    """The nonzero coefficients {r: C_r} of x = sum_r C_r * p^(r/p^m).
+def _layer_points(digits: dict[ValExp, int], m: int,
+                  p: int) -> dict[int, int]:
+    """The nonzero coefficients {r: C_r} of sum_r C_r * p^(r/p^m), the
+    element with the given digits.
 
-    Every digit lies below x.precexp, so C_r < p^ceil(precexp).
+    Digits below a precision exponent K give C_r < p^ceil(K).
     """
-    p = x.config.p
     scale = p ** m
     points = {}
-    for e, c in x.digits.items():
+    for e, c in digits.items():
         q, r = divmod(e.num * p ** (m - e.denpow), scale)
         points[r] = points.get(r, 0) + c * p ** q
     return points
@@ -200,23 +202,22 @@ def _pow_pn(vec, p: int, k: int, mul):
     return vec
 
 
-def _power_layer(points: dict[int, int], m: int, config: FieldConfig,
-                 n: int, precexp: ValExp) -> UntiltElement:
-    """(sum_r C_r * u^r)^(p^n) modulo p^precexp, u = p^(1/p^m), n >= 1.
+def _power_layer(points: dict[int, int], m: int, p: int, n: int,
+                 top: int) -> list[int]:
+    """The coefficients of (sum_r C_r * u^r)^(p^n) modulo p^top,
+    u = p^(1/p^m), n >= 0.
 
-    points holds the nonzero C_r.  With K = ceil(precexp), round i of n
-    raises to the p-th power modulo p^max(K - (n - i), 1): if a = a'
-    modulo p^j with j >= 1, then a^p = a'^p modulo p^(j+1), since every
-    middle binomial coefficient is divisible by p and jp >= j + 1.  So
-    an input known modulo p^max(K - n, 1) is enough for round 1, and
-    each round's result, reduced modulo its own modulus, is exact for
-    the next; the last round runs modulo p^K.
+    points holds the nonzero C_r.  Round i of n raises to the p-th power
+    modulo p^max(top - (n - i), 1): if a = a' modulo p^j with j >= 1,
+    then a^p = a'^p modulo p^(j+1), since every middle binomial
+    coefficient is divisible by p and jp >= j + 1.  So an input known
+    modulo p^max(top - n, 1) is enough for round 1, and each round's
+    result, reduced modulo its own modulus, is exact for the next; the
+    last round runs modulo p^top.
 
     Raises:
         BudgetError: the packed layer would exceed _LAYER_BUDGET bytes.
     """
-    p = config.p
-    top = -(-precexp.num // p ** precexp.denpow)
     size = p ** m
     width = _slot_width(size, p ** top, p)
     if size * width > _LAYER_BUDGET:
@@ -231,7 +232,7 @@ def _power_layer(points: dict[int, int], m: int, config: FieldConfig,
     for left in range(n - 1, -1, -1):
         mod = p ** max(top - left, 1)
         vec = _pow_pn(vec, p, 1, partial(_layer_mul, c=p, mod=mod))
-    return _layer_to_element(vec, m, config, precexp)
+    return vec
 
 
 def untilt_power_pn(x: UntiltElement, n: int) -> UntiltElement:
@@ -256,12 +257,43 @@ def untilt_power_pn(x: UntiltElement, n: int) -> UntiltElement:
         kf = min(x.precexp.as_fraction() * p ** n, Fraction(prec))
         return UntiltElement.zero(config, kf)
     m = max(e.denpow for e in x.digits)
-    return _power_layer(_layer_points(x, m), m, config, n, x.precexp)
+    top = -(-x.precexp.num // p ** x.precexp.denpow)
+    vec = _power_layer(_layer_points(x.digits, m, p), m, p, n, top)
+    return _layer_to_element(vec, m, config, x.precexp)
 
 
 # =====================================================================
 # The multiplicative lift
 # =====================================================================
+
+def _teichmuller_sum(config: FieldConfig, components,
+                     n: int) -> UntiltElement:
+    """sum_i p^i [x_i^(1/p^i)] modulo p^n, the x_i taken as exact.
+
+    [y] is (lift of y^(1/p^k))^(p^k) modulo p^(k+1) for any lift of the
+    residue modulo t, since two lifts agree modulo p.  So term i roots
+    x_i by p^(n-1), lifts the digits below 1 and powers n-1-i rounds
+    modulo p^(n-i), on the deepest lattice among the roots, and the
+    scaled terms are summed on that layer.  The budget check of the first
+    nonzero term is the strictest (its modulus is the largest), so it
+    runs before any layer is allocated.
+    """
+    p = config.p
+    if n == 1:
+        # no root and no power: the digitwise lift modulo p, with no layer
+        return UntiltElement(config, components[0].digits, 1)
+    residues = [{e: c for e, c in x.root(n - 1).digits.items()
+                 if e.num < p ** e.denpow} for x in components]
+    m = max((e.denpow for r in residues for e in r), default=0)
+    total = []
+    for i, residue in enumerate(residues):
+        if residue:
+            vec = _power_layer(_layer_points(residue, m, p), m, p,
+                               n - 1 - i, n - i)
+            total = [acc + p ** i * c
+                     for acc, c in zip_longest(total, vec, fillvalue=0)]
+    return _layer_to_element(total, m, config, ValExp(n, 0, p))
+
 
 def sharp(x: TiltElement, target_prec: int) -> UntiltElement:
     """The multiplicative lift of x, modulo p^target_prec.
@@ -269,8 +301,9 @@ def sharp(x: TiltElement, target_prec: int) -> UntiltElement:
     With n = target_prec - 1, takes the exact n-fold p-th root of x,
     lifts its residue digitwise, and raises the lift to the p^n-th
     power; the result is independent of the choice of lift.  The root
-    is an exponent re-index done in integers, and its digits below 1
-    are the layer's coefficients directly.  The power runs on the layer
+    is ``TiltElement.root``, and its digits below 1 are the layer's
+    coefficients directly: sharp(x) is theta of the Teichmüller vector
+    of x, by the same code.  The power runs on the layer
     modulo p^(i+1) in round i (see _power_layer): a lift known modulo p
     is known modulo p^(i+1) after i p-th-power rounds.
 
@@ -290,7 +323,7 @@ def sharp(x: TiltElement, target_prec: int) -> UntiltElement:
 
     Raises:
         PrecisionError: target out of range or input too coarse.
-        DencapError: the root chain leaves the exponent lattice.
+        DencapError: the root leaves the exponent lattice.
         BudgetError: the layer would be too large to power.
     """
     if not isinstance(x, TiltElement):
@@ -309,37 +342,7 @@ def sharp(x: TiltElement, target_prec: int) -> UntiltElement:
         raise PrecisionError(
             f"sharp to precision {target_prec} needs input known modulo "
             f"t^{target_prec}, have t^{x.precexp}")
-    n = target_prec - 1
-    if n == 0:
-        # no root and no power: the digitwise lift modulo p, with no layer
-        return UntiltElement(config, x.digits, 1)
-    p, cap = config.p, config.dencap
-    # Root the exponents directly: digits live in the prime field, where
-    # the p-th root is the identity, so the n-fold root of x has digits
-    # {e/p^n: c}.  Chaining pth_root here would floor the precision
-    # exponent to the lattice at every stage and could round it to 0,
-    # discarding the exponent-0 digits the lift needs; all the lift uses
-    # of the root is its residue modulo t, which the validated input
-    # precision pins down.
-    roots = []
-    for e, c in x.digits.items():
-        num, den = e.num, e.denpow + n
-        while den and num % p == 0:
-            num //= p
-            den -= 1
-        if den > cap:
-            raise DencapError(
-                f"exponent {Fraction(num, p ** den)} needs denominator "
-                f"p^{den}, cap is p^{cap}")
-        if num < p ** den:
-            roots.append((num, den, c))
-    if not roots:
-        return UntiltElement.zero(config, target_prec)
-    # Any lift of the root's residue changes the p^n-th power only beyond
-    # p^(n+1), so the digitwise lift serves; it is exact below target_prec.
-    m = max(den for _, den, _ in roots)
-    points = {num * p ** (m - den): c for num, den, c in roots}
-    return _power_layer(points, m, config, n, ValExp(target_prec, 0, p))
+    return _teichmuller_sum(config, [x], target_prec)
 
 
 def sharp_const(config: FieldConfig, c: int) -> UntiltElement:
@@ -594,21 +597,13 @@ def witt_mul(a: WittVector, b: WittVector) -> WittVector:
 def theta(a: WittVector) -> UntiltElement:
     """The untilting homomorphism, modulo p^length.
 
-    theta(x_0, ..., x_{n-1}) = sum_i sharp(x_i^(1/p^i)) * p^i mod p^n,
-    the normalization with theta(Teichmüller(x)) = sharp(x).  Components
-    are taken as exact digit expansions, so the i-th root may be promoted
-    back to full working precision before lifting.
+    theta(x_0, ..., x_{n-1}) = sum_i p^i [x_i^(1/p^i)] modulo p^n, the
+    normalization with theta(Teichmüller(x)) = sharp(x).  The components
+    are taken as exact digit expansions (each is promoted to full
+    working precision by ``TiltElement.root``), and the result has
+    precision exponent n.  The sum is formed on one layer: every
+    component is rooted by p^(n-1), not p^(i+n-1), and component i is
+    raised to the p^(n-1-i)-th power modulo p^(n-i), which is
+    [x_i^(1/p^i)] modulo p^(n-i).
     """
-    config = a.config
-    n = a.length
-    total = UntiltElement.zero(config, n)
-    for i, x in enumerate(a.components):
-        root = x
-        for _ in range(i):
-            root = root.pth_root()
-        root = root.with_precision(config.prec)
-        term = sharp(root, n)
-        if i:
-            term = term.shift(i).with_precision(n)
-        total = total + term
-    return total
+    return _teichmuller_sum(a.config, a.components, a.length)

@@ -104,6 +104,31 @@ def dense_pow(u, n: int, config: FieldConfig, kind: str) -> list[int]:
     return out
 
 
+def theta_dense(w) -> UntiltElement:
+    """theta of a Witt vector w of full-precision components, modulo p^n:
+    sum_i p^i (lift of x_i^(1/p^(i+n-1)))^(p^(n-1)), n = w.length.
+
+    The lift keeps the root's digits below 1 (its residue modulo t); the
+    power is a chain of dense products.  Every root must stay on the
+    (1/p^dencap) lattice.
+    """
+    config, n = w.config, w.length
+    p, scale = config.p, config.p ** config.dencap
+    total = [0] * dense_length(config)
+    for i, x in enumerate(w.components):
+        depth = p ** (i + n - 1)
+        lift = [0] * dense_length(config)
+        for j, c in enumerate(dense_from_element(x)):
+            if c:
+                if j % depth:
+                    raise ValueError("root leaves the dense lattice")
+                if j // depth < scale:
+                    lift[j // depth] = c
+        term = dense_pow(lift, p ** (n - 1), config, "untilt")
+        total = dense_add(total, [0] * (i * scale) + term, config, "untilt")
+    return dense_to_element(total, config, "untilt").with_precision(n)
+
+
 def dense_frobenius_tilt(u, config: FieldConfig) -> list[int]:
     out = [0] * dense_length(config)
     for j, c in enumerate(u):

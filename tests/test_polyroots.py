@@ -338,6 +338,15 @@ def test_fw_transfer_x_minus_one_all_stages():
         assert fw_transfer(P, n) == expected
 
 
+def test_fw_transfer_keeps_the_constant_digit():
+    # Rooting 1 twice must keep it: flooring prec 3 by 2^2 to the
+    # integer lattice would drop the digit and zero the leading term.
+    config = FieldConfig(2, 3, 0)
+    P = Polynomial([TiltElement.one(config)] * 2)
+    assert [c.to_text() for c in fw_transfer(P, 2).coeffs] == \
+        ["1 + O(p^3)"] * 2
+
+
 def test_fw_transfer_rejects_untilt_and_bad_depth():
     P = Polynomial([t_int(FW3, -1), TiltElement.one(FW3)])
     with pytest.raises(ConfigError):

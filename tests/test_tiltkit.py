@@ -1,9 +1,11 @@
 """The multiplicative lift, Witt vectors and untilting."""
 
+import ast
 import random
 import tracemalloc
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -455,9 +457,36 @@ def test_witt_json_round_trip():
 # =====================================================================
 
 def test_theta_teichmuller_t_gives_p():
+    # theta([x]) = sharp(x), the normalization of theta; [t] gives p.
     cfg = FieldConfig(3, 9, 6)
     a = WittVector.teichmuller(TiltElement.uniformizer(cfg), 3)
     assert theta(a) == UntiltElement.uniformizer(cfg).with_precision(3)
+    rng = random.Random(20261018)
+    for config in (FieldConfig(2, 8, 4), FieldConfig(3, 6, 4),
+                   FieldConfig(5, 4, 4)):
+        for _ in range(25):
+            x = _random_tilt(rng, config, 1, 4)
+            n = rng.randrange(1, 5)
+            assert theta(WittVector.teichmuller(x, n)) == sharp(x, n)
+
+
+def test_theta_keeps_the_digits_of_a_coarse_component():
+    # Component 1 is 1 modulo t^(1/2), so its square root is 1 modulo t
+    # and theta is p; flooring the root's precision would lose the 1.
+    config = FieldConfig(2, 4, 1)
+    zero = TiltElement.zero(config, 4)
+    w = WittVector(config, [zero, TiltElement.one(config, Fraction(1, 2)),
+                            zero])
+    assert theta(w).to_text() == "1*p + O(p^3)"
+
+
+def test_theta_roots_every_component_by_p_to_the_length_minus_one():
+    # Term 2 is p^2 * t^(1/9) lifted, with no power; rooting t by 3^4
+    # would leave the 1/3^2 lattice.
+    config = FieldConfig(3, 9, 2)
+    zero = TiltElement.zero(config)
+    w = WittVector(config, [zero, zero, TiltElement.uniformizer(config)])
+    assert theta(w).to_text() == "1*p^(19/9) + O(p^3)"
 
 
 def test_theta_of_two():
@@ -504,3 +533,30 @@ def test_theta_is_ring_homomorphism(config, length, pairs):
         ta, tb = theta(a), theta(b)
         assert theta(witt_add(a, b)) == (ta + tb).with_precision(length)
         assert theta(witt_mul(a, b)) == (ta * tb).with_precision(length)
+
+
+@pytest.mark.parametrize("config,length,count", [
+    (FieldConfig(2, 6, 4), 3, 40),
+    (FieldConfig(3, 4, 4), 3, 20),
+    (FieldConfig(5, 3, 2), 2, 40),     # prec < p^(length-1)
+], ids=str)
+def test_theta_matches_dense_oracle(config, length, count):
+    # Component i gets digits on the 1/p^(dencap-i-length+1) lattice, so
+    # the oracle's root by p^(i+length-1) stays on the dense lattice.
+    rng = random.Random(7)
+    for _ in range(count):
+        w = WittVector(config, [
+            _random_tilt(rng, config, config.dencap - i - length + 1, 3)
+            for i in range(length)])
+        assert theta(w) == oracles.theta_dense(w)
+
+
+def test_oracles_import_only_arith_from_the_package():
+    # The oracles must stay independent of the code they check.
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert {name for name in imported
+            if name.split(".")[0] == "perfectoid"} <= {"perfectoid.arith"}
