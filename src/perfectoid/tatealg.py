@@ -409,17 +409,22 @@ class HomogeneousElement:
     def from_json(cls, data: dict | str) -> "HomogeneousElement":
         if isinstance(data, str):
             data = json.loads(data)
-        config = FieldConfig(int(data["p"]), int(data["prec"]),
-                             int(data["dencap"]))
-        kind = data["kind"]
-        terms = {}
-        for row in data["terms"]:
-            mono = Monomial.from_json(config, row["exps"])
-            coeff = element_from_json(row["coeff"])
-            terms[mono] = coeff
-        return cls(config, kind, int(data["nvars"]),
-                   _exp_from_json(data["degree"], config.p), terms,
-                   _exp_from_json(data["precexp"], config.p))
+        try:
+            config = FieldConfig(int(data["p"]), int(data["prec"]),
+                                 int(data["dencap"]))
+            kind = data["kind"]
+            terms = {}
+            for row in data["terms"]:
+                mono = Monomial.from_json(config, row["exps"])
+                coeff = element_from_json(row["coeff"])
+                terms[mono] = coeff
+            nvars = int(data["nvars"])
+            degree = _exp_from_json(data["degree"], config.p)
+            precexp = _exp_from_json(data["precexp"], config.p)
+        except (KeyError, TypeError) as exc:
+            raise KernelError(
+                f"malformed homogeneous element JSON: {exc}") from exc
+        return cls(config, kind, nvars, degree, terms, precexp)
 
     def __repr__(self):
         if not self.terms:

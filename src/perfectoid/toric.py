@@ -1,9 +1,11 @@
 """Fans, torus-invariant divisors, section lattices, and transfer.
 
 Cones and fans are exact integer-lattice objects; all of the polyhedral
-work (dualization, face enumeration, membership) runs in rational
-arithmetic over generators of small rank, which is the regime the
-varieties here live in: projective spaces and products of them.  On top
+work (dualization, face enumeration, membership, section enumeration)
+runs on Python integers through one fraction-free (Bareiss) elimination,
+over generators of small rank, which is the regime the varieties here
+live in: projective spaces and products of them.  Fractions appear only
+at the boundary, in divisor coefficients and section points.  On top
 of the combinatorics sit the section spaces of torus-invariant divisors
 (including fractional ones on the p-divided character lattice), the
 coordinatewise p-power map of the Frobenius tower, and the transfer of
@@ -17,9 +19,10 @@ import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor, gcd
+from math import gcd, lcm, prod
 
 from .arith import (
+    BudgetError,
     ConfigError,
     FieldConfig,
     KernelError,
@@ -65,92 +68,78 @@ def _primitive(v: tuple[int, ...]) -> tuple[int, ...] | None:
     return tuple(c // g for c in v)
 
 
-def _dot(u, v) -> Fraction:
-    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
 
 
-def _gauss_solve(rows, rhs) -> list[Fraction] | None:
-    """Exact solution of a square system; None when singular."""
-    n = len(rows)
-    M = [[Fraction(c) for c in row] + [Fraction(rhs[i])]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+def _eliminate(rows) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Bareiss's step M[r][c] <- (d M[r][c] - M[r][col] M[k][c]) / prev
+    divides exactly, since every entry it produces is a minor of the
+    input, so the matrix stays integral throughout.  A row swap negates
+    one of the two rows, which keeps every minor's sign.  Returns the
+    final matrix and its pivot columns: all pivot entries then equal the
+    last pivot d, the leading rows are d times the reduced row echelon
+    form, and the rest are zero.  For a nonsingular square A, d = det A;
+    for the block matrix [A | B], the right block is adj(A) B.
+    """
+    M = [list(row) for row in rows]
+    width = len(M[0]) if M else 0
+    pivots: list[int] = []
+    prev = 1
+    for col in range(width):
+        k = len(pivots)
+        piv = next((r for r in range(k, len(M)) if M[r][col] != 0), None)
         if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        inv = M[col][col]
-        M[col] = [x / inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
+            continue
+        if piv != k:
+            M[k], M[piv] = M[piv], [-c for c in M[k]]
+        d, prow = M[k][col], M[k]
+        for r, row in enumerate(M):
+            if r != k:
+                f = row[col]
+                M[r] = [(d * x - f * y) // prev for x, y in zip(row, prow)]
+        pivots.append(col)
+        prev = d
+    return M, pivots
 
 
 def _matrix_rank(rows) -> int:
-    if not rows:
-        return 0
-    M = [[Fraction(c) for c in row] for row in rows]
-    rank = 0
-    for col in range(len(M[0])):
-        piv = next((r for r in range(rank, len(M)) if M[r][col] != 0),
-                   None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = M[rank][col]
-        M[rank] = [x / inv for x in M[rank]]
-        for r in range(len(M)):
-            if r != rank and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[rank])]
-        rank += 1
-    return rank
+    return len(_eliminate(rows)[1])
 
 
 def _det(rows) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination).
-
-    Every division below is exact, so all entries stay integers.
-    """
-    M = [list(row) for row in rows]
-    n = len(M)
-    sign, prev = 1, 1
-    for i in range(n - 1):
-        if M[i][i] == 0:
-            piv = next((r for r in range(i + 1, n) if M[r][i] != 0), None)
-            if piv is None:
-                return 0
-            M[i], M[piv] = M[piv], M[i]
-            sign = -sign
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                M[r][c] = (M[r][c] * M[i][i] - M[r][i] * M[i][c]) // prev
-        prev = M[i][i]
-    return sign * M[n - 1][n - 1]
+    """Exact determinant of a square integer matrix."""
+    M, pivots = _eliminate(rows)
+    return M[-1][-1] if len(pivots) == len(M) else 0
 
 
 def _solve_conic(columns, target) -> bool:
     """Whether target is a nonnegative combination of the columns.
 
-    Solves the normal equations exactly, then verifies consistency, so
-    linearly dependent column sets simply report False and are covered
-    by another subset of the caller's enumeration.
+    Cramer's rule on the integer Gram matrix G = A^T A, where A has the
+    given columns.  G is positive semidefinite, so det G > 0 exactly
+    when the columns are independent; dependent column sets report
+    False and are covered by another subset of the caller's enumeration.
+    Otherwise the normal equations G lam = A^T target have the unique
+    solution lam_i = det G_i / det G (G_i: column i replaced by
+    A^T target), read off one elimination of [G | A^T target].  Then
+    lam_i >= 0 exactly when det G_i >= 0, and target is in the column
+    span exactly when sum_i det G_i col_i = det G target.
     """
     s = len(columns)
-    k = len(target)
-    ata = [[sum(Fraction(columns[i][r]) * columns[j][r]
-                for r in range(k)) for j in range(s)] for i in range(s)]
-    atb = [sum(Fraction(columns[i][r]) * target[r] for r in range(k))
-           for i in range(s)]
-    lam = _gauss_solve(ata, atb)
-    if lam is None:
+    gram = [[_dot(u, v) for v in columns] + [_dot(u, target)]
+            for u in columns]
+    M, pivots = _eliminate(gram)
+    if pivots != list(range(s)):
         return False
-    for r in range(k):
-        if sum(lam[i] * columns[i][r] for i in range(s)) != target[r]:
-            return False
-    return all(x >= 0 for x in lam)
+    det = M[0][0]
+    cramer = [row[s] for row in M]
+    if any(sum(x * col[r] for x, col in zip(cramer, columns))
+           != det * t for r, t in enumerate(target)):
+        return False
+    return all(x >= 0 for x in cramer)
 
 
 def _in_cone(vec, gens, rank: int) -> bool:
@@ -196,45 +185,25 @@ def _irredundant(gens, rank: int) -> list:
     return out
 
 
-def _nullspace_basis(rows, width: int) -> list[tuple[Fraction, ...]]:
-    M = [[Fraction(c) for c in row] for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(width):
-        piv = next((r for r in range(rank, len(M)) if M[r][col] != 0),
-                   None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = M[rank][col]
-        M[rank] = [x / inv for x in M[rank]]
-        for r in range(len(M)):
-            if r != rank and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[rank])]
-        pivots.append(col)
-        rank += 1
-    basis = []
-    for free in range(width):
+def _nullspace_vectors(vectors, rank: int) -> list[tuple[int, ...]]:
+    """Primitive integer basis of {x : <v, x> = 0 for all v}.
+
+    One per free column f of the elimination: x_f = d and
+    x_pcol = -M[r][f] on the pivot columns, which is d times the
+    rational basis vector with x_f = 1; it is negated when d < 0, so
+    that both point the same way.
+    """
+    M, pivots = _eliminate(vectors)
+    d = M[0][pivots[0]] if pivots else 1
+    out = []
+    for free in range(rank):
         if free in pivots:
             continue
-        vec = [Fraction(0)] * width
-        vec[free] = Fraction(1)
-        for r, pcol in enumerate(pivots):
-            vec[pcol] = -M[r][free]
-        basis.append(tuple(vec))
-    return basis
-
-
-def _nullspace_vectors(vectors, rank: int) -> list[tuple[int, ...]]:
-    out = []
-    for col in _nullspace_basis(vectors, rank):
-        denom = 1
-        for c in col:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        vec = _primitive(tuple(int(c * denom) for c in col))
-        if vec is not None:
-            out.append(vec)
+        vec = [0] * rank
+        vec[free] = d
+        for row, pcol in zip(M, pivots):
+            vec[pcol] = -row[free]
+        out.append(_primitive(tuple(c if d > 0 else -c for c in vec)))
     return out
 
 
@@ -376,31 +345,28 @@ def dual_cone(cone: Cone) -> Cone:
 
     General cones are handled through half-space intersection up to
     rank 3; in higher rank only full-dimensional simplicial cones are
-    supported, where the dual generators are the rows of the inverse
-    generator matrix.
+    supported.  There the dual generators are the columns of A^(-1), A
+    having the generators as rows; they are read as the columns of the
+    adjugate adj(A) = det A * A^(-1), times the sign of det A.
     """
     if not isinstance(cone, Cone):
         raise ConeError(f"not a cone: {cone!r}")
     if cone.rank <= 3:
         gens = _nonneg_solutions(cone.generators, cone.rank)
         return Cone(cone.rank, gens, pointed=False)
-    if len(cone.generators) != cone.rank:
+    n = cone.rank
+    if len(cone.generators) != n:
         raise ConeError(
             f"dual cones above rank 3 need full-dimensional simplicial "
             f"input; got {len(cone.generators)} generators in rank "
-            f"{cone.rank}")
-    gens = []
-    for j in range(cone.rank):
-        unit = [Fraction(1) if i == j else Fraction(0)
-                for i in range(cone.rank)]
-        col = _gauss_solve(cone.generators, unit)
-        if col is None:
-            raise ConeError("generators are linearly dependent")
-        denom = 1
-        for c in col:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        gens.append(tuple(int(c * denom) for c in col))
-    return Cone(cone.rank, gens, pointed=False)
+            f"{n}")
+    M, pivots = _eliminate([list(g) + [int(i == j) for j in range(n)]
+                            for i, g in enumerate(cone.generators)])
+    if pivots != list(range(n)):
+        raise ConeError("generators are linearly dependent")
+    sign = 1 if M[0][0] > 0 else -1
+    gens = [tuple(sign * row[n + j] for row in M) for j in range(n)]
+    return Cone(n, gens, pointed=False)
 
 
 # =====================================================================
@@ -670,6 +636,11 @@ class TWeilDivisor:
         return "<divisor " + (" + ".join(parts) or "0") + ">"
 
 
+# Largest box of grid points sections() enumerates (about 0.3 s); a
+# bigger box is refused before enumeration.
+_SECTION_BUDGET = 2 ** 16
+
+
 def sections(fan: Fan, divisor: TWeilDivisor, dencap: int = 0,
              p: int | None = None) -> list[tuple[Fraction, ...]]:
     """Lattice points of the divisor's section polytope.
@@ -677,12 +648,20 @@ def sections(fan: Fan, divisor: TWeilDivisor, dencap: int = 0,
     The global sections of O(D) are spanned by the characters u with
     <u, v_i> >= -a_i for every ray v_i; dencap m refines the character
     lattice to (1/p^m)-points for the fractional theory.  Enumeration
-    is exact: candidate vertices from ray subsets bound a box, and the
-    box's grid points are filtered through the defining inequalities.
+    is exact and runs in integers: with q the common denominator of the
+    a_i, each candidate vertex from a ray subset is x / (d q) for the
+    integer solution x and determinant d of one elimination; the
+    vertices bound a box on the p^m-scaled grid, whose points z pass
+    when <z, v_i> >= -floor(a_i p^m).  Only the returned points become
+    Fractions.
 
     Raises:
         ConeError: unbounded polytope, or coefficients off the p-power
             denominator lattice.
+        BudgetError: the box holds more than _SECTION_BUDGET points.
+            The largest box that the tests, ``perfectoid suite``, the
+            bundled fixtures and the benchmark build has 216 points
+            (degree 5 on projective 3-space).
     """
     if not isinstance(divisor, TWeilDivisor) or divisor.fan != fan:
         raise ConeError("divisor does not live on this fan")
@@ -705,30 +684,37 @@ def sections(fan: Fan, divisor: TWeilDivisor, dencap: int = 0,
         raise ConeError(
             f"unbounded polytope: direction {recession[0]} satisfies "
             f"every ray inequality")
-    a = divisor.coefficients
-    vertices = []
-    for idx in combinations(range(len(rays)), fan.rank):
-        u = _gauss_solve([rays[i] for i in idx], [-a[i] for i in idx])
-        if u is None:
-            continue
-        cand = tuple(u)
-        if all(_dot(cand, rays[i]) >= -a[i] for i in range(len(rays))):
-            vertices.append(cand)
-    if not vertices:
-        return []
+    q = lcm(*(a.denominator for a in divisor.coefficients))
+    qa = [a.numerator * (q // a.denominator) for a in divisor.coefficients]
     scale = (p ** dencap) if dencap else 1
-    lows = [ceil(min(v[j] for v in vertices) * scale)
-            for j in range(fan.rank)]
-    highs = [floor(max(v[j] for v in vertices) * scale)
-             for j in range(fan.rank)]
-    out = []
-    for grid in product(*(range(lo, hi + 1)
-                          for lo, hi in zip(lows, highs))):
-        u = tuple(Fraction(z, scale) for z in grid)
-        if all(_dot(u, rays[i]) >= -a[i] for i in range(len(rays))):
-            out.append(u)
-    out.sort()
-    return out
+    lows = highs = None
+    for idx in combinations(range(len(rays)), fan.rank):
+        M, pivots = _eliminate([list(rays[i]) + [-qa[i]] for i in idx])
+        if pivots != list(range(fan.rank)):
+            continue
+        d = M[0][0]
+        x = [row[-1] if d > 0 else -row[-1] for row in M]
+        d = abs(d)
+        if all(_dot(x, v) >= -b * d for v, b in zip(rays, qa)):
+            lo = [-(-c * scale // (d * q)) for c in x]
+            hi = [c * scale // (d * q) for c in x]
+            lows = lo if lows is None else list(map(min, lows, lo))
+            highs = hi if highs is None else list(map(max, highs, hi))
+    if lows is None:
+        return []
+    points = prod(max(hi - lo + 1, 0) for lo, hi in zip(lows, highs))
+    if points > _SECTION_BUDGET:
+        # str() refuses integers of more than 4300 digits
+        count = (str(points) if points < 10 ** 18
+                 else f"at least 2^{points.bit_length() - 1}")
+        raise BudgetError(
+            f"the section box has {count} lattice points, over the "
+            f"budget of {_SECTION_BUDGET}")
+    floors = [b * scale // q for b in qa]
+    return [tuple(Fraction(z, scale) for z in grid)
+            for grid in product(*(range(lo, hi + 1)
+                                  for lo, hi in zip(lows, highs)))
+            if all(_dot(grid, v) >= -f for v, f in zip(rays, floors))]
 
 
 # =====================================================================

@@ -3,14 +3,17 @@
 Each oracle redoes a computation in a deliberately different
 representation from the package (dense digit arrays indexed by the
 (1/p^dencap) lattice instead of sparse exponent maps, gift wrapping
-instead of a monotone chain, brute-force enumeration instead of algebra),
-so that a bug in either side shows up as a disagreement.
+instead of a monotone chain, brute-force enumeration instead of algebra,
+Fraction Gauss-Jordan instead of fraction-free integer elimination), so
+that a bug in either side shows up as a disagreement.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
+from math import ceil, floor, gcd
 
 from perfectoid.arith import (
     FieldConfig,
@@ -310,3 +313,178 @@ def lower_hull_brute(points):
                 best = (x, y)
                 best_slope = slope
         hull.append(best)
+
+
+# ---------------------------------------------------------------------
+# Rational Gauss-Jordan elimination: the reference for the toric
+# module's fraction-free integer elimination.  Cone generators are
+# normalized the way toric.Cone does it (primitive, sorted, redundant
+# ones dropped in that order), so results compare as tuples.
+# ---------------------------------------------------------------------
+
+def rref(rows, width: int):
+    """Reduced row echelon form over Fraction, with its pivot columns."""
+    M = [[Fraction(c) for c in row] for row in rows]
+    pivots = []
+    for col in range(width):
+        k = len(pivots)
+        piv = next((r for r in range(k, len(M)) if M[r][col] != 0), None)
+        if piv is None:
+            continue
+        M[k], M[piv] = M[piv], M[k]
+        inv = M[k][col]
+        M[k] = [x / inv for x in M[k]]
+        for r in range(len(M)):
+            if r != k and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [x - f * y for x, y in zip(M[r], M[k])]
+        pivots.append(col)
+    return M, pivots
+
+
+def matrix_rank(rows) -> int:
+    return len(rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+def gauss_solve(rows, rhs):
+    """The solution of a square system, None when singular."""
+    n = len(rows)
+    M, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)], n + 1)
+    if pivots != list(range(n)):
+        return None
+    return [M[i][n] for i in range(n)]
+
+
+def _primitive(vec):
+    g = 0
+    for c in vec:
+        g = gcd(g, abs(c))
+    return tuple(c // g for c in vec) if g else None
+
+
+def _clear_denominators(vec):
+    den = 1
+    for c in vec:
+        den = den * c.denominator // gcd(den, c.denominator)
+    return tuple(int(c * den) for c in vec)
+
+
+def nullspace_vectors(rows, width: int):
+    """Primitive integer vectors, one per free column of the RREF."""
+    M, pivots = rref(rows, width)
+    out = []
+    for free in range(width):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * width
+        vec[free] = Fraction(1)
+        for r, pcol in enumerate(pivots):
+            vec[pcol] = -M[r][free]
+        out.append(_primitive(_clear_denominators(vec)))
+    return out
+
+
+def solve_conic(columns, target) -> bool:
+    """Normal equations over Fraction, then an exact consistency check."""
+    k = len(target)
+    ata = [[sum(Fraction(u[r]) * v[r] for r in range(k)) for v in columns]
+           for u in columns]
+    atb = [sum(Fraction(u[r]) * target[r] for r in range(k))
+           for u in columns]
+    lam = gauss_solve(ata, atb)
+    if lam is None:
+        return False
+    if any(sum(x * col[r] for x, col in zip(lam, columns)) != target[r]
+           for r in range(k)):
+        return False
+    return all(x >= 0 for x in lam)
+
+
+def _in_cone(vec, gens, rank: int) -> bool:
+    if all(c == 0 for c in vec):
+        return True
+    return any(solve_conic(sub, vec) for size in range(1, rank + 1)
+               for sub in combinations(gens, size))
+
+
+def cone_generators(gens, rank: int) -> tuple:
+    """Primitive, sorted, irredundant form of a generator list."""
+    out = sorted({v for v in map(_primitive, gens) if v is not None})
+    changed = True
+    while changed:
+        changed = False
+        for v in list(out):
+            rest = [w for w in out if w != v]
+            if rest and _in_cone(v, rest, rank):
+                out.remove(v)
+                changed = True
+    return tuple(out)
+
+
+def dual_generators(gens, rank: int) -> tuple:
+    """Normalized generators of the dual of the cone spanned by gens.
+
+    Up to rank 3 the candidates are the generators, the nullspace and
+    their pairwise perpendiculars (both signs), filtered by the
+    half-space conditions; above it the generators must form a basis
+    and the dual basis is read off the inverse matrix.  Raises
+    ValueError where the package refuses.
+    """
+    if rank > 3:
+        if len(gens) != rank:
+            raise ValueError("not simplicial and full-dimensional")
+        cols = []
+        for j in range(rank):
+            col = gauss_solve(gens, [int(i == j) for i in range(rank)])
+            if col is None:
+                raise ValueError("dependent generators")
+            cols.append(_clear_denominators(col))
+        return cone_generators(cols, rank)
+    if not gens:
+        return cone_generators(
+            [tuple(s * int(i == j) for j in range(rank))
+             for i in range(rank) for s in (1, -1)], rank)
+    pool = list(gens) + nullspace_vectors(gens, rank)
+    cands = [w for v in pool for w in (v, tuple(-c for c in v))]
+    if rank == 2:
+        cands += [w for v in gens for w in ((-v[1], v[0]), (v[1], -v[0]))]
+    elif rank == 3:
+        for u, v in combinations(pool, 2):
+            w = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                 u[0] * v[1] - u[1] * v[0])
+            cands += [w, tuple(-c for c in w)]
+    valid = []
+    for c in cands:
+        cp = _primitive(c)
+        if cp is None or cp in valid:
+            continue
+        if all(sum(a * b for a, b in zip(cp, v)) >= 0 for v in gens):
+            valid.append(cp)
+    return cone_generators(valid, rank)
+
+
+def section_points(rays, coefficients, scale: int):
+    """Points u of (1/scale)Z^rank with <u, v_i> >= -a_i, for a bounded
+    polytope: vertices from square ray subsets bound a box whose grid
+    points are filtered over Fraction."""
+    rank = len(rays[0])
+    vertices = []
+    for idx in combinations(range(len(rays)), rank):
+        u = gauss_solve([rays[i] for i in idx],
+                        [-coefficients[i] for i in idx])
+        if u is not None and all(
+                sum(x * y for x, y in zip(u, v)) >= -a
+                for v, a in zip(rays, coefficients)):
+            vertices.append(u)
+    if not vertices:
+        return []
+    lows = [ceil(min(v[j] for v in vertices) * scale) for j in range(rank)]
+    highs = [floor(max(v[j] for v in vertices) * scale)
+             for j in range(rank)]
+    out = []
+    for grid in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
+        u = tuple(Fraction(z, scale) for z in grid)
+        if all(sum(x * y for x, y in zip(u, v)) >= -a
+               for v, a in zip(rays, coefficients)):
+            out.append(u)
+    return sorted(out)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -308,6 +309,29 @@ def test_toric_transfer_defaults_to_the_projective_fan(runner):
     assert list(doc) == ["g", "twist", "h", "report"]
     assert doc["twist"] == 0
     assert doc["report"]["passed"] is True
+
+
+def test_toric_sections_refuses_an_oversized_box_at_once(runner):
+    # (3^12 + 1)^2 grid points: refused before any is enumerated
+    start = time.perf_counter()
+    result = invoke(runner, "toric", "sections", "pn2.json",
+                    "hyperplane.json", "--dencap", "12", "--p", "3")
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    error = json.loads(result.stderr)
+    assert error["error"] == "BudgetError"
+    assert str((3 ** 12 + 1) ** 2) in error["message"]
+
+
+def test_toric_transfer_rejects_a_divisor_document(runner):
+    result = invoke(runner, "toric", "transfer", "hyperplane.json",
+                    "--c", "1", "--eps", "1/3")
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {
+        "error": "KernelError",
+        "message": "malformed homogeneous element JSON: 'p'"}
 
 
 # ---------------------------------------------------------------------

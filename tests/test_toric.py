@@ -2,20 +2,33 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from perfectoid.arith import FieldConfig, TiltElement, UntiltElement
+import oracles
+from perfectoid.arith import (
+    BudgetError,
+    FieldConfig,
+    TiltElement,
+    UntiltElement,
+)
 from perfectoid.tatealg import HomogeneousElement, Monomial, sharp_element
 from perfectoid.toric import (
+    _SECTION_BUDGET,
     Cone,
     ConeError,
     Fan,
     TWeilDivisor,
     TransferResult,
+    _matrix_rank,
+    _nullspace_vectors,
+    _solve_conic,
     complete_intersection_degree,
     dual_cone,
     frobenius_pullback,
@@ -246,6 +259,25 @@ def test_empty_polytope_has_no_sections():
     assert sections(P2, HYPERPLANE.scaled(-1)) == []
 
 
+def test_oversized_section_box_is_refused_before_enumeration():
+    # (3^12 + 1)^2 points would take hours; the count alone decides
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="282430599364 lattice points"):
+        sections(P2, HYPERPLANE, dencap=12, p=3)
+    assert time.perf_counter() - start < 0.1
+    # a count too long for str() is reported by its bit length
+    with pytest.raises(BudgetError, match=r"at least 2\^316992 lattice"):
+        sections(P2, HYPERPLANE, dencap=100000, p=3)
+
+
+def test_section_box_at_the_budget_is_enumerated():
+    # degree 255 on the plane: a box of exactly 256^2 points
+    assert 256 ** 2 == _SECTION_BUDGET
+    assert len(sections(P2, HYPERPLANE.scaled(255))) == 256 * 257 // 2
+    with pytest.raises(BudgetError):
+        sections(P2, HYPERPLANE.scaled(256))
+
+
 # ---------------------------------------------------------------------
 # Frobenius tower
 # ---------------------------------------------------------------------
@@ -351,3 +383,115 @@ def test_complete_intersection_degrees_multiply():
     assert complete_intersection_degree(
         [Fraction(4, 3), 3]) == 4
     assert complete_intersection_degree([]) == 1
+
+
+# ---------------------------------------------------------------------
+# integer elimination against the rational reference
+# ---------------------------------------------------------------------
+
+@st.composite
+def vector_lists(draw, rank: int, min_size: int = 0, max_size: int = 4):
+    """Vectors with entries in [-4, 4], some of them zero or a
+    combination of two earlier ones (so entries reach +-8)."""
+    size = draw(st.integers(min_size, max_size))
+    vecs = []
+    for i in range(size):
+        how = draw(st.sampled_from(["free", "free", "free", "zero",
+                                    "combination"]))
+        if how == "zero":
+            vecs.append((0,) * rank)
+        elif how == "combination" and vecs:
+            u, v = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
+            a, b = draw(st.integers(-1, 1)), draw(st.integers(-1, 1))
+            vecs.append(tuple(a * x + b * y for x, y in zip(u, v)))
+        else:
+            vecs.append(tuple(draw(st.integers(-4, 4))
+                              for _ in range(rank)))
+    return vecs
+
+
+RANKS = st.integers(1, 4)
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_solve_conic_matches_the_rational_reference(data):
+    rank = data.draw(RANKS)
+    columns = data.draw(vector_lists(rank, 1, rank + 1))
+    if data.draw(st.booleans()):
+        weights = [data.draw(st.integers(0, 3)) for _ in columns]
+        target = tuple(sum(w * col[r] for w, col in zip(weights, columns))
+                       for r in range(rank))
+    else:
+        target = data.draw(vector_lists(rank, 1, 1))[0]
+    assert _solve_conic(columns, target) is oracles.solve_conic(columns,
+                                                                target)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_matrix_rank_matches_the_rational_reference(data):
+    rank = data.draw(RANKS)
+    rows = data.draw(vector_lists(rank, 0, 5))
+    assert _matrix_rank(rows) == oracles.matrix_rank(rows)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_nullspace_matches_the_rational_reference(data):
+    rank = data.draw(RANKS)
+    rows = data.draw(vector_lists(rank, 1, 4))
+    assert _nullspace_vectors(rows, rank) == oracles.nullspace_vectors(
+        rows, rank)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_dual_cone_matches_the_rational_reference(data):
+    rank = data.draw(RANKS)
+    if rank == 4:
+        size = data.draw(st.sampled_from([3, 4, 4, 4, 5]))
+        gens = data.draw(vector_lists(4, size, size))
+    else:
+        gens = data.draw(vector_lists(rank, 0, 5))
+    cone = Cone(rank, gens, pointed=False)
+    try:
+        want = oracles.dual_generators(cone.generators, rank)
+    except ValueError:
+        with pytest.raises(ConeError):
+            dual_cone(cone)
+        return
+    assert dual_cone(cone).generators == want
+
+
+def test_rank_four_simplicial_dual_is_the_dual_basis():
+    gens = [(1, 2, 0, 0), (0, 1, 3, 0), (0, 0, 1, 1), (1, 0, 0, 2)]
+    dual = dual_cone(Cone(4, gens))
+    assert dual.generators == oracles.dual_generators(
+        Cone(4, gens).generators, 4)
+    for u in dual.generators:
+        pairings = sorted(sum(a * b for a, b in zip(u, g)) for g in gens)
+        assert pairings[:3] == [0, 0, 0] and pairings[3] > 0
+
+
+SECTION_FANS = [
+    projective_fan(1), P2, projective_fan(3),
+    Fan(2, [[(1, 0), (0, 1)], [(0, 1), (-1, 0)], [(-1, 0), (0, -1)],
+            [(0, -1), (1, 0)]]),
+    Fan(2, [[(1, 0), (0, 1)], [(0, 1), (-1, 2)], [(-1, 2), (0, -1)],
+            [(0, -1), (1, 0)]]),
+]
+
+
+@settings(max_examples=120)
+@given(data=st.data())
+def test_sections_match_the_rational_reference(data):
+    fan = data.draw(st.sampled_from(SECTION_FANS))
+    p = data.draw(st.sampled_from([2, 3]))
+    dencap = data.draw(st.integers(0, 2 if fan.rank < 3 else 0))
+    coeffs = [Fraction(data.draw(st.integers(-4, 4)),
+                       p ** data.draw(st.integers(0, 2)))
+              for _ in fan.rays]
+    divisor = TWeilDivisor(fan, coeffs)
+    assert sections(fan, divisor, dencap=dencap, p=p) == \
+        oracles.section_points(fan.rays, divisor.coefficients, p ** dencap)
