@@ -8,9 +8,24 @@ p^precexp.  The characteristic-p side is the t-adic completion of
 F_p[t^(1/p^inf)], modeled by ``TiltElement`` the same way with t in place
 of p and no carries.
 
-Everything here is plain digit bookkeeping:
+Representation.  With m = dencap, every exponent of a computation lies on
+the lattice (1/p^m) Z, so an element is stored as integers only: a map
+{j: digit} for the terms digit * X^(j/p^m), indices ascending, and the
+precision numerator K, the element being known modulo X^(K/p^m).  This
+is the finite layer Z_p[p^(1/p^m)] = Z_p[u]/(u^(p^m) - p), u = p^(1/p^m),
+resp. F_p[[u]], u = t^(1/p^m), truncated at u^K.  Sums and products add
+indices; on the untilt side a coefficient c at j leaves c mod p and
+carries c // p to j + p^m, because p * p^(j/p^m) = p^((j + p^m)/p^m).
+A product is known below min(K1 + v2, K2 + v1, prec * p^m), v the index
+of the lowest digit (K when none is visible).
 
-    ValExp                  -- exponent lattice Z[1/p]>=0, normalized
+``ValExp`` (num / p^denpow, reduced) and ``Fraction`` remain only at the
+boundary: constructors take maps keyed by either and convert each key
+once; ``digits``, ``precexp`` and ``valuation()`` hand out ValExp
+exponents, built on each access; the text and JSON forms are written and
+parsed through those.
+
+    ValExp                  -- exponent lattice Z[1/p]>=0 at the boundary
     FieldConfig             -- (p, prec, dencap) for a whole computation
     UntiltElement           -- digits with base-p carries
     TiltElement             -- digits over F_p, Frobenius and exact p-th roots
@@ -122,34 +137,38 @@ class ValExp:
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, self.p ** self.denpow)
 
-    def __add__(self, other):
-        if isinstance(other, ValExp):
+    def _scaled(self, denpow: int) -> int:
+        # the numerator of self over p^denpow, denpow >= self.denpow
+        return self.num * self.p ** (denpow - self.denpow)
+
+    def _plus(self, other, sign: int):
+        # self + sign * other, on integers over the larger denominator
+        p = self.p
+        if isinstance(other, ValExp) and other.p != p:
             return ValExp.from_fraction(
-                self.as_fraction() + other.as_fraction(), self.p)
-        if isinstance(other, int):
-            return ValExp.from_fraction(self.as_fraction() + other, self.p)
-        return NotImplemented
+                self.as_fraction() + sign * other.as_fraction(), p)
+        if isinstance(other, ValExp):
+            d = max(self.denpow, other.denpow)
+            num = self._scaled(d) + sign * other._scaled(d)
+        elif isinstance(other, int):
+            d = self.denpow
+            num = self.num + sign * other * p ** d
+        else:
+            return NotImplemented
+        # reduced before the sign check, so that a negative result is
+        # reported in lowest terms
+        while d > 0 and num % p == 0:
+            num //= p
+            d -= 1
+        return ValExp(num, d, p)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, ValExp):
-            return ValExp.from_fraction(
-                self.as_fraction() - other.as_fraction(), self.p)
-        if isinstance(other, int):
-            return ValExp.from_fraction(self.as_fraction() - other, self.p)
-        return NotImplemented
-
-    def times_p(self) -> "ValExp":
-        return ValExp(self.num * self.p, self.denpow, self.p)
-
-    def div_p(self, dencap: int) -> "ValExp":
-        out = ValExp(self.num, self.denpow + 1, self.p)
-        if out.denpow > dencap:
-            raise DencapError(
-                f"exponent {out.as_fraction()} exceeds denominator cap "
-                f"p^{dencap}")
-        return out
+        return self._plus(other, -1)
 
     def __eq__(self, other):
         if not isinstance(other, ValExp):
@@ -160,7 +179,8 @@ class ValExp:
     def __lt__(self, other):
         if not isinstance(other, ValExp):
             return NotImplemented
-        return self.as_fraction() < other.as_fraction()
+        return (self.num * other.p ** other.denpow
+                < other.num * self.p ** self.denpow)
 
     def __hash__(self):
         return hash((self.num, self.denpow))
@@ -228,23 +248,40 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# A lattice scale p^dencap of more bits than this is refused before it is
+# computed: every digit index is a multiple of it or below prec times it.
+_SCALE_BITS = 2 ** 20
+
+
 class FieldConfig:
     """Shared parameters of a computation: the prime p, the working
     precision N (elements known modulo p^N resp. t^N) and the denominator
-    cap m (all exponents lie in (1/p^m) Z)."""
+    cap m (all exponents lie in (1/p^m) Z).
 
-    __slots__ = ("p", "prec", "dencap")
+    ``scale`` is p^m, so exponent e sits at lattice index e * scale, and
+    ``full`` = N * scale is the index of full precision."""
+
+    __slots__ = ("p", "prec", "dencap", "scale", "full")
 
     def __init__(self, p: int, prec: int, dencap: int):
+        if not all(isinstance(v, int) for v in (p, prec, dencap)):
+            raise ConfigError(f"p, prec and dencap must be integers, got "
+                              f"{p!r}, {prec!r}, {dencap!r}")
         if not _is_prime(p):
             raise ConfigError(f"p = {p} is not prime")
         if prec < 1:
             raise ConfigError(f"prec = {prec} must be >= 1")
         if dencap < 0:
             raise ConfigError(f"dencap = {dencap} must be >= 0")
+        if dencap * (p.bit_length() - 1) > _SCALE_BITS:
+            raise BudgetError(
+                f"dencap = {dencap} puts the lattice scale {p}^{dencap} "
+                f"beyond {_SCALE_BITS} bits")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "prec", prec)
         object.__setattr__(self, "dencap", dencap)
+        object.__setattr__(self, "scale", p ** dencap)
+        object.__setattr__(self, "full", prec * p ** dencap)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldConfig is immutable")
@@ -252,9 +289,6 @@ class FieldConfig:
     def exp(self, value: Fraction | int) -> ValExp:
         """ValExp on this config's lattice; DencapError beyond the cap."""
         return ValExp.from_fraction(value, self.p, self.dencap)
-
-    def full_precision(self) -> ValExp:
-        return ValExp(self.prec, 0, self.p)
 
     def __eq__(self, other):
         if not isinstance(other, FieldConfig):
@@ -279,15 +313,66 @@ def _as_fraction_exp(e) -> Fraction:
     return Fraction(e)
 
 
+def _index(e, config: FieldConfig) -> int | None:
+    """The lattice index j of the exponent e = j / p^dencap, or None when
+    e is off the lattice.  e is an int, a ValExp or anything Fraction
+    takes; the sign is not checked."""
+    if type(e) is int:
+        return e * config.scale
+    if isinstance(e, ValExp):
+        down = config.dencap - e.denpow
+        return e.num * config.p ** down if down >= 0 else None
+    f = e if type(e) is Fraction else Fraction(e)
+    q, r = divmod(config.scale, f.denominator)
+    return None if r else f.numerator * q
+
+
+def _refuse_off_lattice(off: dict, config: FieldConfig, bound: int,
+                        carries: bool) -> None:
+    """Raises the DencapError of the first digit of ``off`` (rational
+    exponents off the lattice, with their coefficients) that survives
+    normalization below the lattice index ``bound``; returns when none
+    does.  Carries stay in an exponent's class modulo 1, so lattice
+    digits never meet these.  The first digit is the smallest exponent
+    with carries and the first inserted without, as in normalization."""
+    p = config.p
+    kf = Fraction(bound, config.scale)
+    if not carries:
+        for f, c in off.items():
+            if f < kf and c % p:
+                ValExp.from_fraction(f, p, config.dencap)
+        return
+    pending = {f: c for f, c in off.items() if c}
+    heap = list(pending)
+    heapify(heap)
+    while heap:
+        f = heappop(heap)
+        c = pending.pop(f)
+        if f >= kf:
+            continue
+        carry, digit = divmod(c, p)
+        if digit:
+            ValExp.from_fraction(f, p, config.dencap)
+        if carry:
+            if f + 1 in pending:
+                pending[f + 1] += carry
+            else:
+                pending[f + 1] = carry
+                heappush(heap, f + 1)
+
+
 class _DigitElement:
     """Common machinery of the two element kinds.
 
-    ``digits`` maps ValExp -> {1, ..., p-1}; every exponent is strictly
-    below ``precexp`` and on the (1/p^dencap) lattice.  Canonical form is
-    unique, so equality is structural.
+    An element is stored on its config's lattice: ``_digits`` maps the
+    index j of the term digit * X^(j/p^dencap) to the digit in 1..p-1,
+    with the indices in increasing order and below ``_k``, and the
+    element is known modulo X^(_k/p^dencap).  Canonical form is unique,
+    so equality is structural.  ``digits`` and ``precexp`` give the same
+    data with ValExp exponents.
     """
 
-    __slots__ = ("config", "digits", "precexp")
+    __slots__ = ("config", "_digits", "_k")
 
     kind = "?"
     symbol = "?"
@@ -297,24 +382,38 @@ class _DigitElement:
                  digits: Mapping[ValExp, int] | Mapping[Fraction, int]
                  | None = None,
                  precexp=None):
-        acc: dict[Fraction, int] = {}
+        acc: dict[int, int] = {}
+        off: dict[Fraction, int] = {}
         for e, c in (digits or {}).items():
-            f = _as_fraction_exp(e)
-            if f < 0:
-                raise KernelError(f"negative digit exponent {f}")
-            acc[f] = acc.get(f, 0) + int(c)
-        if precexp is None:
-            kf = Fraction(config.prec)
-        else:
+            j = _index(e, config)
+            if j is None:
+                f = _as_fraction_exp(e)
+                if f < 0:
+                    raise KernelError(f"negative digit exponent {f}")
+                off[f] = off.get(f, 0) + int(c)
+                continue
+            if j < 0:
+                raise KernelError(
+                    f"negative digit exponent {Fraction(j, config.scale)}")
+            acc[j] = acc.get(j, 0) + int(c)
+        k = config.full if precexp is None else _index(precexp, config)
+        if k is None:
             kf = _as_fraction_exp(precexp)
-        if kf < 0:
-            raise PrecisionError(f"negative precision exponent {kf}")
-        kf = min(kf, Fraction(config.prec))
+            if kf < 0:
+                raise PrecisionError(f"negative precision exponent {kf}")
+            if kf < config.prec:
+                # off the lattice: raises the DencapError naming kf
+                ValExp.from_fraction(kf, config.p, config.dencap)
+            k = config.full     # beyond prec it is cut to prec
+        elif k < 0:
+            raise PrecisionError(
+                f"negative precision exponent {Fraction(k, config.scale)}")
+        k = min(k, config.full)
+        if off:
+            _refuse_off_lattice(off, config, k, self._carries)
         object.__setattr__(self, "config", config)
-        object.__setattr__(self, "precexp",
-                           ValExp.from_fraction(kf, config.p, config.dencap))
-        object.__setattr__(self, "digits",
-                           self._normalize(acc, config, kf))
+        object.__setattr__(self, "_k", k)
+        object.__setattr__(self, "_digits", self._normalize(acc, config, k))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -322,23 +421,32 @@ class _DigitElement:
     # -- canonicalization ------------------------------------------------
 
     @staticmethod
-    def _normalize(acc, config, bound):
+    def _normalize(acc: dict[int, int], config: FieldConfig,
+                   k: int) -> dict[int, int]:
+        """Canonical digits, in increasing index order, of the sum of
+        c * X^(j/p^dencap) over acc, modulo X^(k/p^dencap)."""
         raise NotImplementedError
 
     @classmethod
-    def _canonical(cls, config: FieldConfig, digits: dict[ValExp, int],
-                   precexp: ValExp):
-        """Wraps digits that are already in canonical form, unchecked.
+    def _canonical(cls, config: FieldConfig, digits: dict[int, int],
+                   k: int):
+        """Wraps lattice digits that are already in canonical form.
 
-        The caller guarantees what ``_normalize`` would establish: keys are
-        ValExp on the config's lattice, strictly below precexp <= prec,
-        inserted in increasing order, with values in 1..p-1.
+        The caller guarantees what ``_normalize`` would establish: indices
+        strictly below k <= config.full, in increasing order, with values
+        in 1..p-1.  The dict is kept, not copied; nothing mutates it.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "config", config)
-        object.__setattr__(self, "precexp", precexp)
-        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "_k", k)
+        object.__setattr__(self, "_digits", digits)
         return self
+
+    @classmethod
+    def _make(cls, config: FieldConfig, acc: dict[int, int], k: int):
+        """The element sum c * X^(j/p^dencap) over acc, modulo
+        X^(k/p^dencap); acc may hold any integers at any indices >= 0."""
+        return cls._canonical(config, cls._normalize(acc, config, k), k)
 
     # -- constructors ----------------------------------------------------
 
@@ -348,40 +456,57 @@ class _DigitElement:
 
     @classmethod
     def one(cls, config: FieldConfig, precexp=None):
-        return cls(config, {Fraction(0): 1}, precexp)
+        return cls(config, {0: 1}, precexp)
 
     @classmethod
     def from_int(cls, config: FieldConfig, n: int, precexp=None):
         """The image of the integer n (negative allowed; borrows wrap)."""
-        return cls(config, {Fraction(0): n}, precexp)
+        return cls(config, {0: n}, precexp)
 
     @classmethod
     def uniformizer(cls, config: FieldConfig, precexp=None):
         """p itself on the untilt side, t on the tilt side."""
-        return cls(config, {Fraction(1): 1}, precexp)
+        return cls(config, {1: 1}, precexp)
 
     @classmethod
     def monomial(cls, config: FieldConfig, digit: int, exponent,
                  precexp=None):
-        return cls(config, {_as_fraction_exp(exponent): digit}, precexp)
+        return cls(config, {exponent: digit}, precexp)
 
     # -- inspection ------------------------------------------------------
 
+    @property
+    def digits(self) -> dict[ValExp, int]:
+        """The digits as {ValExp exponent: digit}, in increasing order:
+        a new dict on each access, so editing it leaves self alone."""
+        p, cap = self.config.p, self.config.dencap
+        return {ValExp(j, cap, p): c for j, c in self._digits.items()}
+
+    @property
+    def precexp(self) -> ValExp:
+        """The precision exponent: self is known modulo X^precexp."""
+        return ValExp(self._k, self.config.dencap, self.config.p)
+
     def is_zero(self) -> bool:
         """True when no digit is visible at the current precision."""
-        return not self.digits
+        return not self._digits
 
     def valuation(self):
         """Smallest stored exponent; INF when a == 0 at current precision."""
-        if not self.digits:
-            return INF
-        return min(self.digits)
+        for j in self._digits:
+            return ValExp(j, self.config.dencap, self.config.p)
+        return INF
+
+    def _low(self) -> int:
+        # Lattice index of a certified lower bound on the valuation: the
+        # first digit, or the precision when no digit is visible.
+        for j in self._digits:
+            return j
+        return self._k
 
     def _effective_valuation(self) -> Fraction:
         # Certified lower bound on the valuation, always finite.
-        if not self.digits:
-            return self.precexp.as_fraction()
-        return min(self.digits).as_fraction()
+        return Fraction(self._low(), self.config.scale)
 
     def sorted_digits(self) -> list[tuple[ValExp, int]]:
         return sorted(self.digits.items(), key=lambda t: t[0].as_fraction())
@@ -403,7 +528,16 @@ class _DigitElement:
         precision; callers use it when an element is an explicitly chosen
         representative of a residue class.
         """
-        return type(self)(self.config, self.digits, precexp)
+        config = self.config
+        k = _index(precexp, config)
+        if k is None or k < 0:
+            # refused, or clamped to full precision, as by the constructor
+            return type(self)(config, self.digits, precexp)
+        k = min(k, config.full)
+        if k >= self._k:
+            return self._canonical(config, self._digits, k)
+        return self._canonical(
+            config, {j: c for j, c in self._digits.items() if j < k}, k)
 
     def shift(self, s):
         """Multiplies by the uniformizer to the power s (s may be negative).
@@ -411,6 +545,10 @@ class _DigitElement:
         A negative shift is exact division; it fails when a digit would
         land at a negative exponent.
         """
+        j = _index(s, self.config)
+        if j is not None:
+            return self._shift(j)
+        # off the lattice: at most the all-zero element survives
         sf = _as_fraction_exp(s)
         kf = self.precexp.as_fraction() + sf
         if kf < 0:
@@ -426,6 +564,28 @@ class _DigitElement:
             acc[f] = c
         return type(self)(self.config, acc, kf)
 
+    def _shift(self, s: int):
+        # shift by s / p^dencap
+        config = self.config
+        k = self._k + s
+        if k < 0:
+            raise PrecisionError(
+                f"shift by {Fraction(s, config.scale)} leaves no precision "
+                f"(precexp {self.precexp})")
+        low = self._low()
+        if self._digits and low + s < 0:
+            raise DivisionError(
+                f"digit at exponent {ValExp(low, config.dencap, config.p)} "
+                f"does not divide by {self.symbol}^"
+                f"{Fraction(-s, config.scale)}")
+        k = min(k, config.full)
+        digits = {}
+        for j, c in self._digits.items():
+            if j + s >= k:
+                break
+            digits[j + s] = c
+        return self._canonical(config, digits, k)
+
     # -- ring structure --------------------------------------------------
 
     def _check_compatible(self, other):
@@ -439,48 +599,53 @@ class _DigitElement:
 
     def _coerce(self, other):
         if isinstance(other, int):
-            return type(self).from_int(self.config, other)
+            return type(self)._make(self.config, {0: other},
+                                    self.config.full)
         return other
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        # self + sign * other
         other = self._coerce(other)
         self._check_compatible(other)
-        acc = {e.as_fraction(): c for e, c in self.digits.items()}
-        for e, c in other.digits.items():
-            f = e.as_fraction()
-            acc[f] = acc.get(f, 0) + c
-        kf = min(self.precexp.as_fraction(), other.precexp.as_fraction())
-        return type(self)(self.config, acc, kf)
+        acc = dict(self._digits)
+        for j, c in other._digits.items():
+            acc[j] = acc.get(j, 0) + sign * c
+        return self._make(self.config, acc, min(self._k, other._k))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        acc = {e.as_fraction(): -c for e, c in self.digits.items()}
-        return type(self)(self.config, acc, self.precexp)
+        return self._make(self.config,
+                          {j: -c for j, c in self._digits.items()}, self._k)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
         self._check_compatible(other)
-        acc: dict[Fraction, int] = {}
-        for e1, c1 in self.digits.items():
-            f1 = e1.as_fraction()
-            for e2, c2 in other.digits.items():
-                f = f1 + e2.as_fraction()
-                acc[f] = acc.get(f, 0) + c1 * c2
         # Precision of a product: each factor's uncertainty is scaled by
         # the other factor's valuation.  When no digit is visible the
         # precision exponent is the only lower bound on the valuation.
-        k1, k2 = self.precexp.as_fraction(), other.precexp.as_fraction()
-        v1 = self._effective_valuation()
-        v2 = other._effective_valuation()
-        kf = min(k1 + v2, k2 + v1, Fraction(self.config.prec))
-        return type(self)(self.config, acc, kf)
+        k = min(self._k + other._low(), other._k + self._low(),
+                self.config.full)
+        # Both digit maps ascend, so each row stops at the first index
+        # that reaches k: digits and carries at or above k are dropped.
+        acc: dict[int, int] = {}
+        row = list(other._digits.items())
+        for j1, c1 in self._digits.items():
+            for j2, c2 in row:
+                j = j1 + j2
+                if j >= k:
+                    break
+                acc[j] = acc.get(j, 0) + c1 * c2
+        return self._make(self.config, acc, k)
 
     __rmul__ = __mul__
 
@@ -504,12 +669,11 @@ class _DigitElement:
         if not isinstance(other, _DigitElement):
             return NotImplemented
         return (self.kind == other.kind and self.config == other.config
-                and self.precexp == other.precexp
-                and self.digits == other.digits)
+                and self._k == other._k and self._digits == other._digits)
 
     def __hash__(self):
-        return hash((self.kind, self.config, self.precexp,
-                     frozenset(self.digits.items())))
+        return hash((self.kind, self.config, self._k,
+                     frozenset(self._digits.items())))
 
     # -- canonical text form ---------------------------------------------
 
@@ -545,6 +709,7 @@ class _DigitElement:
     # -- canonical JSON form ---------------------------------------------
 
     def to_json(self) -> dict:
+        precexp = self.precexp
         terms = [{"num": e.num, "denpow": e.denpow, "digit": c}
                  for e, c in self.sorted_digits()]
         return {
@@ -552,8 +717,8 @@ class _DigitElement:
             "p": self.config.p,
             "prec": self.config.prec,
             "dencap": self.config.dencap,
-            "precexp": {"num": self.precexp.num,
-                        "denpow": self.precexp.denpow},
+            "precexp": {"num": precexp.num,
+                        "denpow": precexp.denpow},
             "terms": terms,
         }
 
@@ -564,8 +729,9 @@ class _DigitElement:
 class UntiltElement(_DigitElement):
     """Truncated integral element of the characteristic-0 field.
 
-    Carries move a unit from exponent e to exponent e + 1; that is valid
-    for fractional e as well, because p * p^e = p^(e+1).
+    Carries move a unit from exponent e to exponent e + 1, index j to
+    j + p^dencap; that is valid for fractional e as well, because
+    p * p^e = p^(e+1).
     """
 
     kind = "untilt"
@@ -573,30 +739,25 @@ class UntiltElement(_DigitElement):
     _carries = True
 
     @staticmethod
-    def _normalize(acc, config, bound):
-        # Process exponents in increasing order so every carry lands on a
-        # not-yet-visited slot; each carry raises the exponent by exactly
-        # 1, so the loop ends after at most prec * p^dencap rounds.
-        p = config.p
-        pending = {e: c for e, c in acc.items() if c}
+    def _normalize(acc, config, k):
+        # Process indices in increasing order so every carry lands on a
+        # not-yet-visited slot; each carry raises the index by exactly
+        # p^dencap, so the loop ends after at most prec rounds a class.
+        p, scale = config.p, config.scale
+        pending = {j: c for j, c in acc.items() if c and j < k}
         heap = list(pending)
         heapify(heap)
         out = {}
         while heap:
-            e = heappop(heap)
-            c = pending.pop(e, 0)
-            if c == 0:
-                continue
-            if e >= bound:
-                continue
-            carry, digit = divmod(c, p)
+            j = heappop(heap)
+            carry, digit = divmod(pending.pop(j), p)
             if digit:
-                out[ValExp.from_fraction(e, p, config.dencap)] = digit
+                out[j] = digit
             if carry:
-                up = e + 1
+                up = j + scale
                 if up in pending:
                     pending[up] += carry
-                else:
+                elif up < k:
                     pending[up] = carry
                     heappush(heap, up)
         return out
@@ -614,23 +775,28 @@ class TiltElement(_DigitElement):
     _carries = False
 
     @staticmethod
-    def _normalize(acc, config, bound):
+    def _normalize(acc, config, k):
         p = config.p
         out = {}
-        for e, c in acc.items():
-            if e >= bound:
-                continue
-            digit = c % p
+        for j in sorted(acc):
+            if j >= k:
+                break
+            digit = acc[j] % p
             if digit:
-                out[ValExp.from_fraction(e, p, config.dencap)] = digit
+                out[j] = digit
         return out
 
     def frobenius(self) -> "TiltElement":
         """x -> x^p: every exponent is multiplied by p, digits are fixed."""
-        acc = {e.as_fraction() * self.config.p: c
-               for e, c in self.digits.items()}
-        kf = self.precexp.as_fraction() * self.config.p
-        return TiltElement(self.config, acc, kf)
+        config = self.config
+        p = config.p
+        k = min(self._k * p, config.full)
+        digits = {}
+        for j, c in self._digits.items():
+            if j * p >= k:
+                break
+            digits[j * p] = c
+        return TiltElement._canonical(config, digits, k)
 
     def pth_root(self) -> "TiltElement":
         """The exact p-th root: exponents divided by p.
@@ -640,21 +806,27 @@ class TiltElement(_DigitElement):
         the lattice (knowing x mod t^k implies knowing it mod t^k' for
         any k' <= k).
         """
-        acc = {}
-        for e, c in self.digits.items():
-            acc[e.div_p(self.config.dencap).as_fraction()] = c
-        kf = self.precexp.as_fraction() / self.config.p
-        den = self.config.p ** self.config.dencap
-        kf = Fraction((kf * den).__floor__(), den)
-        return TiltElement(self.config, acc, kf)
+        config = self.config
+        p = config.p
+        k = self._k // p
+        digits = {}
+        for j, c in self._digits.items():
+            q, r = divmod(j, p)
+            if r:
+                raise DencapError(
+                    f"exponent {Fraction(j, config.scale * p)} exceeds "
+                    f"denominator cap p^{config.dencap}")
+            if q < k:
+                digits[q] = c
+        return TiltElement._canonical(config, digits, k)
 
     def root(self, n: int) -> "TiltElement":
         """The exact p^n-th root, at full working precision.
 
         Digits live in the prime field, where the p-th root is the
         identity, so the root has the digits {e/p^n: c}, in self's
-        order: each exponent is divided by p^n in integers.  The result
-        is promoted to full working precision, taking self as exact by
+        order: each index is divided by p^n in integers.  The result is
+        promoted to full working precision, taking self as exact by
         convention (its digits are the chosen representative of its
         class).  This is the one such promotion of a root; ``pth_root``
         floors the precision exponent instead.
@@ -663,20 +835,33 @@ class TiltElement(_DigitElement):
         """
         config = self.config
         p, cap = config.p, config.dencap
+        step = p ** n
         digits = {}
-        for e, c in self.digits.items():
-            r = ValExp(e.num, e.denpow + n, p)
-            if r.denpow > cap:
+        for j, c in self._digits.items():
+            q, rest = divmod(j, step)
+            if rest:
+                r = ValExp(j, cap + n, p)
                 raise DencapError(
                     f"exponent {r} needs denominator p^{r.denpow}, "
                     f"cap is p^{cap}")
-            digits[r] = c
-        return TiltElement._canonical(config, digits, config.full_precision())
+            digits[q] = c
+        return TiltElement._canonical(config, digits, config.full)
 
 
 # =====================================================================
 # The mod-p identification between the two rings
 # =====================================================================
+
+def _below_one(a: _DigitElement) -> tuple[dict[int, int], int]:
+    # the digits of a with exponent < 1, and min(precexp, 1), as indices
+    scale = a.config.scale
+    digits = {}
+    for j, c in a._digits.items():
+        if j >= scale:
+            break
+        digits[j] = c
+    return digits, min(a._k, scale)
+
 
 def reduce_mod_uniformizer(a: UntiltElement) -> TiltElement:
     """The residue of a modulo p, written on the t side.
@@ -687,10 +872,7 @@ def reduce_mod_uniformizer(a: UntiltElement) -> TiltElement:
     if not isinstance(a, UntiltElement):
         raise ConfigError(f"reduce_mod_uniformizer expects untilt, got "
                           f"{getattr(a, 'kind', type(a).__name__)}")
-    acc = {e.as_fraction(): c for e, c in a.digits.items()
-           if e.as_fraction() < 1}
-    kf = min(a.precexp.as_fraction(), Fraction(1))
-    return TiltElement(a.config, acc, kf)
+    return TiltElement._canonical(a.config, *_below_one(a))
 
 
 def lift_mod_uniformizer(a: TiltElement) -> UntiltElement:
@@ -698,10 +880,7 @@ def lift_mod_uniformizer(a: TiltElement) -> UntiltElement:
     if not isinstance(a, TiltElement):
         raise ConfigError(f"lift_mod_uniformizer expects tilt, got "
                           f"{getattr(a, 'kind', type(a).__name__)}")
-    acc = {e.as_fraction(): c for e, c in a.digits.items()
-           if e.as_fraction() < 1}
-    kf = min(a.precexp.as_fraction(), Fraction(1))
-    return UntiltElement(a.config, acc, kf)
+    return UntiltElement._canonical(a.config, *_below_one(a))
 
 
 def pth_root_mod(a: UntiltElement, k) -> UntiltElement:
@@ -732,30 +911,51 @@ def pth_root_mod(a: UntiltElement, k) -> UntiltElement:
 def invert_unit(a: _DigitElement) -> _DigitElement:
     """The inverse of a unit (valuation 0), to a's own precision.
 
-    Digit-by-digit long division: each step clears the smallest exponent
-    of the remainder, which strictly ascends on a finite lattice.
+    Digit-by-digit long division on the lattice: the remainder
+    1 - (quotient so far) * a is kept as unnormalized coefficients, and
+    each step takes its smallest index j, whose coefficient c is final,
+    sets quotient digit q = c / a_0 mod p there and subtracts q X^j a.
+    That leaves c - q a_0, a multiple of p, at j; on the untilt side it
+    carries to j + p^dencap.  Indices at or above the precision are
+    dropped.
     """
-    v = a.valuation()
-    if v is INF or v.as_fraction() != 0:
+    digits = a._digits
+    if 0 not in digits:
         raise DivisionError(
-            f"invert_unit needs valuation 0, got {v!r}")
-    p = a.config.p
-    d0 = a.digits[min(a.digits)]
-    d0_inv = pow(d0, -1, p)
-    kind = type(a)
-    out = kind.zero(a.config, a.precexp)
-    rem = kind.one(a.config, a.precexp)
-    bound = min(a.precexp.as_fraction(), Fraction(a.config.prec))
-    while not rem.is_zero():
-        e = rem.valuation()
-        ef = e.as_fraction()
-        if ef >= bound:
-            break
-        c = (rem.digits[e] * d0_inv) % p
-        step = kind.monomial(a.config, c, ef, a.precexp)
-        out = out + step
-        rem = rem - step * a
-    return out
+            f"invert_unit needs valuation 0, got {a.valuation()!r}")
+    config = a.config
+    p, k = config.p, a._k
+    step = config.scale if a._carries else 0
+    a0 = digits[0]
+    a0_inv = pow(a0, -1, p)
+    rest = list(digits.items())[1:]
+    out = {}
+    pending = {0: 1}
+    heap = [0]
+    while heap:
+        j = heappop(heap)
+        c = pending.pop(j)
+        q = c * a0_inv % p
+        carry = (c - q * a0) // p if step else 0
+        if q:
+            out[j] = q
+            for i, ai in rest:
+                up = j + i
+                if up >= k:
+                    break
+                if up in pending:
+                    pending[up] -= q * ai
+                else:
+                    pending[up] = -q * ai
+                    heappush(heap, up)
+        if carry and j + step < k:
+            up = j + step
+            if up in pending:
+                pending[up] += carry
+            else:
+                pending[up] = carry
+                heappush(heap, up)
+    return a._canonical(config, out, k)
 
 
 def divide_exact(a: _DigitElement, b: _DigitElement) -> _DigitElement:
@@ -765,12 +965,11 @@ def divide_exact(a: _DigitElement, b: _DigitElement) -> _DigitElement:
     a nonnegative exponent or the division fails.
     """
     a._check_compatible(b)
-    vb = b.valuation()
-    if vb is INF:
+    if b.is_zero():
         raise DivisionError("division by zero at current precision")
-    unit = b.shift(-vb.as_fraction())
-    q = a * invert_unit(unit)
-    return q.shift(-vb.as_fraction())
+    v = b._low()
+    q = a * invert_unit(b._shift(-v))
+    return q._shift(-v)
 
 
 # =====================================================================

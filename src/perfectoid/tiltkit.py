@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from fractions import Fraction
 from functools import partial
 from itertools import accumulate, zip_longest
+from math import gcd
 
 from .arith import (
     BudgetError,
@@ -48,7 +48,6 @@ from .arith import (
     PrecisionError,
     TiltElement,
     UntiltElement,
-    ValExp,
 )
 
 # =====================================================================
@@ -70,34 +69,44 @@ _WORD_CODES = ({array(code).itemsize: code for code in "BHILQ"}
 _LAYER_BUDGET = 2 ** 18
 
 
-def _layer_points(digits: dict[ValExp, int], m: int,
-                  p: int) -> dict[int, int]:
+def _depth(digits: dict[int, int], config: FieldConfig) -> int:
+    """The smallest m such that every index of the lattice digits is an
+    exponent on the 1/p^m lattice."""
+    p, m = config.p, config.dencap
+    coarse = gcd(config.scale, *digits)
+    while coarse > 1:
+        coarse //= p
+        m -= 1
+    return m
+
+
+def _layer_points(digits: dict[int, int], m: int,
+                  config: FieldConfig) -> dict[int, int]:
     """The nonzero coefficients {r: C_r} of sum_r C_r * p^(r/p^m), the
-    element with the given digits.
+    element with the given lattice digits, m at most the config's dencap.
 
     Digits below a precision exponent K give C_r < p^ceil(K).
     """
-    scale = p ** m
+    p = config.p
+    size, step = p ** m, config.scale // p ** m
     points = {}
-    for e, c in digits.items():
-        q, r = divmod(e.num * p ** (m - e.denpow), scale)
+    for j, c in digits.items():
+        q, r = divmod(j // step, size)
         points[r] = points.get(r, 0) + c * p ** q
     return points
 
 
 def _layer_to_element(coeffs: list[int], m: int, config: FieldConfig,
-                      precexp: ValExp) -> UntiltElement:
-    """The element sum_r C_r * p^(r/p^M) modulo p^precexp.
+                      k: int) -> UntiltElement:
+    """The element sum_r C_r * p^(r/p^M) modulo p^(k/p^dencap).
 
-    Base-p digit q of C_r sits at exponent q + r/p^M; these exponents are
-    pairwise distinct, so the digits already form the canonical expansion
-    and need no carries.  They are emitted in increasing exponent order.
+    Base-p digit q of C_r sits at exponent q + r/p^M, lattice index
+    (q * p^M + r) * p^(dencap - M); these indices are pairwise distinct,
+    so the digits already form the canonical expansion and need no
+    carries.  They are emitted in increasing index order.
     """
     p = config.p
-    scale = p ** m
-    # q + r/scale < precexp  <=>  (q*scale + r) * p^denpow < num * scale
-    limit = precexp.num * scale
-    den = p ** precexp.denpow
+    size, step = p ** m, config.scale // p ** m
     rest = list(coeffs)
     live = [r for r, c in enumerate(rest) if c]
     digits = {}
@@ -106,13 +115,13 @@ def _layer_to_element(coeffs: list[int], m: int, config: FieldConfig,
         for r in live:
             rest[r], d = divmod(rest[r], p)
             if d:
-                num = q * scale + r
-                if num * den >= limit:
-                    return UntiltElement._canonical(config, digits, precexp)
-                digits[ValExp(num, m, p)] = d
+                j = (q * size + r) * step
+                if j >= k:
+                    return UntiltElement._canonical(config, digits, k)
+                digits[j] = d
         live = [r for r in live if rest[r]]
         q += 1
-    return UntiltElement._canonical(config, digits, precexp)
+    return UntiltElement._canonical(config, digits, k)
 
 
 def _slot_width(length: int, mod: int, c: int) -> int:
@@ -250,16 +259,16 @@ def untilt_power_pn(x: UntiltElement, n: int) -> UntiltElement:
     if n < 0:
         raise KernelError(f"negative power tower height {n}")
     config = x.config
-    p, prec = config.p, config.prec
+    p = config.p
     if n == 0:
         return x
     if x.is_zero():
-        kf = min(x.precexp.as_fraction() * p ** n, Fraction(prec))
-        return UntiltElement.zero(config, kf)
-    m = max(e.denpow for e in x.digits)
-    top = -(-x.precexp.num // p ** x.precexp.denpow)
-    vec = _power_layer(_layer_points(x.digits, m, p), m, p, n, top)
-    return _layer_to_element(vec, m, config, x.precexp)
+        return UntiltElement._canonical(config, {},
+                                        min(x._k * p ** n, config.full))
+    m = _depth(x._digits, config)
+    top = -(-x._k // config.scale)
+    vec = _power_layer(_layer_points(x._digits, m, config), m, p, n, top)
+    return _layer_to_element(vec, m, config, x._k)
 
 
 # =====================================================================
@@ -278,21 +287,24 @@ def _teichmuller_sum(config: FieldConfig, components,
     nonzero term is the strictest (its modulus is the largest), so it
     runs before any layer is allocated.
     """
-    p = config.p
+    p, scale = config.p, config.scale
     if n == 1:
         # no root and no power: the digitwise lift modulo p, with no layer
-        return UntiltElement(config, components[0].digits, 1)
-    residues = [{e: c for e, c in x.root(n - 1).digits.items()
-                 if e.num < p ** e.denpow} for x in components]
-    m = max((e.denpow for r in residues for e in r), default=0)
+        x = components[0]
+        return UntiltElement._canonical(
+            config, {j: c for j, c in x._digits.items() if j < scale},
+            scale)
+    residues = [{j: c for j, c in x.root(n - 1)._digits.items()
+                 if j < scale} for x in components]
+    m = max(_depth(r, config) for r in residues)
     total = []
     for i, residue in enumerate(residues):
         if residue:
-            vec = _power_layer(_layer_points(residue, m, p), m, p,
+            vec = _power_layer(_layer_points(residue, m, config), m, p,
                                n - 1 - i, n - i)
             total = [acc + p ** i * c
                      for acc, c in zip_longest(total, vec, fillvalue=0)]
-    return _layer_to_element(total, m, config, ValExp(n, 0, p))
+    return _layer_to_element(total, m, config, n * scale)
 
 
 def sharp(x: TiltElement, target_prec: int) -> UntiltElement:
@@ -338,7 +350,7 @@ def sharp(x: TiltElement, target_prec: int) -> UntiltElement:
         raise PrecisionError(
             f"target precision {target_prec} exceeds working precision "
             f"{config.prec}")
-    if x.precexp.as_fraction() < target_prec:
+    if x._k < target_prec * config.scale:
         raise PrecisionError(
             f"sharp to precision {target_prec} needs input known modulo "
             f"t^{target_prec}, have t^{x.precexp}")
@@ -472,8 +484,7 @@ def _witt_op(a: WittVector, b: WittVector, op: str) -> WittVector:
         raise ConfigError("Witt operands must share config and length")
     config = a.config
     p, prec, n = config.p, config.prec, a.length
-    m = max((e.denpow for x in a.components + b.components
-             for e in x.digits), default=0)
+    m = max(_depth(x._digits, config) for x in a.components + b.components)
     depth = m + n - 1
     size = prec * p ** depth
     bounds = [prec * p ** (depth - i) for i in range(n)]
@@ -523,36 +534,40 @@ def _witt_op(a: WittVector, b: WittVector, op: str) -> WittVector:
 
     def expand(w: WittVector) -> dict:
         total = {}
+        coarse = config.scale // p ** m
         for i, x in enumerate(w.components):
-            root = {e.num * p ** (m - e.denpow): d
-                    for e, d in x.digits.items()}
+            root = {j // coarse: d for j, d in x._digits.items()}
             add(total, teichmuller(root, n - i - 1, i), p ** i)
         return reduce(total, 0)
 
-    def prefix(w: WittVector, value) -> list[Fraction]:
+    def prefix(w: WittVector, value) -> list[int]:
         return list(accumulate(map(value, w.components), min))
 
-    ka, kb = (prefix(w, lambda x: x.precexp.as_fraction()) for w in (a, b))
+    # precisions and valuations as lattice indices
+    ka, kb = (prefix(w, lambda x: x._k) for w in (a, b))
     if op == "add":
         layer = reduce(add(expand(a), expand(b)), 0)
         kept = [min(k1, k2) for k1, k2 in zip(ka, kb)]
     else:
         layer = mul(expand(a), expand(b), 0)
-        va, vb = (prefix(w, TiltElement._effective_valuation)
-                  for w in (a, b))
-        kept = [min(k1 + v2, k2 + v1, prec)
+        va, vb = (prefix(w, TiltElement._low) for w in (a, b))
+        kept = [min(k1 + v2, k2 + v1, config.full)
                 for k1, k2, v1, v2 in zip(ka, kb, va, vb)]
     out = []
     for k in range(n):
         # The layer keeps only u^j below t^(prec/p^k), and its residue
-        # is x_k^(1/p^k), on the 1/p^(m+k) lattice.
-        step = p ** k
+        # is x_k^(1/p^k), on the 1/p^(m+k) lattice: x_k has the digit of
+        # u^j at t^(j p^k / p^depth), on the 1/p^m lattice, so at the
+        # whole lattice index j p^k p^dencap / p^depth.
+        step = p ** k * config.scale
         residue = {j: d for j, c in sorted(layer.items()) if (d := c % p)}
-        precexp = config.exp(kept[k])
-        limit = -(-kept[k].numerator * p ** depth // kept[k].denominator)
-        digits = {ValExp(j * step, depth, p): d for j, d in residue.items()
-                  if j * step < limit}
-        out.append(TiltElement._canonical(config, digits, precexp))
+        digits = {}
+        for j, d in residue.items():
+            index = j * step // p ** depth
+            if index >= kept[k]:
+                break
+            digits[index] = d
+        out.append(TiltElement._canonical(config, digits, kept[k]))
         if k < n - 1:
             down = p ** (n - k - 1)
             root = {j // down: d for j, d in residue.items()}

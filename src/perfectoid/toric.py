@@ -679,11 +679,20 @@ def sections(fan: Fan, divisor: TWeilDivisor, dencap: int = 0,
     rays = fan.rays
     if not rays:
         raise ConeError("the fan has no rays; the polytope is unbounded")
-    recession = _nonneg_solutions(rays, fan.rank)
-    if recession:
-        raise ConeError(
-            f"unbounded polytope: direction {recession[0]} satisfies "
-            f"every ray inequality")
+    # The polytope is bounded exactly when its recession cone
+    # {u : <u, v_i> >= 0} is zero, that is when the rays span the whole
+    # space as a cone: when every +-e_k lies in cone(rays).
+    rank = fan.rank
+    units = [tuple(s if i == k else 0 for i in range(rank))
+             for k in range(rank) for s in (1, -1)]
+    if not all(_in_cone(e, rays, rank) for e in units):
+        recession = _nonneg_solutions(rays, rank) if rank <= 3 else []
+        if recession:
+            raise ConeError(
+                f"unbounded polytope: direction {recession[0]} satisfies "
+                f"every ray inequality")
+        raise ConeError("unbounded polytope: the rays do not span the "
+                        "whole space as a cone")
     q = lcm(*(a.denominator for a in divisor.coefficients))
     qa = [a.numerator * (q // a.denominator) for a in divisor.coefficients]
     scale = (p ** dencap) if dencap else 1

@@ -35,10 +35,17 @@ def dense_length(config: FieldConfig) -> int:
     return config.prec * config.p ** config.dencap
 
 
+def dense_precision(x) -> int:
+    """The index of x's precision exponent: x is known below it."""
+    idx = x.precexp.as_fraction() * x.config.p ** x.config.dencap
+    assert idx.denominator == 1
+    return int(idx)
+
+
 def dense_from_element(x) -> list[int]:
+    """x's digits on the full-length array; indices at or above its
+    precision hold 0."""
     config = x.config
-    if x.precexp.as_fraction() != config.prec:
-        raise ValueError("dense oracle works on full-precision elements")
     scale = config.p ** config.dencap
     out = [0] * dense_length(config)
     for e, c in x.digits.items():
@@ -48,11 +55,33 @@ def dense_from_element(x) -> list[int]:
     return out
 
 
-def dense_to_element(vec, config: FieldConfig, kind: str):
+def dense_to_element(vec, config: FieldConfig, kind: str,
+                     known: int | None = None):
+    """The element with digits vec, known below index ``known`` (full
+    precision by default)."""
     scale = config.p ** config.dencap
+    if known is None:
+        known = dense_length(config)
     digits = {Fraction(j, scale): c for j, c in enumerate(vec) if c}
     cls = UntiltElement if kind == "untilt" else TiltElement
-    return cls(config, digits, config.prec)
+    return cls(config, digits, Fraction(known, scale))
+
+
+def dense_truncate(vec, known: int) -> list[int]:
+    return [c if j < known else 0 for j, c in enumerate(vec)]
+
+
+def dense_valuation(vec, known: int) -> int:
+    """The first nonzero index below ``known``, else ``known``: the
+    certified lower bound on the valuation of an element known there."""
+    return next((j for j, c in enumerate(vec[:known]) if c), known)
+
+
+def dense_normalize(vec, config: FieldConfig, kind: str) -> list[int]:
+    """Canonical digits of sum vec[j] X^j, any integers vec[j]."""
+    if kind == "untilt":
+        return dense_normalize_untilt(vec, config)
+    return [c % config.p for c in vec][:dense_length(config)]
 
 
 def dense_normalize_untilt(vec, config: FieldConfig) -> list[int]:
@@ -74,16 +103,11 @@ def dense_add(u, v, config: FieldConfig, kind: str) -> list[int]:
     n = max(len(u), len(v))
     w = [(u[j] if j < len(u) else 0) + (v[j] if j < len(v) else 0)
          for j in range(n)]
-    if kind == "untilt":
-        return dense_normalize_untilt(w, config)
-    return [c % config.p for c in w][:dense_length(config)]
+    return dense_normalize(w, config, kind)
 
 
 def dense_neg(u, config: FieldConfig, kind: str) -> list[int]:
-    w = [-c for c in u]
-    if kind == "untilt":
-        return dense_normalize_untilt(w, config)
-    return [c % config.p for c in w][:dense_length(config)]
+    return dense_normalize([-c for c in u], config, kind)
 
 
 def dense_mul(u, v, config: FieldConfig, kind: str) -> list[int]:
@@ -94,9 +118,7 @@ def dense_mul(u, v, config: FieldConfig, kind: str) -> list[int]:
         for j, b in enumerate(v):
             if b:
                 w[i + j] += a * b
-    if kind == "untilt":
-        return dense_normalize_untilt(w, config)
-    return [c % config.p for c in w][:dense_length(config)]
+    return dense_normalize(w, config, kind)
 
 
 def dense_pow(u, n: int, config: FieldConfig, kind: str) -> list[int]:

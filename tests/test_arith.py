@@ -1,6 +1,8 @@
 """Digit arithmetic: frozen examples, algebraic laws, serialization."""
 
+import time
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,8 +12,10 @@ import oracles
 from conftest import elements
 from perfectoid.arith import (
     INF,
+    BudgetError,
     ConfigError,
     DencapError,
+    DivisionError,
     FieldConfig,
     KernelError,
     PrecisionError,
@@ -78,6 +82,24 @@ def test_config_validation():
         FieldConfig(3, 0, 2)
     with pytest.raises(ConfigError):
         FieldConfig(3, 8, -1)
+    for fields in ((3.0, 8, 2), (3, 8.0, 2), (3, 8, 2.0)):
+        with pytest.raises(ConfigError):
+            FieldConfig(*fields)
+
+
+def test_config_refuses_a_lattice_scale_beyond_its_budget():
+    # p^dencap is the lattice scale every element works on; one of
+    # 10^8 * log2(3) bits is refused before it is computed
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        FieldConfig(3, 8, 10 ** 8)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(BudgetError):
+        element_from_json({"kind": "tilt", "p": 2, "prec": 1,
+                           "dencap": 2 ** 20 + 1,
+                           "precexp": {"num": 1, "denpow": 0},
+                           "terms": []})
+    assert FieldConfig(2, 1, 2 ** 20).scale == 2 ** 2 ** 20
 
 
 # =====================================================================
@@ -394,3 +416,262 @@ def test_serialization_round_trips(config, kind, data):
     assert element_from_json(a.to_json()) == a
     text = a.to_text()
     assert parse_text(text, config, kind).to_text() == text
+
+
+# =====================================================================
+# The lattice core against the dense oracle, at any precision
+# =====================================================================
+
+# The benchmark's digit configs and one without fractional exponents.
+ORACLE_CONFIGS = [FieldConfig(2, 16, 2), FieldConfig(3, 8, 2),
+                  FieldConfig(5, 6, 1), FieldConfig(3, 6, 4),
+                  FieldConfig(3, 5, 0)]
+
+
+def _operands(config, kind):
+    """Elements known below any lattice index, zero ones included: a
+    zero element's only valuation bound is its precision."""
+    scale = config.p ** config.dencap
+    full = config.prec * scale
+    zeros = st.integers(min_value=0, max_value=full).map(
+        lambda k: _cls(kind).zero(config, Fraction(k, scale)))
+    return st.one_of(zeros, elements(config, kind, vary_precision=True))
+
+
+def _dense(x):
+    return oracles.dense_from_element(x), oracles.dense_precision(x)
+
+
+@pytest.mark.parametrize("config", ORACLE_CONFIGS,
+                         ids=lambda c: f"p{c.p}n{c.prec}m{c.dencap}")
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_ring_ops_match_dense_oracle_at_any_precision(config, kind, data):
+    a = data.draw(_operands(config, kind))
+    b = data.draw(_operands(config, kind))
+    (da, ka), (db, kb) = _dense(a), _dense(b)
+    full = oracles.dense_length(config)
+
+    def expect(vec, known):
+        return oracles.dense_to_element(oracles.dense_truncate(vec, known),
+                                        config, kind, known)
+
+    assert a + b == expect(oracles.dense_add(da, db, config, kind),
+                           min(ka, kb))
+    assert a - b == expect(
+        oracles.dense_add(da, oracles.dense_neg(db, config, kind), config,
+                          kind), min(ka, kb))
+    assert -a == expect(oracles.dense_neg(da, config, kind), ka)
+    va, vb = oracles.dense_valuation(da, ka), oracles.dense_valuation(db, kb)
+    assert a * b == expect(oracles.dense_mul(da, db, config, kind),
+                           min(ka + vb, kb + va, full))
+
+
+@pytest.mark.parametrize("config", ORACLE_CONFIGS,
+                         ids=lambda c: f"p{c.p}n{c.prec}m{c.dencap}")
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_construction_matches_dense_oracle(config, kind, data):
+    # coefficients outside 0..p-1, negative ones included, carry (untilt)
+    # or reduce (tilt) exactly as the dense normalization does
+    full = oracles.dense_length(config)
+    scale = config.p ** config.dencap
+    raw = data.draw(st.dictionaries(
+        st.integers(min_value=0, max_value=full - 1),
+        st.integers(min_value=-3 * config.p, max_value=3 * config.p),
+        max_size=8))
+    known = data.draw(st.integers(min_value=0, max_value=full))
+    x = _cls(kind)(config, {Fraction(j, scale): c for j, c in raw.items()},
+                   Fraction(known, scale))
+    vec = [raw.get(j, 0) for j in range(full)]
+    expected = oracles.dense_truncate(
+        oracles.dense_normalize(vec, config, kind), known)
+    assert x == oracles.dense_to_element(expected, config, kind, known)
+
+
+@pytest.mark.parametrize("config", ORACLE_CONFIGS,
+                         ids=lambda c: f"p{c.p}n{c.prec}m{c.dencap}")
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_division_matches_dense_oracle_at_any_precision(config, kind, data):
+    # The quotient of known-precision operands is the unique canonical
+    # expansion below its precision index with q * b == a below that
+    # index plus v(b), so checking the product against the oracle
+    # checks the quotient.
+    a = data.draw(_operands(config, kind))
+    b = data.draw(_operands(config, kind))
+    (da, ka), (db, kb) = _dense(a), _dense(b)
+    full = oracles.dense_length(config)
+    one = [1] + [0] * (full - 1)
+    if db[0]:
+        inv = invert_unit(b)
+        di, ki = _dense(inv)
+        assert ki == kb
+        assert all(0 < c < config.p for c in inv.digits.values())
+        assert oracles.dense_truncate(
+            oracles.dense_mul(db, di, config, kind), kb) == \
+            oracles.dense_truncate(one, kb)
+    else:
+        with pytest.raises(DivisionError):
+            invert_unit(b)
+    if b.is_zero():
+        with pytest.raises(DivisionError):
+            divide_exact(a, b)
+        return
+    va, vb = oracles.dense_valuation(da, ka), oracles.dense_valuation(db, kb)
+    # a * invert_unit(b / X^vb) is known below kq + vb; its lowest digit
+    # sits at va when va is below that
+    kq = min(ka, kb - vb + va, full) - vb
+    if kq < 0:
+        with pytest.raises(PrecisionError):
+            divide_exact(a, b)
+        return
+    if va < vb:
+        with pytest.raises(DivisionError):
+            divide_exact(a, b)
+        return
+    q = divide_exact(a, b)
+    dq, known = _dense(q)
+    assert known == kq
+    assert all(0 < c < config.p for c in q.digits.values())
+    assert oracles.dense_truncate(
+        oracles.dense_mul(db, dq, config, kind), kq + vb) == \
+        oracles.dense_truncate(da, kq + vb)
+
+
+# =====================================================================
+# Precision honesty: refining the inputs changes results only at or
+# above the precision exponent they report
+# =====================================================================
+
+HONEST_CONFIGS = [FieldConfig(2, 6, 2), FieldConfig(3, 4, 2),
+                  FieldConfig(5, 3, 1)]
+
+
+def _refined(data, x, max_denpow=None):
+    """x and a compatible exact value: x's digits plus any digits at or
+    above its precision exponent (on the 1/p^max_denpow lattice)."""
+    config = x.config
+    denpow = config.dencap if max_denpow is None else max_denpow
+    scale = config.p ** denpow
+    start = ceil(x.precexp.as_fraction() * scale)
+    limit = config.prec * scale
+    extra = data.draw(st.dictionaries(
+        st.integers(min_value=start, max_value=limit - 1),
+        st.integers(min_value=1, max_value=config.p - 1),
+        max_size=3)) if start < limit else {}
+    digits = dict(x.digits)
+    digits.update({Fraction(j, scale): c for j, c in extra.items()})
+    return type(x)(config, digits, config.prec)
+
+
+def _agree(fine, coarse):
+    assert fine.with_precision(coarse.precexp) == coarse
+
+
+@pytest.mark.parametrize("config", HONEST_CONFIGS, ids=lambda c: f"p{c.p}")
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_ring_ops_are_honest_under_refinement(config, kind, data):
+    a = data.draw(_operands(config, kind))
+    b = data.draw(_operands(config, kind))
+    fa, fb = _refined(data, a), _refined(data, b)
+    _agree(fa + fb, a + b)
+    _agree(fa - fb, a - b)
+    _agree(fa * fb, a * b)
+    scale = config.p ** config.dencap
+    s = Fraction(data.draw(st.integers(min_value=-config.prec * scale,
+                                       max_value=config.prec * scale)),
+                 scale)
+    try:
+        shifted = a.shift(s)
+    except (DivisionError, PrecisionError):
+        return
+    _agree(fa.shift(s), shifted)
+
+
+@pytest.mark.parametrize("config", HONEST_CONFIGS, ids=lambda c: f"p{c.p}")
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_division_is_honest_under_refinement(config, kind, data):
+    # a multiple of b, so that most quotients exist
+    b = data.draw(_operands(config, kind))
+    a = data.draw(_operands(config, kind)) * b
+    fa, fb = _refined(data, a), _refined(data, b)
+    if b.digit_at(0):
+        _agree(invert_unit(fb), invert_unit(b))
+    try:
+        q = divide_exact(a, b)
+    except (DivisionError, PrecisionError):
+        return
+    _agree(divide_exact(fa, fb), q)
+
+
+@pytest.mark.parametrize("config", HONEST_CONFIGS, ids=lambda c: f"p{c.p}")
+@settings(max_examples=60)
+@given(data=st.data())
+def test_frobenius_and_residues_are_honest_under_refinement(config, data):
+    x = data.draw(elements(config, "tilt", vary_precision=True,
+                           max_denpow=config.dencap - 1))
+    fine = _refined(data, x, config.dencap - 1)
+    _agree(fine.frobenius(), x.frobenius())
+    _agree(fine.pth_root(), x.pth_root())
+    _agree(lift_mod_uniformizer(fine), lift_mod_uniformizer(x))
+    u = data.draw(elements(config, "untilt", vary_precision=True))
+    _agree(reduce_mod_uniformizer(_refined(data, u)),
+           reduce_mod_uniformizer(u))
+
+
+# =====================================================================
+# Fraction stays at the boundary
+# =====================================================================
+
+def test_element_arithmetic_builds_no_fraction(monkeypatch):
+    """Arithmetic on built elements runs on lattice integers: no
+    Fraction is constructed by +, *, ==, hash, invert_unit,
+    divide_exact, frobenius or pth_root."""
+    built = []
+    for config in (C2, C3, C5, FieldConfig(3, 6, 4)):
+        for cls in (UntiltElement, TiltElement):
+            a = cls(config, {Fraction(0): 1, Fraction(1, config.p): 1,
+                             Fraction(2): config.p - 1})
+            b = cls(config, {Fraction(1, config.scale): 1, Fraction(3): 1},
+                    config.prec - 1)
+            built.append((a, b, a * b))
+    roots = [TiltElement(C3, {Fraction(1, 3): 1, Fraction(2): 2})]
+    roots += [r.frobenius() for r in roots]
+    ones = {(a.kind, a.config): type(a).one(a.config) for a, _, _ in built}
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        # newer Pythons build arithmetic results without __new__
+        direct = Fraction._from_coprime_ints
+
+        def counting_direct(cls, *args):
+            made.append(args)
+            return direct(*args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                            classmethod(counting_direct))
+    for a, b, ab in built:
+        assert a + b == b + a
+        assert a * b == ab
+        assert hash(a * b) == hash(ab)
+        assert invert_unit(a) * a == ones[a.kind, a.config]
+        divide_exact(ab, b)
+    for r in roots:
+        r.frobenius().pth_root()
+    assert made == []
+    Fraction(1, 3)
+    assert made == [(1, 3)]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -253,6 +253,26 @@ def test_sections_validation():
         sections(P2, HYPERPLANE.scaled(Fraction(1, 2)), dencap=1, p=3)
     with pytest.raises(ConeError):
         sections(P2, TWeilDivisor(projective_fan(3), [1, 0, 0, 0]))
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_rank_four_sections_match_brute_force(d):
+    # P^4: u_1 >= -d, u_2, u_3, u_4 >= 0 and u_1 + ... + u_4 <= 0, so
+    # every point lies in [-d, d]^4
+    p4 = projective_fan(4)
+    D = TWeilDivisor(p4, [d, 0, 0, 0, 0])
+    brute = [u for u in product(range(-d, d + 1), repeat=4)
+             if all(sum(x * y for x, y in zip(u, v)) >= -a
+                    for v, a in zip(p4.rays, D.coefficients))]
+    assert sections(p4, D) == brute
+    assert len(brute) == comb(4 + d, 4)
+
+
+def test_rank_four_unbounded_polytope_is_refused():
+    orthant = Fan(4, [[(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                       (0, 0, 0, 1)]])
+    with pytest.raises(ConeError, match="unbounded polytope"):
+        sections(orthant, TWeilDivisor(orthant, [1, 1, 1, 1]))
 
 
 def test_empty_polytope_has_no_sections():
