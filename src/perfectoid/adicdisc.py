@@ -221,7 +221,7 @@ class AdicPoint:
                 other.kind, other.radius_exp, other.sign):
             return False
         diff = self.center - other.center
-        bound = diff._effective_valuation()
+        bound = Fraction(diff._low(), diff.config.scale)
         if self.kind == "classical":
             return diff.is_zero()
         if self.kind == "halo" and self.sign == "<":
@@ -293,19 +293,6 @@ def adic_point_from_json(data: dict | str,
 # Evaluation
 # =====================================================================
 
-def _recentred_bounds(f: Polynomial, x: AdicPoint):
-    # (exact, lower) valuation data of the coefficients of f(T + center)
-    fc = f.shifted(x.center)
-    rows = []
-    for n, a in enumerate(fc.coeffs):
-        if a.is_zero():
-            rows.append((n, None, a.precexp.as_fraction()))
-        else:
-            va = a.valuation().as_fraction()
-            rows.append((n, va, va))
-    return rows
-
-
 def eval_at(f: Polynomial, x: AdicPoint):
     """The valuation exponent of f at the point.
 
@@ -328,18 +315,25 @@ def eval_at(f: Polynomial, x: AdicPoint):
         raise ConfigError(f"not a point: {x!r}")
     if f.config != x.config:
         raise ConfigError("polynomial and point configs differ")
+    scale = f.config.scale
     if x.kind == "classical":
         y = f(x.center)
         if y.is_zero():
             raise IndeterminateError(
                 f"f(center) vanishes at working precision "
-                f"(known modulo p^{y.precexp.as_fraction()}); its "
+                f"(known modulo p^{y.precexp}); its "
                 f"valuation exponent is undetermined")
-        return y.valuation().as_fraction()
+        return Fraction(y._low(), scale)
+    # v(a_n) + n*q over the coefficients a_n of f(T + center), on the
+    # common denominator scale * den(q): exact for a visible digit, a
+    # lower bound (the precision) for a coefficient zero at precision
     q = x.radius_exp
-    rows = _recentred_bounds(f, x)
-    exact = [(v + n * q, n) for n, v, _ in rows if v is not None]
-    lowers = [(lo + n * q, n) for n, v, lo in rows if v is None]
+    den = scale * q.denominator
+    step = scale * q.numerator
+    exact, lowers = [], []
+    for n, a in enumerate(f.shifted(x.center).coeffs):
+        level = (a._low() * q.denominator + n * step, n)
+        (lowers if a.is_zero() else exact).append(level)
     if not exact:
         raise IndeterminateError(
             "every re-expanded coefficient vanishes at working precision; "
@@ -351,7 +345,7 @@ def eval_at(f: Polynomial, x: AdicPoint):
             f"coefficient {blocking[0]} of the re-expansion is zero at a "
             f"precision too low to rule it out of the minimum")
     if x.kind == "disc":
-        return m
+        return Fraction(m, den)
     ties = [n for e, n in exact if e == m]
     k = min(ties) if x.sign == "<" else max(ties)
     for e, n in lowers:
@@ -360,7 +354,7 @@ def eval_at(f: Polynomial, x: AdicPoint):
             raise IndeterminateError(
                 f"coefficient {n} of the re-expansion is zero exactly at "
                 f"the minimal level; the gamma exponent is undetermined")
-    return Rank2Value(m, k, x.sign)
+    return Rank2Value(Fraction(m, den), k, x.sign)
 
 
 def _abs_le(a, b) -> bool:
@@ -377,10 +371,8 @@ def _abs_le(a, b) -> bool:
 def _is_uniformizer_power(f: Polynomial) -> bool:
     if f.degree != 0:
         return False
-    digs = f.coeffs[0].sorted_digits()
-    return (len(digs) == 1 and digs[0][1] == 1
-            and digs[0][0].as_fraction().denominator == 1
-            and digs[0][0].as_fraction() >= 0)
+    a = f.coeffs[0]
+    return list(a._digits.values()) == [1] and a._low() % a.config.scale == 0
 
 
 class RationalSubset:
@@ -477,7 +469,7 @@ def specializes(x: AdicPoint, y: AdicPoint) -> bool:
     if y.radius_exp != x.radius_exp:
         return False
     diff = x.center - y.center
-    return diff._effective_valuation() >= x.radius_exp
+    return Fraction(diff._low(), diff.config.scale) >= x.radius_exp
 
 
 def generizations(x: AdicPoint, candidates) -> list:
@@ -499,17 +491,15 @@ def _tilt_center(center: UntiltElement, center_tilt):
         if not isinstance(center_tilt, TiltElement) \
                 or center_tilt.config != config:
             raise ConfigError(f"bad tilt center {center_tilt!r}")
-        image = sharp(center_tilt, config.prec).with_precision(
-            center.precexp.as_fraction())
+        image = sharp(center_tilt, config.prec)._at(center._k)
         if image != center:
             raise KernelError(
                 f"tilt center {center_tilt!r} does not lift to {center!r}")
         return center_tilt
     if center.is_zero():
         return TiltElement.zero(config, config.prec)
-    digs = center.sorted_digits()
-    if len(digs) == 1 and digs[0][1] == 1:
-        return TiltElement.monomial(config, 1, digs[0][0].as_fraction())
+    if list(center._digits.values()) == [1]:
+        return TiltElement._make(config, {center._low(): 1}, config.full)
     raise KernelError(
         f"center {center!r} is not a recognized sharp image; supply its "
         f"tilt preimage")
@@ -553,12 +543,8 @@ def tilt_point_check(fb: Polynomial, x: AdicPoint,
     fs = Polynomial([sharp(c, config.prec) for c in fb.coeffs])
     untilt_exp = eval_at(fs, x)
     if x.is_gauss():
-        finite = [c.valuation().as_fraction() for c in fb.coeffs
-                  if not c.is_zero()]
-        blocked = [c.precexp.as_fraction() for c in fb.coeffs
-                   if c.is_zero()]
-        tilt_exp = min(finite)
-        if any(lo < tilt_exp for lo in blocked):
+        low = min(c._low() for c in fb.coeffs if not c.is_zero())
+        if any(c._k < low for c in fb.coeffs if c.is_zero()):
             raise IndeterminateError(
                 "a tilt coefficient vanishes at a precision below the "
                 "minimum; the Gauss exponent is undetermined")
@@ -567,7 +553,8 @@ def tilt_point_check(fb: Polynomial, x: AdicPoint,
         if y.is_zero():
             raise IndeterminateError(
                 f"f(tilted center) vanishes at working precision "
-                f"(known modulo t^{y.precexp.as_fraction()})")
-        tilt_exp = y.valuation().as_fraction()
+                f"(known modulo t^{y.precexp})")
+        low = y._low()
+    tilt_exp = Fraction(low, config.scale)
     return {"untilt_exponent": untilt_exp, "tilt_exponent": tilt_exp,
             "match": untilt_exp == tilt_exp}

@@ -23,7 +23,9 @@ of the lowest digit (K when none is visible).
 boundary: constructors take maps keyed by either and convert each key
 once; ``digits``, ``precexp`` and ``valuation()`` hand out ValExp
 exponents, built on each access; the text and JSON forms are written and
-parsed through those.
+parsed through those.  The modules above (tatealg, polyroots, adicdisc)
+compute on the same indices: they read ``_digits``, ``_low()`` and
+``_k`` and convert exponents with ``_lattice_index``.
 
     ValExp                  -- exponent lattice Z[1/p]>=0 at the boundary
     FieldConfig             -- (p, prec, dencap) for a whole computation
@@ -286,10 +288,6 @@ class FieldConfig:
     def __setattr__(self, name, value):
         raise AttributeError("FieldConfig is immutable")
 
-    def exp(self, value: Fraction | int) -> ValExp:
-        """ValExp on this config's lattice; DencapError beyond the cap."""
-        return ValExp.from_fraction(value, self.p, self.dencap)
-
     def __eq__(self, other):
         if not isinstance(other, FieldConfig):
             return NotImplemented
@@ -325,6 +323,20 @@ def _index(e, config: FieldConfig) -> int | None:
     f = e if type(e) is Fraction else Fraction(e)
     q, r = divmod(config.scale, f.denominator)
     return None if r else f.numerator * q
+
+
+def _lattice_index(e, config: FieldConfig) -> int:
+    """The lattice index of the exponent e >= 0; an exponent off the
+    lattice or below zero raises the error ValExp.from_fraction gives."""
+    j = _index(e, config)
+    if j is None or j < 0:
+        ValExp.from_fraction(_as_fraction_exp(e), config.p, config.dencap)
+    return j
+
+
+def _exp_view(j: int, config: FieldConfig) -> ValExp:
+    """The exponent j / p^dencap as a ValExp, for output."""
+    return ValExp(j, config.dencap, config.p)
 
 
 def _refuse_off_lattice(off: dict, config: FieldConfig, bound: int,
@@ -504,19 +516,11 @@ class _DigitElement:
             return j
         return self._k
 
-    def _effective_valuation(self) -> Fraction:
-        # Certified lower bound on the valuation, always finite.
-        return Fraction(self._low(), self.config.scale)
-
     def sorted_digits(self) -> list[tuple[ValExp, int]]:
         return sorted(self.digits.items(), key=lambda t: t[0].as_fraction())
 
     def digit_at(self, exponent) -> int:
-        f = _as_fraction_exp(exponent)
-        for e, c in self.digits.items():
-            if e.as_fraction() == f:
-                return c
-        return 0
+        return self._digits.get(_index(exponent, self.config), 0)
 
     # -- precision handling ----------------------------------------------
 
@@ -533,11 +537,14 @@ class _DigitElement:
         if k is None or k < 0:
             # refused, or clamped to full precision, as by the constructor
             return type(self)(config, self.digits, precexp)
-        k = min(k, config.full)
+        return self._at(min(k, config.full))
+
+    def _at(self, k: int):
+        # self read modulo X^(k/p^dencap), 0 <= k <= config.full
         if k >= self._k:
-            return self._canonical(config, self._digits, k)
+            return self._canonical(self.config, self._digits, k)
         return self._canonical(
-            config, {j: c for j, c in self._digits.items() if j < k}, k)
+            self.config, {j: c for j, c in self._digits.items() if j < k}, k)
 
     def shift(self, s):
         """Multiplies by the uniformizer to the power s (s may be negative).

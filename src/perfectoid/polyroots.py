@@ -24,12 +24,12 @@ import math
 from fractions import Fraction
 
 from .arith import (
-    INF,
     ConfigError,
     IndeterminateError,
     KernelError,
     TiltElement,
     UntiltElement,
+    _kind_class,
     divide_exact,
     element_from_json,
     reduce_mod_uniformizer,
@@ -39,9 +39,6 @@ from .tiltkit import sharp, untilt_power_pn
 
 class RootError(KernelError):
     """A root search failed: no convergence, budget, or a bad stage."""
-
-
-_KIND_CLASS = {"tilt": TiltElement, "untilt": UntiltElement}
 
 
 class Polynomial:
@@ -127,15 +124,6 @@ class Polynomial:
             out.append(acc)
         return Polynomial(out)
 
-    def scaled(self, factor) -> "Polynomial":
-        """The polynomial X -> P(factor * X)."""
-        out = []
-        power = self.coeffs[0].__class__.one(self.config)
-        for c in self.coeffs:
-            out.append(c * power)
-            power = power * factor
-        return Polynomial(out)
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -210,7 +198,7 @@ class NewtonPolygon:
 
 
 def _lower_hull(points):
-    # points: [(i, Fraction v)] ascending in i, distinct i
+    # points: [(i, v)] ascending in i, distinct i
     hull = []
     for pt in points:
         while len(hull) >= 2:
@@ -224,11 +212,47 @@ def _lower_hull(points):
     return hull
 
 
-def _hull_value(hull, x):
+def _below_hull(hull, x, y) -> bool:
+    # whether (x, y) lies strictly below the hull, x in its support
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         if x1 <= x <= x2:
-            return y1 + Fraction(y2 - y1, x2 - x1) * (x - x1)
+            return (y - y1) * (x2 - x1) < (y2 - y1) * (x - x1)
     raise KernelError(f"x = {x} outside hull support")
+
+
+def _hull(P: Polynomial):
+    """(segments, vanishing order) of the polygon on lattice indices:
+    each segment is (rise, run) with root valuation index rise / run,
+    deepest segment last."""
+    full = P.config.full
+    vanish = 0
+    while P.coeffs[vanish].is_zero():
+        vanish += 1
+    for i in range(vanish):
+        if P.coeffs[i]._k < full:
+            raise IndeterminateError(
+                f"coefficient {i} is zero only at precision "
+                f"{P.coeffs[i].precexp}; the vanishing order at X = 0 "
+                f"is not determined")
+    points = []
+    zeros = []
+    for i in range(vanish, len(P.coeffs)):
+        c = P.coeffs[i]
+        if c.is_zero():
+            zeros.append((i, c._k))
+        else:
+            points.append((i, c._low()))
+    hull = _lower_hull(points)
+    for i, bound in zeros:
+        if _below_hull(hull, i, bound):
+            raise IndeterminateError(
+                f"coefficient {i} is zero at precision "
+                f"{P.coeffs[i].precexp}, below the hull; its valuation can "
+                f"still change the polygon")
+    segments = [(y1 - y2, x2 - x1)
+                for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
+    segments.reverse()
+    return segments, vanish
 
 
 def newton_polygon(P: Polynomial) -> NewtonPolygon:
@@ -247,35 +271,10 @@ def newton_polygon(P: Polynomial) -> NewtonPolygon:
             leading run of coefficients vanishes only at partial
             precision.
     """
-    full = Fraction(P.config.prec)
-    vanish = 0
-    while P.coeffs[vanish].is_zero():
-        vanish += 1
-    for i in range(vanish):
-        if P.coeffs[i].precexp.as_fraction() < full:
-            raise IndeterminateError(
-                f"coefficient {i} is zero only at precision "
-                f"{P.coeffs[i].precexp}; the vanishing order at X = 0 "
-                f"is not determined")
-    points = []
-    zeros = []
-    for i in range(vanish, len(P.coeffs)):
-        c = P.coeffs[i]
-        if c.is_zero():
-            zeros.append((i, c.precexp.as_fraction()))
-        else:
-            points.append((i, c.valuation().as_fraction()))
-    hull = _lower_hull(points)
-    for i, bound in zeros:
-        if bound < _hull_value(hull, i):
-            raise IndeterminateError(
-                f"coefficient {i} is zero at precision {bound}, below the "
-                f"hull; its valuation can still change the polygon")
-    segments = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        segments.append((Fraction(y1 - y2, x2 - x1), x2 - x1))
-    segments.reverse()
-    return NewtonPolygon(segments, vanish)
+    segments, vanish = _hull(P)
+    scale = P.config.scale
+    return NewtonPolygon([(Fraction(rise, run * scale), run)
+                          for rise, run in segments], vanish)
 
 
 # =====================================================================
@@ -298,37 +297,35 @@ def hensel_root(P: Polynomial, x0):
         RootError: the precondition fails, or the iteration stops
             improving before the residual is zero at precision.
     """
-    if type(x0) is not _KIND_CLASS[P.kind]:
+    if type(x0) is not _kind_class(P.kind):
         raise ConfigError(f"seed kind does not match the {P.kind} polynomial")
     residual = P(x0)
     if residual.is_zero():
         return x0
-    v_res = residual.valuation().as_fraction()
     deriv = P.derivative_at(x0)
     if deriv.is_zero():
         raise RootError(
             "derivative vanishes at the seed; the root is not simple "
             "at current precision")
-    v_der = deriv.valuation().as_fraction()
-    if v_res <= 2 * v_der:
+    if residual._low() <= 2 * deriv._low():
         raise RootError(
-            f"Hensel precondition fails: v(P(x0)) = {v_res} is not "
-            f"greater than 2 v(P'(x0)) = {2 * v_der}")
+            f"Hensel precondition fails: v(P(x0)) = {residual.valuation()} "
+            f"is not greater than 2 v(P'(x0)) = "
+            f"{Fraction(2 * deriv._low(), P.config.scale)}")
     x = x0
     for _ in range(P.config.prec + 2):
         step = divide_exact(residual, P.derivative_at(x))
         x = x - step
+        low = residual._low()
         residual = P(x)
         if residual.is_zero():
             return x
-        new_v = residual.valuation().as_fraction()
-        if new_v <= v_res:
-            raise RootError(
-                f"Newton iteration stalled at residual valuation {new_v}")
-        v_res = new_v
+        if residual._low() <= low:
+            raise RootError(f"Newton iteration stalled at residual "
+                            f"valuation {residual.valuation()}")
     raise RootError(
         f"no convergence within {P.config.prec + 2} Newton steps "
-        f"(residual valuation {v_res})")
+        f"(residual valuation {residual.valuation()})")
 
 
 # =====================================================================
@@ -336,22 +333,15 @@ def hensel_root(P: Polynomial, x0):
 # =====================================================================
 
 
-def _segment_digit_candidates(P: Polynomial, exp: Fraction):
+def _segment_digit_candidates(P: Polynomial, exp: int):
     # Digits c for which the terms on the deepest segment cancel:
     # roots over F_p of sum lead(a_j) c^j over the j attaining
-    # min(v(a_j) + j*exp).
+    # min(v(a_j) + j*exp), exp a lattice index.
     p = P.config.p
-    best = None
-    contributions = {}
-    for j, c in enumerate(P.coeffs):
-        if c.is_zero():
-            continue
-        level = c.valuation().as_fraction() + j * exp
-        if best is None or level < best:
-            best = level
-            contributions = {j: c.sorted_digits()[0][1]}
-        elif level == best:
-            contributions[j] = c.sorted_digits()[0][1]
+    lows = {j: c._low() for j, c in enumerate(P.coeffs) if not c.is_zero()}
+    best = min(low + j * exp for j, low in lows.items())
+    contributions = {j: P.coeffs[j]._digits[low]
+                     for j, low in lows.items() if low + j * exp == best}
     out = []
     for cand in range(1, p):
         total = sum(d * pow(cand, j, p) for j, d in contributions.items())
@@ -391,41 +381,39 @@ def charp_root(P: Polynomial, budget: int = 4000):
     if P.degree < 1:
         raise KernelError("cannot search a constant polynomial for roots")
     config = P.config
-    target = min(c.precexp.as_fraction() for c in P.coeffs)
+    target = min(c._k for c in P.coeffs)
     if P.coeffs[0].is_zero():
-        return TiltElement.zero(config, P.coeffs[0].precexp.as_fraction())
+        return TiltElement.zero(config, P.coeffs[0].precexp)
     nodes = [budget]
 
     def search(Pc, floor_exp):
         c0 = Pc.coeffs[0]
-        if c0.is_zero() or c0.valuation().as_fraction() >= target:
+        if c0.is_zero() or c0._low() >= target:
             return []
         # Deepest segment first; on failure fall back to the shallower
         # ones.  Slopes at or below the previous digit's exponent cannot
-        # extend a digit expansion and are skipped.
-        for exp in sorted(newton_polygon(Pc).slopes(), reverse=True):
-            if exp <= floor_exp:
+        # extend a digit expansion and are skipped, and so are slopes off
+        # the lattice: those branches are dead.
+        for rise, run in reversed(_hull(Pc)[0]):
+            exp, off = divmod(rise, run)
+            if off or exp <= floor_exp:
                 continue
-            try:
-                config.exp(exp)
-            except KernelError:
-                continue    # exponent outside the lattice; dead branch
             for cand in _segment_digit_candidates(Pc, exp):
                 if nodes[0] <= 0:
                     raise RootError(
                         f"digit search budget ({budget} re-centerings) "
                         f"exhausted; a root may exist beyond it")
                 nodes[0] -= 1
-                digit = TiltElement.monomial(config, cand, exp)
+                digit = TiltElement._make(config, {exp: cand}, config.full)
                 rest = search(Pc.shifted(digit), exp)
                 if rest is not None:
                     return [(exp, cand)] + rest
         return None
 
-    found = search(P, Fraction(-1))
+    found = search(P, -1)
     if found is None:
         return None
-    return TiltElement(config, {e: c for e, c in found}, target)
+    return TiltElement._make(config, dict(found), target)
 
 
 # =====================================================================
@@ -488,7 +476,7 @@ def transfer_agreement(P: Polynomial, n: int, resolution: int = 2):
     if P.kind != "tilt":
         raise ConfigError("transfer_agreement expects a tilt polynomial")
     config = P.config
-    agreement = None
+    levels = []
     for c in P.coeffs:
         pair = []
         for stage in (n, n + 1):
@@ -498,14 +486,9 @@ def transfer_agreement(P: Polynomial, n: int, resolution: int = 2):
             else:
                 lifted = sharp(c.root(stage), prec)
             pair.append(untilt_power_pn(lifted, stage))
-        diff = pair[1] - pair[0]
-        v = diff.valuation()
-        level = diff.precexp.as_fraction() if v is INF else v.as_fraction()
-        if agreement is None or level < agreement:
-            agreement = level
-    if agreement is None:
-        raise KernelError("transfer_agreement needs at least one coefficient")
-    return agreement
+        # the first digit, or the certified precision when none is visible
+        levels.append((pair[1] - pair[0])._low())
+    return Fraction(min(levels), config.scale)
 
 
 # =====================================================================
@@ -541,13 +524,8 @@ def mixed_root_refine(P: Polynomial, charp_oracle=None, *,
     if P.degree < 1:
         raise KernelError("cannot refine a root of a constant polynomial")
     lead = P.coeffs[-1]
-    if lead != lead.__class__.one(P.config).with_precision(
-            lead.precexp.as_fraction()):
+    if lead != UntiltElement.one(P.config)._at(lead._k):
         raise KernelError("mixed_root_refine expects a monic polynomial")
-    for c in P.coeffs:
-        v = c.valuation()
-        if v is not INF and v.as_fraction() < 0:
-            raise KernelError("coefficients must be integral")
     if charp_oracle is None:
         charp_oracle = charp_root
     config = P.config
@@ -556,11 +534,13 @@ def mixed_root_refine(P: Polynomial, charp_oracle=None, *,
         max_stages = full
 
     x_acc = UntiltElement.zero(config, full)
-    scale_exp = Fraction(0)
+    # the accumulated rescale exponent, as a lattice index; digits of a
+    # nonzero residual sit below full precision, so only a residual of
+    # zero ends the loop
+    scale_exp = 0
     R = P
     for _ in range(max_stages):
-        residual = P(x_acc)
-        if residual.is_zero() or residual.valuation().as_fraction() >= full:
+        if P(x_acc).is_zero():
             return x_acc
 
         reduced = [reduce_mod_uniformizer(c) for c in R.coeffs]
@@ -579,11 +559,9 @@ def mixed_root_refine(P: Polynomial, charp_oracle=None, *,
 
         if not y.is_zero():
             y_sharp = sharp(y.with_precision(full), full)
-            x_acc = x_acc + y_sharp.shift(scale_exp)
+            x_acc = x_acc + y_sharp._shift(scale_exp)
             R = R.shifted(y_sharp)
-            residual = P(x_acc)
-            if (residual.is_zero()
-                    or residual.valuation().as_fraction() >= full):
+            if P(x_acc).is_zero():
                 return x_acc
 
         r0 = R.coeffs[0]
@@ -594,25 +572,25 @@ def mixed_root_refine(P: Polynomial, charp_oracle=None, *,
                 f"stage residual is zero only at precision {r0.precexp}; "
                 f"cannot isolate the next digit")
         try:
-            polygon = newton_polygon(R)
+            segments = _hull(R)[0]
         except IndeterminateError as exc:
             raise RootError(f"stage polygon indeterminate: {exc}") from exc
-        if not polygon.segments:
+        if not segments:
             raise RootError(f"stage polynomial {R!r} has no finite slopes")
-        s = polygon.segments[-1][0]
-        if s <= 0:
+        rise, run = segments[-1]
+        slope = Fraction(rise, run * config.scale)    # for the messages
+        if rise <= 0:
             raise RootError(
-                f"deepest stage slope {s} is not positive; no further "
+                f"deepest stage slope {slope} is not positive; no further "
                 f"digits below the uniformizer")
-        try:
-            config.exp(s)
-        except KernelError as exc:
+        s, off = divmod(rise, run)
+        if off:
             raise RootError(
-                f"rescale exponent {s} leaves the dencap lattice") from exc
-        mu = min(c.valuation().as_fraction() + j * s
+                f"rescale exponent {slope} leaves the dencap lattice")
+        mu = min(c._low() + j * s
                  for j, c in enumerate(R.coeffs) if not c.is_zero())
         R = Polynomial.trimmed(
-            c.shift(j * s - mu) for j, c in enumerate(R.coeffs))
+            c._shift(j * s - mu) for j, c in enumerate(R.coeffs))
         scale_exp += s
 
     raise RootError(f"no convergence within {max_stages} refinement stages")

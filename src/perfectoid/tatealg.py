@@ -15,6 +15,12 @@ contract verifier checks exactly that inequality (and the max-equality
 it implies) pointwise; it shares only the digit arithmetic with the
 construction and is the authority on whether an approximation is
 acceptable.
+
+Exponents are lattice indices, as inside the digit elements: monomial
+entries, degrees, precisions and the approximation schedule are
+integers j standing for j/p^dencap.  ``Monomial.exps`` (ValExp),
+``degree`` and ``precexp`` (Fraction), the JSON form and the valuations
+the evaluators return are views built on access.
 """
 
 from __future__ import annotations
@@ -34,10 +40,12 @@ from .arith import (
     PrecisionError,
     TiltElement,
     UntiltElement,
-    ValExp,
+    _exp_view,
+    _index,
+    _kind_class,
+    _lattice_index,
     divide_exact,
     element_from_json,
-    lift_mod_uniformizer,
     reduce_mod_uniformizer,
 )
 from .tiltkit import sharp
@@ -47,11 +55,8 @@ class ApproximationError(KernelError):
     """The expansion step cannot represent a remainder within budget."""
 
 
-_KIND_CLASS = {"tilt": TiltElement, "untilt": UntiltElement}
-
-
-def _exp_json(f: Fraction, p: int) -> dict:
-    v = ValExp.from_fraction(f, p)
+def _exp_json(j: int, config: FieldConfig) -> dict:
+    v = _exp_view(j, config)
     return {"num": v.num, "denpow": v.denpow}
 
 
@@ -66,61 +71,74 @@ def _exp_from_json(data: dict, p: int) -> Fraction:
 class Monomial:
     """Exponent vector over the variables T_0, ..., T_{n-1}.
 
-    Entries are nonnegative elements of Z[1/p] on the dencap lattice.
-    Monomials are immutable and usable as dict keys; the order used for
-    leading-term selection is graded lexicographic (total degree first,
-    then entrywise comparison).
+    Entries are nonnegative elements of Z[1/p] on the dencap lattice,
+    stored as their lattice indices (``_idx``, entry e at e * p^dencap);
+    ``exps`` gives them as ValExp.  Monomials are immutable and usable
+    as dict keys; the order used for leading-term selection is graded
+    lexicographic (total degree first, then entrywise comparison).
     """
 
-    __slots__ = ("config", "exps")
+    __slots__ = ("config", "_idx")
 
     def __init__(self, config: FieldConfig, exps):
-        tup = tuple(config.exp(Fraction(e) if not isinstance(e, ValExp)
-                               else e.as_fraction())
-                    for e in exps)
         object.__setattr__(self, "config", config)
-        object.__setattr__(self, "exps", tup)
+        object.__setattr__(self, "_idx",
+                           tuple(_lattice_index(e, config) for e in exps))
+
+    @classmethod
+    def _of(cls, config: FieldConfig, idx: tuple) -> "Monomial":
+        # wraps lattice indices that are already checked
+        self = object.__new__(cls)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "_idx", idx)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("monomials are immutable")
 
     @property
+    def exps(self) -> tuple:
+        return tuple(_exp_view(j, self.config) for j in self._idx)
+
+    @property
     def nvars(self) -> int:
-        return len(self.exps)
+        return len(self._idx)
 
     def total_degree(self) -> Fraction:
-        return sum((e.as_fraction() for e in self.exps), Fraction(0))
+        return Fraction(sum(self._idx), self.config.scale)
 
     def sort_key(self):
-        return (self.total_degree(),
-                tuple(e.as_fraction() for e in self.exps))
+        return (sum(self._idx), self._idx)
 
     def scaled(self, factor: Fraction) -> "Monomial":
         """Entrywise multiple; the route to fractional powers T^(e*i)."""
         f = Fraction(factor)
         if f < 0:
             raise KernelError(f"negative monomial power {f}")
-        return Monomial(self.config,
-                        [e.as_fraction() * f for e in self.exps])
+        num, den = f.numerator, f.denominator
+        if any(j * num % den for j in self._idx):
+            # off the lattice: the constructor raises the DencapError
+            scale = den * self.config.scale
+            return Monomial(self.config,
+                            [Fraction(j * num, scale) for j in self._idx])
+        return Monomial._of(self.config,
+                            tuple(j * num // den for j in self._idx))
 
     def divides(self, other: "Monomial") -> bool:
         self._check(other)
-        return all(a.as_fraction() <= b.as_fraction()
-                   for a, b in zip(self.exps, other.exps))
+        return all(a <= b for a, b in zip(self._idx, other._idx))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         self._check(other)
-        return Monomial(self.config,
-                        [a.as_fraction() + b.as_fraction()
-                         for a, b in zip(self.exps, other.exps)])
+        return Monomial._of(self.config, tuple(
+            a + b for a, b in zip(self._idx, other._idx)))
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
         self._check(other)
-        diffs = [a.as_fraction() - b.as_fraction()
-                 for a, b in zip(self.exps, other.exps)]
+        diffs = tuple(a - b for a, b in zip(self._idx, other._idx))
         if any(d < 0 for d in diffs):
             raise DivisionError(f"{other!r} does not divide {self!r}")
-        return Monomial(self.config, diffs)
+        return Monomial._of(self.config, diffs)
 
     def _check(self, other):
         if not isinstance(other, Monomial):
@@ -131,7 +149,7 @@ class Monomial:
     def __eq__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented
-        return self.config == other.config and self.exps == other.exps
+        return self.config == other.config and self._idx == other._idx
 
     def __lt__(self, other):
         if not isinstance(other, Monomial):
@@ -140,7 +158,7 @@ class Monomial:
         return self.sort_key() < other.sort_key()
 
     def __hash__(self):
-        return hash((self.config, self.exps))
+        return hash((self.config, self._idx))
 
     def to_json(self) -> list:
         return [{"num": e.num, "denpow": e.denpow} for e in self.exps]
@@ -151,8 +169,8 @@ class Monomial:
 
     def __repr__(self):
         parts = []
-        for j, e in enumerate(self.exps):
-            f = e.as_fraction()
+        for j, e in enumerate(self._idx):
+            f = Fraction(e, self.config.scale)
             if f == 0:
                 continue
             if f == 1:
@@ -174,27 +192,29 @@ class HomogeneousElement:
     ``terms`` maps Monomial -> digit element of the stated kind; zero
     coefficients are dropped and every coefficient is truncated to the
     common precision exponent (the minimum of the given bound and the
-    coefficients' own bounds).  Immutable, with structural equality.
+    coefficients' own bounds).  Degree and precision are kept as lattice
+    indices (``_deg``, ``_k``); ``degree`` and ``precexp`` give them as
+    Fractions.  Immutable, with structural equality.
     """
 
-    __slots__ = ("config", "kind", "nvars", "degree", "terms", "precexp")
+    __slots__ = ("config", "kind", "nvars", "terms", "_deg", "_k")
 
     def __init__(self, config: FieldConfig, kind: str, nvars: int,
                  degree, terms: Mapping[Monomial, object] | None = None,
                  precexp=None):
-        if kind not in _KIND_CLASS:
-            raise ConfigError(f"unknown element kind {kind!r}")
+        cls = _kind_class(kind)
         if not isinstance(nvars, int) or nvars < 1:
             raise ConfigError(f"variable count must be a positive integer, "
                               f"got {nvars!r}")
-        d = Fraction(degree)
-        config.exp(d)    # degree must sit on the exponent lattice
-        cls = _KIND_CLASS[kind]
+        deg = _lattice_index(degree, config)
         items = dict(terms or {})
-        kf = Fraction(config.prec) if precexp is None else Fraction(precexp)
-        if kf < 0:
-            raise PrecisionError(f"negative precision exponent {kf}")
-        kf = min(kf, Fraction(config.prec))
+        k = config.full
+        if precexp is not None:
+            kf = Fraction(precexp)
+            if kf < 0:
+                raise PrecisionError(f"negative precision exponent {kf}")
+            if kf < config.prec:
+                k = _index(kf, config)     # None off the lattice
         for mono, coeff in items.items():
             if not isinstance(mono, Monomial) or mono.config != config:
                 raise ConfigError(f"bad monomial key {mono!r}")
@@ -202,31 +222,55 @@ class HomogeneousElement:
                 raise ConfigError(
                     f"monomial {mono!r} has {mono.nvars} variables, "
                     f"element has {nvars}")
-            if mono.total_degree() != d:
+            if sum(mono._idx) != deg:
                 raise KernelError(
                     f"monomial {mono!r} has degree {mono.total_degree()}, "
-                    f"element is homogeneous of degree {d}")
+                    f"element is homogeneous of degree "
+                    f"{Fraction(deg, config.scale)}")
             if not isinstance(coeff, cls):
                 raise ConfigError(
                     f"coefficient kind {getattr(coeff, 'kind', '?')} does "
                     f"not match element kind {kind}")
             if coeff.config != config:
                 raise ConfigError("coefficient config mismatch")
-            kf = min(kf, coeff.precexp.as_fraction())
+        if k is None:
+            # an off-lattice bound stands only if a coefficient undercuts it
+            low = min((c._k for c in items.values()), default=config.full)
+            k = low if low <= kf * config.scale else _lattice_index(kf, config)
+        self._fill(config, kind, nvars, deg, items, k)
+
+    def _fill(self, config, kind, nvars, deg, items, k):
+        for coeff in items.values():
+            k = min(k, coeff._k)
         acc = {}
         for mono, coeff in items.items():
-            cut = coeff.with_precision(kf)
-            if not cut.is_zero():
+            cut = coeff._at(k)
+            if cut._digits:
                 acc[mono] = cut
         object.__setattr__(self, "config", config)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "degree", d)
+        object.__setattr__(self, "_deg", deg)
         object.__setattr__(self, "terms", acc)
-        object.__setattr__(self, "precexp", kf)
+        object.__setattr__(self, "_k", k)
+
+    @classmethod
+    def _make(cls, *fields) -> "HomogeneousElement":
+        # from checked terms, with degree and precision as lattice indices
+        self = object.__new__(cls)
+        self._fill(*fields)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("homogeneous elements are immutable")
+
+    @property
+    def degree(self) -> Fraction:
+        return Fraction(self._deg, self.config.scale)
+
+    @property
+    def precexp(self) -> Fraction:
+        return Fraction(self._k, self.config.scale)
 
     # -- constructors ----------------------------------------------------
 
@@ -239,7 +283,7 @@ class HomogeneousElement:
     def one(cls, config: FieldConfig, kind: str,
             nvars: int) -> "HomogeneousElement":
         mono = Monomial(config, [0] * nvars)
-        coeff = _KIND_CLASS[kind].one(config)
+        coeff = _kind_class(kind).one(config)
         return cls(config, kind, nvars, 0, {mono: coeff})
 
     @classmethod
@@ -251,7 +295,7 @@ class HomogeneousElement:
         exps = [0] * nvars
         exps[j] = 1
         if coeff is None:
-            coeff = _KIND_CLASS[kind].one(config)
+            coeff = _kind_class(kind).one(config)
         return cls(config, kind, nvars, 1,
                    {Monomial(config, exps): coeff})
 
@@ -290,28 +334,29 @@ class HomogeneousElement:
         if (other.config != self.config or other.kind != self.kind
                 or other.nvars != self.nvars):
             raise ConfigError("homogeneous elements are not compatible")
-        if same_degree and other.degree != self.degree:
+        if same_degree and other._deg != self._deg:
             raise KernelError(
                 f"degree mismatch: {self.degree} vs {other.degree} "
                 f"(sums of homogeneous elements must share one degree)")
 
+    def _like(self, terms: dict, k: int, deg: int | None = None):
+        # an element of self's ring and shape; self's degree by default
+        return HomogeneousElement._make(
+            self.config, self.kind, self.nvars,
+            self._deg if deg is None else deg, terms, k)
+
     def __add__(self, other):
         self._check(other, same_degree=True)
         acc = dict(self.terms)
-        cls = _KIND_CLASS[self.kind]
         for mono, coeff in other.terms.items():
             if mono in acc:
                 acc[mono] = acc[mono] + coeff
             else:
                 acc[mono] = coeff
-        kf = min(self.precexp, other.precexp)
-        return HomogeneousElement(self.config, self.kind, self.nvars,
-                                  self.degree, acc, kf)
+        return self._like(acc, min(self._k, other._k))
 
     def __neg__(self):
-        return HomogeneousElement(
-            self.config, self.kind, self.nvars, self.degree,
-            {m: -c for m, c in self.terms.items()}, self.precexp)
+        return self._like({m: -c for m, c in self.terms.items()}, self._k)
 
     def __sub__(self, other):
         return self + (-other)
@@ -319,7 +364,7 @@ class HomogeneousElement:
     def __mul__(self, other):
         self._check(other, same_degree=False)
         acc: dict[Monomial, object] = {}
-        kf = Fraction(self.config.prec)
+        k = self.config.full
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 prod = c1 * c2
@@ -328,14 +373,12 @@ class HomogeneousElement:
                     acc[mono] = acc[mono] + prod
                 else:
                     acc[mono] = prod
-                kf = min(kf, prod.precexp.as_fraction())
+                k = min(k, prod._k)
         if not acc:
             # precision of an invisible product, from the factors' bounds
-            kf = min(self.precexp + other._gauss_bound(),
-                     other.precexp + self._gauss_bound(),
-                     Fraction(self.config.prec))
-        return HomogeneousElement(self.config, self.kind, self.nvars,
-                                  self.degree + other.degree, acc, kf)
+            k = min(self._k + other._gauss_low(),
+                    other._k + self._gauss_low(), k)
+        return self._like(acc, k, self._deg + other._deg)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -352,25 +395,22 @@ class HomogeneousElement:
 
     def scalar_mul(self, x) -> "HomogeneousElement":
         """Multiplies every coefficient by the ring constant x."""
-        cls = _KIND_CLASS[self.kind]
+        cls = _kind_class(self.kind)
         if not isinstance(x, cls):
             raise ConfigError(
                 f"scalar kind {getattr(x, 'kind', type(x).__name__)} does "
                 f"not match element kind {self.kind}")
         if self.is_zero():
-            kf = min(self.precexp + x._effective_valuation(),
-                     Fraction(self.config.prec))
-            return HomogeneousElement(self.config, self.kind, self.nvars,
-                                      self.degree, {}, kf)
-        return HomogeneousElement(
-            self.config, self.kind, self.nvars, self.degree,
-            {m: c * x for m, c in self.terms.items()})
+            return self._like({}, min(self._k + x._low(), self.config.full))
+        return self._like({m: c * x for m, c in self.terms.items()},
+                          self.config.full)
 
-    def _gauss_bound(self) -> Fraction:
-        # Certified lower bound on the Gauss valuation, always finite.
+    def _gauss_low(self) -> int:
+        # Lattice index of a certified lower bound on the Gauss
+        # valuation, always finite.
         if not self.terms:
-            return self.precexp
-        return min(c.valuation().as_fraction() for c in self.terms.values())
+            return self._k
+        return min(c._low() for c in self.terms.values())
 
     # -- identity --------------------------------------------------------
 
@@ -379,13 +419,13 @@ class HomogeneousElement:
             return NotImplemented
         return (self.config == other.config and self.kind == other.kind
                 and self.nvars == other.nvars
-                and self.degree == other.degree
-                and self.precexp == other.precexp
+                and self._deg == other._deg
+                and self._k == other._k
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.config, self.kind, self.nvars, self.degree,
-                     self.precexp, frozenset(self.terms.items())))
+        return hash((self.config, self.kind, self.nvars, self._deg,
+                     self._k, frozenset(self.terms.items())))
 
     # -- serialization ---------------------------------------------------
 
@@ -396,8 +436,8 @@ class HomogeneousElement:
             "prec": self.config.prec,
             "dencap": self.config.dencap,
             "nvars": self.nvars,
-            "degree": _exp_json(self.degree, self.config.p),
-            "precexp": _exp_json(self.precexp, self.config.p),
+            "degree": _exp_json(self._deg, self.config),
+            "precexp": _exp_json(self._k, self.config),
             "terms": [{"exps": m.to_json(), "coeff": c.to_json()}
                       for m, c in self.sorted_terms()],
         }
@@ -472,27 +512,18 @@ def reduce_element(f: HomogeneousElement) -> HomogeneousElement:
         raise ConfigError("reduce_element expects an untilt homogeneous "
                           "element")
     terms = {m: reduce_mod_uniformizer(c) for m, c in f.terms.items()}
-    return HomogeneousElement(f.config, "tilt", f.nvars, f.degree, terms,
-                              min(f.precexp, Fraction(1)))
-
-
-def lift_element(g: HomogeneousElement) -> HomogeneousElement:
-    """The digit-preserving section of reduce_element."""
-    if not isinstance(g, HomogeneousElement) or g.kind != "tilt":
-        raise ConfigError("lift_element expects a tilt homogeneous element")
-    terms = {m: lift_mod_uniformizer(c) for m, c in g.terms.items()}
-    return HomogeneousElement(g.config, "untilt", g.nvars, g.degree, terms,
-                              min(g.precexp, Fraction(1)))
+    return HomogeneousElement._make(f.config, "tilt", f.nvars, f._deg, terms,
+                                    min(f._k, f.config.scale))
 
 
 def _residue_lift(f: HomogeneousElement) -> HomogeneousElement:
     # Tilt element matching f mod w, promoted to a full-precision
     # representative (digits of the residue are exact by convention).
-    config = f.config
-    terms = {m: reduce_mod_uniformizer(c).with_precision(config.prec)
+    full = f.config.full
+    terms = {m: reduce_mod_uniformizer(c)._at(full)
              for m, c in f.terms.items()}
-    return HomogeneousElement(config, "tilt", f.nvars, f.degree, terms,
-                              config.prec)
+    return HomogeneousElement._make(f.config, "tilt", f.nvars, f._deg, terms,
+                                    full)
 
 
 def tilt_power(g: HomogeneousElement, i) -> HomogeneousElement:
@@ -511,20 +542,27 @@ def tilt_power(g: HomogeneousElement, i) -> HomogeneousElement:
     frac = Fraction(i)
     if frac < 0:
         raise KernelError(f"nonnegative power expected, got {frac}")
+    return _tilt_power(g, _lattice_index(frac, g.config))
+
+
+def _tilt_power(g: HomogeneousElement, j: int) -> HomogeneousElement:
+    # g^i for the exponent i at lattice index j
     config = g.config
-    ve = ValExp.from_fraction(frac, config.p, config.dencap)
-    if frac == 0 or g.is_zero():
-        if frac == 0:
-            return HomogeneousElement.one(config, "tilt", g.nvars)
-        return HomogeneousElement.zero(config, "tilt", g.nvars,
-                                       g.degree * frac, g.precexp)
-    pm = config.p ** ve.denpow
-    rooted = HomogeneousElement(
-        config, "tilt", g.nvars, g.degree / pm,
-        {m.scaled(Fraction(1, pm)): c.root(ve.denpow)
+    if j == 0:
+        return HomogeneousElement.one(config, "tilt", g.nvars)
+    if g.is_zero():
+        return HomogeneousElement.zero(
+            config, "tilt", g.nvars,
+            g.degree * Fraction(j, config.scale), g.precexp)
+    i = _exp_view(j, config)
+    pm = config.p ** i.denpow
+    # every monomial divides by pm on the lattice, so their degree does
+    rooted = HomogeneousElement._make(
+        config, "tilt", g.nvars, g._deg // pm,
+        {m.scaled(Fraction(1, pm)): c.root(i.denpow)
          for m, c in g.terms.items()},
-        config.prec)
-    return rooted ** ve.num
+        config.full)
+    return rooted ** i.num
 
 
 def decompose(f: HomogeneousElement, c: int) -> list:
@@ -551,7 +589,7 @@ def decompose(f: HomogeneousElement, c: int) -> list:
         raise ConfigError("decompose expects an untilt homogeneous element")
     if not isinstance(c, int) or c < 0:
         raise KernelError(f"depth must be a nonnegative integer, got {c!r}")
-    if f.precexp < c + 1:
+    if f._k < (c + 1) * f.config.scale:
         raise PrecisionError(
             f"decomposition to depth {c} needs f modulo w^{c + 1}, "
             f"have w^{f.precexp}")
@@ -568,10 +606,10 @@ def decompose(f: HomogeneousElement, c: int) -> list:
         # exponents further than the dencap lattice can hold
         diff = cur - sharp_element(gi, c + 1 - i)
         # digits below exponent 1 cancel exactly, so the shift is exact
-        cur = HomogeneousElement(
-            config, "untilt", f.nvars, f.degree,
+        cur = HomogeneousElement._make(
+            config, "untilt", f.nvars, f._deg,
             {m: co.shift(-1) for m, co in diff.terms.items()},
-            diff.precexp - 1)
+            diff._k - config.scale)
     return out
 
 
@@ -579,11 +617,12 @@ def decompose(f: HomogeneousElement, c: int) -> list:
 # The approximation algorithm
 # =====================================================================
 
-def _expand(h: HomogeneousElement, g: HomogeneousElement, cur: Fraction,
-            mu: Fraction, target: int, grid_denpow: int,
+def _expand(h: HomogeneousElement, g: HomogeneousElement, cur: int,
+            mu: int, target: int, grid_denpow: int,
             budget: int = 4096) -> dict:
     """Writes h = sum_i w^(mu - cur*i) (g^i)^sharp r_i over the grid
-    i in {0, 1/p^m, ..., 1}, m = grid_denpow.
+    i in {0, 1/p^m, ..., 1}, m = grid_denpow; cur and mu are lattice
+    indices.
 
     Greedy division: the leading monomial of the remainder is matched
     against the leading monomial of (g^i)^sharp for decreasing i, taking
@@ -599,17 +638,18 @@ def _expand(h: HomogeneousElement, g: HomogeneousElement, cur: Fraction,
     coarsening.
 
     Returns:
-        dict i -> r_i (untilt homogeneous elements of degree d*(1-i)).
+        dict j -> r_i, keyed by the lattice index j of i (untilt
+        homogeneous elements of degree d*(1-i)).
 
     Raises:
         ApproximationError: a remainder term is too shallow for w^mu, or
             the round budget is exhausted.
     """
     config = h.config
-    pm = config.p ** grid_denpow
-    grid = [Fraction(k, pm) for k in range(pm, -1, -1)]
-    powers: dict[Fraction, HomogeneousElement] = {}
-    result: dict[Fraction, HomogeneousElement] = {}
+    scale = config.scale
+    step = scale // config.p ** grid_denpow
+    powers: dict[int, HomogeneousElement | None] = {}
+    result: dict[int, HomogeneousElement] = {}
     work = h
     rounds = 0
     while not work.is_zero():
@@ -620,40 +660,42 @@ def _expand(h: HomogeneousElement, g: HomogeneousElement, cur: Fraction,
                 f"remainder {work!r}")
         mono, coeff = work.leading()
         placed = False
-        for i in grid:
-            shift_exp = mu - cur * i
-            try:
-                config.exp(shift_exp)
-                if i not in powers:
-                    powers[i] = sharp_element(tilt_power(g, i), target)
-            except DencapError:
-                continue    # grid point unusable at this lattice
-            gi = powers[i]
-            if gi.is_zero():
+        for j in range(scale, -1, -step):
+            drop, off = divmod(cur * j, scale)
+            if off:
+                continue    # w^(mu - cur*i) is off the lattice
+            shift = mu - drop
+            if j not in powers:
+                try:
+                    powers[j] = sharp_element(_tilt_power(g, j), target)
+                except DencapError:
+                    powers[j] = None    # g^i is off the lattice
+            gi = powers[j]
+            if gi is None or gi.is_zero():
                 continue
             lead_mono, lead_coeff = gi.leading()
             if not lead_mono.divides(mono):
                 continue
-            need = shift_exp + lead_coeff.valuation().as_fraction()
-            if coeff.valuation().as_fraction() < need:
+            if coeff._low() < shift + lead_coeff._low():
                 continue
-            q_coeff = divide_exact(coeff.shift(-shift_exp), lead_coeff)
-            r_term = HomogeneousElement(
-                config, "untilt", h.nvars, h.degree - h.degree * i,
-                {mono / lead_mono: q_coeff})
-            scalar = UntiltElement.monomial(config, 1, shift_exp)
+            q_coeff = divide_exact(coeff._shift(-shift), lead_coeff)
+            r_term = HomogeneousElement._make(
+                config, "untilt", h.nvars, h._deg - gi._deg,
+                {mono / lead_mono: q_coeff}, config.full)
+            scalar = UntiltElement.one(config)._shift(shift)
             work = work - (gi * r_term).scalar_mul(scalar)
-            if i in result:
-                result[i] = result[i] + r_term
+            if j in result:
+                result[j] = result[j] + r_term
             else:
-                result[i] = r_term
+                result[j] = r_term
             placed = True
             break
         if not placed:
             raise ApproximationError(
                 f"no grid power of the approximant divides the remainder "
-                f"at {mono!r} above w^{mu}; remainder {work!r}")
-    return {i: r for i, r in result.items() if not r.is_zero()}
+                f"at {mono!r} above w^{Fraction(mu, scale)}; "
+                f"remainder {work!r}")
+    return {j: r for j, r in result.items() if not r.is_zero()}
 
 
 def approximate(f: HomogeneousElement, c, eps) -> HomogeneousElement:
@@ -669,7 +711,8 @@ def approximate(f: HomogeneousElement, c, eps) -> HomogeneousElement:
     h = f - g^sharp is expanded along powers of g by greedy division and
     the expansion is reflected back onto the tilt side through the
     residue of each cofactor.  Stages stop early when the residual
-    vanishes at working precision.
+    vanishes at working precision.  The schedule runs on lattice
+    indices.
 
     Args:
         f: homogeneous element over the untilt (integral by
@@ -695,42 +738,41 @@ def approximate(f: HomogeneousElement, c, eps) -> HomogeneousElement:
         raise KernelError(f"depth must be nonnegative, got {cf}")
     if not 0 < ef < 1:
         raise KernelError(f"loss budget must satisfy 0 < eps < 1, got {ef}")
-    config.exp(cf)
-    config.exp(ef)
-    if f.precexp < cf + 1:
+    depth = _lattice_index(cf, config)
+    loss = _lattice_index(ef, config)
+    scale = config.scale
+    if f._k < depth + scale:
         raise PrecisionError(
             f"approximation to depth {cf} needs f modulo w^{cf + 1}, "
             f"have w^{f.precexp}")
     p = config.p
-    a = ef / p
+    a = _lattice_index(ef / p, config)
     # slack strictly between a and eps keeps every stage bound strict;
     # stationary is enough because the division is exact when it
     # succeeds (nothing is lost stage over stage)
-    slack = 2 * a if p > 2 else a * Fraction(3, 2)
-    config.exp(a)
-    config.exp(slack)
+    slack = _lattice_index(2 * ef / p if p > 2 else ef * Fraction(3, 4),
+                           config)
     # the contract only constrains valuations below c + 1, and every
     # sharp at target k roots digit exponents by p^(k-1); refining at
     # the shallowest sufficient target keeps repeated stages from
     # walking off the dencap lattice
-    depth_target = min(config.prec, math.ceil(cf) + 1)
-    grid_denpow = min(config.dencap, config.exp(ef).denpow + 1)
+    depth_target = min(config.prec, -(-depth // scale) + 1)
+    grid_denpow = min(config.dencap, _exp_view(loss, config).denpow + 1)
     g = _residue_lift(f)
-    cur = Fraction(0)
-    while cur < cf:
+    cur = 0
+    while cur < depth:
         h = f - sharp_element(g, depth_target)
         if h.is_zero():
             break
-        mu = cur + 1 - slack
-        config.exp(mu)
+        mu = cur + scale - slack
         slices = _expand(h, g, cur, mu, depth_target, grid_denpow)
         delta = None
-        for i, r_i in sorted(slices.items(), reverse=True):
+        for j, r_i in sorted(slices.items(), reverse=True):
             s_i = _residue_lift(r_i)
             if s_i.is_zero():
                 continue
-            scalar = TiltElement.monomial(config, 1, mu - cur * i)
-            term = (tilt_power(g, i) * s_i).scalar_mul(scalar)
+            scalar = TiltElement.one(config)._shift(mu - cur * j // scale)
+            term = (_tilt_power(g, j) * s_i).scalar_mul(scalar)
             delta = term if delta is None else delta + term
         if delta is not None:
             g = g + delta
@@ -796,9 +838,8 @@ class ClassicalPoint:
                     continue
                 if not isinstance(y, TiltElement) or y.config != config:
                     raise ConfigError(f"bad tilt preimage {y!r}")
-                image = sharp(y, config.prec).with_precision(
-                    x.precexp.as_fraction())
-                if image != x.with_precision(x.precexp.as_fraction()):
+                image = sharp(y, config.prec)._at(x._k)
+                if image != x:
                     raise KernelError(
                         f"tilt preimage {y!r} does not lift to the "
                         f"coordinate {x!r}")
@@ -850,39 +891,34 @@ def point_from_json(data: dict | str):
     raise ConfigError(f"unknown point kind {kind!r}")
 
 
-def _coord_power(x: UntiltElement, preimage, e: Fraction,
+def _coord_power(x: UntiltElement, preimage, j: int,
                  config: FieldConfig) -> UntiltElement:
-    # x^e for e >= 0 in Z[1/p].  Exact p-power roots exist on the untilt
-    # side only for zero, for pure powers of p, and through a tilt
-    # preimage; anything else is reported, not guessed.
-    if e == 0:
-        return UntiltElement.one(config)
-    ve = ValExp.from_fraction(e, config.p, config.dencap)
+    # x^e for the exponent e > 0 at lattice index j.  Exact p-power roots
+    # exist on the untilt side only for zero, for pure powers of p, and
+    # through a tilt preimage; anything else is reported, not guessed.
+    e = _exp_view(j, config)
     if x.is_zero():
         return UntiltElement.zero(config, config.prec)
-    if ve.denpow == 0:
-        return x ** ve.num
+    if e.denpow == 0:
+        return x ** e.num
     if preimage is not None:
-        root = preimage.root(ve.denpow)
-        return sharp(root, config.prec) ** ve.num
-    digs = x.sorted_digits()
-    if len(digs) == 1 and digs[0][1] == 1:
-        root_exp = digs[0][0].as_fraction() / config.p ** ve.denpow
-        config.exp(root_exp)
-        return UntiltElement.monomial(config, 1, root_exp) ** ve.num
+        root = preimage.root(e.denpow)
+        return sharp(root, config.prec) ** e.num
+    if list(x._digits.values()) == [1]:
+        # the root of p^a is p^(a/p^n), or DencapError off the lattice
+        root = Fraction(x._low(), config.scale * config.p ** e.denpow)
+        return UntiltElement.monomial(config, 1, root) ** e.num
     raise IndeterminateError(
         f"no exact p-power root of the coordinate {x!r} is available; "
         f"supply a tilt preimage or keep exponents integral")
 
 
-def _tilt_coord_power(y: TiltElement, e: Fraction,
+def _tilt_coord_power(y: TiltElement, j: int,
                       config: FieldConfig) -> TiltElement:
-    if e == 0:
-        return TiltElement.one(config)
-    ve = ValExp.from_fraction(e, config.p, config.dencap)
     if y.is_zero():
         return TiltElement.zero(config, config.prec)
-    return y.root(ve.denpow) ** ve.num
+    e = _exp_view(j, config)
+    return y.root(e.denpow) ** e.num
 
 
 def evaluate(F: HomogeneousElement, point):
@@ -913,20 +949,18 @@ def evaluate(F: HomogeneousElement, point):
     acc = None
     for mono, coeff in F.sorted_terms():
         val = coeff
-        for j, exp in enumerate(mono.exps):
-            e = exp.as_fraction()
-            if e == 0:
+        for n, j in enumerate(mono._idx):
+            if j == 0:
                 continue
             if F.kind == "untilt":
-                fac = _coord_power(point.coords[j], point.tilt_coords[j],
-                                   e, config)
+                fac = _coord_power(point.coords[n], point.tilt_coords[n],
+                                   j, config)
             else:
-                fac = _tilt_coord_power(point.tilt_coords[j], e, config)
+                fac = _tilt_coord_power(point.tilt_coords[n], j, config)
             val = val * fac
         acc = val if acc is None else acc + val
     if acc is None:
-        cls = _KIND_CLASS[F.kind]
-        return cls.zero(config, F.precexp)
+        return _kind_class(F.kind).zero(config, F.precexp)
     return acc
 
 
@@ -939,15 +973,16 @@ def valuation_at(F: HomogeneousElement, point) -> tuple:
     coefficient valuation; stored coefficients are never zero, so it is
     exact whenever F has any term.
     """
+    scale = F.config.scale
     if isinstance(point, GaussPoint):
         if not F.terms:
             return (None, F.precexp)
-        v = F._gauss_bound()
+        v = Fraction(F._gauss_low(), scale)
         return (v, v)
     value = evaluate(F, point)
     if value.is_zero():
-        return (None, value.precexp.as_fraction())
-    v = value.valuation().as_fraction()
+        return (None, Fraction(value._k, scale))
+    v = Fraction(value._low(), scale)
     return (v, v)
 
 

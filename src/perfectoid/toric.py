@@ -19,7 +19,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm, prod
+from math import floor, gcd, lcm, log2, prod
 
 from .arith import (
     BudgetError,
@@ -34,7 +34,6 @@ from .tatealg import (
     ContractReport,
     GaussPoint,
     HomogeneousElement,
-    Monomial,
     approximate,
     verify_contract,
 )
@@ -652,8 +651,9 @@ def sections(fan: Fan, divisor: TWeilDivisor, dencap: int = 0,
     a_i, each candidate vertex from a ray subset is x / (d q) for the
     integer solution x and determinant d of one elimination; the
     vertices bound a box on the p^m-scaled grid, whose points z pass
-    when <z, v_i> >= -floor(a_i p^m).  Only the returned points become
-    Fractions.
+    when <z, v_i> >= -floor(a_i p^m).  Only the box's unscaled extents
+    and the returned points become Fractions; a box too large by far is
+    refused from those extents, before p^m is computed.
 
     Raises:
         ConeError: unbounded polytope, or coefficients off the p-power
@@ -695,7 +695,6 @@ def sections(fan: Fan, divisor: TWeilDivisor, dencap: int = 0,
                         "whole space as a cone")
     q = lcm(*(a.denominator for a in divisor.coefficients))
     qa = [a.numerator * (q // a.denominator) for a in divisor.coefficients]
-    scale = (p ** dencap) if dencap else 1
     lows = highs = None
     for idx in combinations(range(len(rays)), fan.rank):
         M, pivots = _eliminate([list(rays[i]) + [-qa[i]] for i in idx])
@@ -705,25 +704,49 @@ def sections(fan: Fan, divisor: TWeilDivisor, dencap: int = 0,
         x = [row[-1] if d > 0 else -row[-1] for row in M]
         d = abs(d)
         if all(_dot(x, v) >= -b * d for v, b in zip(rays, qa)):
-            lo = [-(-c * scale // (d * q)) for c in x]
-            hi = [c * scale // (d * q) for c in x]
-            lows = lo if lows is None else list(map(min, lows, lo))
-            highs = hi if highs is None else list(map(max, highs, hi))
+            ends = [Fraction(c, d * q) for c in x]
+            lows = ends if lows is None else list(map(min, lows, ends))
+            highs = ends if highs is None else list(map(max, highs, ends))
     if lows is None:
         return []
-    points = prod(max(hi - lo + 1, 0) for lo, hi in zip(lows, highs))
-    if points > _SECTION_BUDGET:
+    bits = _box_bits(lows, highs, p, dencap)
+    if bits is None:
+        scale = (p ** dencap) if dencap else 1
+        lows = [-(-e.numerator * scale // e.denominator) for e in lows]
+        highs = [e.numerator * scale // e.denominator for e in highs]
+        points = prod(max(hi - lo + 1, 0) for lo, hi in zip(lows, highs))
+        if points <= _SECTION_BUDGET:
+            floors = [b * scale // q for b in qa]
+            return [tuple(Fraction(z, scale) for z in grid)
+                    for grid in product(*(range(lo, hi + 1)
+                                          for lo, hi in zip(lows, highs)))
+                    if all(_dot(grid, v) >= -f for v, f in zip(rays, floors))]
         # str() refuses integers of more than 4300 digits
         count = (str(points) if points < 10 ** 18
                  else f"at least 2^{points.bit_length() - 1}")
-        raise BudgetError(
-            f"the section box has {count} lattice points, over the "
-            f"budget of {_SECTION_BUDGET}")
-    floors = [b * scale // q for b in qa]
-    return [tuple(Fraction(z, scale) for z in grid)
-            for grid in product(*(range(lo, hi + 1)
-                                  for lo, hi in zip(lows, highs)))
-            if all(_dot(grid, v) >= -f for v, f in zip(rays, floors))]
+    else:
+        count = f"at least 2^{bits}"
+    raise BudgetError(
+        f"the section box has {count} lattice points, over the "
+        f"budget of {_SECTION_BUDGET}")
+
+
+def _box_bits(lows, highs, p, dencap) -> int | None:
+    """floor(log2) of the point count of the box [lows, highs] scaled by
+    p^dencap, in floating point; None when a side holds under 2^64
+    points or the sum is within rounding of an integer.  A side of
+    width w holds w p^dencap + 1 points or fewer and 1 fewer at least,
+    so past 2^64 its log2 is within 2^-63 of the term summed below."""
+    if not dencap or any(hi <= lo for lo, hi in zip(lows, highs)):
+        return None
+    sides = [dencap * log2(p) + log2((hi - lo).numerator)
+             - log2((hi - lo).denominator) for lo, hi in zip(lows, highs)]
+    total = sum(sides)
+    bits = floor(total)
+    margin = 1e-9 + total * 1e-13
+    if min(sides) < 64 or not margin < total - bits < 1 - margin:
+        return None
+    return bits
 
 
 # =====================================================================
@@ -741,7 +764,7 @@ def frobenius_pullback(x, p: int | None = None):
     if isinstance(x, HomogeneousElement):
         config = x.config
         terms = {
-            Monomial(config, [e.as_fraction() * config.p for e in m.exps]):
+            m.scaled(config.p):
             c ** config.p
             for m, c in x.terms.items()
         }

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -46,3 +47,21 @@ def elements(config: FieldConfig, kind: str, max_terms: int = 6,
         return cls(config, digits, Fraction(kidx, scale))
 
     return st.builds(build, digit_maps, prec_idx)
+
+
+def refined(data, x, max_denpow: int | None = None):
+    """x and a compatible exact value: x's digits plus any digits at or
+    above its precision exponent (on the 1/p^max_denpow lattice), drawn
+    from the hypothesis ``data``."""
+    config = x.config
+    denpow = config.dencap if max_denpow is None else max_denpow
+    scale = config.p ** denpow
+    start = ceil(x.precexp.as_fraction() * scale)
+    limit = config.prec * scale
+    extra = data.draw(st.dictionaries(
+        st.integers(min_value=start, max_value=limit - 1),
+        st.integers(min_value=1, max_value=config.p - 1),
+        max_size=3)) if start < limit else {}
+    digits = dict(x.digits)
+    digits.update({Fraction(j, scale): c for j, c in extra.items()})
+    return type(x)(config, digits, config.prec)

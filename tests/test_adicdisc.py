@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from perfectoid.adicdisc import (
@@ -30,7 +30,7 @@ from perfectoid.arith import (
 from perfectoid.polyroots import Polynomial
 from perfectoid.tiltkit import sharp
 
-from conftest import elements
+from conftest import elements, refined
 
 C = FieldConfig(3, 4, 3)
 
@@ -419,6 +419,43 @@ def test_eval_is_multiplicative(f, g, x):
         assert efg == ef * eg
     else:
         assert efg == ef + eg
+
+
+def coarse_points(config):
+    """Points whose center may be known only to partial precision, at
+    any rational radius up to 3."""
+    centers = elements(config, "untilt", max_terms=3, vary_precision=True)
+    radii = st.fractions(min_value=0, max_value=3, max_denominator=9)
+    return st.one_of(
+        centers.map(AdicPoint.classical),
+        st.builds(AdicPoint.disc, centers, radii),
+        st.builds(lambda c, q: AdicPoint.halo(c, q, "<"), centers, radii),
+        st.builds(lambda c, q: AdicPoint.halo(c, q, ">"), centers,
+                  radii.filter(lambda q: q > 0)),
+    )
+
+
+@pytest.mark.parametrize("config", [C, FieldConfig(2, 4, 2)],
+                         ids=lambda c: f"p{c.p}")
+@settings(max_examples=150)
+@given(data=st.data())
+def test_eval_is_honest_under_refinement(config, data):
+    """A valuation decided for coarse inputs is the valuation of every
+    compatible refinement of the coefficients and the center;
+    indeterminacy is allowed only on the coarse side."""
+    coeffs = data.draw(st.lists(
+        elements(config, "untilt", max_terms=3, vary_precision=True),
+        min_size=1, max_size=4).filter(lambda cs: not cs[-1].is_zero()))
+    x = data.draw(coarse_points(config))
+    f = Polynomial(coeffs)
+    fine_f = Polynomial([refined(data, c) for c in coeffs])
+    fine_x = AdicPoint(x.kind, refined(data, x.center), x.radius_exp,
+                       x.sign)
+    try:
+        coarse = eval_at(f, x)
+    except IndeterminateError:
+        return
+    assert eval_at(fine_f, fine_x) == coarse
 
 
 def _value_key(e):

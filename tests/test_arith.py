@@ -2,14 +2,13 @@
 
 import time
 from fractions import Fraction
-from math import ceil
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import elements
+from conftest import elements, refined
 from perfectoid.arith import (
     INF,
     BudgetError,
@@ -551,23 +550,6 @@ HONEST_CONFIGS = [FieldConfig(2, 6, 2), FieldConfig(3, 4, 2),
                   FieldConfig(5, 3, 1)]
 
 
-def _refined(data, x, max_denpow=None):
-    """x and a compatible exact value: x's digits plus any digits at or
-    above its precision exponent (on the 1/p^max_denpow lattice)."""
-    config = x.config
-    denpow = config.dencap if max_denpow is None else max_denpow
-    scale = config.p ** denpow
-    start = ceil(x.precexp.as_fraction() * scale)
-    limit = config.prec * scale
-    extra = data.draw(st.dictionaries(
-        st.integers(min_value=start, max_value=limit - 1),
-        st.integers(min_value=1, max_value=config.p - 1),
-        max_size=3)) if start < limit else {}
-    digits = dict(x.digits)
-    digits.update({Fraction(j, scale): c for j, c in extra.items()})
-    return type(x)(config, digits, config.prec)
-
-
 def _agree(fine, coarse):
     assert fine.with_precision(coarse.precexp) == coarse
 
@@ -579,7 +561,7 @@ def _agree(fine, coarse):
 def test_ring_ops_are_honest_under_refinement(config, kind, data):
     a = data.draw(_operands(config, kind))
     b = data.draw(_operands(config, kind))
-    fa, fb = _refined(data, a), _refined(data, b)
+    fa, fb = refined(data, a), refined(data, b)
     _agree(fa + fb, a + b)
     _agree(fa - fb, a - b)
     _agree(fa * fb, a * b)
@@ -602,7 +584,7 @@ def test_division_is_honest_under_refinement(config, kind, data):
     # a multiple of b, so that most quotients exist
     b = data.draw(_operands(config, kind))
     a = data.draw(_operands(config, kind)) * b
-    fa, fb = _refined(data, a), _refined(data, b)
+    fa, fb = refined(data, a), refined(data, b)
     if b.digit_at(0):
         _agree(invert_unit(fb), invert_unit(b))
     try:
@@ -618,12 +600,12 @@ def test_division_is_honest_under_refinement(config, kind, data):
 def test_frobenius_and_residues_are_honest_under_refinement(config, data):
     x = data.draw(elements(config, "tilt", vary_precision=True,
                            max_denpow=config.dencap - 1))
-    fine = _refined(data, x, config.dencap - 1)
+    fine = refined(data, x, config.dencap - 1)
     _agree(fine.frobenius(), x.frobenius())
     _agree(fine.pth_root(), x.pth_root())
     _agree(lift_mod_uniformizer(fine), lift_mod_uniformizer(x))
     u = data.draw(elements(config, "untilt", vary_precision=True))
-    _agree(reduce_mod_uniformizer(_refined(data, u)),
+    _agree(reduce_mod_uniformizer(refined(data, u)),
            reduce_mod_uniformizer(u))
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import elements
+from conftest import elements, refined
 from oracles import lower_hull_brute
 from perfectoid.arith import (
     INF,
@@ -155,6 +155,26 @@ def test_polygon_indeterminate_partial_constant():
                       TiltElement.one(C3)])
     with pytest.raises(IndeterminateError):
         newton_polygon(bad)
+
+
+@pytest.mark.parametrize("config", [C3, C2, FieldConfig(5, 3, 1)],
+                         ids=lambda c: f"p{c.p}")
+@pytest.mark.parametrize("kind", ["untilt", "tilt"])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_polygon_is_honest_under_refinement(config, kind, data):
+    """A polygon decided for coarse coefficients is the polygon of every
+    compatible refinement of them; indeterminacy is allowed only on the
+    coarse side."""
+    coeffs = data.draw(st.lists(
+        elements(config, kind, max_terms=3, vary_precision=True),
+        min_size=1, max_size=5).filter(lambda cs: not cs[-1].is_zero()))
+    fine = Polynomial([refined(data, c) for c in coeffs])
+    try:
+        coarse = newton_polygon(Polynomial(coeffs))
+    except IndeterminateError:
+        return
+    assert newton_polygon(fine) == coarse
 
 
 # =====================================================================

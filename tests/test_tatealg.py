@@ -450,7 +450,7 @@ def test_expansion_error_reports_shallow_remainder():
     h = uvar(C3, 1, 0, UntiltElement.monomial(C3, 1, Fraction(1, 9)))
     g = tvar(C3, 1, 0)
     with pytest.raises(ApproximationError):
-        _expand(h, g, Fraction(0), Fraction(7, 9), C3.prec, 2)
+        _expand(h, g, 0, 7 * C3.scale // 9, C3.prec, 2)
 
 
 # =====================================================================

@@ -290,6 +290,19 @@ def test_oversized_section_box_is_refused_before_enumeration():
         sections(P2, HYPERPLANE, dencap=100000, p=3)
 
 
+def test_huge_section_box_is_refused_before_scaling():
+    # the refusal reads the box off its unscaled extents: it does not
+    # compute 3^(10^6) or a product of such numbers
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError,
+                           match=r"at least 2\^3169925 lattice points"):
+            sections(P2, HYPERPLANE, dencap=10 ** 6, p=3)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.01
+
+
 def test_section_box_at_the_budget_is_enumerated():
     # degree 255 on the plane: a box of exactly 256^2 points
     assert 256 ** 2 == _SECTION_BUDGET
