@@ -20,12 +20,15 @@ A product is known below min(K1 + v2, K2 + v1, prec * p^m), v the index
 of the lowest digit (K when none is visible).
 
 ``ValExp`` (num / p^denpow, reduced) and ``Fraction`` remain only at the
-boundary: constructors take maps keyed by either and convert each key
+API boundary: constructors take maps keyed by either and convert each key
 once; ``digits``, ``precexp`` and ``valuation()`` hand out ValExp
-exponents, built on each access; the text and JSON forms are written and
-parsed through those.  The modules above (tatealg, polyroots, adicdisc)
-compute on the same indices: they read ``_digits``, ``_low()`` and
-``_k`` and convert exponents with ``_lattice_index``.
+exponents, built on each access.  The text and JSON forms go through one
+codec on indices: ``_exp_pair`` reduces j / p^dencap to num / p^denpow
+in integers, ``_power_text`` and ``_index_json`` write it, and
+``_index_from_json`` and ``_power_index`` read it back; a Fraction is
+built there only to word a refusal.  The modules above (tatealg,
+polyroots, adicdisc) compute on the same indices: they read ``_digits``,
+``_low()`` and ``_k`` and convert exponents with ``_lattice_index``.
 
     ValExp                  -- exponent lattice Z[1/p]>=0 at the boundary
     FieldConfig             -- (p, prec, dencap) for a whole computation
@@ -237,16 +240,29 @@ class _Infinity:
 INF = _Infinity()
 
 
+# Miller-Rabin with the first 12 primes as bases is exact below this
+# bound, the least strong pseudoprime to all of them (Sorenson and
+# Webster, 2015); a larger p is refused.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_BOUND = 318_665_857_834_031_151_167_461
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
+    if n < 2 or n % 2 == 0:
         return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if a % n == 0 or x == 1 or x == n - 1:
+            continue    # a prime base itself, or a passes
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -269,6 +285,9 @@ class FieldConfig:
         if not all(isinstance(v, int) for v in (p, prec, dencap)):
             raise ConfigError(f"p, prec and dencap must be integers, got "
                               f"{p!r}, {prec!r}, {dencap!r}")
+        if p >= _PRIME_BOUND:
+            raise BudgetError(f"p = {p} is not below {_PRIME_BOUND}, the "
+                              f"bound of the primality test")
         if not _is_prime(p):
             raise ConfigError(f"p = {p} is not prime")
         if prec < 1:
@@ -334,9 +353,53 @@ def _lattice_index(e, config: FieldConfig) -> int:
     return j
 
 
-def _exp_view(j: int, config: FieldConfig) -> ValExp:
-    """The exponent j / p^dencap as a ValExp, for output."""
-    return ValExp(j, config.dencap, config.p)
+def _exp_pair(j: int, config: FieldConfig) -> tuple[int, int]:
+    """(num, denpow): the exponent j / p^dencap as num / p^denpow, p not
+    dividing num unless denpow = 0."""
+    if not j:
+        return 0, 0
+    p, denpow = config.p, config.dencap
+    while denpow and j % p == 0:
+        j //= p
+        denpow -= 1
+    return j, denpow
+
+
+def _power_text(symbol: str, j: int, config: FieldConfig) -> str:
+    """symbol to the exponent j / p^dencap as the text form writes it:
+    "" at exponent 0, then "X", "X^n" and "X^(n/d)"."""
+    num, denpow = _exp_pair(j, config)
+    if denpow:
+        return f"{symbol}^({num}/{config.p ** denpow})"
+    if num > 1:
+        return f"{symbol}^{num}"
+    return symbol if num else ""
+
+
+def _index_json(j: int, config: FieldConfig) -> dict:
+    num, denpow = _exp_pair(j, config)
+    return {"num": num, "denpow": denpow}
+
+
+def _index_from_json(data, config: FieldConfig) -> int:
+    """The lattice index of the JSON exponent {"num": n, "denpow": d}.
+    p is divided out of n only while d > dencap, at most n's bit length
+    times, so n / p^d off the lattice is refused before p^d is built."""
+    num, denpow = data["num"], data["denpow"]
+    if type(num) is not int or type(denpow) is not int or denpow < 0:
+        raise TypeError(f"exponent {data!r} is not num / p^denpow")
+    if num < 0:
+        raise KernelError(f"negative exponent {num}/p^{denpow}")
+    p, cap = config.p, config.dencap
+    if not num:
+        return 0
+    while denpow > cap and num % p == 0:
+        num //= p
+        denpow -= 1
+    if denpow > cap:
+        raise DencapError(f"exponent {num}/{p}^{denpow} needs denominator "
+                          f"p^{denpow}, cap is p^{cap}")
+    return num * p ** (cap - denpow)
 
 
 def _refuse_off_lattice(off: dict, config: FieldConfig, bound: int,
@@ -381,7 +444,8 @@ class _DigitElement:
     with the indices in increasing order and below ``_k``, and the
     element is known modulo X^(_k/p^dencap).  Canonical form is unique,
     so equality is structural.  ``digits`` and ``precexp`` give the same
-    data with ValExp exponents.
+    data with ValExp exponents; the text and JSON writers walk ``_digits``
+    in its stored order.
     """
 
     __slots__ = ("config", "_digits", "_k")
@@ -517,7 +581,7 @@ class _DigitElement:
         return self._k
 
     def sorted_digits(self) -> list[tuple[ValExp, int]]:
-        return sorted(self.digits.items(), key=lambda t: t[0].as_fraction())
+        return list(self.digits.items())
 
     def digit_at(self, exponent) -> int:
         return self._digits.get(_index(exponent, self.config), 0)
@@ -684,30 +748,13 @@ class _DigitElement:
 
     # -- canonical text form ---------------------------------------------
 
-    def _exp_text(self, e: ValExp) -> str:
-        f = e.as_fraction()
-        if f == 0:
-            return ""
-        if f == 1:
-            return f"*{self.symbol}"
-        if f.denominator == 1:
-            return f"*{self.symbol}^{f.numerator}"
-        return f"*{self.symbol}^({f})"
-
     def to_text(self) -> str:
+        config, symbol = self.config, self.symbol
         parts = []
-        for e, c in self.sorted_digits():
-            suffix = self._exp_text(e)
-            parts.append(f"{c}{suffix}" if suffix else str(c))
-        kf = self.precexp.as_fraction()
-        if kf == 0:
-            parts.append("O(1)")
-        elif kf == 1:
-            parts.append(f"O({self.symbol})")
-        elif kf.denominator == 1:
-            parts.append(f"O({self.symbol}^{kf.numerator})")
-        else:
-            parts.append(f"O({self.symbol}^({kf}))")
+        for j, c in self._digits.items():
+            power = _power_text(symbol, j, config)
+            parts.append(f"{c}*{power}" if power else str(c))
+        parts.append(f"O({_power_text(symbol, self._k, config) or 1})")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -716,17 +763,15 @@ class _DigitElement:
     # -- canonical JSON form ---------------------------------------------
 
     def to_json(self) -> dict:
-        precexp = self.precexp
-        terms = [{"num": e.num, "denpow": e.denpow, "digit": c}
-                 for e, c in self.sorted_digits()]
+        config = self.config
         return {
             "kind": self.kind,
-            "p": self.config.p,
-            "prec": self.config.prec,
-            "dencap": self.config.dencap,
-            "precexp": {"num": precexp.num,
-                        "denpow": precexp.denpow},
-            "terms": terms,
+            "p": config.p,
+            "prec": config.prec,
+            "dencap": config.dencap,
+            "precexp": _index_json(self._k, config),
+            "terms": [{**_index_json(j, config), "digit": c}
+                      for j, c in self._digits.items()],
         }
 
     def dumps(self) -> str:
@@ -983,10 +1028,9 @@ def divide_exact(a: _DigitElement, b: _DigitElement) -> _DigitElement:
 # Canonical text form: parsing
 # =====================================================================
 
-_TERM_RE = re.compile(
-    r"^(\d+)(?:\*([pt])(?:\^(?:(\d+)|\((\d+)/(\d+)\)))?)?$")
-_OH_RE = re.compile(
-    r"^O\((?:1|([pt])(?:\^(?:(\d+)|\((\d+)/(\d+)\)))?)\)$")
+_POWER = r"(?:([pt])(?:\^(\d+|\(\d+/[1-9]\d*\)))?)"
+_TERM_RE = re.compile(rf"^(\d+)(?:\*{_POWER})?$")
+_OH_RE = re.compile(rf"^O\((?:1|{_POWER})\)$")
 
 
 def _kind_class(kind: str):
@@ -997,54 +1041,41 @@ def _kind_class(kind: str):
     raise ConfigError(f"unknown element kind {kind!r}")
 
 
+def _power_index(groups, cls, config: FieldConfig) -> int:
+    """The lattice index of a power matched by ``_POWER``."""
+    sym, exponent = groups
+    if sym is None:
+        return 0
+    if sym != cls.symbol:
+        raise KernelError(
+            f"symbol {sym!r} does not match element kind {cls.kind!r}")
+    num, _, den = (exponent or "1").strip("()").partition("/")
+    q, r = divmod(config.scale, int(den or 1))
+    # off the lattice unless the fraction reduces onto it
+    return (int(num) * q if not r
+            else _lattice_index(Fraction(int(num), int(den)), config))
+
+
 def parse_text(text: str, config: FieldConfig, kind: str) -> _DigitElement:
     """Parses the canonical text form, e.g. "2*p^(1/3) + 1*p^(4/3) + O(p^8)".
 
     The O(...) tail is required; printing and parsing round-trip exactly.
     """
     cls = _kind_class(kind)
-    symbol = cls.symbol
     parts = [part.strip() for part in text.strip().split("+")]
     if not parts or not parts[-1]:
         raise KernelError(f"cannot parse element text {text!r}")
     oh = _OH_RE.match(parts[-1])
     if oh is None:
         raise KernelError(f"element text must end with O(...): {text!r}")
-    sym, whole, num, den = oh.groups()
-    if sym is None:
-        kf = Fraction(0)
-    else:
-        if sym != symbol:
-            raise KernelError(
-                f"symbol {sym!r} does not match element kind {kind!r}")
-        if whole is not None:
-            kf = Fraction(int(whole))
-        elif num is not None:
-            kf = Fraction(int(num), int(den))
-        else:
-            kf = Fraction(1)
-    acc: dict[Fraction, int] = {}
+    k = _power_index(oh.groups(), cls, config)
+    acc: dict[int, int] = {}
     for part in parts[:-1]:
         m = _TERM_RE.match(part)
         if m is None:
             raise KernelError(f"cannot parse term {part!r} in {text!r}")
-        digit, sym, whole, num, den = m.groups()
-        if sym is None:
-            e = Fraction(0)
-        else:
-            if sym != symbol:
-                raise KernelError(
-                    f"symbol {sym!r} does not match element kind {kind!r}")
-            if whole is not None:
-                e = Fraction(int(whole))
-            elif num is not None:
-                e = Fraction(int(num), int(den))
-            else:
-                e = Fraction(1)
-        if e in acc:
-            raise KernelError(f"duplicate exponent {e} in {text!r}")
-        acc[e] = int(digit)
-    element = cls(config, acc, kf)
+        acc[_power_index(m.groups()[1:], cls, config)] = int(m[1])
+    element = cls._make(config, acc, min(k, config.full))
     if element.to_text() != " + ".join(parts):
         raise KernelError(
             f"element text {text!r} is not in canonical form "
@@ -1065,17 +1096,12 @@ def element_from_json(data: dict | str) -> _DigitElement:
     try:
         cls = _kind_class(data["kind"])
         config = FieldConfig(data["p"], data["prec"], data["dencap"])
-        pe = data["precexp"]
-        kf = Fraction(pe["num"], config.p ** pe["denpow"])
-        acc = {}
-        for term in data["terms"]:
-            e = Fraction(term["num"], config.p ** term["denpow"])
-            if e in acc:
-                raise KernelError(f"duplicate exponent {e} in terms")
-            acc[e] = term["digit"]
-    except (KeyError, TypeError) as exc:
+        k = _index_from_json(data["precexp"], config)
+        acc = {_index_from_json(term, config): int(term["digit"])
+               for term in data["terms"]}
+        element = cls._make(config, acc, min(k, config.full))
+    except (KeyError, TypeError, ValueError) as exc:
         raise KernelError(f"malformed element JSON: {exc}") from exc
-    element = cls(config, acc, kf)
     if element.to_json() != data:
         raise KernelError("element JSON is not in canonical form")
     return element

@@ -19,8 +19,9 @@ acceptable.
 Exponents are lattice indices, as inside the digit elements: monomial
 entries, degrees, precisions and the approximation schedule are
 integers j standing for j/p^dencap.  ``Monomial.exps`` (ValExp),
-``degree`` and ``precexp`` (Fraction), the JSON form and the valuations
-the evaluators return are views built on access.
+``degree`` and ``precexp`` (Fraction) and the valuations the evaluators
+return are views built on access; the JSON form and monomial text are
+written and read by the digit elements' exponent codec on the indices.
 """
 
 from __future__ import annotations
@@ -40,10 +41,14 @@ from .arith import (
     PrecisionError,
     TiltElement,
     UntiltElement,
-    _exp_view,
+    ValExp,
+    _exp_pair,
     _index,
+    _index_from_json,
+    _index_json,
     _kind_class,
     _lattice_index,
+    _power_text,
     divide_exact,
     element_from_json,
     reduce_mod_uniformizer,
@@ -53,15 +58,6 @@ from .tiltkit import sharp
 
 class ApproximationError(KernelError):
     """The expansion step cannot represent a remainder within budget."""
-
-
-def _exp_json(j: int, config: FieldConfig) -> dict:
-    v = _exp_view(j, config)
-    return {"num": v.num, "denpow": v.denpow}
-
-
-def _exp_from_json(data: dict, p: int) -> Fraction:
-    return Fraction(int(data["num"]), p ** int(data["denpow"]))
 
 
 # =====================================================================
@@ -98,7 +94,8 @@ class Monomial:
 
     @property
     def exps(self) -> tuple:
-        return tuple(_exp_view(j, self.config) for j in self._idx)
+        config = self.config
+        return tuple(ValExp(j, config.dencap, config.p) for j in self._idx)
 
     @property
     def nvars(self) -> int:
@@ -161,25 +158,17 @@ class Monomial:
         return hash((self.config, self._idx))
 
     def to_json(self) -> list:
-        return [{"num": e.num, "denpow": e.denpow} for e in self.exps]
+        return [_index_json(j, self.config) for j in self._idx]
 
     @classmethod
     def from_json(cls, config: FieldConfig, data: list) -> "Monomial":
-        return cls(config, [_exp_from_json(d, config.p) for d in data])
+        return cls._of(config, tuple(_index_from_json(d, config)
+                                     for d in data))
 
     def __repr__(self):
-        parts = []
-        for j, e in enumerate(self._idx):
-            f = Fraction(e, self.config.scale)
-            if f == 0:
-                continue
-            if f == 1:
-                parts.append(f"T{j}")
-            elif f.denominator == 1:
-                parts.append(f"T{j}^{f.numerator}")
-            else:
-                parts.append(f"T{j}^({f})")
-        return "*".join(parts) if parts else "1"
+        powers = (_power_text(f"T{i}", j, self.config)
+                  for i, j in enumerate(self._idx))
+        return "*".join(filter(None, powers)) or "1"
 
 
 # =====================================================================
@@ -202,10 +191,6 @@ class HomogeneousElement:
     def __init__(self, config: FieldConfig, kind: str, nvars: int,
                  degree, terms: Mapping[Monomial, object] | None = None,
                  precexp=None):
-        cls = _kind_class(kind)
-        if not isinstance(nvars, int) or nvars < 1:
-            raise ConfigError(f"variable count must be a positive integer, "
-                              f"got {nvars!r}")
         deg = _lattice_index(degree, config)
         items = dict(terms or {})
         k = config.full
@@ -215,6 +200,21 @@ class HomogeneousElement:
                 raise PrecisionError(f"negative precision exponent {kf}")
             if kf < config.prec:
                 k = _index(kf, config)     # None off the lattice
+        self._check_terms(config, kind, nvars, deg, items)
+        if k is None:
+            # an off-lattice bound stands only if a coefficient undercuts it
+            low = min((c._k for c in items.values()), default=config.full)
+            k = low if low <= kf * config.scale else _lattice_index(kf, config)
+        self._fill(config, kind, nvars, deg, items, k)
+
+    @staticmethod
+    def _check_terms(config, kind, nvars, deg, items):
+        # refuses a kind, variable count or term unfit for an element of
+        # degree index deg
+        cls = _kind_class(kind)
+        if not isinstance(nvars, int) or nvars < 1:
+            raise ConfigError(f"variable count must be a positive integer, "
+                              f"got {nvars!r}")
         for mono, coeff in items.items():
             if not isinstance(mono, Monomial) or mono.config != config:
                 raise ConfigError(f"bad monomial key {mono!r}")
@@ -233,11 +233,6 @@ class HomogeneousElement:
                     f"not match element kind {kind}")
             if coeff.config != config:
                 raise ConfigError("coefficient config mismatch")
-        if k is None:
-            # an off-lattice bound stands only if a coefficient undercuts it
-            low = min((c._k for c in items.values()), default=config.full)
-            k = low if low <= kf * config.scale else _lattice_index(kf, config)
-        self._fill(config, kind, nvars, deg, items, k)
 
     def _fill(self, config, kind, nvars, deg, items, k):
         for coeff in items.values():
@@ -436,8 +431,8 @@ class HomogeneousElement:
             "prec": self.config.prec,
             "dencap": self.config.dencap,
             "nvars": self.nvars,
-            "degree": _exp_json(self._deg, self.config),
-            "precexp": _exp_json(self._k, self.config),
+            "degree": _index_json(self._deg, self.config),
+            "precexp": _index_json(self._k, self.config),
             "terms": [{"exps": m.to_json(), "coeff": c.to_json()}
                       for m, c in self.sorted_terms()],
         }
@@ -459,12 +454,13 @@ class HomogeneousElement:
                 coeff = element_from_json(row["coeff"])
                 terms[mono] = coeff
             nvars = int(data["nvars"])
-            degree = _exp_from_json(data["degree"], config.p)
-            precexp = _exp_from_json(data["precexp"], config.p)
+            deg = _index_from_json(data["degree"], config)
+            k = _index_from_json(data["precexp"], config)
         except (KeyError, TypeError) as exc:
             raise KernelError(
                 f"malformed homogeneous element JSON: {exc}") from exc
-        return cls(config, kind, nvars, degree, terms, precexp)
+        cls._check_terms(config, kind, nvars, deg, terms)
+        return cls._make(config, kind, nvars, deg, terms, min(k, config.full))
 
     def __repr__(self):
         if not self.terms:
@@ -554,15 +550,15 @@ def _tilt_power(g: HomogeneousElement, j: int) -> HomogeneousElement:
         return HomogeneousElement.zero(
             config, "tilt", g.nvars,
             g.degree * Fraction(j, config.scale), g.precexp)
-    i = _exp_view(j, config)
-    pm = config.p ** i.denpow
+    num, denpow = _exp_pair(j, config)
+    pm = config.p ** denpow
     # every monomial divides by pm on the lattice, so their degree does
     rooted = HomogeneousElement._make(
         config, "tilt", g.nvars, g._deg // pm,
-        {m.scaled(Fraction(1, pm)): c.root(i.denpow)
+        {m.scaled(Fraction(1, pm)): c.root(denpow)
          for m, c in g.terms.items()},
         config.full)
-    return rooted ** i.num
+    return rooted ** num
 
 
 def decompose(f: HomogeneousElement, c: int) -> list:
@@ -757,7 +753,7 @@ def approximate(f: HomogeneousElement, c, eps) -> HomogeneousElement:
     # the shallowest sufficient target keeps repeated stages from
     # walking off the dencap lattice
     depth_target = min(config.prec, -(-depth // scale) + 1)
-    grid_denpow = min(config.dencap, _exp_view(loss, config).denpow + 1)
+    grid_denpow = min(config.dencap, _exp_pair(loss, config)[1] + 1)
     g = _residue_lift(f)
     cur = 0
     while cur < depth:
@@ -896,18 +892,18 @@ def _coord_power(x: UntiltElement, preimage, j: int,
     # x^e for the exponent e > 0 at lattice index j.  Exact p-power roots
     # exist on the untilt side only for zero, for pure powers of p, and
     # through a tilt preimage; anything else is reported, not guessed.
-    e = _exp_view(j, config)
+    num, denpow = _exp_pair(j, config)
     if x.is_zero():
         return UntiltElement.zero(config, config.prec)
-    if e.denpow == 0:
-        return x ** e.num
+    if denpow == 0:
+        return x ** num
     if preimage is not None:
-        root = preimage.root(e.denpow)
-        return sharp(root, config.prec) ** e.num
+        root = preimage.root(denpow)
+        return sharp(root, config.prec) ** num
     if list(x._digits.values()) == [1]:
         # the root of p^a is p^(a/p^n), or DencapError off the lattice
-        root = Fraction(x._low(), config.scale * config.p ** e.denpow)
-        return UntiltElement.monomial(config, 1, root) ** e.num
+        root = Fraction(x._low(), config.scale * config.p ** denpow)
+        return UntiltElement.monomial(config, 1, root) ** num
     raise IndeterminateError(
         f"no exact p-power root of the coordinate {x!r} is available; "
         f"supply a tilt preimage or keep exponents integral")
@@ -917,8 +913,8 @@ def _tilt_coord_power(y: TiltElement, j: int,
                       config: FieldConfig) -> TiltElement:
     if y.is_zero():
         return TiltElement.zero(config, config.prec)
-    e = _exp_view(j, config)
-    return y.root(e.denpow) ** e.num
+    num, denpow = _exp_pair(j, config)
+    return y.root(denpow) ** num
 
 
 def evaluate(F: HomogeneousElement, point):

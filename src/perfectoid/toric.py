@@ -733,20 +733,32 @@ def sections(fan: Fan, divisor: TWeilDivisor, dencap: int = 0,
 
 def _box_bits(lows, highs, p, dencap) -> int | None:
     """floor(log2) of the point count of the box [lows, highs] scaled by
-    p^dencap, in floating point; None when a side holds under 2^64
-    points or the sum is within rounding of an integer.  A side of
-    width w holds w p^dencap + 1 points or fewer and 1 fewer at least,
-    so past 2^64 its log2 is within 2^-63 of the term summed below."""
+    p^dencap; None when a side holds under 2^64 points, or when the sum
+    is within rounding of an integer and the sides do not decide it.  A
+    side of width w holds w p^dencap + 1 points or fewer and 1 fewer at
+    least, so past 2^64 its log2 is within 2^-63 of the term summed
+    below."""
     if not dencap or any(hi <= lo for lo, hi in zip(lows, highs)):
         return None
-    sides = [dencap * log2(p) + log2((hi - lo).numerator)
-             - log2((hi - lo).denominator) for lo, hi in zip(lows, highs)]
+    widths = [hi - lo for lo, hi in zip(lows, highs)]
+    sides = [dencap * log2(p) + log2(w.numerator) - log2(w.denominator)
+             for w in widths]
     total = sum(sides)
     bits = floor(total)
     margin = 1e-9 + total * 1e-13
-    if min(sides) < 64 or not margin < total - bits < 1 - margin:
+    if min(sides) < 64:
         return None
-    return bits
+    if margin < total - bits < 1 - margin:
+        return bits
+    if p == 2 and not any(w.numerator & (w.numerator - 1)
+                          or w.denominator & (w.denominator - 1)
+                          for w in widths):
+        # w 2^m is an integer, so a side holds w 2^m + 1 points when its
+        # corners are on the grid and w 2^m otherwise: the count is
+        # 2^(sum of log2 w + n m) or above, and under twice that
+        return sum(w.numerator.bit_length() - w.denominator.bit_length()
+                   for w in widths) + len(widths) * dencap
+    return None
 
 
 # =====================================================================

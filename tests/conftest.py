@@ -3,6 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
@@ -65,3 +66,32 @@ def refined(data, x, max_denpow: int | None = None):
     digits = dict(x.digits)
     digits.update({Fraction(j, scale): c for j, c in extra.items()})
     return type(x)(config, digits, config.prec)
+
+
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """Call it to start counting Fraction constructions: it returns the
+    list that records the arguments of every Fraction built from then on,
+    until the test ends."""
+    def start() -> list:
+        made = []
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        if hasattr(Fraction, "_from_coprime_ints"):
+            # newer Pythons build arithmetic results without __new__
+            direct = Fraction._from_coprime_ints
+
+            def counting_direct(cls, *args):
+                made.append(args)
+                return direct(*args)
+
+            monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                                classmethod(counting_direct))
+        return made
+
+    return start

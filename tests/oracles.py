@@ -190,6 +190,65 @@ def all_dense_vectors(config: FieldConfig, limit_idx: int):
 
 
 # ---------------------------------------------------------------------
+# Text and JSON writers through the public ValExp views.
+#
+# The package writes both forms from lattice indices, reducing
+# j / p^dencap in integers; these go through ``digits``, ``precexp`` and
+# ``Monomial.exps``, sort the terms by Fraction value and format the
+# Fractions.
+# ---------------------------------------------------------------------
+
+def _reference_power(symbol: str, f: Fraction) -> str:
+    if f == 0:
+        return ""
+    if f == 1:
+        return symbol
+    if f.denominator == 1:
+        return f"{symbol}^{f.numerator}"
+    return f"{symbol}^({f})"
+
+
+def _reference_digits(x) -> list:
+    return sorted(x.digits.items(), key=lambda t: t[0].as_fraction())
+
+
+def reference_text(x) -> str:
+    """The canonical text form of a digit element."""
+    parts = []
+    for e, c in _reference_digits(x):
+        power = _reference_power(x.symbol, e.as_fraction())
+        parts.append(f"{c}*{power}" if power else str(c))
+    tail = _reference_power(x.symbol, x.precexp.as_fraction())
+    parts.append(f"O({tail or 1})")
+    return " + ".join(parts)
+
+
+def reference_json(x) -> dict:
+    """The canonical JSON form of a digit element."""
+    precexp = x.precexp
+    terms = [{"num": e.num, "denpow": e.denpow, "digit": c}
+             for e, c in _reference_digits(x)]
+    return {
+        "kind": x.kind,
+        "p": x.config.p,
+        "prec": x.config.prec,
+        "dencap": x.config.dencap,
+        "precexp": {"num": precexp.num, "denpow": precexp.denpow},
+        "terms": terms,
+    }
+
+
+def reference_monomial_repr(m) -> str:
+    parts = [_reference_power(f"T{i}", e.as_fraction())
+             for i, e in enumerate(m.exps)]
+    return "*".join(part for part in parts if part) or "1"
+
+
+def reference_monomial_json(m) -> list:
+    return [{"num": e.num, "denpow": e.denpow} for e in m.exps]
+
+
+# ---------------------------------------------------------------------
 # Witt vectors through the universal component polynomials.
 #
 # The package computes Witt sums and products in the strict p-ring;

@@ -1,5 +1,6 @@
 """Digit arithmetic: frozen examples, algebraic laws, serialization."""
 
+import json
 import time
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import elements, refined
+from perfectoid import arith
 from perfectoid.arith import (
     INF,
     BudgetError,
@@ -84,6 +86,28 @@ def test_config_validation():
     for fields in ((3.0, 8, 2), (3, 8.0, 2), (3, 8, 2.0)):
         with pytest.raises(ConfigError):
             FieldConfig(*fields)
+
+
+def test_primality_is_decided_without_trial_division():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    for n in range(-3, 3000):
+        assert arith._is_prime(n) == trial(n), n
+    # Carmichael numbers and strong pseudoprimes to the leading bases
+    for n in (561, 41041, 3215031751, 3825123056546413051):
+        assert not arith._is_prime(n)
+    start = time.perf_counter()
+    assert FieldConfig(2 ** 61 - 1, 4, 2).p == 2 ** 61 - 1
+    assert FieldConfig(10 ** 9 + 7, 4, 1).p == 10 ** 9 + 7
+    with pytest.raises(ConfigError, match="not prime"):
+        FieldConfig(2 ** 61 + 1, 4, 2)
+    # beyond the bound the 12 bases are no longer exact: refused
+    with pytest.raises(BudgetError, match="primality test"):
+        FieldConfig(318665857834031151167461, 4, 2)
+    with pytest.raises(BudgetError, match="primality test"):
+        FieldConfig(2 ** 127 - 1, 4, 2)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_config_refuses_a_lattice_scale_beyond_its_budget():
@@ -403,6 +427,8 @@ def test_parse_rejects_noncanonical():
         parse_text("2 + 1*p", C3, "untilt")
     with pytest.raises(KernelError):
         parse_text("2 + O(t^8)", C3, "untilt")
+    with pytest.raises(KernelError):
+        parse_text("1*p^(1/0) + O(p^8)", C3, "untilt")
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"p{c.p}")
@@ -415,6 +441,70 @@ def test_serialization_round_trips(config, kind, data):
     assert element_from_json(a.to_json()) == a
     text = a.to_text()
     assert parse_text(text, config, kind).to_text() == text
+
+
+@st.composite
+def _written_elements(draw):
+    """Elements at p in {2, 3, 5}, dencap 0..6, any precision, built or
+    computed by + and *."""
+    config = FieldConfig(draw(st.sampled_from([2, 3, 5])),
+                         draw(st.integers(1, 3)), draw(st.integers(0, 6)))
+    kind = draw(st.sampled_from(KINDS))
+    a, b = (draw(elements(config, kind, vary_precision=True))
+            for _ in range(2))
+    return draw(st.sampled_from([a, a + b, a * b]))
+
+
+@settings(max_examples=300)
+@given(x=_written_elements())
+def test_writers_match_the_reference_writer(x):
+    text = oracles.reference_text(x)
+    assert x.to_text() == text
+    assert repr(x) == f"<{x.kind} {text}>"
+    assert x.dumps() == json.dumps(oracles.reference_json(x),
+                                   separators=(",", ":"))
+
+
+def _tilt_json(term, precexp=None):
+    return {"kind": "tilt", "p": 3, "prec": 4, "dencap": 2,
+            "precexp": precexp or {"num": 4, "denpow": 0},
+            "terms": [dict(term, digit=1)]}
+
+
+@pytest.mark.parametrize("exp", [
+    {"num": 1, "denpow": 100_000},
+    {"num": 1, "denpow": 10 ** 6},
+    {"num": 3 ** 50 + 3 ** 49, "denpow": 10 ** 9},
+])
+def test_huge_json_denominator_is_refused_before_scaling(exp):
+    # p is divided out of num only while denpow exceeds dencap: the
+    # refusal never computes p^denpow
+    start = time.perf_counter()
+    with pytest.raises(DencapError, match=r"cap is p\^2"):
+        element_from_json(_tilt_json(exp))
+    with pytest.raises(DencapError, match=r"cap is p\^2"):
+        element_from_json(_tilt_json({"num": 0, "denpow": 0}, exp))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_json_exponents_off_the_lattice_or_malformed_are_refused():
+    # reducible onto the lattice: read, then refused as non-canonical
+    with pytest.raises(KernelError, match="not in canonical form"):
+        element_from_json(_tilt_json({"num": 3 ** 40, "denpow": 41}))
+    with pytest.raises(KernelError, match="not in canonical form"):
+        element_from_json(_tilt_json({"num": 0, "denpow": 10 ** 9}))
+    with pytest.raises(DencapError):
+        element_from_json(_tilt_json({"num": 1, "denpow": 3}))
+    with pytest.raises(KernelError, match="negative exponent"):
+        element_from_json(_tilt_json({"num": -1, "denpow": 0}))
+    for bad in ({"num": "1", "denpow": 0}, {"num": 1, "denpow": -1},
+                {"num": 1.5, "denpow": 0}, {"num": 1}):
+        with pytest.raises(KernelError, match="malformed element JSON"):
+            element_from_json(_tilt_json(bad))
+    doc = _tilt_json({"num": 0, "denpow": 0})
+    doc["terms"][0]["digit"] = "one"
+    with pytest.raises(KernelError, match="malformed element JSON"):
+        element_from_json(doc)
 
 
 # =====================================================================
@@ -613,7 +703,7 @@ def test_frobenius_and_residues_are_honest_under_refinement(config, data):
 # Fraction stays at the boundary
 # =====================================================================
 
-def test_element_arithmetic_builds_no_fraction(monkeypatch):
+def test_element_arithmetic_builds_no_fraction(fractions_built):
     """Arithmetic on built elements runs on lattice integers: no
     Fraction is constructed by +, *, ==, hash, invert_unit,
     divide_exact, frobenius or pth_root."""
@@ -628,24 +718,7 @@ def test_element_arithmetic_builds_no_fraction(monkeypatch):
     roots = [TiltElement(C3, {Fraction(1, 3): 1, Fraction(2): 2})]
     roots += [r.frobenius() for r in roots]
     ones = {(a.kind, a.config): type(a).one(a.config) for a, _, _ in built}
-    made = []
-    original = Fraction.__new__
-
-    def counting(cls, *args, **kwargs):
-        made.append(args)
-        return original(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counting)
-    if hasattr(Fraction, "_from_coprime_ints"):
-        # newer Pythons build arithmetic results without __new__
-        direct = Fraction._from_coprime_ints
-
-        def counting_direct(cls, *args):
-            made.append(args)
-            return direct(*args)
-
-        monkeypatch.setattr(Fraction, "_from_coprime_ints",
-                            classmethod(counting_direct))
+    made = fractions_built()
     for a, b, ab in built:
         assert a + b == b + a
         assert a * b == ab
@@ -657,3 +730,27 @@ def test_element_arithmetic_builds_no_fraction(monkeypatch):
     assert made == []
     Fraction(1, 3)
     assert made == [(1, 3)]
+
+
+def test_text_and_json_boundary_builds_no_fraction(fractions_built):
+    """The writers and parsers reduce exponents in integers: no Fraction
+    on valid input."""
+    built = []
+    for config in (C2, C3, C5, FieldConfig(3, 6, 4), FieldConfig(2, 3, 0)):
+        for cls in (UntiltElement, TiltElement):
+            a = cls(config, {Fraction(0): 1, Fraction(1, config.scale): 1,
+                             Fraction(2): config.p - 1,
+                             Fraction(7, config.scale): 1})
+            built += [a, a.with_precision(Fraction(1, config.scale)),
+                      a.with_precision(1), cls.zero(config, 0)]
+    forms = [(x, x.to_text(), x.dumps()) for x in built]
+    made = fractions_built()
+    for x, text, dumped in forms:
+        assert x.to_text() == text
+        repr(x)
+        x.to_json()
+        assert x.dumps() == dumped
+        assert parse_text(text, x.config, x.kind) == x
+        assert element_from_json(dumped) == x
+        assert element_from_json(json.loads(dumped)) == x
+    assert made == []

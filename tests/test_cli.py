@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from perfectoid.arith import FieldConfig, TiltElement, UntiltElement
-from perfectoid.cli import dumps, main
+from perfectoid.cli import dumps, fixture_dir, main
 from perfectoid.polyroots import Polynomial
 from perfectoid.suite import CheckResult
 from perfectoid.tiltkit import WittVector
@@ -50,6 +50,46 @@ def test_sharp_checks_the_p_flag(runner):
     result = invoke(runner, "sharp", "--p", "2", "t.json")
     assert result.exit_code == 1
     assert json.loads(result.stderr)["error"] == "ConfigError"
+
+
+def _refusal(runner, *args):
+    start = time.perf_counter()
+    result = invoke(runner, *args)
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    return json.loads(result.stderr)
+
+
+def test_sharp_refuses_a_huge_json_denominator_at_once(runner):
+    # 3^(10^6) is never computed: p is divided out of num only while
+    # denpow exceeds dencap
+    doc = {"kind": "tilt", "p": 3, "prec": 4, "dencap": 2,
+           "precexp": {"num": 4, "denpow": 0},
+           "terms": [{"num": 1, "denpow": 10 ** 6, "digit": 1}]}
+    error = _refusal(runner, "sharp", json.dumps(doc))
+    assert error == {"error": "DencapError",
+                     "message": "exponent 1/3^1000000 needs denominator "
+                                "p^1000000, cap is p^2"}
+
+
+def test_approx_refuses_a_huge_json_denominator_at_once(runner):
+    hom = json.loads(fixture_dir().joinpath("linear-form.json").read_text())
+    hom["degree"] = {"num": 1, "denpow": 10 ** 6}
+    error = _refusal(runner, "approx", json.dumps(hom), "--c", "1",
+                     "--eps", "1/3")
+    assert error["error"] == "DencapError"
+
+
+def test_sharp_decides_a_large_prime_at_once(runner):
+    # Miller-Rabin: 2^61 - 1 is accepted, then its sharp needs a root
+    # below the lattice; a p beyond the test's exact range is refused
+    doc = {"kind": "tilt", "p": 2 ** 61 - 1, "prec": 4, "dencap": 2,
+           "precexp": {"num": 4, "denpow": 0},
+           "terms": [{"num": 1, "denpow": 0, "digit": 1}]}
+    assert _refusal(runner, "sharp", json.dumps(doc))["error"] == "DencapError"
+    doc["p"] = 2 ** 127 - 1
+    assert _refusal(runner, "sharp", json.dumps(doc))["error"] == "BudgetError"
 
 
 def test_tilt_reduce_keeps_shallow_digits(runner):

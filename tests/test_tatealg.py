@@ -1,11 +1,14 @@
 """Homogeneous elements, the approximation loop and its verifier."""
 
+import json
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import elements
 from perfectoid.arith import (
     ConfigError,
@@ -100,6 +103,21 @@ def test_monomial_repr():
     assert repr(Monomial(C3, [0, 0])) == "1"
 
 
+@settings(max_examples=200)
+@given(p=st.sampled_from([2, 3, 5]), dencap=st.integers(0, 6),
+       data=st.data())
+def test_monomial_writers_match_the_reference_writer(p, dencap, data):
+    config = FieldConfig(p, 2, dencap)
+    scale = config.scale
+    idx = data.draw(st.lists(st.integers(0, 3 * scale), min_size=1,
+                             max_size=4))
+    m = Monomial(config, [Fraction(j, scale) for j in idx])
+    assert repr(m) == oracles.reference_monomial_repr(m)
+    assert (json.dumps(m.to_json())
+            == json.dumps(oracles.reference_monomial_json(m)))
+    assert Monomial.from_json(config, m.to_json()) == m
+
+
 # =====================================================================
 # Homogeneous elements: construction and ring laws
 # =====================================================================
@@ -166,6 +184,36 @@ def test_element_json_round_trip():
     }, 4)
     assert HomogeneousElement.from_json(F.to_json()) == F
     assert HomogeneousElement.from_json(F.dumps()) == F
+
+
+def test_element_json_is_read_without_fraction(fractions_built):
+    p13 = UntiltElement.monomial(C3, 1, Fraction(1, 3))
+    F = HomogeneousElement(C3, "untilt", 2, Fraction(4, 3), {
+        Monomial(C3, [Fraction(1, 3), 1]): p13,
+        Monomial(C3, [Fraction(4, 3), 0]): UntiltElement.from_int(C3, 2),
+    }, Fraction(11, 9))
+    dumped = F.dumps()
+    made = fractions_built()
+    assert HomogeneousElement.from_json(dumped) == F
+    assert F.dumps() == dumped
+    assert [repr(m) for m in F.terms] == ["T0^(1/3)*T1", "T0^(4/3)"]
+    assert made == []
+
+
+@pytest.mark.parametrize("field", ["degree", "precexp", "exps"])
+def test_huge_json_denominator_in_an_element_is_refused(field):
+    F = HomogeneousElement(C3, "untilt", 2, 1, {
+        Monomial(C3, [1, 0]): UntiltElement.one(C3)}, 4)
+    doc = F.to_json()
+    huge = {"num": 1, "denpow": 10 ** 6}
+    if field == "exps":
+        doc["terms"][0]["exps"][0] = huge
+    else:
+        doc[field] = huge
+    start = time.perf_counter()
+    with pytest.raises(DencapError, match=r"cap is p\^5"):
+        HomogeneousElement.from_json(doc)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_scalar_multiplication_shifts_digits():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import ceil, comb, floor, prod
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +21,7 @@ from perfectoid.arith import (
 from perfectoid.tatealg import HomogeneousElement, Monomial, sharp_element
 from perfectoid.toric import (
     _SECTION_BUDGET,
+    _box_bits,
     Cone,
     ConeError,
     Fan,
@@ -301,6 +302,24 @@ def test_huge_section_box_is_refused_before_scaling():
             sections(P2, HYPERPLANE, dencap=10 ** 6, p=3)
         best = min(best, time.perf_counter() - start)
     assert best < 0.01
+
+
+def test_power_of_two_section_box_is_refused_from_its_widths():
+    # at p = 2 the hyperplane's box has sides 2^m + 1, so its log2 sits
+    # on an integer; the widths decide the count without computing 2^m
+    assert _box_bits([Fraction(0)] * 2, [Fraction(1)] * 2, 2,
+                     10 ** 7) == 2 * 10 ** 7
+    with pytest.raises(BudgetError, match=r"at least 2\^20000000 lattice"):
+        sections(P2, HYPERPLANE, dencap=10 ** 7, p=2)
+    # widths 2, 1/2 and 1 with corners on and off the grid
+    lows = [Fraction(1, 3), Fraction(0), Fraction(-3, 4)]
+    highs = [Fraction(7, 3), Fraction(1, 2), Fraction(1, 4)]
+    for m in (65, 66, 100):
+        s = 2 ** m
+        count = prod(floor(hi * s) - ceil(lo * s) + 1
+                     for lo, hi in zip(lows, highs))
+        assert _box_bits(lows, highs, 2, m) == count.bit_length() - 1
+    assert _box_bits(lows, highs, 2, 10 ** 7) == 3 * 10 ** 7
 
 
 def test_section_box_at_the_budget_is_enumerated():
