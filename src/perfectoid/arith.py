@@ -367,12 +367,19 @@ def _exp_pair(j: int, config: FieldConfig) -> tuple[int, int]:
 
 def _power_text(symbol: str, j: int, config: FieldConfig) -> str:
     """symbol to the exponent j / p^dencap as the text form writes it:
-    "" at exponent 0, then "X", "X^n" and "X^(n/d)"."""
+    "" at exponent 0, then "X", "X^n" and "X^(n/d)".  An exponent whose
+    decimal form is past Python's int-to-str digit limit raises
+    BudgetError; the JSON form still writes it."""
     num, denpow = _exp_pair(j, config)
-    if denpow:
-        return f"{symbol}^({num}/{config.p ** denpow})"
-    if num > 1:
-        return f"{symbol}^{num}"
+    try:
+        if denpow:
+            return f"{symbol}^({num}/{config.p ** denpow})"
+        if num > 1:
+            return f"{symbol}^{num}"
+    except ValueError as exc:
+        raise BudgetError(
+            f"the text form cannot write the exponent of {symbol} with "
+            f"denominator {config.p}^{denpow} in decimal: {exc}") from None
     return symbol if num else ""
 
 
@@ -434,6 +441,29 @@ def _refuse_off_lattice(off: dict, config: FieldConfig, bound: int,
             else:
                 pending[f + 1] = carry
                 heappush(heap, f + 1)
+
+
+def _product_index(a: "_DigitElement", b: "_DigitElement") -> int:
+    """The precision index of the product a * b.  Each factor's
+    uncertainty is scaled by the other factor's valuation; when no digit
+    is visible the precision is the only lower bound on the valuation."""
+    return min(a._k + b._low(), b._k + a._low(), a.config.full)
+
+
+def _mul_rows(acc: dict[int, int], a: dict[int, int], b: dict[int, int],
+              k: int) -> dict[int, int]:
+    """Adds the products of the digit maps a and b below index k into
+    the raw map acc, and returns acc.  Both maps ascend, so each row
+    stops at the first index that reaches k: digits and carries at or
+    above k are dropped."""
+    row = list(b.items())
+    for j1, c1 in a.items():
+        for j2, c2 in row:
+            j = j1 + j2
+            if j >= k:
+                break
+            acc[j] = acc.get(j, 0) + c1 * c2
+    return acc
 
 
 class _DigitElement:
@@ -701,24 +731,22 @@ class _DigitElement:
     def __mul__(self, other):
         other = self._coerce(other)
         self._check_compatible(other)
-        # Precision of a product: each factor's uncertainty is scaled by
-        # the other factor's valuation.  When no digit is visible the
-        # precision exponent is the only lower bound on the valuation.
-        k = min(self._k + other._low(), other._k + self._low(),
-                self.config.full)
-        # Both digit maps ascend, so each row stops at the first index
-        # that reaches k: digits and carries at or above k are dropped.
-        acc: dict[int, int] = {}
-        row = list(other._digits.items())
-        for j1, c1 in self._digits.items():
-            for j2, c2 in row:
-                j = j1 + j2
-                if j >= k:
-                    break
-                acc[j] = acc.get(j, 0) + c1 * c2
-        return self._make(self.config, acc, k)
+        k = _product_index(self, other)
+        return self._make(self.config,
+                          _mul_rows({}, self._digits, other._digits, k), k)
 
     __rmul__ = __mul__
+
+    def _addmul(self, x, y):
+        """self + x * y with one product loop and one normalization: the
+        same element as ``self + x * y``, at min(self's precision, the
+        product's)."""
+        y = self._coerce(y)
+        x._check_compatible(y)
+        self._check_compatible(x)
+        k = min(self._k, _product_index(x, y))
+        return self._make(self.config, _mul_rows(
+            dict(self._digits), x._digits, y._digits, k), k)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

@@ -100,7 +100,8 @@ def _parse(arg: str):
     text = _read_source(arg)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer past Python's int-from-str limit
         raise click.UsageError(f"malformed JSON in {arg!r}: {exc}")
 
 
@@ -167,8 +168,9 @@ def _fan(arg: str) -> Fan:
 
 
 def _emit(doc, fmt="json", text=None):
+    # text: a callable giving the text form, called only for --format text
     if fmt == "text" and text is not None:
-        click.echo(text)
+        click.echo(text())
     else:
         click.echo(dumps(doc))
 
@@ -196,7 +198,7 @@ def sharp_cmd(element, p, prec, dencap, fmt):
     _check_config(x.config, p, dencap)
     target = prec if prec is not None else x.config.prec
     result = sharp(x, target)
-    _emit(result.to_json(), fmt, result.to_text())
+    _emit(result.to_json(), fmt, result.to_text)
 
 
 @main.command("tilt-reduce")
@@ -211,7 +213,7 @@ def tilt_reduce_cmd(element, p, prec, dencap, fmt):
         raise ConfigError("tilt-reduce expects an untilt element")
     _check_config(x.config, p, dencap, prec)
     result = reduce_mod_uniformizer(x)
-    _emit(result.to_json(), fmt, result.to_text())
+    _emit(result.to_json(), fmt, result.to_text)
 
 
 # =====================================================================
@@ -266,7 +268,7 @@ def witt_lift_cmd(element, length, fmt):
 def theta_cmd(witt, fmt):
     """Untilting homomorphism on a Witt vector, modulo p^length."""
     result = theta(WittVector.from_json(_parse(witt)))
-    _emit(result.to_json(), fmt, result.to_text())
+    _emit(result.to_json(), fmt, result.to_text)
 
 
 # =====================================================================
@@ -280,9 +282,9 @@ def theta_cmd(witt, fmt):
 def newton_cmd(poly, fmt):
     """Newton polygon of a polynomial, as slope/multiplicity pairs."""
     polygon = newton_polygon(_polynomial(poly))
-    text = "\n".join(f"{row['slope']} x{row['mult']}"
-                     for row in polygon.to_json())
-    _emit(polygon.to_json(), fmt, text)
+    rows = polygon.to_json()
+    _emit(rows, fmt, lambda: "\n".join(f"{row['slope']} x{row['mult']}"
+                                       for row in rows))
 
 
 @main.command("transfer")
@@ -312,7 +314,7 @@ def root_cmd(poly, start, fmt):
             P, UntiltElement.from_int(P.config, start))
     else:
         result = mixed_root_refine(P)
-    _emit(result.to_json(), fmt, result.to_text())
+    _emit(result.to_json(), fmt, result.to_text)
 
 
 # =====================================================================
@@ -452,7 +454,7 @@ def toric_sections_cmd(fan, divisor, scale, dencap, p, fmt):
         D = D.scaled(_fraction(scale, "--scale"))
     points = sections(F, D, dencap=dencap, p=p)
     doc = [[str(coord) for coord in point] for point in points]
-    _emit(doc, fmt, "\n".join(" ".join(row) for row in doc))
+    _emit(doc, fmt, lambda: "\n".join(" ".join(row) for row in doc))
 
 
 @toric_group.command("smooth")

@@ -30,6 +30,7 @@ from .arith import (
     TiltElement,
     UntiltElement,
     _kind_class,
+    _mul_rows,
     divide_exact,
     element_from_json,
     reduce_mod_uniformizer,
@@ -91,7 +92,7 @@ class Polynomial:
     def __call__(self, x):
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
+            acc = c._addmul(acc, x)
         return acc
 
     def derivative_at(self, x):
@@ -104,25 +105,72 @@ class Polynomial:
         acc = None
         for i in range(len(self.coeffs) - 1, 0, -1):
             term = self.coeffs[i] * i
-            acc = term if acc is None else acc * x + term
+            acc = term if acc is None else term._addmul(acc, x)
         if acc is None:
             raise KernelError("constant polynomial has no derivative roots")
         return acc
 
     def shifted(self, delta) -> "Polynomial":
-        """The polynomial X -> P(X + delta), by binomial re-expansion."""
-        d = self.degree
-        powers = [self.coeffs[0].__class__.one(self.config)]
+        """The polynomial X -> P(X + delta): coefficient i is the Taylor
+        coefficient b_i = sum over j >= i of C(j, i) a_j delta^(j-i).
+
+        Values: Ruffini-Horner, a_j += a_(j+1) * delta for j from d - 1
+        down to i, for i = 0 .. d - 1, on the representatives of the a_j
+        and of delta, read modulo X^K with K the largest output
+        precision.  This promotes the representatives to exact; each b_i
+        is then cut to its own precision, which makes it sound.
+
+        Precision: b_i is known to the index the binomial sum certifies,
+        computed on indices alone.  With (k, v) an element's precision
+        and valuation index (v = k when no digit is visible), the
+        product rule is k = min(k1 + v2, k2 + v1, full), v = v1 + v2 cut
+        at k.  It gives the chain (k_m, v_m) of delta^m from (full, 0);
+        C(j, i) is (full, L), with L = scale * v_p(C(j, i)) capped at
+        full on the untilt side, and full or 0 on the tilt side as p
+        divides C(j, i) or not; b_i's precision is the least over j of
+        the precision of (a_j * C(j, i)) * delta^(j-i).
+        """
+        coeffs = self.coeffs
+        first = coeffs[0]
+        delta = first._coerce(delta)
+        first._check_compatible(delta)
+        config = self.config
+        p, full, d = config.p, config.full, self.degree
+        kd, vd = delta._k, delta._low()
+        chain = [(full, 0)]
         for _ in range(d):
-            powers.append(powers[-1] * delta)
-        out = []
+            k, v = chain[-1]
+            k = min(k + vd, kd + v, full)
+            chain.append((k, min(v + vd, k)))
+        held = [(a._k, a._low()) for a in coeffs]
+        ks = []
         for i in range(d + 1):
-            acc = None
+            k_i = full
             for j in range(i, d + 1):
-                term = self.coeffs[j] * math.comb(j, i) * powers[j - i]
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return Polynomial(out)
+                ka, va = held[j]
+                c, low = math.comb(j, i), 0
+                if first._carries:
+                    while c % p == 0:
+                        c //= p
+                        low += config.scale
+                    low = min(low, full)
+                elif c % p == 0:
+                    low = full
+                k1 = min(ka + low, full)
+                v1 = min(va + low, k1)
+                km, vm = chain[j - i]
+                k_i = min(k_i, k1 + vm, km + v1)
+            ks.append(k_i)
+        top = max(ks)
+        make = first._make
+        step = delta._digits
+        vals = list(coeffs)
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                vals[j] = make(config, _mul_rows(
+                    dict(vals[j]._digits), vals[j + 1]._digits, step, top),
+                    top)
+        return Polynomial([b._at(k) for b, k in zip(vals, ks)])
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

@@ -26,6 +26,8 @@ from .arith import (
     KernelError,
     TiltElement,
     UntiltElement,
+    _mul_rows,
+    _product_index,
 )
 from .polyroots import (
     Polynomial,
@@ -334,10 +336,17 @@ def _disc_point(rng, config):
 
 
 def _poly_mul(f, g, config):
-    out = [UntiltElement.zero(config)] * (f.degree + g.degree + 1)
-    for i, a in enumerate(f.coeffs):
-        for j, b in enumerate(g.coeffs):
-            out[i + j] = out[i + j] + a * b
+    # coefficient n is sum a_i * b_(n-i): one accumulation and one
+    # normalization, at the least precision among its products
+    out = []
+    for n in range(f.degree + g.degree + 1):
+        pairs = [(a, g.coeffs[n - i]) for i, a in enumerate(f.coeffs)
+                 if 0 <= n - i <= g.degree]
+        k = min(_product_index(a, b) for a, b in pairs)
+        acc = {}
+        for a, b in pairs:
+            _mul_rows(acc, a._digits, b._digits, k)
+        out.append(UntiltElement._make(config, acc, k))
     return Polynomial.trimmed(out)
 
 

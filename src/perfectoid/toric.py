@@ -226,7 +226,7 @@ def _nonneg_solutions(vectors, rank: int) -> list[tuple[int, ...]]:
     basis = [tuple(1 if j == i else 0 for j in range(rank))
              for i in range(rank)]
     if not vectors:
-        return [v for b in basis for v in (b, tuple(-c for c in b))]
+        return sorted(v for b in basis for v in (b, tuple(-c for c in b)))
     cands: list[tuple[int, ...]] = []
     pool = list(vectors) + _nullspace_vectors(vectors, rank)
     for v in pool:
@@ -283,6 +283,16 @@ class Cone:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "pointed", is_pointed)
+
+    @classmethod
+    def _trusted(cls, rank: int, generators: tuple, pointed: bool) -> "Cone":
+        """Wraps generators that are already primitive, irredundant and
+        sorted, with their pointedness known; nothing is re-derived."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "pointed", pointed)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("cones are immutable")
@@ -351,8 +361,12 @@ def dual_cone(cone: Cone) -> Cone:
     if not isinstance(cone, Cone):
         raise ConeError(f"not a cone: {cone!r}")
     if cone.rank <= 3:
+        # half-space intersection already returns primitive, irredundant,
+        # sorted generators; the dual is pointed exactly when the input
+        # is full-dimensional
         gens = _nonneg_solutions(cone.generators, cone.rank)
-        return Cone(cone.rank, gens, pointed=False)
+        return Cone._trusted(cone.rank, tuple(gens),
+                             cone.dim == cone.rank)
     n = cone.rank
     if len(cone.generators) != n:
         raise ConeError(

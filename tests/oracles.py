@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import ceil, floor, gcd
+from math import ceil, comb, floor, gcd
 
 from perfectoid.arith import (
     FieldConfig,
@@ -362,6 +362,31 @@ def witt_by_tables(a, b, op: str) -> list:
                     term = term * power(values[idx], e)
             comp = comp + term
         out.append(comp)
+    return out
+
+
+# ---------------------------------------------------------------------
+# Taylor shift by binomial re-expansion: the element-level form the
+# package's Ruffini-Horner shift must reproduce byte for byte, precision
+# indices included.
+# ---------------------------------------------------------------------
+
+def shifted_binomial(coeffs, delta) -> list:
+    """The coefficients of X -> P(X + delta), P given by its ascending
+    coefficients, as the sums over j >= i of a_j * C(j, i) * delta^(j-i),
+    every product and sum an element operation that tracks its own
+    precision."""
+    d = len(coeffs) - 1
+    powers = [type(coeffs[0]).one(coeffs[0].config)]
+    for _ in range(d):
+        powers.append(powers[-1] * delta)
+    out = []
+    for i in range(d + 1):
+        acc = None
+        for j in range(i, d + 1):
+            term = coeffs[j] * comb(j, i) * powers[j - i]
+            acc = term if acc is None else acc + term
+        out.append(acc)
     return out
 
 

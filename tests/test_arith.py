@@ -1,6 +1,7 @@
 """Digit arithmetic: frozen examples, algebraic laws, serialization."""
 
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -405,6 +406,19 @@ def test_text_form_frozen():
     assert UntiltElement.zero(C3, 1).to_text() == "O(p)"
     t = TiltElement.uniformizer(C3).pth_root()
     assert t.to_text() == "1*t^(1/3) + O(t^(8/3))"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="this Python writes integers of any length")
+def test_text_form_past_the_decimal_limit_is_a_typed_refusal():
+    # 2^20000 has 6,021 decimal digits, past Python's int-to-str limit
+    # (4,300 by default); the JSON form writes the exponent's denpow
+    x = TiltElement(FieldConfig(2, 1, 20000), {Fraction(1, 2 ** 20000): 1})
+    assert x.to_json()["terms"] == [{"num": 1, "denpow": 20000, "digit": 1}]
+    with pytest.raises(BudgetError, match="denominator 2\\^20000"):
+        x.to_text()
+    with pytest.raises(BudgetError):
+        repr(x)
 
 
 def test_json_form_frozen():

@@ -98,6 +98,22 @@ def test_tilt_reduce_keeps_shallow_digits(runner):
     assert result.output == "2*t^(1/3) + O(t)\n"
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="this Python writes integers of any length")
+def test_text_form_past_the_decimal_limit_is_a_json_error(runner):
+    # p^(1/2^20000): the text form would write 2^20000 in decimal, past
+    # Python's int-to-str limit; the JSON form is still written
+    x = UntiltElement(FieldConfig(2, 1, 20000), {Fraction(1, 2 ** 20000): 1})
+    result = invoke(runner, "tilt-reduce", x.dumps())
+    assert result.exit_code == 0
+    assert json.loads(result.output)["terms"] == [
+        {"num": 1, "denpow": 20000, "digit": 1}]
+    result = invoke(runner, "tilt-reduce", x.dumps(), "--format", "text")
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"] == "BudgetError"
+
+
 def test_tilt_reduce_wants_untilt(runner):
     result = invoke(runner, "tilt-reduce", "t.json")
     assert result.exit_code == 1
@@ -410,6 +426,21 @@ def test_missing_input_is_a_usage_error(runner):
 def test_malformed_json_is_a_usage_error(runner):
     result = invoke(runner, "newton", "{broken")
     assert result.exit_code == 2
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="this Python reads integers of any length")
+def test_an_overlong_json_integer_is_a_usage_error(runner):
+    # json.loads refuses an integer past Python's int-from-str limit
+    # (4,300 digits by default) with a plain ValueError
+    num = "1" + "0" * 4999
+    doc = ('{"kind": "tilt", "p": 3, "prec": 4, "dencap": 2, '
+           '"precexp": {"num": 4, "denpow": 0}, '
+           f'"terms": [{{"num": {num}, "denpow": 0, "digit": 1}}]}}')
+    result = invoke(runner, "sharp", doc)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "malformed JSON" in result.stderr
 
 
 # ---------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import elements, refined
-from oracles import lower_hull_brute
+from oracles import lower_hull_brute, shifted_binomial
 from perfectoid.arith import (
     INF,
     ConfigError,
@@ -91,6 +91,57 @@ def test_polynomial_evaluate_and_shift():
     shifted = P.shifted(TiltElement.one(C3))
     for x in [t_zero(C3), t, t_int(C3, 2)]:
         assert shifted(x) == P(x + TiltElement.one(C3))
+    # Q = X^2 + X + p at x = p: p^2 + 2p; the shift by 2 carries
+    p = UntiltElement.uniformizer(C3)
+    Q = Polynomial([p, UntiltElement.one(C3), UntiltElement.one(C3)])
+    assert Q(p) == UntiltElement(C3, {Fraction(1): 2, Fraction(2): 1})
+    shifted = Q.shifted(u_int(C3, 2))
+    assert shifted.coeffs[0] == Q(u_int(C3, 2))
+    for x in [UntiltElement.zero(C3), p, u_int(C3, 2), u_int(C3, -1)]:
+        assert shifted(x) == Q(x + u_int(C3, 2))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("dencap", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["untilt", "tilt"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_shift_matches_the_binomial_form_byte_for_byte(p, dencap, kind,
+                                                        data):
+    """Ruffini-Horner values with the binomial precision rule give the
+    bytes of the binomial re-expansion, precisions included, on inexact
+    coefficients and shifts."""
+    config = FieldConfig(p, 3, dencap)
+    inexact = elements(config, kind, max_terms=4, vary_precision=True)
+    coeffs = data.draw(st.lists(inexact, min_size=1, max_size=6).filter(
+        lambda cs: not cs[-1].is_zero()))
+    delta = data.draw(inexact)
+    got = Polynomial(coeffs).shifted(delta)
+    want = shifted_binomial(coeffs, delta)
+    assert [c.dumps() for c in got.coeffs] == [c.dumps() for c in want]
+
+
+@pytest.mark.parametrize("config", [C3, C2, FieldConfig(5, 3, 1)],
+                         ids=lambda c: f"p{c.p}")
+@pytest.mark.parametrize("kind", ["untilt", "tilt"])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_shift_and_evaluation_are_honest_under_refinement(config, kind,
+                                                          data):
+    """Refining the coefficients and the point to any compatible values
+    changes P(x) and the coefficients of P(X + x) only at or above the
+    precision each reports."""
+    coeffs = data.draw(st.lists(
+        elements(config, kind, max_terms=3, vary_precision=True),
+        min_size=1, max_size=5).filter(lambda cs: not cs[-1].is_zero()))
+    x = data.draw(elements(config, kind, max_terms=3, vary_precision=True))
+    P = Polynomial(coeffs)
+    fine = Polynomial([refined(data, c) for c in coeffs])
+    fine_x = refined(data, x)
+    value = P(x)
+    assert fine(fine_x).with_precision(value.precexp) == value
+    for fine_c, c in zip(fine.shifted(fine_x).coeffs, P.shifted(x).coeffs):
+        assert fine_c.with_precision(c.precexp) == c
 
 
 def test_polynomial_json_round_trip():

@@ -124,6 +124,26 @@ def test_dual_in_rank_four_needs_simplicial():
         dual_cone(Cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]))
 
 
+def test_dual_cone_is_the_cone_its_generators_build():
+    """Up to rank 3 dual_cone wraps the half-space intersection without
+    normalizing it again; on every cone of at most two generators from
+    {-2..2}^rank, rank 2 and 3, the zero cone included, the result is
+    the cone the constructor builds from the same generators."""
+    cones = {}
+    for rank in (2, 3):
+        vectors = list(product(range(-2, 3), repeat=rank))
+        for size in range(3):
+            for gens in combinations(vectors, size):
+                cone = Cone(rank, gens, pointed=False)
+                cones[rank, cone.generators] = cone
+    assert len(cones) == 4989
+    for (rank, _), cone in cones.items():
+        dual = dual_cone(cone)
+        want = Cone(rank, dual.generators, pointed=False)
+        assert (dual.generators, dual.pointed) == (want.generators,
+                                                   want.pointed), cone
+
+
 # ---------------------------------------------------------------------
 # fans
 # ---------------------------------------------------------------------
