@@ -1069,6 +1069,16 @@ def _kind_class(kind: str):
     raise ConfigError(f"unknown element kind {kind!r}")
 
 
+def _read_int(text: str, what: str) -> int:
+    """The decimal integer text; past Python's str-to-int digit limit it
+    raises BudgetError, as the text writer does past int-to-str."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise BudgetError(f"the text form cannot read {what} in decimal: "
+                          f"{exc}") from None
+
+
 def _power_index(groups, cls, config: FieldConfig) -> int:
     """The lattice index of a power matched by ``_POWER``."""
     sym, exponent = groups
@@ -1078,10 +1088,11 @@ def _power_index(groups, cls, config: FieldConfig) -> int:
         raise KernelError(
             f"symbol {sym!r} does not match element kind {cls.kind!r}")
     num, _, den = (exponent or "1").strip("()").partition("/")
-    q, r = divmod(config.scale, int(den or 1))
+    what = f"the exponent of {sym}"
+    num, den = _read_int(num, what), _read_int(den or "1", what)
+    q, r = divmod(config.scale, den)
     # off the lattice unless the fraction reduces onto it
-    return (int(num) * q if not r
-            else _lattice_index(Fraction(int(num), int(den)), config))
+    return num * q if not r else _lattice_index(Fraction(num, den), config)
 
 
 def parse_text(text: str, config: FieldConfig, kind: str) -> _DigitElement:
@@ -1102,7 +1113,8 @@ def parse_text(text: str, config: FieldConfig, kind: str) -> _DigitElement:
         m = _TERM_RE.match(part)
         if m is None:
             raise KernelError(f"cannot parse term {part!r} in {text!r}")
-        acc[_power_index(m.groups()[1:], cls, config)] = int(m[1])
+        acc[_power_index(m.groups()[1:], cls, config)] = \
+            _read_int(m[1], "a digit")
     element = cls._make(config, acc, min(k, config.full))
     if element.to_text() != " + ".join(parts):
         raise KernelError(

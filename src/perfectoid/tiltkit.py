@@ -13,31 +13,38 @@ tilt, and the untilting homomorphism ``theta``.  The tilt is perfect, so
 its Witt vectors form the strict p-ring (Z/p^n)[t^(1/p^inf)]: Witt sums
 and products are ring operations on Teichmüller expansions.
 
-Powering in ``sharp`` runs on a dense "layer": the p^M coefficients of
-an element of (Z/mod)[u]/(u^(p^M) - p), u = p^(1/p^M).  Products pack
-each coefficient list into one Python integer (Kronecker substitution),
-multiply the two integers and fold the upper half back by u^(p^M) = p.
-Each slot has the fewest whole bytes that hold a folded coefficient;
-slots of up to 8 bytes are packed and unpacked in C, through arrays of
-machine words, and wider ones a coefficient at a time.  A p^n-th power
-takes n p-th-power rounds, and the modulus grows with them: round i of
-n runs modulo p^max(K - (n - i), 1), K the precision exponent rounded
-up, because a = a' modulo p^j (j >= 1) gives a^p = a'^p modulo
-p^(j+1).  ``sharp`` thus powers modulo p^(i+1) in round i, not p^K
-throughout.  A layer too large to power within a fixed budget is
-refused before it is allocated.  ``theta`` sums its Teichmüller
-expansion on one such layer, each component rooted once by
-``TiltElement.root``, and ``sharp`` is theta of a Teichmüller vector.
-Witt expansions are sparse maps on u = t^(1/p^M) that switch to the
-same product, truncated at t^prec, once they grow long.
+Powering in ``sharp`` runs on a "layer": an element of
+(Z/mod)[u]/(u^(p^M) - p), u = p^(1/p^M), held sparse until it is dense.
+A power starts on sparse maps {r: C_r}, multiplied term by term with
+u^(p^M) folded to p, because inputs of a few digits have few terms in
+the early rounds.  At the first product of more than _DENSE_RATIO * p^M
+term pairs it switches for good to the dense layer of p^M coefficients,
+whose products pack each coefficient list into one Python integer
+(Kronecker substitution), multiply the two integers and fold the upper
+half back by u^(p^M) = p.  Each slot has the fewest whole bytes that
+hold a folded coefficient; slots of up to 8 bytes are packed and
+unpacked in C, through arrays of machine words, and wider ones a
+coefficient at a time.  A p^n-th power takes n p-th-power rounds, and
+the modulus grows with them: round i of n runs modulo
+p^max(K - (n - i), 1), K the precision exponent rounded up, because
+a = a' modulo p^j (j >= 1) gives a^p = a'^p modulo p^(j+1).  ``sharp``
+thus powers modulo p^(i+1) in round i, not p^K throughout.  A power
+whose dense layer would be too large for a fixed budget is refused
+before any product, even when its sparse start would stay small.
+``theta`` sums its Teichmüller expansion on one such layer, each
+component rooted once by ``TiltElement.root``, and ``sharp`` is theta
+of a Teichmüller vector.  Witt expansions are sparse maps on
+u = t^(1/p^M) and multiply through the same sparse-or-dense product,
+truncated at t^prec.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from collections import defaultdict
 from functools import partial
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 from math import gcd
 
 from .arith import (
@@ -68,6 +75,12 @@ _WORD_CODES = ({array(code).itemsize: code for code in "BHILQ"}
 # its layer is allocated.
 _LAYER_BUDGET = 2 ** 18
 
+# A layer product of two sparse maps runs term by term while it has at
+# most _DENSE_RATIO term pairs per slot of the dense layer, and on the
+# dense Kronecker product past that: a term pair costs about as much as
+# a few dense slots.  Layer powers and Witt products share the switch.
+_DENSE_RATIO = 4
+
 
 def _depth(digits: dict[int, int], config: FieldConfig) -> int:
     """The smallest m such that every index of the lattice digits is an
@@ -96,9 +109,10 @@ def _layer_points(digits: dict[int, int], m: int,
     return points
 
 
-def _layer_to_element(coeffs: list[int], m: int, config: FieldConfig,
+def _layer_to_element(points: dict[int, int], m: int, config: FieldConfig,
                       k: int) -> UntiltElement:
-    """The element sum_r C_r * p^(r/p^M) modulo p^(k/p^dencap).
+    """The element sum_r C_r * p^(r/p^M) modulo p^(k/p^dencap), from
+    the nonzero C_r.
 
     Base-p digit q of C_r sits at exponent q + r/p^M, lattice index
     (q * p^M + r) * p^(dencap - M); these indices are pairwise distinct,
@@ -107,8 +121,8 @@ def _layer_to_element(coeffs: list[int], m: int, config: FieldConfig,
     """
     p = config.p
     size, step = p ** m, config.scale // p ** m
-    rest = list(coeffs)
-    live = [r for r, c in enumerate(rest) if c]
+    rest = dict(points)
+    live = sorted(rest)
     digits = {}
     q = 0
     while live:
@@ -198,6 +212,45 @@ def _layer_mul(a: list[int], b: list[int], c: int, mod: int) -> list[int]:
                                      width)]
 
 
+def _layer_product(x, y, c: int, size: int, mod: int):
+    """x * y in (Z/mod)[u]/(u^size - c), each operand a sparse map
+    {r: C_r} of nonzero coefficients or a dense list of size of them.
+
+    Two sparse operands with at most _DENSE_RATIO * size term pairs
+    multiply term by term into a sparse map, u^(size + r) folded to
+    c * u^r (c = 0 drops it).  Any other pair becomes dense and goes
+    through the Kronecker product ``_layer_mul``, whose dense list
+    keeps every later product with it dense.
+    """
+    if (type(x) is dict and type(y) is dict
+            and len(x) * len(y) <= _DENSE_RATIO * size):
+        acc = defaultdict(int)
+        terms = list(y.items())
+        if x is y:
+            # a square: each cross pair once, doubled
+            for i, (rx, cx) in enumerate(terms):
+                acc[rx + rx] += cx * cx
+                cx += cx
+                for ry, cy in terms[i + 1:]:
+                    acc[rx + ry] += cx * cy
+        else:
+            for rx, cx in x.items():
+                for ry, cy in terms:
+                    acc[rx + ry] += cx * cy
+        for r in [r for r in acc if r >= size]:
+            v = acc.pop(r)
+            if c:
+                acc[r - size] += c * v
+        return {r: w for r, v in acc.items() if (w := v % mod)}
+    vx = _dense(x, size)
+    return _layer_mul(vx, vx if x is y else _dense(y, size), c, mod)
+
+
+def _dense(vec, size: int) -> list[int]:
+    """The size coefficients of a sparse map or a dense list."""
+    return vec if type(vec) is list else [vec.get(r, 0) for r in range(size)]
+
+
 def _pow_pn(vec, p: int, k: int, mul):
     """vec^(p^k) by k rounds of square-and-multiply with the product mul."""
     for _ in range(k):
@@ -212,9 +265,9 @@ def _pow_pn(vec, p: int, k: int, mul):
 
 
 def _power_layer(points: dict[int, int], m: int, p: int, n: int,
-                 top: int) -> list[int]:
-    """The coefficients of (sum_r C_r * u^r)^(p^n) modulo p^top,
-    u = p^(1/p^m), n >= 0.
+                 top: int) -> dict[int, int]:
+    """The nonzero coefficients {r: C_r} of (sum_r C_r * u^r)^(p^n)
+    modulo p^top, u = p^(1/p^m), n >= 0.
 
     points holds the nonzero C_r.  Round i of n raises to the p-th power
     modulo p^max(top - (n - i), 1): if a = a' modulo p^j with j >= 1,
@@ -223,6 +276,13 @@ def _power_layer(points: dict[int, int], m: int, p: int, n: int,
     modulo p^max(top - n, 1) is enough for round 1, and each round's
     result, reduced modulo its own modulus, is exact for the next; the
     last round runs modulo p^top.
+
+    The power starts on sparse maps, because a few digits have few
+    terms in the early rounds ((a + b)^(p^i) has p^i + 1), and switches
+    to the dense Kronecker product for good at the first product of
+    more than _DENSE_RATIO * p^m term pairs (``_layer_product``).  The
+    budget is checked on the dense layer the last round could need,
+    before any product.
 
     Raises:
         BudgetError: the packed layer would exceed _LAYER_BUDGET bytes.
@@ -235,17 +295,19 @@ def _power_layer(points: dict[int, int], m: int, p: int, n: int,
             f"{size} slots of {width} bytes, over the budget of "
             f"{_LAYER_BUDGET} bytes")
     mod = p ** max(top - n, 1)
-    vec = [0] * size
-    for r, c in points.items():
-        vec[r] = c % mod
+    vec = {r: v for r, c in points.items() if (v := c % mod)}
     for left in range(n - 1, -1, -1):
         mod = p ** max(top - left, 1)
-        vec = _pow_pn(vec, p, 1, partial(_layer_mul, c=p, mod=mod))
-    return vec
+        vec = _pow_pn(vec, p, 1,
+                      partial(_layer_product, c=p, size=size, mod=mod))
+    if type(vec) is dict:
+        return vec
+    return {r: c for r, c in enumerate(vec) if c}
 
 
 def untilt_power_pn(x: UntiltElement, n: int) -> UntiltElement:
-    """x^(p^n) modulo p^precexp, computed on the dense layer representation.
+    """x^(p^n) modulo p^precexp, computed on the layer (``_power_layer``:
+    sparse until its products are dense).
 
     The result keeps x's precision exponent.  The layer arithmetic runs
     modulo a power of p that grows by one with each p-th-power round and
@@ -297,13 +359,13 @@ def _teichmuller_sum(config: FieldConfig, components,
     residues = [{j: c for j, c in x.root(n - 1)._digits.items()
                  if j < scale} for x in components]
     m = max(_depth(r, config) for r in residues)
-    total = []
+    total = {}
     for i, residue in enumerate(residues):
         if residue:
-            vec = _power_layer(_layer_points(residue, m, config), m, p,
-                               n - 1 - i, n - i)
-            total = [acc + p ** i * c
-                     for acc, c in zip_longest(total, vec, fillvalue=0)]
+            power = _power_layer(_layer_points(residue, m, config), m, p,
+                                 n - 1 - i, n - i)
+            for r, c in power.items():
+                total[r] = total.get(r, 0) + p ** i * c
     return _layer_to_element(total, m, config, n * scale)
 
 
@@ -317,7 +379,10 @@ def sharp(x: TiltElement, target_prec: int) -> UntiltElement:
     coefficients directly: sharp(x) is theta of the Teichmüller vector
     of x, by the same code.  The power runs on the layer
     modulo p^(i+1) in round i (see _power_layer): a lift known modulo p
-    is known modulo p^(i+1) after i p-th-power rounds.
+    is known modulo p^(i+1) after i p-th-power rounds.  It starts on the
+    lift's few terms and goes dense only once its products fill the
+    layer, so a monomial or a lift of a few digits stays cheap even on a
+    deep lattice.
 
     The lift-independence argument needs the rooted input still known
     modulo t, i.e. x known modulo t^(p^n).  Below that the function is
@@ -459,10 +524,10 @@ class WittVector:
         return cls(components[0].config, components)
 
 
-# A Witt product costs min(term pairs, _DENSE_RATIO * dense size) units;
-# one Witt operation may spend _WITT_WORK_BUDGET of them (0.2-0.7 us a
-# unit on one Xeon core: 1-3 s), and the overrunning product is refused.
-_DENSE_RATIO = 4
+# A Witt product costs min(term pairs, _DENSE_RATIO * dense size) units
+# (``_layer_product``); one Witt operation may spend _WITT_WORK_BUDGET of
+# them (0.2-0.7 us a unit on one Xeon core: 1-3 s), and the overrunning
+# product is refused.
 _WITT_WORK_BUDGET = 2 ** 22
 
 
@@ -477,8 +542,10 @@ def _witt_op(a: WittVector, b: WittVector, op: str) -> WittVector:
     and C becomes (C - [C mod p]) / p.  All of it runs modulo an ideal
     inside W(t^prec R), the kernel of reading components modulo t^prec:
     the p^i digit of C_j is dropped once u^j >= t^(prec/p^i), as
-    p^i t^(prec/p^i) = V^i [t^prec].  Long products run on the dense
-    layer (Z/p^n)[u]/(u^L), L = prec * p^M.
+    p^i t^(prec/p^i) = V^i [t^prec].  Products are those of the layer
+    power, ``_layer_product`` with c = 0 on (Z/p^n)[u]/(u^L),
+    L = prec * p^M: term by term up to _DENSE_RATIO * L term pairs, on
+    the dense Kronecker product past that.
     """
     if a.config != b.config or a.length != b.length:
         raise ConfigError("Witt operands must share config and length")
@@ -514,19 +581,9 @@ def _witt_op(a: WittVector, b: WittVector, op: str) -> WittVector:
                 f"Witt {op} of length {n} on the 1/p^{m} lattice overruns "
                 f"its budget of {_WITT_WORK_BUDGET} units at a product of "
                 f"{pairs} term pairs over {size} coefficients")
-        if pairs > _DENSE_RATIO * size:
-            vx = [x.get(j, 0) for j in range(size)]
-            vy = vx if x is y else [y.get(j, 0) for j in range(size)]
-            prod = _layer_mul(vx, vy, 0, p ** (n - shift))
-            return reduce(dict(enumerate(prod)), shift)
-        acc = {}
-        terms = sorted(y.items())
-        for jx, cx in x.items():
-            for jy, cy in terms:
-                if jx + jy >= size:
-                    break
-                acc[jx + jy] = acc.get(jx + jy, 0) + cx * cy
-        return reduce(acc, shift)
+        prod = _layer_product(x, y, 0, size, p ** (n - shift))
+        return reduce(prod if type(prod) is dict else dict(enumerate(prod)),
+                      shift)
 
     def teichmuller(root: dict, k: int, shift: int) -> dict:
         # [y] modulo p^(k+1) from a lift of y^(1/p^k), raised to p^k
@@ -619,6 +676,8 @@ def theta(a: WittVector) -> UntiltElement:
     precision exponent n.  The sum is formed on one layer: every
     component is rooted by p^(n-1), not p^(i+n-1), and component i is
     raised to the p^(n-1-i)-th power modulo p^(n-i), which is
-    [x_i^(1/p^i)] modulo p^(n-i).
+    [x_i^(1/p^i)] modulo p^(n-i).  Each power starts sparse on the
+    component's lifted digits and goes dense only once its products fill
+    the layer (``_power_layer``).
     """
     return _teichmuller_sum(a.config, a.components, a.length)

@@ -176,6 +176,29 @@ def layer_mul_schoolbook(a, b, c: int, mod: int) -> list[int]:
     return [v % mod for v in out]
 
 
+def power_layer_dense(points: dict, m: int, p: int, n: int,
+                      top: int) -> list[int]:
+    """The p^m coefficients of (sum_r C_r * u^r)^(p^n) modulo p^top on
+    the dense layer (Z/mod)[u]/(u^(p^m) - p), points the nonzero C_r.
+
+    The dense-only layer power: every round is p - 1 schoolbook products
+    on the whole layer, round i of n modulo p^max(top - (n - i), 1), the
+    input reduced modulo p^max(top - n, 1) first.
+    """
+    size = p ** m
+    mod = p ** max(top - n, 1)
+    vec = [0] * size
+    for r, c in points.items():
+        vec[r] = c % mod
+    for left in range(n - 1, -1, -1):
+        mod = p ** max(top - left, 1)
+        power = vec
+        for _ in range(p - 1):
+            power = layer_mul_schoolbook(power, vec, p, mod)
+        vec = power
+    return vec
+
+
 def all_dense_vectors(config: FieldConfig, limit_idx: int):
     """Every digit vector supported on indices < limit_idx (brute force)."""
     p = config.p

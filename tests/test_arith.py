@@ -421,6 +421,23 @@ def test_text_form_past_the_decimal_limit_is_a_typed_refusal():
         repr(x)
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="this Python reads integers of any length")
+@pytest.mark.parametrize("text,what", [
+    ("1*t^(" + "1" * 5000 + "/3) + O(t^4)", "the exponent of t"),
+    ("1*t^(1/" + "3" * 5000 + ") + O(t^4)", "the exponent of t"),
+    ("1 + O(t^" + "4" * 5000 + ")", "the exponent of t"),
+    ("1" * 5000 + "*t + O(t^4)", "a digit"),
+], ids=["numerator", "denominator", "precision", "digit"])
+def test_text_past_the_decimal_limit_is_refused_when_read(text, what):
+    # a number of 5,000 decimal digits, past Python's str-to-int limit
+    # (4,300 by default): the same refusal as the writer's
+    with pytest.raises(BudgetError,
+                       match=f"the text form cannot read {what} in "
+                             f"decimal: Exceeds the limit"):
+        parse_text(text, FieldConfig(3, 4, 2), "tilt")
+
+
 def test_json_form_frozen():
     a = UntiltElement(C3, {Fraction(1, 3): 2, Fraction(4, 3): 1})
     assert a.to_json() == {

@@ -8,7 +8,7 @@ from math import isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -23,9 +23,13 @@ from perfectoid.arith import (
     UntiltElement,
     reduce_mod_uniformizer,
 )
+from perfectoid import tiltkit
 from perfectoid.tiltkit import (
+    _DENSE_RATIO,
     WittVector,
+    _dense,
     _layer_mul,
+    _power_layer,
     _slot_width,
     sharp,
     sharp_const,
@@ -221,6 +225,60 @@ def test_power_refuses_oversized_layer_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+@settings(max_examples=120)
+@given(data=st.data())
+@example(data=None)
+def test_sparse_until_dense_power_matches_dense_oracle(data):
+    # Term counts run from 1 to the whole layer, so the first product of
+    # a power falls on either side of the switch to the dense product
+    # (2 * sqrt(L) terms square to _DENSE_RATIO * L pairs); coefficients
+    # above the modulus check the first reduction.
+    if data is None:
+        # the whole 1/3^3 layer: dense from the first product
+        p, m, n, top = 3, 3, 2, 3
+        points = {r: r + 1 for r in range(27)}
+    else:
+        p, max_m = data.draw(st.sampled_from([(2, 5), (3, 3), (5, 2)]))
+        m = data.draw(st.integers(0, max_m))
+        n = data.draw(st.integers(0, 4))
+        top = data.draw(st.integers(1, 5))
+        size = p ** m
+        count = data.draw(st.integers(1, size))
+        points = data.draw(st.dictionaries(
+            st.integers(0, size - 1), st.integers(1, p ** (top + 1)),
+            min_size=count, max_size=count))
+    power = _power_layer(points, m, p, n, top)
+    assert all(power.values())
+    assert _dense(power, p ** m) == \
+        oracles.power_layer_dense(points, m, p, n, top)
+
+
+def test_sharp_of_few_digits_makes_no_dense_product(monkeypatch):
+    # On the 3^6-slot layer a monomial or a 2-digit input stays far below
+    # _DENSE_RATIO * 3^6 term pairs in every product at k = 2; a full
+    # residue crosses to the dense product at once.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _layer_mul(*args)
+
+    monkeypatch.setattr(tiltkit, "_layer_mul", counting)
+    config = FieldConfig(3, 9, 8)
+    for digits in ({Fraction(7, 3 ** 5): 2},
+                   {Fraction(1, 3 ** 5): 1, Fraction(40, 3 ** 5): 2}):
+        # the cube root's digits below 1, lifted and cubed
+        lift = UntiltElement(config, {e / 3: c for e, c in digits.items()})
+        assert sharp(TiltElement(config, digits), 2) == \
+            (lift ** 3).with_precision(2)
+    assert calls == []
+    full = TiltElement(config, {Fraction(j, 3 ** 5): 1
+                                for j in range(1, 3 ** 5, 2)})
+    assert (3 ** 5 // 2 + 1) ** 2 > _DENSE_RATIO * 3 ** 6
+    sharp(full, 2)
+    assert calls
 
 
 def _assert_canonical(r):
