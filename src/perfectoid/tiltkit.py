@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import defaultdict
 from functools import partial
 from itertools import accumulate
 from math import gcd
@@ -220,27 +219,31 @@ def _layer_product(x, y, c: int, size: int, mod: int):
     multiply term by term into a sparse map, u^(size + r) folded to
     c * u^r (c = 0 drops it).  Any other pair becomes dense and goes
     through the Kronecker product ``_layer_mul``, whose dense list
-    keeps every later product with it dense.
+    keeps every later product with it dense.  A zero operand gives the
+    empty map.
     """
+    if not (x and y):
+        return {}
     if (type(x) is dict and type(y) is dict
             and len(x) * len(y) <= _DENSE_RATIO * size):
-        acc = defaultdict(int)
+        acc = {}
+        get = acc.get
         terms = list(y.items())
         if x is y:
             # a square: each cross pair once, doubled
             for i, (rx, cx) in enumerate(terms):
-                acc[rx + rx] += cx * cx
+                acc[rx + rx] = get(rx + rx, 0) + cx * cx
                 cx += cx
                 for ry, cy in terms[i + 1:]:
-                    acc[rx + ry] += cx * cy
+                    acc[rx + ry] = get(rx + ry, 0) + cx * cy
         else:
             for rx, cx in x.items():
                 for ry, cy in terms:
-                    acc[rx + ry] += cx * cy
+                    acc[rx + ry] = get(rx + ry, 0) + cx * cy
         for r in [r for r in acc if r >= size]:
             v = acc.pop(r)
             if c:
-                acc[r - size] += c * v
+                acc[r - size] = get(r - size, 0) + c * v
         return {r: w for r, v in acc.items() if (w := v % mod)}
     vx = _dense(x, size)
     return _layer_mul(vx, vx if x is y else _dense(y, size), c, mod)
@@ -364,8 +367,9 @@ def _teichmuller_sum(config: FieldConfig, components,
         if residue:
             power = _power_layer(_layer_points(residue, m, config), m, p,
                                  n - 1 - i, n - i)
+            weight = p ** i
             for r, c in power.items():
-                total[r] = total.get(r, 0) + p ** i * c
+                total[r] = total.get(r, 0) + weight * c
     return _layer_to_element(total, m, config, n * scale)
 
 
