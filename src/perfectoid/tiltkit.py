@@ -385,8 +385,8 @@ def sharp(x: TiltElement, target_prec: int) -> UntiltElement:
     modulo p^(i+1) in round i (see _power_layer): a lift known modulo p
     is known modulo p^(i+1) after i p-th-power rounds.  It starts on the
     lift's few terms and goes dense only once its products fill the
-    layer, so a monomial or a lift of a few digits stays cheap even on a
-    deep lattice.
+    layer, so a monomial or a lift of a few digits costs little even on
+    a layer of many slots; the layer budget applies all the same.
 
     The lift-independence argument needs the rooted input still known
     modulo t, i.e. x known modulo t^(p^n).  Below that the function is
