@@ -229,21 +229,13 @@ def _layer_product(x, y, c: int, size: int, mod: int):
         acc = {}
         get = acc.get
         terms = list(y.items())
-        if x is y:
-            # a square: each cross pair once, doubled
-            for i, (rx, cx) in enumerate(terms):
-                acc[rx + rx] = get(rx + rx, 0) + cx * cx
-                cx += cx
-                for ry, cy in terms[i + 1:]:
-                    acc[rx + ry] = get(rx + ry, 0) + cx * cy
-        else:
-            for rx, cx in x.items():
-                for ry, cy in terms:
-                    acc[rx + ry] = get(rx + ry, 0) + cx * cy
-        for r in [r for r in acc if r >= size]:
-            v = acc.pop(r)
-            if c:
-                acc[r - size] = get(r - size, 0) + c * v
+        for rx, cx in x.items():
+            for ry, cy in terms:
+                r = rx + ry
+                if r < size:
+                    acc[r] = get(r, 0) + cx * cy
+                else:
+                    acc[r - size] = get(r - size, 0) + c * cx * cy
         return {r: w for r, v in acc.items() if (w := v % mod)}
     vx = _dense(x, size)
     return _layer_mul(vx, vx if x is y else _dense(y, size), c, mod)
