@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import elements
+from perfectoid import tiltkit
 from perfectoid.arith import (
     INF,
     BudgetError,
@@ -23,7 +24,6 @@ from perfectoid.arith import (
     UntiltElement,
     reduce_mod_uniformizer,
 )
-from perfectoid import tiltkit
 from perfectoid.tiltkit import (
     _DENSE_RATIO,
     WittVector,
