@@ -404,6 +404,9 @@ class Fan:
                 if c.rank != rank:
                     raise ConeError(f"cone rank {c.rank} does not match "
                                     f"fan rank {rank}")
+                if not c.pointed:
+                    raise ConeError(f"cone {list(c.generators)} contains "
+                                    f"a line through the origin")
                 built.append(c)
             else:
                 built.append(Cone(rank, c))

@@ -70,6 +70,8 @@ def test_cone_rejects_lines():
         Cone(2, [(1, 0), (-1, 0)])
     half = Cone(2, [(1, 0), (-1, 0), (0, 1)], pointed=False)
     assert not half.pointed
+    with pytest.raises(ConeError, match="line through the origin"):
+        Fan(2, [half])
 
 
 def test_cone_membership():
