@@ -266,6 +266,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def check_prime(p: int) -> None:
+    """FieldConfig's refusal of p: BudgetError from _PRIME_BOUND on,
+    where the primality test stops being exact, ConfigError if p is not
+    prime."""
+    if p >= _PRIME_BOUND:
+        raise BudgetError(f"p = {p} is not below {_PRIME_BOUND}, the "
+                          f"bound of the primality test")
+    if not _is_prime(p):
+        raise ConfigError(f"p = {p} is not prime")
+
+
 # A lattice scale p^dencap of more bits than this is refused before it is
 # computed: every digit index is a multiple of it or below prec times it.
 _SCALE_BITS = 2 ** 20
@@ -285,11 +296,7 @@ class FieldConfig:
         if not all(isinstance(v, int) for v in (p, prec, dencap)):
             raise ConfigError(f"p, prec and dencap must be integers, got "
                               f"{p!r}, {prec!r}, {dencap!r}")
-        if p >= _PRIME_BOUND:
-            raise BudgetError(f"p = {p} is not below {_PRIME_BOUND}, the "
-                              f"bound of the primality test")
-        if not _is_prime(p):
-            raise ConfigError(f"p = {p} is not prime")
+        check_prime(p)
         if prec < 1:
             raise ConfigError(f"prec = {prec} must be >= 1")
         if dencap < 0:

@@ -27,6 +27,7 @@ from .arith import (
     FieldConfig,
     KernelError,
     UntiltElement,
+    check_prime,
     has_p_power_denominator,
 )
 from .tatealg import (
@@ -675,6 +676,7 @@ def sections(fan: Fan, divisor: TWeilDivisor, dencap: int = 0,
     Raises:
         ConeError: unbounded polytope, or coefficients off the p-power
             denominator lattice.
+        ConfigError, BudgetError: p is refused as FieldConfig refuses it.
         BudgetError: the box holds more than _SECTION_BUDGET points.
             The largest box that the tests, ``perfectoid suite``, the
             bundled fixtures and the benchmark build has 216 points
@@ -688,6 +690,7 @@ def sections(fan: Fan, divisor: TWeilDivisor, dencap: int = 0,
                           for a in divisor.coefficients)) and p is None:
         raise ConeError("fractional data needs the prime p")
     if p is not None:
+        check_prime(p)
         for a in divisor.coefficients:
             if not has_p_power_denominator(a, p):
                 raise ConeError(

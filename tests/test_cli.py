@@ -380,6 +380,20 @@ def test_toric_sections_refuses_an_oversized_box_at_once(runner):
     assert str((3 ** 12 + 1) ** 2) in error["message"]
 
 
+def test_toric_sections_refuses_p_one_at_once():
+    # with p = 1 the denominator check would divide by p forever; a
+    # separate process with a timeout keeps a hang from stalling the suite
+    proc = subprocess.run(
+        [sys.executable, "-c", "from perfectoid.cli import main; main()",
+         "toric", "sections", "pn2.json", "hyperplane.json", "--p", "1",
+         "--dencap", "1"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": "ConfigError",
+                                       "message": "p = 1 is not prime"}
+
+
 def test_toric_transfer_rejects_a_divisor_document(runner):
     result = invoke(runner, "toric", "transfer", "hyperplane.json",
                     "--c", "1", "--eps", "1/3")

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 import oracles
 from perfectoid.arith import (
+    _PRIME_BOUND,
     BudgetError,
+    ConfigError,
     FieldConfig,
     TiltElement,
     UntiltElement,
@@ -276,6 +278,12 @@ def test_sections_validation():
         sections(P2, HYPERPLANE.scaled(Fraction(1, 2)), dencap=1, p=3)
     with pytest.raises(ConeError):
         sections(P2, TWeilDivisor(projective_fan(3), [1, 0, 0, 0]))
+    # p is refused as FieldConfig refuses it, before any loop over it
+    for p in (0, -3, 1, 4):
+        with pytest.raises(ConfigError, match=f"^p = {p} is not prime$"):
+            sections(P2, HYPERPLANE, dencap=1, p=p)
+    with pytest.raises(BudgetError, match="bound of the primality test"):
+        sections(P2, HYPERPLANE, dencap=1, p=_PRIME_BOUND)
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
