@@ -118,70 +118,48 @@ def _det(rows) -> int:
 def _solve_conic(columns, target) -> bool:
     """Whether target is a nonnegative combination of the columns.
 
-    Cramer's rule on the integer Gram matrix G = A^T A, where A has the
-    given columns.  G is positive semidefinite, so det G > 0 exactly
-    when the columns are independent; dependent column sets report
+    One elimination of [A | target], A having the given columns.  The
+    columns are independent and target lies in their span exactly when
+    the pivots are the first s columns; dependent column sets report
     False and are covered by another subset of the caller's enumeration.
-    Otherwise the normal equations G lam = A^T target have the unique
-    solution lam_i = det G_i / det G (G_i: column i replaced by
-    A^T target), read off one elimination of [G | A^T target].  Then
-    lam_i >= 0 exactly when det G_i >= 0, and target is in the column
-    span exactly when sum_i det G_i col_i = det G target.
+    The leading rows are then d = M[0][0] times the reduced row echelon
+    form, so the unique coefficients are row[s] / d, nonnegative exactly
+    when row[s] * d >= 0.
     """
     s = len(columns)
-    gram = [[_dot(u, v) for v in columns] + [_dot(u, target)]
-            for u in columns]
-    M, pivots = _eliminate(gram)
+    M, pivots = _eliminate(zip(*columns, target))
     if pivots != list(range(s)):
         return False
-    det = M[0][0]
-    cramer = [row[s] for row in M]
-    if any(sum(x * col[r] for x, col in zip(cramer, columns))
-           != det * t for r, t in enumerate(target)):
-        return False
-    return all(x >= 0 for x in cramer)
+    d = M[0][0]
+    return all(row[s] * d >= 0 for row in M)
 
 
-def _in_cone(vec, gens, rank: int) -> bool:
+def _in_cone(vec, gens) -> bool:
     """Exact membership of vec in the cone spanned by gens.
 
-    Any cone element is a nonnegative combination of at most rank
-    linearly independent generators, so small subsets suffice.
+    A member is a nonnegative combination of independent generators
+    (Caratheodory), and those extend within gens to a basis of their
+    span, so the subsets of gens of the span's dimension suffice.
     """
-    if all(c == 0 for c in vec):
-        return True
-    if not gens:
-        return False
-    for size in range(1, rank + 1):
-        for sub in combinations(gens, size):
-            if _solve_conic(sub, vec):
-                return True
-    return False
+    size = _matrix_rank(gens)
+    return any(_solve_conic(sub, vec) for sub in combinations(gens, size))
 
 
 def _is_pointed(gens, rank: int) -> bool:
-    # a line inside the cone is the same thing as a nontrivial
-    # nonnegative combination of generators summing to zero, i.e. the
-    # origin lying in the convex hull of some small generator subset
-    for size in range(2, min(len(gens), rank + 1) + 1):
-        for sub in combinations(gens, size):
-            lifted = [v + (1,) for v in sub]
-            target = (0,) * rank + (1,)
-            if _solve_conic(lifted, target):
-                return False
-    return True
+    """Whether the cone of the nonzero gens holds no line, no nontrivial
+    nonnegative combination summing to zero: the origin is not in their
+    convex hull, nor (0, 1) in the cone of the lifts (v, 1)."""
+    return not _in_cone((0,) * rank + (1,), [v + (1,) for v in gens])
 
 
-def _irredundant(gens, rank: int) -> list:
+def _irredundant(gens) -> list:
+    """Sorted distinct gens less each one in the cone of the others left
+    at its turn.  One pass suffices: a kept generator stays outside the
+    cone of the fewer generators left after it."""
     out = sorted(set(gens))
-    changed = True
-    while changed:
-        changed = False
-        for v in list(out):
-            rest = [w for w in out if w != v]
-            if rest and _in_cone(v, rest, rank):
-                out.remove(v)
-                changed = True
+    for v in list(out):
+        if _in_cone(v, [w for w in out if w != v]):
+            out.remove(v)
     return out
 
 
@@ -249,7 +227,7 @@ def _nonneg_solutions(vectors, rank: int) -> list[tuple[int, ...]]:
             continue
         if all(_dot(cp, v) >= 0 for v in vectors):
             valid.append(cp)
-    return _irredundant(valid, rank)
+    return _irredundant(valid)
 
 
 # =====================================================================
@@ -275,8 +253,8 @@ class Cone:
             vec = _primitive(_as_vector(v, rank))
             if vec is not None:
                 raw.append(vec)
-        gens = tuple(_irredundant(raw, rank))
-        is_pointed = _is_pointed(gens, rank) if gens else True
+        gens = tuple(_irredundant(raw))
+        is_pointed = _is_pointed(gens, rank)
         if pointed and not is_pointed:
             raise ConeError(
                 f"generators {gens} span a cone containing a line "
@@ -303,7 +281,7 @@ class Cone:
         return _matrix_rank(self.generators)
 
     def contains(self, vec) -> bool:
-        return _in_cone(tuple(vec), self.generators, self.rank)
+        return _in_cone(tuple(vec), self.generators)
 
     def faces(self) -> list["Cone"]:
         """All faces, the cone itself and the minimal face included.
@@ -313,12 +291,13 @@ class Cone:
         functional, and summing subsets of the dual generators reaches
         the relative interior of every dual face, hence every face
         downstairs; that route runs through half-space intersection and
-        is capped at rank 3.
+        is capped at rank 3.  A subset of normalized generators is
+        normalized, so faces are not normalized again.
         """
         if not self.generators:
             return [self]
         if self.pointed and self.dim == len(self.generators):
-            return [Cone(self.rank, sub, pointed=True)
+            return [Cone._trusted(self.rank, sub, True)
                     for r in range(len(self.generators) + 1)
                     for sub in combinations(self.generators, r)]
         duals = _nonneg_solutions(self.generators, self.rank)
@@ -330,8 +309,9 @@ class Cone:
                 fgens = tuple(v for v in self.generators
                               if _dot(u, v) == 0)
                 if fgens not in seen:
-                    seen[fgens] = Cone(self.rank, fgens,
-                                       pointed=self.pointed)
+                    seen[fgens] = Cone._trusted(
+                        self.rank, fgens,
+                        self.pointed or _is_pointed(fgens, self.rank))
         return list(seen.values())
 
     def __eq__(self, other):
@@ -475,14 +455,15 @@ class Fan:
 
 
 def _subcone(a: Cone, b: Cone) -> bool:
-    return all(_in_cone(v, b.generators, b.rank) for v in a.generators)
+    return all(_in_cone(v, b.generators) for v in a.generators)
 
 
 def _intersect(a: Cone, b: Cone, rank: int) -> Cone:
     da = _nonneg_solutions(a.generators, rank)
     db = _nonneg_solutions(b.generators, rank)
     gens = _nonneg_solutions(sorted(set(da) | set(db)), rank)
-    return Cone(rank, gens)
+    # normalized by _nonneg_solutions; a meet of pointed cones is pointed
+    return Cone._trusted(rank, tuple(gens), True)
 
 
 def _intersection_defect(a: Cone, b: Cone, rank: int) -> str | None:
@@ -494,7 +475,8 @@ def _intersection_defect(a: Cone, b: Cone, rank: int) -> str | None:
     generator of one cone reachable inside the other modulo the
     remaining generators, an exact conic-membership question.
     """
-    common = [f for f in a.faces() if f in b.faces()]
+    b_faces = set(b.faces())
+    common = [f for f in a.faces() if f in b_faces]
     maxes = [f for f in common
              if not any(g != f and _subcone(f, g) for g in common)]
     if len(maxes) != 1:
@@ -518,7 +500,7 @@ def _intersection_defect(a: Cone, b: Cone, rank: int) -> str | None:
         pool = list(b.generators) + [
             tuple(-c for c in v)
             for j, v in enumerate(a.generators) if j != i]
-        if _in_cone(gen, pool, rank):
+        if _in_cone(gen, pool):
             return (f"overlap along {list(gen)} beyond the common face "
                     f"{list(face.generators)}")
     return None
@@ -705,7 +687,7 @@ def sections(fan: Fan, divisor: TWeilDivisor, dencap: int = 0,
     rank = fan.rank
     units = [tuple(s if i == k else 0 for i in range(rank))
              for k in range(rank) for s in (1, -1)]
-    if not all(_in_cone(e, rays, rank) for e in units):
+    if not all(_in_cone(e, rays) for e in units):
         recession = _nonneg_solutions(rays, rank) if rank <= 3 else []
         if recession:
             raise ConeError(

@@ -8,10 +8,11 @@ from itertools import combinations, product
 from math import ceil, comb, floor, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from perfectoid import toric
 from perfectoid.arith import (
     _PRIME_BOUND,
     BudgetError,
@@ -544,6 +545,65 @@ def test_dual_cone_matches_the_rational_reference(data):
             dual_cone(cone)
         return
     assert dual_cone(cone).generators == want
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_cone_membership_matches_the_all_subsets_reference(data):
+    rank = data.draw(st.integers(2, 4))
+    gens = data.draw(vector_lists(rank, 0, 5))
+    if data.draw(st.booleans()):
+        weights = [data.draw(st.integers(0, 2)) for _ in gens]
+        vec = tuple(sum(w * g[r] for w, g in zip(weights, gens))
+                    for r in range(rank))
+    else:
+        vec = data.draw(vector_lists(rank, 1, 1))[0]
+    assert Cone(rank, gens, pointed=False).contains(vec) is \
+        oracles._in_cone(vec, gens, rank)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_faces_are_the_cones_their_generators_build(data):
+    rank = data.draw(st.integers(2, 4))
+    cone = Cone(rank, data.draw(vector_lists(rank, 0, 4 if rank < 4 else 3)),
+                pointed=False)
+    # above rank 3 only simplicial cones have faces
+    assume(rank < 4 or cone.dim == len(cone.generators))
+    for face in cone.faces():
+        want = Cone(rank, face.generators, pointed=False)
+        assert (face.generators, face.pointed) == (want.generators,
+                                                   want.pointed)
+
+
+HEXAGON = [(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, 0, 1), (0, -1, 1),
+           (1, -1, 1)]
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    calls = []
+    inner = getattr(toric, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(toric, name, counted)
+    return calls
+
+
+def test_membership_solves_one_system_per_basis_subset(monkeypatch):
+    cone = Cone(3, HEXAGON)
+    calls = _count_calls(monkeypatch, "_solve_conic")
+    assert not cone.contains((0, 0, -1))
+    assert len(calls) == comb(6, 3)
+
+
+def test_irredundant_tests_each_generator_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "_in_cone")
+    # the apex (0, 0, 1) is redundant; the hexagon's corners are not
+    assert toric._irredundant(HEXAGON + [(0, 0, 1)]) == sorted(HEXAGON)
+    assert len(calls) == 7
 
 
 def test_rank_four_simplicial_dual_is_the_dual_basis():
