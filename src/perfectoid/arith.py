@@ -267,9 +267,11 @@ def _is_prime(n: int) -> bool:
 
 
 def check_prime(p: int) -> None:
-    """FieldConfig's refusal of p: BudgetError from _PRIME_BOUND on,
-    where the primality test stops being exact, ConfigError if p is not
-    prime."""
+    """FieldConfig's refusal of p: ConfigError if p is not an integer,
+    BudgetError from _PRIME_BOUND on, where the primality test stops
+    being exact, ConfigError if p is not prime."""
+    if not isinstance(p, int):
+        raise ConfigError(f"p must be an integer, got {p!r}")
     if p >= _PRIME_BOUND:
         raise BudgetError(f"p = {p} is not below {_PRIME_BOUND}, the "
                           f"bound of the primality test")
@@ -524,9 +526,9 @@ class _DigitElement:
         k = min(k, config.full)
         if off:
             _refuse_off_lattice(off, config, k, self._carries)
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "_k", k)
-        object.__setattr__(self, "_digits", self._normalize(acc, config, k))
+        _set_config(self, config)
+        _set_k(self, k)
+        _set_digits(self, self._normalize(acc, config, k))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -550,9 +552,9 @@ class _DigitElement:
         in 1..p-1.  The dict is kept, not copied; nothing mutates it.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "_k", k)
-        object.__setattr__(self, "_digits", digits)
+        _set_config(self, config)
+        _set_k(self, k)
+        _set_digits(self, digits)
         return self
 
     @classmethod
@@ -701,7 +703,7 @@ class _DigitElement:
             raise ConfigError(
                 f"cannot combine {self.kind} and "
                 f"{getattr(other, 'kind', type(other).__name__)} elements")
-        if other.config != self.config:
+        if other.config is not self.config and other.config != self.config:
             raise ConfigError(
                 f"config mismatch: {self.config} vs {other.config}")
 
@@ -774,7 +776,9 @@ class _DigitElement:
     def __eq__(self, other):
         if not isinstance(other, _DigitElement):
             return NotImplemented
-        return (self.kind == other.kind and self.config == other.config
+        return (self.kind == other.kind
+                and (self.config is other.config
+                     or self.config == other.config)
                 and self._k == other._k and self._digits == other._digits)
 
     def __hash__(self):
@@ -811,6 +815,13 @@ class _DigitElement:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), separators=(",", ":"))
+
+
+# The slots' own setters: __setattr__ refuses every write, and these are
+# faster than object.__setattr__, which looks the slot up by name.
+_set_config = _DigitElement.config.__set__
+_set_k = _DigitElement._k.__set__
+_set_digits = _DigitElement._digits.__set__
 
 
 class UntiltElement(_DigitElement):

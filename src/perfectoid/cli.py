@@ -8,29 +8,25 @@ run with a trailing newline; ``--format text`` switches to the text
 rendering where an element has one.  Exit codes: 0 on success, 1 on a
 domain error (reported as a single JSON object on stderr), 2 on usage
 errors.
+
+The parser is the standard library's argparse, with abbreviated options
+refused.  Only ``arith`` is imported with this module; each command
+imports the kernel modules it uses when it runs, so a process loads
+those alone.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
 
 from pathlib import Path
 
-import click
-
-from .adicdisc import (
-    AdicPoint,
-    RationalSubset,
-    adic_point_from_json,
-    eval_at,
-    in_rational_subset,
-    specializes,
-)
 from .arith import (
     ConfigError,
     KernelError,
@@ -39,32 +35,11 @@ from .arith import (
     element_from_json,
     reduce_mod_uniformizer,
 )
-from .polyroots import (
-    Polynomial,
-    fw_transfer,
-    hensel_root,
-    mixed_root_refine,
-    newton_polygon,
-)
-from .suite import DEFAULT_SEED, check_names, run_all
-from .tatealg import (
-    GaussPoint,
-    HomogeneousElement,
-    approximate,
-    decompose,
-    point_from_json,
-    verify_contract,
-)
-from .tiltkit import WittVector, sharp, theta, witt_add, witt_mul
-from .toric import (
-    Fan,
-    TWeilDivisor,
-    hypersurface_transfer,
-    is_complete,
-    is_smooth,
-    projective_fan,
-    sections,
-)
+
+
+class UsageError(Exception):
+    """A command line the parser accepts but its command cannot use: a
+    missing or malformed input, or a malformed rational.  Exit code 2."""
 
 
 def dumps(doc) -> str:
@@ -93,7 +68,7 @@ def _read_source(arg: str) -> str:
     try:
         return bundled.read_text(encoding="utf-8")
     except (FileNotFoundError, OSError):
-        raise click.UsageError(f"no such input: {arg}")
+        raise UsageError(f"no such input: {arg}")
 
 
 def _parse(arg: str):
@@ -102,35 +77,7 @@ def _parse(arg: str):
         return json.loads(text)
     except ValueError as exc:
         # JSONDecodeError, or an integer past Python's int-from-str limit
-        raise click.UsageError(f"malformed JSON in {arg!r}: {exc}")
-
-
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except KernelError as exc:
-            click.echo(dumps({"error": type(exc).__name__,
-                              "message": str(exc)}), err=True)
-            raise SystemExit(1)
-    return wrapper
-
-
-def _config_options(fn):
-    fn = click.option("--dencap", type=int, default=None,
-                      help="Assert the input's denominator cap.")(fn)
-    fn = click.option("--prec", type=int, default=None,
-                      help="Working or target precision, per command.")(fn)
-    fn = click.option("--p", type=int, default=None,
-                      help="Assert the input's residue characteristic.")(fn)
-    return fn
-
-
-def _format_option(fn):
-    return click.option("--format", "fmt",
-                        type=click.Choice(["json", "text"]),
-                        default="json", help="Output rendering.")(fn)
+        raise UsageError(f"malformed JSON in {arg!r}: {exc}")
 
 
 def _check_config(config, p, dencap, prec=None):
@@ -147,51 +94,131 @@ def _fraction(text: str, flag: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise click.UsageError(f"{flag} wants a rational like 2 or 1/3, "
-                               f"got {text!r}")
+        raise UsageError(f"{flag} wants a rational like 2 or 1/3, "
+                         f"got {text!r}")
 
 
 def _element(arg: str):
     return element_from_json(_parse(arg))
 
 
-def _polynomial(arg: str) -> Polynomial:
+def _polynomial(arg: str):
+    from .polyroots import Polynomial
     return Polynomial.from_json(_parse(arg))
 
 
-def _homogeneous(arg: str) -> HomogeneousElement:
+def _homogeneous(arg: str):
+    from .tatealg import HomogeneousElement
     return HomogeneousElement.from_json(_parse(arg))
 
 
-def _fan(arg: str) -> Fan:
+def _fan(arg: str):
+    from .toric import Fan
     return Fan.from_json(_parse(arg))
 
 
 def _emit(doc, fmt="json", text=None):
     # text: a callable giving the text form, called only for --format text
     if fmt == "text" and text is not None:
-        click.echo(text())
+        print(text())
     else:
-        click.echo(dumps(doc))
+        print(dumps(doc))
 
 
-@click.group()
-def main():
-    """Exact finite-precision computations across the tilting
-    correspondence."""
+# =====================================================================
+# The command tree
+# =====================================================================
+
+# (words naming the command, its function, its add_argument calls), in
+# the order the commands are defined below
+_COMMANDS: list = []
+
+_GROUPS = {"witt": "Witt-vector arithmetic over the tilt.",
+           "disc": "Points of the adic unit disc and evaluation on them.",
+           "toric": "Fans, divisor sections, and the graded transfer."}
+
+
+def _arg(*names, **kwargs):
+    return names, kwargs
+
+
+def _command(words: str, *arguments):
+    """Registers the decorated function as the command ``words``; the
+    parsed arguments are its keyword arguments."""
+    def register(fn):
+        _COMMANDS.append((words.split(), fn, arguments))
+        return fn
+    return register
+
+
+_CONFIG = (
+    _arg("--p", type=int,
+         help="Assert the input's residue characteristic."),
+    _arg("--prec", type=int,
+         help="Working or target precision, per command."),
+    _arg("--dencap", type=int, help="Assert the input's denominator cap."),
+)
+_FORMAT = _arg("--format", dest="fmt", choices=["json", "text"],
+               default="json", help="Output rendering.")
+_DEPTH = _arg("--c", dest="depth", required=True,
+              help="Depth of the approximation, a nonnegative rational.")
+_EPS = _arg("--eps", required=True, help="Loss budget, a rational in (0, 1).")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses abbreviated options (``--pre 4`` is not ``--prec 4``), and
+    takes an option value that starts with ``-`` and a digit, such as
+    ``--scale -1/3``, as that value rather than as an unknown option,
+    as Python 3.13's argparse does."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
+def _parser() -> _Parser:
+    parser = _Parser(prog="perfectoid", description=(
+        "Exact finite-precision computations across the tilting "
+        "correspondence."))
+    levels = {(): parser.add_subparsers(metavar="COMMAND", required=True)}
+    for words, fn, arguments in _COMMANDS:
+        *group, name = words
+        group = tuple(group)
+        if group not in levels:
+            doc = _GROUPS[group[0]]
+            levels[group] = levels[()].add_parser(
+                group[0], help=doc, description=doc).add_subparsers(
+                    metavar="COMMAND", required=True)
+        sub = levels[group].add_parser(name, help=fn.__doc__,
+                                       description=fn.__doc__)
+        for names, kwargs in arguments:
+            sub.add_argument(*names, **kwargs)
+        sub.set_defaults(command=(fn, sub))
+    return parser
+
+
+def main(argv=None) -> None:
+    """Runs one command line, ``sys.argv[1:]`` by default."""
+    args = vars(_parser().parse_args(argv))
+    fn, parser = args.pop("command")
+    try:
+        fn(**args)
+    except UsageError as exc:
+        parser.error(str(exc))
+    except KernelError as exc:
+        print(dumps({"error": type(exc).__name__, "message": str(exc)}),
+              file=sys.stderr)
+        raise SystemExit(1)
 
 
 # =====================================================================
 # Element maps
 # =====================================================================
 
-@main.command("sharp")
-@click.argument("element")
-@_config_options
-@_format_option
-@_guarded
+@_command("sharp", _arg("element"), *_CONFIG, _FORMAT)
 def sharp_cmd(element, p, prec, dencap, fmt):
     """Multiplicative lift of a tilt element, modulo p^PREC."""
+    from .tiltkit import sharp
     x = _element(element)
     if not isinstance(x, TiltElement):
         raise ConfigError("sharp expects a tilt element")
@@ -201,11 +228,7 @@ def sharp_cmd(element, p, prec, dencap, fmt):
     _emit(result.to_json(), fmt, result.to_text)
 
 
-@main.command("tilt-reduce")
-@click.argument("element")
-@_config_options
-@_format_option
-@_guarded
+@_command("tilt-reduce", _arg("element"), *_CONFIG, _FORMAT)
 def tilt_reduce_cmd(element, p, prec, dencap, fmt):
     """Reduction of an untilt element to the shared quotient ring."""
     x = _element(element)
@@ -220,53 +243,41 @@ def tilt_reduce_cmd(element, p, prec, dencap, fmt):
 # Witt vectors
 # =====================================================================
 
-@main.group("witt")
-def witt_group():
-    """Witt-vector arithmetic over the tilt."""
-
-
-@witt_group.command("add")
-@click.argument("left")
-@click.argument("right")
-@_format_option
-@_guarded
+@_command("witt add", _arg("left"), _arg("right"), _FORMAT)
 def witt_add_cmd(left, right, fmt):
+    """Sum of two Witt vectors."""
+    from .tiltkit import WittVector, witt_add
     result = witt_add(WittVector.from_json(_parse(left)),
                       WittVector.from_json(_parse(right)))
     _emit(result.to_json(), fmt)
 
 
-@witt_group.command("mul")
-@click.argument("left")
-@click.argument("right")
-@_format_option
-@_guarded
+@_command("witt mul", _arg("left"), _arg("right"), _FORMAT)
 def witt_mul_cmd(left, right, fmt):
+    """Product of two Witt vectors."""
+    from .tiltkit import WittVector, witt_mul
     result = witt_mul(WittVector.from_json(_parse(left)),
                       WittVector.from_json(_parse(right)))
     _emit(result.to_json(), fmt)
 
 
-@witt_group.command("lift")
-@click.argument("element")
-@click.option("--length", type=int, default=3, show_default=True,
-              help="Number of Witt components.")
-@_format_option
-@_guarded
+@_command("witt lift", _arg("element"),
+          _arg("--length", type=int, default=3,
+               help="Number of Witt components (default: %(default)s)."),
+          _FORMAT)
 def witt_lift_cmd(element, length, fmt):
     """Teichmuller lift of a tilt element."""
+    from .tiltkit import WittVector
     x = _element(element)
     if not isinstance(x, TiltElement):
         raise ConfigError("the Teichmuller lift starts from a tilt element")
     _emit(WittVector.teichmuller(x, length).to_json(), fmt)
 
 
-@main.command("theta")
-@click.argument("witt")
-@_format_option
-@_guarded
+@_command("theta", _arg("witt"), _FORMAT)
 def theta_cmd(witt, fmt):
     """Untilting homomorphism on a Witt vector, modulo p^length."""
+    from .tiltkit import WittVector, theta
     result = theta(WittVector.from_json(_parse(witt)))
     _emit(result.to_json(), fmt, result.to_text)
 
@@ -275,39 +286,36 @@ def theta_cmd(witt, fmt):
 # Polynomials
 # =====================================================================
 
-@main.command("newton")
-@click.argument("poly")
-@_format_option
-@_guarded
+@_command("newton", _arg("poly"), _FORMAT)
 def newton_cmd(poly, fmt):
     """Newton polygon of a polynomial, as slope/multiplicity pairs."""
+    from .polyroots import newton_polygon
     polygon = newton_polygon(_polynomial(poly))
     rows = polygon.to_json()
     _emit(rows, fmt, lambda: "\n".join(f"{row['slope']} x{row['mult']}"
                                        for row in rows))
 
 
-@main.command("transfer")
-@click.argument("poly")
-@click.option("--n", type=int, default=0, show_default=True,
-              help="Frobenius-twist stage of the coefficient transfer.")
-@_format_option
-@_guarded
+@_command("transfer", _arg("poly"),
+          _arg("--n", type=int, default=0,
+               help="Frobenius-twist stage of the coefficient transfer "
+                    "(default: %(default)s)."),
+          _FORMAT)
 def transfer_cmd(poly, n, fmt):
     """Coefficientwise transfer of a tilt polynomial to the untilt."""
+    from .polyroots import fw_transfer
     P = _polynomial(poly)
     _emit(fw_transfer(P, n).to_json(), fmt)
 
 
-@main.command("root")
-@click.argument("poly")
-@click.option("--start", type=int, default=None,
-              help="Hensel-lift from this integer residue instead of "
-                   "running the digitwise refinement.")
-@_format_option
-@_guarded
+@_command("root", _arg("poly"),
+          _arg("--start", type=int,
+               help="Hensel-lift from this integer residue instead of "
+                    "running the digitwise refinement."),
+          _FORMAT)
 def root_cmd(poly, start, fmt):
     """A root of a monic integral polynomial over the untilt."""
+    from .polyroots import hensel_root, mixed_root_refine
     P = _polynomial(poly)
     if start is not None:
         result = hensel_root(
@@ -321,47 +329,34 @@ def root_cmd(poly, start, fmt):
 # Homogeneous approximation
 # =====================================================================
 
-@main.command("decompose")
-@click.argument("element")
-@click.option("--c", "depth", type=int, required=True,
-              help="Uniformizer depth of the decomposition.")
-@_format_option
-@_guarded
+@_command("decompose", _arg("element"),
+          _arg("--c", dest="depth", type=int, required=True,
+               help="Uniformizer depth of the decomposition."),
+          _FORMAT)
 def decompose_cmd(element, depth, fmt):
     """Digit slices of an untilt element along uniformizer powers."""
+    from .tatealg import decompose
     f = _homogeneous(element)
     _emit([g.to_json() for g in decompose(f, depth)], fmt)
 
 
-@main.command("approx")
-@click.argument("element")
-@click.option("--c", "depth", required=True,
-              help="Depth of the approximation, a nonnegative rational.")
-@click.option("--eps", required=True,
-              help="Loss budget, a rational in (0, 1).")
-@_format_option
-@_guarded
+@_command("approx", _arg("element"), _DEPTH, _EPS, _FORMAT)
 def approx_cmd(element, depth, eps, fmt):
     """Tilt-side approximant of an untilt homogeneous element."""
+    from .tatealg import approximate
     f = _homogeneous(element)
     g = approximate(f, _fraction(depth, "--c"), _fraction(eps, "--eps"))
     _emit(g.to_json(), fmt)
 
 
-@main.command("verify")
-@click.argument("element")
-@click.argument("candidate")
-@click.option("--c", "depth", required=True,
-              help="Depth of the approximation, a nonnegative rational.")
-@click.option("--eps", required=True,
-              help="Loss budget, a rational in (0, 1).")
-@click.option("--points", default=None,
-              help="JSON array of evaluation points; default is the "
-                   "Gauss point alone.")
-@_format_option
-@_guarded
+@_command("verify", _arg("element"), _arg("candidate"), _DEPTH, _EPS,
+          _arg("--points",
+               help="JSON array of evaluation points; default is the "
+                    "Gauss point alone."),
+          _FORMAT)
 def verify_cmd(element, candidate, depth, eps, points, fmt):
     """Pointwise check that a tilt candidate approximates an element."""
+    from .tatealg import GaussPoint, point_from_json, verify_contract
     f = _homogeneous(element)
     g = _homogeneous(candidate)
     if points is None:
@@ -377,20 +372,14 @@ def verify_cmd(element, candidate, depth, eps, points, fmt):
 # The adic disc
 # =====================================================================
 
-@main.group("disc")
-def disc_group():
-    """Points of the adic unit disc and evaluation on them."""
-
-
-@disc_group.command("eval")
-@click.argument("poly")
-@click.option("--point", required=True,
-              help="Point JSON; a bare {\"type\":\"gauss\"} borrows the "
-                   "polynomial's configuration.")
-@_format_option
-@_guarded
+@_command("disc eval", _arg("poly"),
+          _arg("--point", required=True,
+               help="Point JSON; a bare {\"type\":\"gauss\"} borrows the "
+                    "polynomial's configuration."),
+          _FORMAT)
 def disc_eval_cmd(poly, point, fmt):
     """Valuation of a polynomial at a point of the disc."""
+    from .adicdisc import adic_point_from_json, eval_at
     P = _polynomial(poly)
     x = adic_point_from_json(_parse(point), config=P.config)
     value = eval_at(P, x)
@@ -402,25 +391,20 @@ def disc_eval_cmd(poly, point, fmt):
     _emit(doc, fmt)
 
 
-@disc_group.command("member")
-@click.argument("subset")
-@click.argument("point")
-@_format_option
-@_guarded
+@_command("disc member", _arg("subset"), _arg("point"), _FORMAT)
 def disc_member_cmd(subset, point, fmt):
     """Whether a point lies in a rational subset."""
+    from .adicdisc import (RationalSubset, adic_point_from_json,
+                           in_rational_subset)
     U = RationalSubset.from_json(_parse(subset))
     x = adic_point_from_json(_parse(point), config=U.config)
     _emit({"member": in_rational_subset(x, U)}, fmt)
 
 
-@disc_group.command("specializes")
-@click.argument("source")
-@click.argument("target")
-@_format_option
-@_guarded
+@_command("disc specializes", _arg("source"), _arg("target"), _FORMAT)
 def disc_specializes_cmd(source, target, fmt):
     """Whether the first point specializes to the second."""
+    from .adicdisc import adic_point_from_json, specializes
     x = adic_point_from_json(_parse(source))
     y = adic_point_from_json(_parse(target))
     _emit({"specializes": specializes(x, y)}, fmt)
@@ -430,24 +414,17 @@ def disc_specializes_cmd(source, target, fmt):
 # Toric geometry
 # =====================================================================
 
-@main.group("toric")
-def toric_group():
-    """Fans, divisor sections, and the graded transfer."""
-
-
-@toric_group.command("sections")
-@click.argument("fan")
-@click.argument("divisor")
-@click.option("--scale", default=None,
-              help="Rational multiple applied to the divisor.")
-@click.option("--dencap", type=int, default=0, show_default=True,
-              help="Denominator cap for fractional lattice points.")
-@click.option("--p", type=int, default=None,
-              help="Residue characteristic backing fractional caps.")
-@_format_option
-@_guarded
+@_command("toric sections", _arg("fan"), _arg("divisor"),
+          _arg("--scale", help="Rational multiple applied to the divisor."),
+          _arg("--dencap", type=int, default=0,
+               help="Denominator cap for fractional lattice points "
+                    "(default: %(default)s)."),
+          _arg("--p", type=int,
+               help="Residue characteristic backing fractional caps."),
+          _FORMAT)
 def toric_sections_cmd(fan, divisor, scale, dencap, p, fmt):
     """Lattice points of the divisor's section polytope."""
+    from .toric import TWeilDivisor, sections
     F = _fan(fan)
     D = TWeilDivisor.from_json(F, _parse(divisor))
     if scale is not None:
@@ -457,28 +434,21 @@ def toric_sections_cmd(fan, divisor, scale, dencap, p, fmt):
     _emit(doc, fmt, lambda: "\n".join(" ".join(row) for row in doc))
 
 
-@toric_group.command("smooth")
-@click.argument("fan")
-@_format_option
-@_guarded
+@_command("toric smooth", _arg("fan"), _FORMAT)
 def toric_smooth_cmd(fan, fmt):
     """Whether every cone of the fan is unimodular."""
+    from .toric import is_smooth
     _emit({"smooth": is_smooth(_fan(fan))}, fmt)
 
 
-@toric_group.command("complete")
-@click.argument("fan")
-@_format_option
-@_guarded
+@_command("toric complete", _arg("fan"), _FORMAT)
 def toric_complete_cmd(fan, fmt):
     """Whether the fan's support is the whole lattice."""
+    from .toric import is_complete
     _emit({"complete": is_complete(_fan(fan))}, fmt)
 
 
-@toric_group.command("validate")
-@click.argument("fan")
-@_format_option
-@_guarded
+@_command("toric validate", _arg("fan"), _FORMAT)
 def toric_validate_cmd(fan, fmt):
     """Parse a fan and report its shape; invalid fans are rejected."""
     F = _fan(fan)
@@ -486,19 +456,14 @@ def toric_validate_cmd(fan, fmt):
            "maximal": len(F.maximal_cones), "rays": len(F.rays)}, fmt)
 
 
-@toric_group.command("transfer")
-@click.argument("element")
-@click.option("--c", "depth", required=True,
-              help="Depth of the approximation, a nonnegative rational.")
-@click.option("--eps", required=True,
-              help="Loss budget, a rational in (0, 1).")
-@click.option("--fan", "fan_arg", default=None,
-              help="Ambient fan; default is the projective fan with "
-                   "one ray per variable.")
-@_format_option
-@_guarded
+@_command("toric transfer", _arg("element"), _DEPTH, _EPS,
+          _arg("--fan", dest="fan_arg",
+               help="Ambient fan; default is the projective fan with "
+                    "one ray per variable."),
+          _FORMAT)
 def toric_transfer_cmd(element, depth, eps, fan_arg, fmt):
     """Tilt-side model of a hypersurface, with its contract report."""
+    from .toric import hypersurface_transfer, projective_fan
     f = _homogeneous(element)
     F = _fan(fan_arg) if fan_arg is not None else projective_fan(f.nvars - 1)
     result = hypersurface_transfer(F, f, _fraction(depth, "--c"),
@@ -510,33 +475,34 @@ def toric_transfer_cmd(element, depth, eps, fan_arg, fmt):
 # The acceptance battery
 # =====================================================================
 
-@main.command("suite")
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True,
-              help="Seed for every randomized check.")
-@click.option("--only", default=None,
-              help="Comma-separated subset of checks to run.")
-@_format_option
+@_command("suite",
+          _arg("--seed", type=int,
+               help="Seed for every randomized check (default: "
+                    "suite.DEFAULT_SEED)."),
+          _arg("--only", help="Comma-separated subset of checks to run."),
+          _FORMAT)
 def suite_cmd(seed, only, fmt):
     """Run the acceptance battery; exit 1 when any check fails."""
+    from .suite import DEFAULT_SEED, check_names, run_all
     names = None
     if only is not None:
         names = [part.strip() for part in only.split(",") if part.strip()]
         known = set(check_names())
         for name in names:
             if name not in known:
-                raise click.UsageError(
+                raise UsageError(
                     f"unknown check {name!r}; expected a subset of "
                     f"{', '.join(check_names())}")
-    results = run_all(seed, names)
+    results = run_all(DEFAULT_SEED if seed is None else seed, names)
     # timings stay out of the output so identical runs stay identical
     if fmt == "json":
-        click.echo(dumps([{"name": r.name, "passed": r.passed,
-                           "detail": r.detail} for r in results]))
+        print(dumps([{"name": r.name, "passed": r.passed,
+                      "detail": r.detail} for r in results]))
     else:
         width = max(len(r.name) for r in results)
         for r in results:
             status = "pass" if r.passed else "FAIL"
-            click.echo(f"{r.name.ljust(width)}  {status}  {r.detail}")
+            print(f"{r.name.ljust(width)}  {status}  {r.detail}")
     if not all(r.passed for r in results):
         raise SystemExit(1)
 

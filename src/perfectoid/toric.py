@@ -656,8 +656,9 @@ def sections(fan: Fan, divisor: TWeilDivisor, dencap: int = 0,
     refused from those extents, before p^m is computed.
 
     Raises:
-        ConeError: unbounded polytope, or coefficients off the p-power
-            denominator lattice.
+        ConeError: unbounded polytope, coefficients off the p-power
+            denominator lattice, or a dencap that is not a nonnegative
+            integer.
         ConfigError, BudgetError: p is refused as FieldConfig refuses it.
         BudgetError: the box holds more than _SECTION_BUDGET points.
             The largest box that the tests, ``perfectoid suite``, the
@@ -666,6 +667,8 @@ def sections(fan: Fan, divisor: TWeilDivisor, dencap: int = 0,
     """
     if not isinstance(divisor, TWeilDivisor) or divisor.fan != fan:
         raise ConeError("divisor does not live on this fan")
+    if not isinstance(dencap, int):
+        raise ConeError(f"dencap must be an integer, got {dencap!r}")
     if dencap < 0:
         raise ConeError(f"dencap must be nonnegative, got {dencap}")
     if (dencap > 0 or any(a.denominator != 1

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import io
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -95,3 +101,46 @@ def fractions_built(monkeypatch):
         return made
 
     return start
+
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        """stdout, then stderr."""
+        return self.stdout + self.stderr
+
+
+def run_cli(argv, input: str | None = None,
+            env: dict | None = None) -> CliResult:
+    """Runs ``perfectoid.cli.main(argv)`` in this process with stdin
+    reading ``input`` and the environment updated by ``env`` (a None
+    value unsets the variable), and returns its exit code and output."""
+    from perfectoid.cli import main
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), \
+            mock.patch.object(sys, "stdin", io.StringIO(input or "")), \
+            redirect_stdout(out), redirect_stderr(err):
+        for name, value in (env or {}).items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+        try:
+            main(list(argv))
+            code = 0
+        except SystemExit as exc:
+            code = (exc.code if isinstance(exc.code, int)
+                    else int(exc.code is not None))
+    return CliResult(code, out.getvalue(), err.getvalue())
+
+
+@pytest.fixture
+def runner():
+    """The in-process command-line runner, ``run_cli``."""
+    return run_cli

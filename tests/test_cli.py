@@ -7,22 +7,16 @@ import time
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
 from perfectoid.arith import FieldConfig, TiltElement, UntiltElement
-from perfectoid.cli import dumps, fixture_dir, main
+from perfectoid.cli import dumps, fixture_dir
 from perfectoid.polyroots import Polynomial
 from perfectoid.suite import CheckResult
 from perfectoid.tiltkit import WittVector
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
 def invoke(runner, *args, **kwargs):
-    return runner.invoke(main, list(args), **kwargs)
+    return runner(args, **kwargs)
 
 
 # ---------------------------------------------------------------------
@@ -269,6 +263,16 @@ def test_verify_reads_a_points_file(runner, tmp_path):
     assert len(json.loads(report.output)["points"]) == 1
 
 
+def test_a_flag_value_may_start_with_a_minus_sign(runner):
+    # "-1/3" is the value of --c, refused by the kernel, not an option
+    result = invoke(runner, "approx", "linear-form.json", "--c", "-1/3",
+                    "--eps", "1/3")
+    assert result.exit_code == 1
+    assert json.loads(result.stderr) == {
+        "error": "KernelError", "message": "depth must be nonnegative, "
+                                           "got -1/3"}
+
+
 def test_approx_rejects_bad_eps(runner):
     result = invoke(runner, "approx", "linear-form.json",
                     "--c", "1", "--eps", "two")
@@ -457,6 +461,37 @@ def test_an_overlong_json_integer_is_a_usage_error(runner):
     assert "malformed JSON" in result.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["no-such-command"],
+    ["sharp", "--prec", "four", "t.json"],
+    ["sharp", "--pre", "4", "t.json"],
+    ["sharp", "t.json", "--format", "xml"],
+    ["approx", "linear-form.json", "--eps", "1/3"],
+    [],
+    ["witt"],
+], ids=["unknown-command", "bad-int", "abbreviated-option", "bad-choice",
+        "missing-option", "no-command", "no-subcommand"])
+def test_usage_errors_exit_2_with_empty_stdout(runner, args):
+    result = invoke(runner, *args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr
+
+
+@pytest.mark.parametrize("args", [
+    [], ["sharp"], ["tilt-reduce"], ["witt"], ["witt", "add"],
+    ["witt", "mul"], ["witt", "lift"], ["theta"], ["newton"], ["transfer"],
+    ["root"], ["decompose"], ["approx"], ["verify"], ["disc"],
+    ["disc", "eval"], ["disc", "member"], ["disc", "specializes"],
+    ["toric"], ["toric", "sections"], ["toric", "smooth"],
+    ["toric", "complete"], ["toric", "validate"], ["toric", "transfer"],
+    ["suite"]], ids=lambda args: " ".join(args) or "perfectoid")
+def test_help_exits_0(runner, args):
+    result = invoke(runner, *args, "--help")
+    assert result.exit_code == 0
+    assert result.stdout.startswith("usage: perfectoid")
+
+
 # ---------------------------------------------------------------------
 # suite command
 # ---------------------------------------------------------------------
@@ -483,9 +518,10 @@ def test_suite_unknown_check_is_a_usage_error(runner):
 
 
 def test_suite_exit_code_follows_failures(runner, monkeypatch):
-    import perfectoid.cli as cli_module
+    # the suite command imports run_all from perfectoid.suite when it runs
+    import perfectoid.suite as suite_module
     monkeypatch.setattr(
-        cli_module, "run_all",
+        suite_module, "run_all",
         lambda seed, names=None: [
             CheckResult("stub", False, "synthetic failure", 0.0)])
     result = invoke(runner, "suite")
@@ -495,7 +531,21 @@ def test_suite_exit_code_follows_failures(runner, monkeypatch):
 
 def test_package_import_does_not_load_sympy():
     probe = ("import sys, perfectoid.cli, perfectoid.suite; "
-             "print('sympy' in sys.modules, 'numpy' in sys.modules)")
+             "print('sympy' in sys.modules, 'numpy' in sys.modules, "
+             "'click' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout == "False False\n"
+    assert proc.stdout == "False False False\n"
+
+
+def test_sharp_loads_only_the_modules_it_uses():
+    # each command imports its kernel modules when it runs: sharp needs
+    # arith and tiltkit, not the battery, the toric layer or click
+    unwanted = ("click", "dataclasses", "perfectoid.suite", "perfectoid.toric",
+                "perfectoid.tatealg")
+    probe = ("import sys, perfectoid.cli; "
+             "perfectoid.cli.main(['sharp', '--prec', '4', 't.json']); "
+             f"print([m for m in {unwanted!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -16,9 +16,8 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from perfectoid.cli import main
+from conftest import run_cli
 
 GOLDEN = Path(__file__).with_name("data") / "cli_golden.json"
 
@@ -26,8 +25,7 @@ GOLDEN = Path(__file__).with_name("data") / "cli_golden.json"
 def run(argv):
     """(stdout, stderr, exit code) of one in-process CLI run on the
     bundled fixtures."""
-    result = CliRunner().invoke(main, argv,
-                                env={"PERFECTOID_FIXTURES": None})
+    result = run_cli(argv, env={"PERFECTOID_FIXTURES": None})
     return result.stdout, result.stderr, result.exit_code
 
 

@@ -285,6 +285,15 @@ def test_sections_validation():
             sections(P2, HYPERPLANE, dencap=1, p=p)
     with pytest.raises(BudgetError, match="bound of the primality test"):
         sections(P2, HYPERPLANE, dencap=1, p=_PRIME_BOUND)
+    # a float p or dencap is refused with a typed error, not a TypeError
+    for p in (2.0, 3.0):
+        with pytest.raises(ConfigError,
+                           match=rf"^p must be an integer, got {p}$"):
+            sections(P2, HYPERPLANE, dencap=1, p=p)
+    for dencap in (1.5, 1.0):
+        with pytest.raises(ConeError, match=rf"^dencap must be an integer, "
+                                            rf"got {dencap}$"):
+            sections(P2, HYPERPLANE, dencap=dencap, p=3)
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
