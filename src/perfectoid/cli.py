@@ -199,8 +199,12 @@ def _parser() -> _Parser:
 
 def main(argv=None) -> None:
     """Runs one command line, ``sys.argv[1:]`` by default."""
-    args = vars(_parser().parse_args(argv))
+    namespace, extra = _parser().parse_known_args(argv)
+    args = vars(namespace)
     fn, parser = args.pop("command")
+    if extra:
+        # reported with the command's usage rather than the top level's
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         fn(**args)
     except UsageError as exc:

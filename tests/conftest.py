@@ -103,7 +103,6 @@ def fractions_built(monkeypatch):
     return start
 
 
-
 @dataclass
 class CliResult:
     exit_code: int
