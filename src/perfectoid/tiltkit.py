@@ -31,9 +31,17 @@ a = a' modulo p^j (j >= 1) gives a^p = a'^p modulo p^(j+1).  ``sharp``
 thus powers modulo p^(i+1) in round i, not p^K throughout.  A power
 whose dense layer would be too large for a fixed budget is refused
 before any product, even when its sparse start would stay small.
-``theta`` sums its Teichmüller expansion on one such layer, each
-component rooted once by ``TiltElement.root``, and ``sharp`` is theta
-of a Teichmüller vector.  Witt expansions are sparse maps on
+``theta`` sums its Teichmüller expansion on one such layer, and
+``sharp`` is theta of a Teichmüller vector.  The lift is multiplicative
+with [t] = p, so a component x_i = t^(q p^i) w contributes
+p^(i+q) [w^(1/p^i)]: nothing once i + q reaches the length n, and
+otherwise n-1-i-q rounds on w rooted by p^(n-1-q), a layer q levels
+shallower and a modulus p^q smaller than x_i's own root by p^(n-1)
+would need.  Refusals are still decided on that whole root, the
+component rooted by ``TiltElement.root`` and the first nonzero term's
+layer budgeted at the common depth, so the split refuses exactly what
+the whole root refuses.
+Witt expansions are sparse maps on
 u = t^(1/p^M) and multiply through the same sparse-or-dense product,
 truncated at t^prec.
 """
@@ -259,6 +267,23 @@ def _pow_pn(vec, p: int, k: int, mul):
     return vec
 
 
+def _check_layer(m: int, p: int, n: int, top: int) -> None:
+    """Refuses a p^n-th power modulo p^top on the 1/p^m layer when the
+    dense layer its last round could need, p^m slots of the width that
+    holds a folded product modulo p^top, exceeds _LAYER_BUDGET bytes.
+
+    Raises:
+        BudgetError: the packed layer would exceed _LAYER_BUDGET bytes.
+    """
+    size = p ** m
+    width = _slot_width(size, p ** top, p)
+    if size * width > _LAYER_BUDGET:
+        raise BudgetError(
+            f"a p^{n}-th power on the 1/{p}^{m} lattice needs a layer of "
+            f"{size} slots of {width} bytes, over the budget of "
+            f"{_LAYER_BUDGET} bytes")
+
+
 def _power_layer(points: dict[int, int], m: int, p: int, n: int,
                  top: int) -> dict[int, int]:
     """The nonzero coefficients {r: C_r} of (sum_r C_r * u^r)^(p^n)
@@ -277,18 +302,13 @@ def _power_layer(points: dict[int, int], m: int, p: int, n: int,
     to the dense Kronecker product for good at the first product of
     more than _DENSE_RATIO * p^m term pairs (``_layer_product``).  The
     budget is checked on the dense layer the last round could need,
-    before any product.
+    before any product (``_check_layer``).
 
     Raises:
         BudgetError: the packed layer would exceed _LAYER_BUDGET bytes.
     """
+    _check_layer(m, p, n, top)
     size = p ** m
-    width = _slot_width(size, p ** top, p)
-    if size * width > _LAYER_BUDGET:
-        raise BudgetError(
-            f"a p^{n}-th power on the 1/{p}^{m} lattice needs a layer of "
-            f"{size} slots of {width} bytes, over the budget of "
-            f"{_LAYER_BUDGET} bytes")
     mod = p ** max(top - n, 1)
     vec = {r: v for r, c in points.items() if (v := c % mod)}
     for left in range(n - 1, -1, -1):
@@ -337,32 +357,62 @@ def _teichmuller_sum(config: FieldConfig, components,
     """sum_i p^i [x_i^(1/p^i)] modulo p^n, the x_i taken as exact.
 
     [y] is (lift of y^(1/p^k))^(p^k) modulo p^(k+1) for any lift of the
-    residue modulo t, since two lifts agree modulo p.  So term i roots
-    x_i by p^(n-1), lifts the digits below 1 and powers n-1-i rounds
-    modulo p^(n-i), on the deepest lattice among the roots, and the
-    scaled terms are summed on that layer.  The budget check of the first
-    nonzero term is the strictest (its modulus is the largest), so it
-    runs before any layer is allocated.
+    residue modulo t, since two lifts agree modulo p.  The lift is
+    multiplicative and [t] = p, so x_i = t^(q p^i) w with q = floor of
+    v(x_i)/p^i gives term i = p^(i+q) [w^(1/p^i)]: it vanishes modulo
+    p^n once q >= n - i, and otherwise roots w by p^(n-1-q), lifts the
+    digits below 1 and powers n-1-i-q rounds modulo p^(n-i-q), on the
+    lattice of its own root.  The terms are summed with weight p^(i+q)
+    on the deepest of those lattices, where slot r of a layer m' levels
+    shallower is slot r * p^m'.
+
+    Refusals are decided before any layer work, as for the whole
+    p^(n-1) root of every component powered on their common lattice:
+    each component's ``TiltElement.root`` by p^(n-1), then the layer
+    budget of the first nonzero residue, the strictest since its modulus
+    is the largest.  A split root stays on the lattice whenever the
+    whole root does, and its layer is no deeper and its modulus smaller,
+    so the split refuses exactly the inputs the whole root refuses; some
+    of those (q >= 1) it could compute.
     """
     p, scale = config.p, config.scale
     if n == 1:
         # no root and no power: the digitwise lift modulo p, with no layer
-        x = components[0]
         return UntiltElement._canonical(
-            config, {j: c for j, c in x._digits.items() if j < scale},
-            scale)
-    residues = [{j: c for j, c in x.root(n - 1)._digits.items()
-                 if j < scale} for x in components]
-    m = max(_depth(r, config) for r in residues)
+            config, _residue(components[0], scale), scale)
+    # refusals: those of every component's whole root on one layer
+    residues = [_residue(x.root(n - 1), scale) for x in components]
+    first = next((i for i, r in enumerate(residues) if r), None)
+    if first is not None:
+        _check_layer(max(_depth(r, config) for r in residues), p,
+                     n - 1 - first, n - first)
+    terms = []
+    for i, (x, residue) in enumerate(zip(components, residues)):
+        if not x._digits:
+            continue
+        q = x._low() // (scale * p ** i)
+        if q >= n - i:
+            continue
+        if q:
+            residue = _residue(x._shift(-q * p ** i * scale).root(n - 1 - q),
+                               scale)
+        depth = _depth(residue, config)
+        power = _power_layer(_layer_points(residue, depth, config), depth,
+                             p, n - 1 - i - q, n - i - q)
+        terms.append((depth, p ** (i + q), power))
+    m = max((depth for depth, _, _ in terms), default=0)
     total = {}
-    for i, residue in enumerate(residues):
-        if residue:
-            power = _power_layer(_layer_points(residue, m, config), m, p,
-                                 n - 1 - i, n - i)
-            weight = p ** i
-            for r, c in power.items():
-                total[r] = total.get(r, 0) + weight * c
+    for depth, weight, power in terms:
+        spread = p ** (m - depth)
+        for r, c in power.items():
+            r *= spread
+            total[r] = total.get(r, 0) + weight * c
     return _layer_to_element(total, m, config, n * scale)
+
+
+def _residue(x: TiltElement, scale: int) -> dict[int, int]:
+    """The lattice digits of x below 1: its residue modulo t."""
+    return {j: c for j, c in x._digits.items() if j < scale}
 
 
 def sharp(x: TiltElement, target_prec: int) -> UntiltElement:
@@ -379,6 +429,13 @@ def sharp(x: TiltElement, target_prec: int) -> UntiltElement:
     lift's few terms and goes dense only once its products fill the
     layer, so a monomial or a lift of a few digits costs little even on
     a layer of many slots; the layer budget applies all the same.
+
+    The lift is multiplicative and t-sharp is p, so with q the integer
+    part of v(x), x = t^q w gives sharp(x) = p^q sharp(w) modulo
+    p^target_prec: w is rooted by p^(n-q) and powered n-q rounds on a
+    layer q levels shallower, and q >= target_prec gives 0 with no
+    layer at all.  Refusals are still those of x's own root by p^n on
+    its own layer (see _teichmuller_sum), so q changes no refusal.
 
     The lift-independence argument needs the rooted input still known
     modulo t, i.e. x known modulo t^(p^n).  Below that the function is
@@ -446,6 +503,15 @@ def sharp_const(config: FieldConfig, c: int) -> UntiltElement:
 # Witt vectors
 # =====================================================================
 
+def _check_length(config: FieldConfig, length: int) -> None:
+    """Refuses a Witt length outside 1..prec, before any list is built."""
+    if length < 1:
+        raise KernelError("Witt vectors have length >= 1")
+    if length > config.prec:
+        raise KernelError(
+            f"length {length} exceeds working precision {config.prec}")
+
+
 class WittVector:
     """A finite-length Witt vector (x_0, ..., x_{n-1}) over the tilt."""
 
@@ -453,12 +519,7 @@ class WittVector:
 
     def __init__(self, config: FieldConfig, components):
         components = tuple(components)
-        if not components:
-            raise KernelError("Witt vectors have length >= 1")
-        if len(components) > config.prec:
-            raise KernelError(
-                f"length {len(components)} exceeds working precision "
-                f"{config.prec}")
+        _check_length(config, len(components))
         for c in components:
             if not isinstance(c, TiltElement):
                 raise ConfigError("Witt components must be tilt elements")
@@ -476,10 +537,12 @@ class WittVector:
 
     @classmethod
     def zero(cls, config: FieldConfig, length: int) -> "WittVector":
+        _check_length(config, length)
         return cls(config, [TiltElement.zero(config)] * length)
 
     @classmethod
     def teichmuller(cls, x: TiltElement, length: int) -> "WittVector":
+        _check_length(x.config, length)
         rest = [TiltElement.zero(x.config)] * (length - 1)
         return cls(x.config, [x, *rest])
 
@@ -669,11 +732,13 @@ def theta(a: WittVector) -> UntiltElement:
     normalization with theta(Teichmüller(x)) = sharp(x).  The components
     are taken as exact digit expansions (each is promoted to full
     working precision by ``TiltElement.root``), and the result has
-    precision exponent n.  The sum is formed on one layer: every
-    component is rooted by p^(n-1), not p^(i+n-1), and component i is
-    raised to the p^(n-1-i)-th power modulo p^(n-i), which is
-    [x_i^(1/p^i)] modulo p^(n-i).  Each power starts sparse on the
-    component's lifted digits and goes dense only once its products fill
-    the layer (``_power_layer``).
+    precision exponent n.  The sum is formed on one layer: component
+    i = t^(q p^i) w, q the integer part of v(x_i)/p^i, is p^(i+q) times
+    [w^(1/p^i)] modulo p^(n-i-q), so w is rooted by p^(n-1-q), not
+    p^(i+n-1), and raised to the p^(n-1-i-q)-th power, and the term is
+    dropped once i + q >= n.  Each power starts sparse on the lifted
+    digits and goes dense only once its products fill its layer
+    (``_power_layer``).  Refusals are decided as for every component
+    rooted by p^(n-1) on one common layer (``_teichmuller_sum``).
     """
     return _teichmuller_sum(a.config, a.components, a.length)

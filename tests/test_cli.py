@@ -173,6 +173,20 @@ def test_witt_lift_respects_length(runner):
     assert json.loads(result.output)["length"] == 2
 
 
+@pytest.mark.parametrize("length,message", [
+    ("0", "Witt vectors have length >= 1"),
+    ("-1", "Witt vectors have length >= 1"),
+    ("1000000000", "length 1000000000 exceeds working precision 8"),
+])
+def test_witt_lift_refuses_a_length_outside_the_precision(runner, length,
+                                                          message):
+    # one typed error, before a list of that length is built (the
+    # library-level test bounds the refusal itself at 10 ms; in process,
+    # building the argument parser takes longer)
+    error = _refusal(runner, "witt", "lift", "t.json", "--length", length)
+    assert error == {"error": "KernelError", "message": message}
+
+
 # ---------------------------------------------------------------------
 # polynomial commands
 # ---------------------------------------------------------------------

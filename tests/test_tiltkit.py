@@ -2,6 +2,7 @@
 
 import ast
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from math import isqrt
@@ -17,6 +18,7 @@ from perfectoid import tiltkit
 from perfectoid.arith import (
     INF,
     BudgetError,
+    DencapError,
     FieldConfig,
     KernelError,
     PrecisionError,
@@ -281,6 +283,68 @@ def test_sharp_of_few_digits_makes_no_dense_product(monkeypatch):
     assert calls
 
 
+def test_sharp_factors_the_integer_valuation_out(monkeypatch):
+    # sharp(t^q w) = p^q sharp(w): w rooted by 3^(k-1-q), one level
+    # shallower and one round fewer for each q, and no layer at q >= k.
+    calls = []
+
+    def recording(points, m, p, n, top):
+        calls.append((m, n))
+        return _power_layer(points, m, p, n, top)
+
+    monkeypatch.setattr(tiltkit, "_power_layer", recording)
+    config, k = FieldConfig(3, 9, 8), 5
+    t = TiltElement.uniformizer(config)
+    w = TiltElement(config, {0: 1, Fraction(1, 3): 2})
+    base = sharp(w, k)
+    assert calls == [(5, k - 1)]
+    for q in range(config.prec):
+        calls.clear()
+        result = sharp(t ** q * w, k)
+        assert result == (UntiltElement.uniformizer(config) ** q
+                          * base).with_precision(k)
+        assert calls == ([(5 - q, k - 1 - q)] if q < k else [])
+        if q >= k:
+            assert result.is_zero()
+
+
+# Inputs the split would compute, or find zero, but that the whole
+# p^(k-1) root refuses; each refusal and its message are kept.
+_KEPT_REFUSALS = [
+    # t^3 rooted by 2^2 and by 3^3 leaves the integer lattice
+    (lambda: sharp(TiltElement.monomial(FieldConfig(2, 4, 0), 1, 3), 3),
+     DencapError, "exponent 3/4 needs denominator p^2, cap is p^0"),
+    (lambda: sharp(TiltElement.monomial(FieldConfig(3, 6, 0), 1, 3), 4),
+     DencapError, "exponent 1/9 needs denominator p^2, cap is p^0"),
+    # t^q (1 + t^(1/5^7)) rooted by 5: 5^8 slots, though the split needs
+    # 5^7 slots at q = 1 and no layer at q = 2
+    (lambda: sharp(TiltElement(FieldConfig(5, 4, 8), {
+        1: 1, 1 + Fraction(1, 5 ** 7): 1}), 2),
+     BudgetError, "a p^1-th power on the 1/5^8 lattice needs a layer of "
+     "390625 slots of 4 bytes, over the budget of 262144 bytes"),
+    (lambda: sharp(TiltElement(FieldConfig(5, 4, 8), {
+        2: 1, 2 + Fraction(1, 5 ** 7): 1}), 2),
+     BudgetError, "a p^1-th power on the 1/5^8 lattice needs a layer of "
+     "390625 slots of 4 bytes, over the budget of 262144 bytes"),
+    # theta: component 1 = t^5 (1 + t^(1/5^6)) sets the common depth 8,
+    # and the first nonzero term's budget is checked there
+    (lambda: theta(WittVector(FieldConfig(5, 6, 8), [
+        TiltElement.one(FieldConfig(5, 6, 8)),
+        TiltElement(FieldConfig(5, 6, 8), {5: 1, 5 + Fraction(1, 5 ** 6): 1}),
+        TiltElement.zero(FieldConfig(5, 6, 8))])),
+     BudgetError, "a p^2-th power on the 1/5^8 lattice needs a layer of "
+     "390625 slots of 5 bytes, over the budget of 262144 bytes"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", _KEPT_REFUSALS)
+def test_split_keeps_the_refusals_of_the_whole_root(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def _assert_canonical(r):
     assert type(r)(r.config, r.digits, r.precexp) == r
     assert list(r.digits) == sorted(r.digits)
@@ -321,6 +385,22 @@ def test_witt_zero_is_neutral():
     a = WittVector(C3, [t, tilt_int(C3, 2), t * t])
     assert witt_add(a, WittVector.zero(C3, 3)) == a
     assert witt_mul(a, WittVector.teichmuller(TiltElement.one(C3), 3)) == a
+
+
+@pytest.mark.parametrize("length,message", [
+    (0, "Witt vectors have length >= 1"),
+    (-1, "Witt vectors have length >= 1"),
+    (10 ** 9, "length 1000000000 exceeds working precision 8"),
+])
+def test_witt_length_is_refused_before_the_list_is_built(length, message):
+    x = TiltElement.uniformizer(C3)
+    for build in (lambda: WittVector.teichmuller(x, length),
+                  lambda: WittVector.zero(C3, length)):
+        start = time.perf_counter()
+        with pytest.raises(KernelError) as info:
+            build()
+        assert time.perf_counter() - start < 0.01
+        assert str(info.value) == message
 
 
 def test_witt_teichmuller_multiplicative():
@@ -606,6 +686,55 @@ def test_theta_matches_dense_oracle(config, length, count):
         w = WittVector(config, [
             _random_tilt(rng, config, config.dencap - i - length + 1, 3)
             for i in range(length)])
+        assert theta(w) == oracles.theta_dense(w)
+
+
+def _shifted_unit(rng, config, q, denpow):
+    # t^q times a unit with up to 3 more digits on the 1/p^denpow lattice
+    scale = config.p ** denpow
+    digits = {Fraction(q): rng.randrange(1, config.p)}
+    for _ in range(rng.randrange(4)):
+        digits[q + Fraction(rng.randrange(1, 2 * scale), scale)] = \
+            rng.randrange(1, config.p)
+    return TiltElement(config, digits)
+
+
+@pytest.mark.parametrize("config,top", [
+    (FieldConfig(2, 8, 4), 5),
+    (FieldConfig(3, 6, 3), 4),
+    (FieldConfig(5, 5, 2), 3),
+], ids=str)
+def test_sharp_of_every_integer_valuation_matches_dense_oracle(config, top):
+    # The oracle powers the p^(k-1) root at full depth, so it checks the
+    # split of t^q out of x for q = 0 .. k+1; the digits stay on the
+    # 1/p^(dencap-k+1) lattice, where the root is on the dense one.
+    rng = random.Random(16)
+    for k in range(1, top + 1):
+        for q in range(k + 2):
+            for _ in range(2):
+                x = _shifted_unit(rng, config, q, config.dencap - k + 1)
+                assert sharp(x, k) == \
+                    oracles.theta_dense(WittVector.teichmuller(x, k))
+
+
+@pytest.mark.parametrize("config,length", [
+    (FieldConfig(2, 8, 4), 3),
+    (FieldConfig(3, 10, 3), 2),
+    (FieldConfig(5, 6, 2), 2),
+], ids=str)
+def test_theta_of_deep_components_matches_dense_oracle(config, length):
+    # Component i = t^(q p^i) times a unit, q = 1 .. length - i, so of
+    # valuation at least p^i: terms that keep fewer rounds, keep none,
+    # or vanish modulo p^length.
+    rng = random.Random(16)
+    p = config.p
+    for _ in range(12):
+        components = []
+        for i in range(length):
+            q = rng.randint(1, length - i)
+            components.append(_shifted_unit(
+                rng, config, q * p ** i, config.dencap - i - length + 1))
+        w = WittVector(config, components)
         assert theta(w) == oracles.theta_dense(w)
 
 
