@@ -24,7 +24,11 @@ whose products pack each coefficient list into one Python integer
 half back by u^(p^M) = p.  Each slot has the fewest whole bytes that
 hold a folded coefficient; slots of up to 8 bytes are packed and
 unpacked in C, through arrays of machine words, and wider ones a
-coefficient at a time.  A p^n-th power takes n p-th-power rounds, and
+coefficient at a time.  Once dense, a round uses the p-adic shape of a
+p^i-th power, whose coefficient at u^r is divisible by p^(i - v_p(r)):
+its part at the multiples of p is a power on the layer of p^(M-1)
+slots, which u^p generates, and the rest is a few products there to
+low precision.  A p^n-th power takes n p-th-power rounds, and
 the modulus grows with them: round i of n runs modulo
 p^max(K - (n - i), 1), K the precision exponent rounded up, because
 a = a' modulo p^j (j >= 1) gives a^p = a'^p modulo p^(j+1).  ``sharp``
@@ -124,25 +128,31 @@ def _layer_to_element(points: dict[int, int], m: int, config: FieldConfig,
     Base-p digit q of C_r sits at exponent q + r/p^M, lattice index
     (q * p^M + r) * p^(dencap - M); these indices are pairwise distinct,
     so the digits already form the canonical expansion and need no
-    carries.  They are emitted in increasing index order.
+    carries.  They are emitted in increasing index order.  Only levels
+    q below ceil(k / scale) can fall below k, and each C_r is read from
+    its lowest nonzero digit on, at the level gcd(C_r, p^levels) gives:
+    a power's coefficients are divisible by high powers of p at most
+    indices (see ``_pth_power``), so most C_r have one digit to read.
     """
-    p = config.p
-    size, step = p ** m, config.scale // p ** m
-    rest = dict(points)
-    live = sorted(rest)
-    digits = {}
-    q = 0
-    while live:
-        for r in live:
-            rest[r], d = divmod(rest[r], p)
-            if d:
-                j = (q * size + r) * step
-                if j >= k:
-                    return UntiltElement._canonical(config, digits, k)
-                digits[j] = d
-        live = [r for r in live if rest[r]]
-        q += 1
-    return UntiltElement._canonical(config, digits, k)
+    p, scale = config.p, config.scale
+    step = scale // p ** m
+    levels = -(-k // scale)
+    top = p ** levels
+    first = {p ** q: q * scale for q in range(levels)}
+    found = []
+    for r, c in points.items():
+        if c := c % top:
+            g = gcd(c, top)
+            j, c = first[g] + r * step, c // g
+            while c >= p:
+                c, d = divmod(c, p)
+                if d:
+                    found.append((j, d))
+                j += scale
+            found.append((j, c))
+    found.sort()
+    return UntiltElement._canonical(
+        config, {j: d for j, d in found if j < k}, k)
 
 
 def _slot_width(length: int, mod: int, c: int) -> int:
@@ -251,7 +261,12 @@ def _layer_product(x, y, c: int, size: int, mod: int):
 
 def _dense(vec, size: int) -> list[int]:
     """The size coefficients of a sparse map or a dense list."""
-    return vec if type(vec) is list else [vec.get(r, 0) for r in range(size)]
+    if type(vec) is list:
+        return vec
+    dense = [0] * size
+    for r, c in vec.items():
+        dense[r] = c
+    return dense
 
 
 def _pow_pn(vec, p: int, k: int, mul):
@@ -284,6 +299,51 @@ def _check_layer(m: int, p: int, n: int, top: int) -> None:
             f"{_LAYER_BUDGET} bytes")
 
 
+def _pth_power(a: list[int], p: int, i: int, e: int) -> list[int]:
+    """a^p modulo p^e on the layer of len(a) slots, u^len(a) = p, for a
+    with coefficients below p^e whose coefficient at r is divisible by
+    p^(i - v_p(r)) (r = 0 unconstrained).
+
+    a = U(u^p) + p^i V, U the coefficients at multiples of p and V the
+    others over p^i, gives a^p = sum_k C(p, k) p^(k i) U(u^p)^(p-k) V^k.
+    U(u^p)^p is the p-th power of U on the layer of len(a)/p slots, whose
+    generator is u^p, and U meets the condition with i - 1.  While
+    2i + 1 >= e (2i >= e for p = 2) every term k >= 2 vanishes modulo
+    p^e, and term 1, p^(i+1) U(u^p)^(p-1) V, is needed modulo p^(e-1-i)
+    only: its part at indices s modulo p is u^s times the product of
+    U^(p-1) and V's part there, on the smaller layer.  So a round costs
+    a power on a layer p times smaller and a few products there to low
+    precision, not the plain power's products on the whole layer modulo
+    p^e.  Below that bound, at i = 0 and on one slot the power is the
+    plain one (``_pow_pn``).
+
+    a^p meets the condition with i + 1: for i = 0 it is the sum of
+    c_r^p u^(p r) modulo p, and for i >= 1 the U-term meets it by
+    induction on the smaller layer and the others are divisible by
+    p^(i+1).  So after i rounds ``_power_layer`` holds a vector that
+    meets it with i.
+    """
+    size = len(a)
+    mod = p ** e
+    if i == 0 or size == 1 or 2 * i + (p > 2) < e:
+        return _pow_pn(a, p, 1,
+                       partial(_layer_product, c=p, size=size, mod=mod))
+    u = a[::p]
+    out = [0] * size
+    out[::p] = _pth_power(u, p, i - 1, e)
+    if i + 1 >= e:
+        return out
+    m = p ** (e - 1 - i)
+    u = u_pow = [c % m for c in u]
+    for _ in range(p - 2):
+        u_pow = _layer_mul(u_pow, u, p, m)
+    step, weight = p ** i, p ** (i + 1)
+    for s in range(1, p):
+        v = [c // step % m for c in a[s::p]]
+        out[s::p] = [weight * c for c in _layer_mul(u_pow, v, p, m)]
+    return out
+
+
 def _power_layer(points: dict[int, int], m: int, p: int, n: int,
                  top: int) -> dict[int, int]:
     """The nonzero coefficients {r: C_r} of (sum_r C_r * u^r)^(p^n)
@@ -300,9 +360,10 @@ def _power_layer(points: dict[int, int], m: int, p: int, n: int,
     The power starts on sparse maps, because a few digits have few
     terms in the early rounds ((a + b)^(p^i) has p^i + 1), and switches
     to the dense Kronecker product for good at the first product of
-    more than _DENSE_RATIO * p^m term pairs (``_layer_product``).  The
-    budget is checked on the dense layer the last round could need,
-    before any product (``_check_layer``).
+    more than _DENSE_RATIO * p^m term pairs (``_layer_product``).  Every
+    round after that is split by the p-adic shape of the powers
+    (``_pth_power``).  The budget is checked on the dense layer the last
+    round could need, before any product (``_check_layer``).
 
     Raises:
         BudgetError: the packed layer would exceed _LAYER_BUDGET bytes.
@@ -312,9 +373,12 @@ def _power_layer(points: dict[int, int], m: int, p: int, n: int,
     mod = p ** max(top - n, 1)
     vec = {r: v for r, c in points.items() if (v := c % mod)}
     for left in range(n - 1, -1, -1):
-        mod = p ** max(top - left, 1)
-        vec = _pow_pn(vec, p, 1,
-                      partial(_layer_product, c=p, size=size, mod=mod))
+        e = max(top - left, 1)
+        if type(vec) is dict:
+            vec = _pow_pn(vec, p, 1,
+                          partial(_layer_product, c=p, size=size, mod=p ** e))
+        else:
+            vec = _pth_power(vec, p, n - 1 - left, e)
     if type(vec) is dict:
         return vec
     return {r: c for r, c in enumerate(vec) if c}
@@ -404,6 +468,9 @@ def _teichmuller_sum(config: FieldConfig, components,
     total = {}
     for depth, weight, power in terms:
         spread = p ** (m - depth)
+        if not total:
+            total = {r * spread: weight * c for r, c in power.items()}
+            continue
         for r, c in power.items():
             r *= spread
             total[r] = total.get(r, 0) + weight * c

@@ -283,6 +283,80 @@ def test_sharp_of_few_digits_makes_no_dense_product(monkeypatch):
     assert calls
 
 
+def _valuation(r: int, p: int) -> int:
+    v = 0
+    while r % p == 0:
+        r //= p
+        v += 1
+    return v
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+@example(data=None)
+def test_split_pth_power_matches_schoolbook(data):
+    # A vector whose coefficient at r is divisible by p^(i - v_p(r)), as
+    # the p^i-th powers of _power_layer are, raised to the p-th power
+    # modulo p^e: split on u^p while 2i + 1 >= e (2i >= e for p = 2),
+    # plain below that, at i = 0 and on one slot.
+    if data is None:
+        # the last round of sharp at k = 7 on a 3^4-slot layer
+        p, m, i, e = 3, 4, 5, 7
+        draw = random.Random(7).randrange
+    else:
+        p, max_m = data.draw(st.sampled_from([(2, 6), (3, 4), (5, 3)]))
+        m = data.draw(st.integers(0, max_m))
+        i = data.draw(st.integers(0, 6))
+        e = data.draw(st.integers(1, 9))
+        draw = data.draw(st.randoms(use_true_random=False)).randrange
+    mod = p ** e
+    vec = []
+    for r in range(p ** m):
+        unit = p ** max(0, i - _valuation(r, p)) if r else 1
+        vec.append(unit * draw(-(-mod // unit)) % mod)
+    want = vec
+    for _ in range(p - 1):
+        want = oracles.layer_mul_schoolbook(want, vec, p, mod)
+    assert tiltkit._pth_power(vec, p, i, e) == want
+
+
+def test_dense_rounds_split_off_the_multiples_of_p(monkeypatch):
+    # 2 + 2t^2 + t^7 at k = 7 goes dense on the 3^6-slot layer in its
+    # third round; the three rounds after it multiply on layers of at
+    # most 3^5 slots.
+    lengths = []
+
+    def counting(a, b, c, mod):
+        lengths.append(len(a))
+        return _layer_mul(a, b, c, mod)
+
+    monkeypatch.setattr(tiltkit, "_layer_mul", counting)
+    config = FieldConfig(3, 8, 10)
+    sharp(TiltElement(config, {0: 2, 2: 2, 7: 1}), 7)
+    assert lengths.count(3 ** 6) == 1
+    assert max(lengths[lengths.index(3 ** 6) + 1:]) <= 3 ** 5
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_layer_to_element_matches_normalizing_constructor(data):
+    # Coefficients divisible by high powers of p, as a power's are, with
+    # digits at and above the precision, which need not be an integer.
+    config = data.draw(st.sampled_from([C3, C2, W2]))
+    p = config.p
+    m = data.draw(st.integers(0, min(config.dencap, 3)))
+    k = data.draw(st.integers(1, config.full))
+    coeff = st.builds(lambda v, c: p ** v * c, st.integers(0, 10),
+                      st.integers(1, p ** 3))
+    points = data.draw(st.dictionaries(st.integers(0, p ** m - 1), coeff,
+                                       max_size=12))
+    value = tiltkit._layer_to_element(points, m, config, k)
+    assert value == UntiltElement(
+        config, {Fraction(r, p ** m): c for r, c in points.items()},
+        Fraction(k, config.scale))
+    assert list(value.digits) == sorted(value.digits)
+
+
 def test_sharp_factors_the_integer_valuation_out(monkeypatch):
     # sharp(t^q w) = p^q sharp(w): w rooted by 3^(k-1-q), one level
     # shallower and one round fewer for each q, and no layer at q >= k.
