@@ -50,6 +50,7 @@ import re
 from fractions import Fraction
 from functools import total_ordering
 from heapq import heapify, heappop, heappush
+from math import log10
 from typing import Iterable, Mapping
 
 
@@ -390,6 +391,17 @@ def _power_text(symbol: str, j: int, config: FieldConfig) -> str:
             f"the text form cannot write the exponent of {symbol} with "
             f"denominator {config.p}^{denpow} in decimal: {exc}") from None
     return symbol if num else ""
+
+
+def _ratio_text(num: int, denpow: int, p: int) -> str:
+    """num / p^denpow, p not dividing num, as a refusal words it: the
+    decimal fraction while p^denpow has fewer digits than Python's
+    default int-to-str limit of 4300, else num/p^denpow as
+    ``_index_from_json`` words it.  Decided from denpow, before p^denpow
+    is built."""
+    if denpow * log10(p) < 4299:
+        return str(Fraction(num, p ** denpow))
+    return f"{num}/{p}^{denpow}"
 
 
 def _index_json(j: int, config: FieldConfig) -> dict:
@@ -929,20 +941,32 @@ class TiltElement(_DigitElement):
         class).  This is the one such promotion of a root; ``pth_root``
         floors the precision exponent instead.
 
-        Raises DencapError when a divided exponent leaves the lattice.
+        Raises DencapError when a divided exponent leaves the lattice,
+        that is when p^n does not divide its index j.  That is decided
+        from v_p(j) by at most bit-length divisions, so p^n is built
+        only once it divides an index, and is then at most that index.
+        KernelError when n is not a nonnegative integer.
         """
+        if not isinstance(n, int) or n < 0:
+            raise KernelError(f"root depth must be a nonnegative integer, "
+                              f"not {n!r}")
         config = self.config
         p, cap = config.p, config.dencap
-        step = p ** n
+        step = None
         digits = {}
         for j, c in self._digits.items():
-            q, rest = divmod(j, step)
-            if rest:
-                r = ValExp(j, cap + n, p)
-                raise DencapError(
-                    f"exponent {r} needs denominator p^{r.denpow}, "
-                    f"cap is p^{cap}")
-            digits[q] = c
+            if j and (step is None or j % step):
+                low, v = j, 0
+                while v < n and low % p == 0:
+                    low //= p
+                    v += 1
+                if v < n:
+                    denpow = cap + n - v
+                    raise DencapError(
+                        f"exponent {_ratio_text(low, denpow, p)} needs "
+                        f"denominator p^{denpow}, cap is p^{cap}")
+                step = p ** n
+            digits[j // step if j else 0] = c
         return TiltElement._canonical(config, digits, config.full)
 
 

@@ -185,48 +185,28 @@ def _nullspace_vectors(vectors, rank: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _cross(u, v) -> tuple[int, int, int]:
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
 def _nonneg_solutions(vectors, rank: int) -> list[tuple[int, ...]]:
-    """Generators of {u : <u, v> >= 0 for all v}, rank <= 3.
+    """Generators of {u : <u, v> >= 0 for all v}, in any rank.
 
-    Candidate rays come from the constraint-hyperplane intersections
-    (perpendiculars in rank 2, pairwise cross products in rank 3), the
-    lineality space, and the vectors themselves; filtering and pruning
-    leave an irredundant generating set.
+    The solutions form a cone whose lineality space L is the nullspace
+    of the vectors, and modulo L a pointed cone inside their span S.
+    Each extreme ray of that pointed cone is the line of S cut out by
+    dim S - 1 independent active vectors (Schrijver 1986, section 8),
+    that is the line orthogonal to those vectors and a basis of L:
+    rank - 1 independent vectors in all.  So both signs of the basis of
+    L and of the line orthogonal to every independent (rank - 1)-subset
+    of the vectors and that basis hold a generating set; filtering by
+    the half-spaces and pruning leave an irredundant one.
     """
-    if rank > 3:
-        raise ConeError(f"half-space intersection supports rank <= 3, "
-                        f"got {rank}")
-    basis = [tuple(1 if j == i else 0 for j in range(rank))
-             for i in range(rank)]
-    if not vectors:
-        return sorted(v for b in basis for v in (b, tuple(-c for c in b)))
-    cands: list[tuple[int, ...]] = []
-    pool = list(vectors) + _nullspace_vectors(vectors, rank)
-    for v in pool:
-        cands.append(v)
-        cands.append(tuple(-c for c in v))
-    if rank == 2:
-        for v in vectors:
-            cands.append((-v[1], v[0]))
-            cands.append((v[1], -v[0]))
-    elif rank == 3:
-        for u, v in combinations(pool, 2):
-            w = _cross(u, v)
-            cands.append(w)
-            cands.append(tuple(-c for c in w))
-    valid = []
-    for c in cands:
-        cp = _primitive(c)
-        if cp is None or cp in valid:
-            continue
-        if all(_dot(cp, v) >= 0 for v in vectors):
-            valid.append(cp)
+    lineality = _nullspace_vectors(vectors, rank)
+    lines = list(lineality)
+    for sub in combinations(list(vectors) + lineality, rank - 1):
+        # an independent subset leaves one free column, hence one line
+        kernel = _nullspace_vectors(sub, rank)
+        if len(kernel) == 1:
+            lines += kernel
+    valid = {u for line in lines for u in (line, tuple(-c for c in line))
+             if all(_dot(u, v) >= 0 for v in vectors)}
     return _irredundant(valid)
 
 
@@ -290,9 +270,9 @@ class Cone:
         as faces.  Otherwise a face is the zero locus of a supporting
         functional, and summing subsets of the dual generators reaches
         the relative interior of every dual face, hence every face
-        downstairs; that route runs through half-space intersection and
-        is capped at rank 3.  A subset of normalized generators is
-        normalized, so faces are not normalized again.
+        downstairs; that route runs through half-space intersection, in
+        any rank.  A subset of normalized generators is normalized, so
+        faces are not normalized again.
         """
         if not self.generators:
             return [self]
@@ -333,34 +313,14 @@ class Cone:
 def dual_cone(cone: Cone) -> Cone:
     """The cone of functionals nonnegative on the input.
 
-    General cones are handled through half-space intersection up to
-    rank 3; in higher rank only full-dimensional simplicial cones are
-    supported.  There the dual generators are the columns of A^(-1), A
-    having the generators as rows; they are read as the columns of the
-    adjugate adj(A) = det A * A^(-1), times the sign of det A.
+    Computed by half-space intersection in any rank, which already
+    returns primitive, irredundant, sorted generators; the dual is
+    pointed exactly when the input is full-dimensional.
     """
     if not isinstance(cone, Cone):
         raise ConeError(f"not a cone: {cone!r}")
-    if cone.rank <= 3:
-        # half-space intersection already returns primitive, irredundant,
-        # sorted generators; the dual is pointed exactly when the input
-        # is full-dimensional
-        gens = _nonneg_solutions(cone.generators, cone.rank)
-        return Cone._trusted(cone.rank, tuple(gens),
-                             cone.dim == cone.rank)
-    n = cone.rank
-    if len(cone.generators) != n:
-        raise ConeError(
-            f"dual cones above rank 3 need full-dimensional simplicial "
-            f"input; got {len(cone.generators)} generators in rank "
-            f"{n}")
-    M, pivots = _eliminate([list(g) + [int(i == j) for j in range(n)]
-                            for i, g in enumerate(cone.generators)])
-    if pivots != list(range(n)):
-        raise ConeError("generators are linearly dependent")
-    sign = 1 if M[0][0] > 0 else -1
-    gens = [tuple(sign * row[n + j] for row in M) for j in range(n)]
-    return Cone(n, gens, pointed=False)
+    gens = _nonneg_solutions(cone.generators, cone.rank)
+    return Cone._trusted(cone.rank, tuple(gens), cone.dim == cone.rank)
 
 
 # =====================================================================
@@ -469,11 +429,8 @@ def _intersect(a: Cone, b: Cone, rank: int) -> Cone:
 def _intersection_defect(a: Cone, b: Cone, rank: int) -> str | None:
     """None when the intersection is a common face, else a witness.
 
-    Up to rank 3 the intersection is computed outright by double
-    dualization.  Above that, cones must be simplicial; a point of the
-    overlap beyond the maximal common face F then shows up as a
-    generator of one cone reachable inside the other modulo the
-    remaining generators, an exact conic-membership question.
+    The intersection is computed outright by double dualization, in any
+    rank, and must be the one maximal common face.
     """
     b_faces = set(b.faces())
     common = [f for f in a.faces() if f in b_faces]
@@ -482,27 +439,10 @@ def _intersection_defect(a: Cone, b: Cone, rank: int) -> str | None:
     if len(maxes) != 1:
         return (f"share several maximal faces "
                 f"{[list(f.generators) for f in maxes]}")
-    face = maxes[0]
-    if rank <= 3:
-        inter = _intersect(a, b, rank)
-        if inter != face:
-            return (f"meet in {list(inter.generators)}, which is not a "
-                    f"common face")
-        return None
-    for cone in (a, b):
-        if cone.dim != len(cone.generators):
-            raise ConeError(
-                "fans above rank 3 support simplicial cones only")
-    fset = set(face.generators)
-    for i, gen in enumerate(a.generators):
-        if gen in fset:
-            continue
-        pool = list(b.generators) + [
-            tuple(-c for c in v)
-            for j, v in enumerate(a.generators) if j != i]
-        if _in_cone(gen, pool):
-            return (f"overlap along {list(gen)} beyond the common face "
-                    f"{list(face.generators)}")
+    inter = _intersect(a, b, rank)
+    if inter != maxes[0]:
+        return (f"meet in {list(inter.generators)}, which is not a "
+                f"common face")
     return None
 
 
@@ -545,15 +485,12 @@ def is_smooth(fan: Fan) -> bool:
 
 
 def is_complete(fan: Fan) -> bool:
-    """Whether the support covers all of R^rank (rank <= 3).
+    """Whether the support covers all of R^rank, in any rank.
 
     A fan of full-dimensional cones covers space exactly when it has no
     boundary, i.e. every codimension-1 face lies in precisely two
     maximal cones.
     """
-    if fan.rank > 3:
-        raise ConeError(f"completeness test supports rank <= 3, got "
-                        f"{fan.rank}")
     maximal = fan.maximal_cones
     if not maximal or any(c.dim != fan.rank for c in maximal):
         return False
@@ -685,19 +622,12 @@ def sections(fan: Fan, divisor: TWeilDivisor, dencap: int = 0,
     if not rays:
         raise ConeError("the fan has no rays; the polytope is unbounded")
     # The polytope is bounded exactly when its recession cone
-    # {u : <u, v_i> >= 0} is zero, that is when the rays span the whole
-    # space as a cone: when every +-e_k lies in cone(rays).
-    rank = fan.rank
-    units = [tuple(s if i == k else 0 for i in range(rank))
-             for k in range(rank) for s in (1, -1)]
-    if not all(_in_cone(e, rays) for e in units):
-        recession = _nonneg_solutions(rays, rank) if rank <= 3 else []
-        if recession:
-            raise ConeError(
-                f"unbounded polytope: direction {recession[0]} satisfies "
-                f"every ray inequality")
-        raise ConeError("unbounded polytope: the rays do not span the "
-                        "whole space as a cone")
+    # {u : <u, v_i> >= 0} is zero, that is when it has no generator.
+    recession = _nonneg_solutions(rays, fan.rank)
+    if recession:
+        raise ConeError(
+            f"unbounded polytope: direction {recession[0]} satisfies "
+            f"every ray inequality")
     q = lcm(*(a.denominator for a in divisor.coefficients))
     qa = [a.numerator * (q // a.denominator) for a in divisor.coefficients]
     lows = highs = None

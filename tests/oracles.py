@@ -557,7 +557,8 @@ def dual_generators(gens, rank: int) -> tuple:
     their pairwise perpendiculars (both signs), filtered by the
     half-space conditions; above it the generators must form a basis
     and the dual basis is read off the inverse matrix.  Raises
-    ValueError where the package refuses.
+    ValueError above rank 3 when they do not: the package answers
+    those cones as well, and the tests check its answer by duality.
     """
     if rank > 3:
         if len(gens) != rank:

@@ -253,6 +253,56 @@ def test_pth_root_dencap_overflow():
         deep.pth_root()
 
 
+@settings(max_examples=200)
+@given(data=st.data())
+def test_root_divides_every_exponent(data):
+    config = data.draw(st.sampled_from(CONFIGS))
+    x = data.draw(elements(config, "tilt", max_denpow=data.draw(
+        st.integers(0, config.dencap))))
+    n = data.draw(st.integers(0, 4))
+    want = {e.as_fraction() / config.p ** n: c for e, c in x.digits.items()}
+    if any(f.denominator > config.p ** config.dencap for f in want):
+        with pytest.raises(DencapError):
+            x.root(n)
+    else:
+        root = x.root(n)
+        assert {e.as_fraction(): c for e, c in root.digits.items()} == want
+        assert root.precexp.as_fraction() == config.prec
+
+
+def test_root_is_decided_before_p_to_the_n_is_built():
+    config = FieldConfig(3, 4, 2)
+    third = TiltElement.monomial(config, 1, Fraction(1, 3))
+    with pytest.raises(DencapError, match=r"^exponent 1/27 needs "
+                                          r"denominator p\^3, cap is p\^2$"):
+        third.root(2)
+    # 3^10001 has 4772 decimal digits, past int-to-str's limit: the
+    # exponent is worded as num/p^denpow
+    start = time.perf_counter()
+    with pytest.raises(DencapError, match=r"^exponent 1/3\^10001 needs "
+                                          r"denominator p\^10001, cap is "
+                                          r"p\^2$"):
+        third.root(10 ** 4)
+    with pytest.raises(DencapError, match=r"^exponent 1/3\^1000000000000"
+                                          r"000001 needs"):
+        third.root(10 ** 18)
+    # an index of 0 holds at any depth
+    for n in (0, 10 ** 7, 10 ** 18):
+        assert TiltElement.one(config).root(n) == TiltElement.one(config)
+    assert time.perf_counter() - start < 0.1
+    # 3^9010 has 4299 decimal digits and 3^9011 has 4300: the wording
+    # switches one digit early, decided from the denominator exponent
+    t = TiltElement.uniformizer(FieldConfig(3, 4, 0))
+    with pytest.raises(DencapError, match=rf"^exponent 1/{3 ** 9010} "):
+        t.root(9010)
+    with pytest.raises(DencapError, match=r"^exponent 1/3\^9011 needs"):
+        t.root(9011)
+    for n in (-1, 1.0, None):
+        with pytest.raises(KernelError, match="root depth must be a "
+                                              "nonnegative integer"):
+            third.root(n)
+
+
 def test_shift_and_division():
     a = UntiltElement(C3, {Fraction(1, 3): 2, Fraction(4, 3): 1})
     up = a.shift(Fraction(2, 3))

@@ -8,7 +8,7 @@ from itertools import combinations, product
 from math import ceil, comb, floor, prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -122,11 +122,21 @@ def test_dual_is_involutive_on_small_cones():
     assert checked > 40
 
 
-def test_dual_in_rank_four_needs_simplicial():
+def test_dual_in_rank_four_of_cones_that_are_not_simplicial():
     eye = Cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     assert dual_cone(eye) == Cone(4, eye.generators, pointed=False)
-    with pytest.raises(ConeError):
-        dual_cone(Cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]))
+    # the cone over an octahedron has the cone over a cube as its dual
+    octahedron = Cone(4, [(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1),
+                          (0, -1, 0, 1), (0, 0, 1, 1), (0, 0, -1, 1)])
+    cube = dual_cone(octahedron)
+    assert cube.generators == tuple(v + (1,)
+                                    for v in product((-1, 1), repeat=3))
+    assert cube.pointed and dual_cone(cube) == octahedron
+    # below full dimension the dual holds the lines orthogonal to the cone
+    flat = dual_cone(Cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]))
+    assert flat.generators == ((0, 0, 0, -1), (0, 0, 0, 1), (0, 0, 1, 0),
+                               (0, 1, 0, 0), (1, 0, 0, 0))
+    assert not flat.pointed
 
 
 def test_dual_cone_is_the_cone_its_generators_build():
@@ -199,10 +209,10 @@ def test_single_quadrant_is_incomplete():
     assert not is_complete(Fan(2, [[(1, 0), (0, 1)]]))
 
 
-def test_completeness_rank_cap():
+def test_completeness_in_rank_four():
     p4 = projective_fan(4)
-    with pytest.raises(ConeError):
-        is_complete(p4)
+    assert is_complete(p4)
+    assert not is_complete(Fan(4, p4.maximal_cones[1:]))
 
 
 def test_projective_three_space():
@@ -210,6 +220,43 @@ def test_projective_three_space():
     assert len(p3.maximal_cones) == 4
     assert len(p3.cones) == 15
     assert is_smooth(p3) and is_complete(p3)
+
+
+# the face fan of the prism over a tetrahedron: two simplicial cones over
+# the ends and four over the side prisms, six generators each
+TETRAHEDRON = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+PRISM_CONES = ([[v + (s,) for v in TETRAHEDRON] for s in (1, -1)]
+               + [[v + (s,) for v in side for s in (1, -1)]
+                  for side in combinations(TETRAHEDRON, 3)])
+
+
+def test_rank_four_fan_of_cones_that_are_not_simplicial():
+    # two pyramids over a square, glued along it
+    square = [(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0)]
+    pyramids = Fan(4, [square + [(0, 0, 0, 1)], square + [(0, 0, 0, -1)]])
+    assert [len(c.generators) for c in pyramids.maximal_cones] == [5, 5]
+    assert Cone(4, square) in pyramids.cones
+    assert len(pyramids.cones) == 1 + 6 + 13 + 8 + 2
+    assert not is_complete(pyramids) and not is_smooth(pyramids)
+    prism = Fan(4, PRISM_CONES)
+    assert sorted(len(c.generators) for c in prism.maximal_cones) == \
+        [4, 4, 6, 6, 6, 6]
+    assert is_complete(prism)
+    assert not is_complete(Fan(4, PRISM_CONES[1:]))
+
+
+def test_rank_four_overlaps_are_refused():
+    orthant = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    # simplicial: the cones meet in a cone inside a face of the orthant
+    with pytest.raises(ConeError, match="which is not a common face"):
+        Fan(4, [orthant, [(1, 2, 0, 0), (2, 1, 0, 0), (0, 0, 1, 0),
+                          (0, 0, 0, -1)]])
+    # not simplicial: the cone over an octahedron around e_4 overlaps
+    # the orthant, and their only common face is the origin
+    octahedron = [(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1),
+                  (0, -1, 0, 1), (0, 0, 1, 1), (0, 0, -1, 1)]
+    with pytest.raises(ConeError, match="which is not a common face"):
+        Fan(4, [orthant, octahedron])
 
 
 def test_validate_fan_infers_rank_and_round_trips():
@@ -312,8 +359,18 @@ def test_rank_four_sections_match_brute_force(d):
 def test_rank_four_unbounded_polytope_is_refused():
     orthant = Fan(4, [[(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
                        (0, 0, 0, 1)]])
-    with pytest.raises(ConeError, match="unbounded polytope"):
+    with pytest.raises(ConeError, match=r"unbounded polytope: direction "
+                                        r"\(0, 0, 0, 1\) satisfies"):
         sections(orthant, TWeilDivisor(orthant, [1, 1, 1, 1]))
+
+
+@pytest.mark.parametrize("coeffs", [[1] * 8, [2, 0, 1, 1, 0, 2, 1, 1],
+                                    [0] * 8, [-1] + [1] * 7])
+def test_rank_four_sections_on_cones_that_are_not_simplicial(coeffs):
+    prism = Fan(4, PRISM_CONES)
+    divisor = TWeilDivisor(prism, coeffs)
+    assert sections(prism, divisor) == oracles.section_points(
+        prism.rays, divisor.coefficients, 1)
 
 
 def test_empty_polytope_has_no_sections():
@@ -550,8 +607,15 @@ def test_dual_cone_matches_the_rational_reference(data):
     try:
         want = oracles.dual_generators(cone.generators, rank)
     except ValueError:
-        with pytest.raises(ConeError):
-            dual_cone(cone)
+        # the reference has no answer: check the duality itself
+        dual = dual_cone(cone)
+        assert all(sum(a * b for a, b in zip(u, v)) >= 0
+                   for u in dual.generators for v in cone.generators)
+        double = dual_cone(dual).generators
+        assert all(oracles._in_cone(v, double, rank)
+                   for v in cone.generators)
+        assert all(oracles._in_cone(v, cone.generators, rank)
+                   for v in double)
         return
     assert dual_cone(cone).generators == want
 
@@ -577,8 +641,6 @@ def test_faces_are_the_cones_their_generators_build(data):
     rank = data.draw(st.integers(2, 4))
     cone = Cone(rank, data.draw(vector_lists(rank, 0, 4 if rank < 4 else 3)),
                 pointed=False)
-    # above rank 3 only simplicial cones have faces
-    assume(rank < 4 or cone.dim == len(cone.generators))
     for face in cone.faces():
         want = Cone(rank, face.generators, pointed=False)
         assert (face.generators, face.pointed) == (want.generators,
