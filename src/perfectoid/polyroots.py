@@ -501,20 +501,23 @@ def fw_transfer(P: Polynomial, n: int) -> Polynomial:
     return Polynomial(out)
 
 
-def transfer_agreement(P: Polynomial, n: int, resolution: int = 2):
+# The precision of transfer_agreement's stage 0; stage n takes n more.
+_AGREEMENT_BASE = 2
+
+
+def transfer_agreement(P: Polynomial, n: int):
     """Agreement valuation between consecutive re-raised transfers.
 
     The verbatim stage coefficients sharp(a^(1/p^n)) form a root tower
     whose members drift apart, so stabilization is measured on the
     compensated sequence sharp(a^(1/p^n))^(p^n), which walks the
     partial-power approximations of sharp(a) and is Cauchy.  Stage n
-    is computed at precision resolution + n so the deepening agreement
-    stays visible through the precision tracking.
+    is computed at precision _AGREEMENT_BASE + n so the deepening
+    agreement stays visible through the precision tracking.
 
     Args:
         P: polynomial over the tilt.
         n: stage index; stages n and n + 1 are compared.
-        resolution: base precision for the stage-0 comparison.
 
     Returns:
         Fraction: the valuation up to which all coefficient pairs
@@ -528,7 +531,7 @@ def transfer_agreement(P: Polynomial, n: int, resolution: int = 2):
     for c in P.coeffs:
         pair = []
         for stage in (n, n + 1):
-            prec = min(resolution + stage, config.prec)
+            prec = min(_AGREEMENT_BASE + stage, config.prec)
             if c.is_zero():
                 lifted = UntiltElement.zero(config, prec)
             else:
@@ -543,20 +546,17 @@ def transfer_agreement(P: Polynomial, n: int, resolution: int = 2):
 # Mixed-characteristic root refinement
 # =====================================================================
 
-def mixed_root_refine(P: Polynomial, charp_oracle=None, *,
-                      max_stages: int | None = None):
+def mixed_root_refine(P: Polynomial, *, max_stages: int | None = None):
     """Assemble a root of an untilt polynomial from digit solves.
 
-    Loop: reduce the working polynomial modulo the uniformizer, ask the
-    characteristic-p oracle for a root y, translate by the lift of y,
-    then recenter on the deepest Newton slope s: substitute
+    Loop: reduce the working polynomial modulo the uniformizer, find a
+    root y in characteristic p (``charp_root``), translate by the lift
+    of y, then recenter on the deepest Newton slope s: substitute
     X -> uniformizer^s X and divide out the common uniformizer power.
     The root accumulates as lift(y_0) + c_0 (lift(y_1) + c_1 (...)).
 
     Args:
         P: monic polynomial over the untilt ring, integral coeffs.
-        charp_oracle: callable Polynomial -> root or None; defaults to
-            charp_root.
         max_stages: outer iteration cap, default the working precision.
 
     Returns:
@@ -574,8 +574,6 @@ def mixed_root_refine(P: Polynomial, charp_oracle=None, *,
     lead = P.coeffs[-1]
     if lead != UntiltElement.one(P.config)._at(lead._k):
         raise KernelError("mixed_root_refine expects a monic polynomial")
-    if charp_oracle is None:
-        charp_oracle = charp_root
     config = P.config
     full = config.prec
     if max_stages is None:
@@ -599,7 +597,7 @@ def mixed_root_refine(P: Polynomial, charp_oracle=None, *,
                 "stage reduction is a nonzero constant; no digit exists "
                 f"(stage polynomial {R!r})")
         Q = Polynomial(reduced)
-        y = charp_oracle(Q)
+        y = charp_root(Q)
         if y is None:
             raise RootError(
                 f"characteristic-p stage has no root in the lattice "

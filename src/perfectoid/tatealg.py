@@ -42,6 +42,7 @@ from .arith import (
     TiltElement,
     UntiltElement,
     ValExp,
+    _as_fraction_exp,
     _exp_pair,
     _index,
     _index_from_json,
@@ -109,7 +110,7 @@ class Monomial:
 
     def scaled(self, factor: Fraction) -> "Monomial":
         """Entrywise multiple; the route to fractional powers T^(e*i)."""
-        f = Fraction(factor)
+        f = _as_fraction_exp(factor)
         if f < 0:
             raise KernelError(f"negative monomial power {f}")
         num, den = f.numerator, f.denominator
@@ -195,7 +196,7 @@ class HomogeneousElement:
         items = dict(terms or {})
         k = config.full
         if precexp is not None:
-            kf = Fraction(precexp)
+            kf = _as_fraction_exp(precexp)
             if kf < 0:
                 raise PrecisionError(f"negative precision exponent {kf}")
             if kf < config.prec:
@@ -315,7 +316,7 @@ class HomogeneousElement:
     def with_precision(self, precexp) -> "HomogeneousElement":
         """Truncates, or promotes every coefficient as a chosen
         representative of its residue class."""
-        kf = Fraction(precexp)
+        kf = _as_fraction_exp(precexp)
         return HomogeneousElement(
             self.config, self.kind, self.nvars, self.degree,
             {m: c.with_precision(kf) for m, c in self.terms.items()}, kf)
@@ -535,7 +536,7 @@ def tilt_power(g: HomogeneousElement, i) -> HomogeneousElement:
     """
     if not isinstance(g, HomogeneousElement) or g.kind != "tilt":
         raise ConfigError("tilt_power expects a tilt homogeneous element")
-    frac = Fraction(i)
+    frac = _as_fraction_exp(i)
     if frac < 0:
         raise KernelError(f"nonnegative power expected, got {frac}")
     return _tilt_power(g, _lattice_index(frac, g.config))
@@ -613,9 +614,13 @@ def decompose(f: HomogeneousElement, c: int) -> list:
 # The approximation algorithm
 # =====================================================================
 
+# One expansion may run _EXPAND_ROUNDS greedy division rounds before it
+# is refused; each round cancels one leading monomial.
+_EXPAND_ROUNDS = 4096
+
+
 def _expand(h: HomogeneousElement, g: HomogeneousElement, cur: int,
-            mu: int, target: int, grid_denpow: int,
-            budget: int = 4096) -> dict:
+            mu: int, target: int, grid_denpow: int) -> dict:
     """Writes h = sum_i w^(mu - cur*i) (g^i)^sharp r_i over the grid
     i in {0, 1/p^m, ..., 1}, m = grid_denpow; cur and mu are lattice
     indices.
@@ -650,10 +655,10 @@ def _expand(h: HomogeneousElement, g: HomogeneousElement, cur: int,
     rounds = 0
     while not work.is_zero():
         rounds += 1
-        if rounds > budget:
+        if rounds > _EXPAND_ROUNDS:
             raise ApproximationError(
-                f"expansion did not terminate within {budget} rounds; "
-                f"remainder {work!r}")
+                f"expansion did not terminate within {_EXPAND_ROUNDS} "
+                f"rounds; remainder {work!r}")
         mono, coeff = work.leading()
         placed = False
         for j in range(scale, -1, -step):
@@ -728,8 +733,8 @@ def approximate(f: HomogeneousElement, c, eps) -> HomogeneousElement:
     if not isinstance(f, HomogeneousElement) or f.kind != "untilt":
         raise ConfigError("approximate expects an untilt homogeneous element")
     config = f.config
-    cf = Fraction(c)
-    ef = Fraction(eps)
+    cf = _as_fraction_exp(c)
+    ef = _as_fraction_exp(eps)
     if cf < 0:
         raise KernelError(f"depth must be nonnegative, got {cf}")
     if not 0 < ef < 1:
@@ -1090,8 +1095,8 @@ def verify_contract(f: HomogeneousElement, g: HomogeneousElement, c, eps,
     if (g.config != f.config or g.nvars != f.nvars
             or g.degree != f.degree):
         raise ConfigError("f and g do not describe the same shape")
-    cf = Fraction(c)
-    ef = Fraction(eps)
+    cf = _as_fraction_exp(c)
+    ef = _as_fraction_exp(eps)
     if cf < 0:
         raise KernelError(f"depth must be nonnegative, got {cf}")
     if not 0 < ef < 1:

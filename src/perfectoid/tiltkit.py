@@ -41,12 +41,9 @@ with [t] = p, so a component x_i = t^(q p^i) w contributes
 p^(i+q) [w^(1/p^i)]: nothing once i + q reaches the length n, and
 otherwise n-1-i-q rounds on w rooted by p^(n-1-q), a layer q levels
 shallower and a modulus p^q smaller than x_i's own root by p^(n-1)
-would need.  Refusals are still decided on that whole root, the
-component rooted by ``TiltElement.root`` and the first nonzero term's
-layer budgeted at the common depth, so the split refuses exactly what
-the whole root refuses.
-Witt expansions are sparse maps on
-u = t^(1/p^M) and multiply through the same sparse-or-dense product,
+would need.  Each term refuses only what its own root and its own
+power need (see ``_teichmuller_sum``).  Witt expansions are sparse maps
+on u = t^(1/p^M) and multiply through the same sparse-or-dense product,
 truncated at t^prec.
 """
 
@@ -282,23 +279,6 @@ def _pow_pn(vec, p: int, k: int, mul):
     return vec
 
 
-def _check_layer(m: int, p: int, n: int, top: int) -> None:
-    """Refuses a p^n-th power modulo p^top on the 1/p^m layer when the
-    dense layer its last round could need, p^m slots of the width that
-    holds a folded product modulo p^top, exceeds _LAYER_BUDGET bytes.
-
-    Raises:
-        BudgetError: the packed layer would exceed _LAYER_BUDGET bytes.
-    """
-    size = p ** m
-    width = _slot_width(size, p ** top, p)
-    if size * width > _LAYER_BUDGET:
-        raise BudgetError(
-            f"a p^{n}-th power on the 1/{p}^{m} lattice needs a layer of "
-            f"{size} slots of {width} bytes, over the budget of "
-            f"{_LAYER_BUDGET} bytes")
-
-
 def _pth_power(a: list[int], p: int, i: int, e: int) -> list[int]:
     """a^p modulo p^e on the layer of len(a) slots, u^len(a) = p, for a
     with coefficients below p^e whose coefficient at r is divisible by
@@ -363,13 +343,20 @@ def _power_layer(points: dict[int, int], m: int, p: int, n: int,
     more than _DENSE_RATIO * p^m term pairs (``_layer_product``).  Every
     round after that is split by the p-adic shape of the powers
     (``_pth_power``).  The budget is checked on the dense layer the last
-    round could need, before any product (``_check_layer``).
+    round could need, p^m slots of the width that holds a folded product
+    modulo p^top, before any product; with no rounds there is none.
 
     Raises:
         BudgetError: the packed layer would exceed _LAYER_BUDGET bytes.
     """
-    _check_layer(m, p, n, top)
     size = p ** m
+    if n:
+        width = _slot_width(size, p ** top, p)
+        if size * width > _LAYER_BUDGET:
+            raise BudgetError(
+                f"a p^{n}-th power on the 1/{p}^{m} lattice needs a layer "
+                f"of {size} slots of {width} bytes, over the budget of "
+                f"{_LAYER_BUDGET} bytes")
     mod = p ** max(top - n, 1)
     vec = {r: v for r, c in points.items() if (v := c % mod)}
     for left in range(n - 1, -1, -1):
@@ -430,36 +417,26 @@ def _teichmuller_sum(config: FieldConfig, components,
     on the deepest of those lattices, where slot r of a layer m' levels
     shallower is slot r * p^m'.
 
-    Refusals are decided before any layer work, as for the whole
-    p^(n-1) root of every component powered on their common lattice:
-    each component's ``TiltElement.root`` by p^(n-1), then the layer
-    budget of the first nonzero residue, the strictest since its modulus
-    is the largest.  A split root stays on the lattice whenever the
-    whole root does, and its layer is no deeper and its modulus smaller,
-    so the split refuses exactly the inputs the whole root refuses; some
-    of those (q >= 1) it could compute.
+    Each term refuses only what it needs: every kept term is rooted
+    first, in component order, so a ``DencapError`` comes before any
+    layer work, and each power then checks its own layer budget before
+    its first product (``_power_layer``).
     """
     p, scale = config.p, config.scale
     if n == 1:
         # no root and no power: the digitwise lift modulo p, with no layer
         return UntiltElement._canonical(
             config, _residue(components[0], scale), scale)
-    # refusals: those of every component's whole root on one layer
-    residues = [_residue(x.root(n - 1), scale) for x in components]
-    first = next((i for i, r in enumerate(residues) if r), None)
-    if first is not None:
-        _check_layer(max(_depth(r, config) for r in residues), p,
-                     n - 1 - first, n - first)
-    terms = []
-    for i, (x, residue) in enumerate(zip(components, residues)):
+    roots = []
+    for i, x in enumerate(components):
         if not x._digits:
             continue
         q = x._low() // (scale * p ** i)
-        if q >= n - i:
-            continue
-        if q:
-            residue = _residue(x._shift(-q * p ** i * scale).root(n - 1 - q),
-                               scale)
+        if q < n - i:
+            w = x._shift(-q * p ** i * scale) if q else x
+            roots.append((i, q, _residue(w.root(n - 1 - q), scale)))
+    terms = []
+    for i, q, residue in roots:
         depth = _depth(residue, config)
         power = _power_layer(_layer_points(residue, depth, config), depth,
                              p, n - 1 - i - q, n - i - q)
@@ -501,8 +478,8 @@ def sharp(x: TiltElement, target_prec: int) -> UntiltElement:
     part of v(x), x = t^q w gives sharp(x) = p^q sharp(w) modulo
     p^target_prec: w is rooted by p^(n-q) and powered n-q rounds on a
     layer q levels shallower, and q >= target_prec gives 0 with no
-    layer at all.  Refusals are still those of x's own root by p^n on
-    its own layer (see _teichmuller_sum), so q changes no refusal.
+    layer at all.  Refusals are those of w's root and power (see
+    _teichmuller_sum).
 
     The lift-independence argument needs the rooted input still known
     modulo t, i.e. x known modulo t^(p^n).  Below that the function is
@@ -805,7 +782,7 @@ def theta(a: WittVector) -> UntiltElement:
     p^(i+n-1), and raised to the p^(n-1-i-q)-th power, and the term is
     dropped once i + q >= n.  Each power starts sparse on the lifted
     digits and goes dense only once its products fill its layer
-    (``_power_layer``).  Refusals are decided as for every component
-    rooted by p^(n-1) on one common layer (``_teichmuller_sum``).
+    (``_power_layer``).  Refusals are those of the kept terms
+    (``_teichmuller_sum``).
     """
     return _teichmuller_sum(a.config, a.components, a.length)

@@ -353,17 +353,15 @@ class Fan:
                 built.append(Cone(rank, c))
         if not built:
             raise ConeError("a fan needs at least one cone")
-        closed: dict[Cone, Cone] = {}
-        for c in built:
-            for f in c.faces():
-                closed[f] = f
+        # every cone of the closure is a face of an input cone, and so
+        # lies inside it: only input cones can be maximal
+        faces = {c: c.faces() for c in built}
+        closed = {f for fs in faces.values() for f in fs}
         allc = sorted(closed, key=lambda c: (len(c.generators),
                                              c.generators))
-        maximal = [c for c in allc
-                   if not any(o is not c and _subcone(c, o) for o in allc)]
-        face_pool = set()
-        for m in maximal:
-            face_pool.update(m.faces())
+        maximal = [c for c in allc if c in faces
+                   and not any(o != c and _subcone(c, o) for o in faces)]
+        face_pool = {f for m in maximal for f in faces[m]}
         for c in allc:
             if c not in face_pool:
                 host = next(o for o in maximal if _subcone(c, o))
@@ -371,7 +369,7 @@ class Fan:
                     f"cone {list(c.generators)} lies inside "
                     f"{list(host.generators)} without being a face of it")
         for a, b in combinations(maximal, 2):
-            defect = _intersection_defect(a, b, rank)
+            defect = _intersection_defect(a, b, faces[a], faces[b], rank)
             if defect is not None:
                 raise ConeError(
                     f"cones {list(a.generators)} and {list(b.generators)} "
@@ -426,14 +424,16 @@ def _intersect(a: Cone, b: Cone, rank: int) -> Cone:
     return Cone._trusted(rank, tuple(gens), True)
 
 
-def _intersection_defect(a: Cone, b: Cone, rank: int) -> str | None:
+def _intersection_defect(a: Cone, b: Cone, a_faces: list[Cone],
+                         b_faces: list[Cone], rank: int) -> str | None:
     """None when the intersection is a common face, else a witness.
 
-    The intersection is computed outright by double dualization, in any
-    rank, and must be the one maximal common face.
+    a_faces and b_faces are the faces of a and b.  The intersection is
+    computed outright by double dualization, in any rank, and must be
+    the one maximal common face.
     """
-    b_faces = set(b.faces())
-    common = [f for f in a.faces() if f in b_faces]
+    b_faces = set(b_faces)
+    common = [f for f in a_faces if f in b_faces]
     maxes = [f for f in common
              if not any(g != f and _subcone(f, g) for g in common)]
     if len(maxes) != 1:

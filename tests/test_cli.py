@@ -76,11 +76,12 @@ def test_approx_refuses_a_huge_json_denominator_at_once(runner):
 
 
 def test_sharp_decides_a_large_prime_at_once(runner):
-    # Miller-Rabin: 2^61 - 1 is accepted, then its sharp needs a root
-    # below the lattice; a p beyond the test's exact range is refused
+    # Miller-Rabin: 2^61 - 1 is accepted, then the sharp of t^(1/p)
+    # needs a root below the lattice; a p beyond the test's exact range
+    # is refused
     doc = {"kind": "tilt", "p": 2 ** 61 - 1, "prec": 4, "dencap": 2,
            "precexp": {"num": 4, "denpow": 0},
-           "terms": [{"num": 1, "denpow": 0, "digit": 1}]}
+           "terms": [{"num": 1, "denpow": 1, "digit": 1}]}
     assert _refusal(runner, "sharp", json.dumps(doc))["error"] == "DencapError"
     doc["p"] = 2 ** 127 - 1
     assert _refusal(runner, "sharp", json.dumps(doc))["error"] == "BudgetError"

@@ -47,8 +47,9 @@ def test_cli_bytes_match_golden(case):
 def _inline_inputs():
     """Inline JSON arguments built from the library: polynomials and
     points on the (3, 4, 3) configuration of the disc fixtures, and a
-    polynomial over (3, 8, 4) with a simple root."""
-    from perfectoid.arith import FieldConfig, UntiltElement
+    polynomial over (3, 8, 4) with a simple root and the tilt element
+    t^(1/3) there, whose root by 3^7 leaves the exponent lattice."""
+    from perfectoid.arith import FieldConfig, TiltElement, UntiltElement
     from perfectoid.polyroots import Polynomial
 
     def dumps(doc):
@@ -75,7 +76,9 @@ def _inline_inputs():
               UntiltElement.monomial(form, 2, "1/3")]
     points = [{"kind": "gauss"},
               {"kind": "classical", "coords": [x.to_json() for x in coords]}]
+    cube_root = TiltElement.monomial(big, 1, "1/3")
     return {"t2": dumps(t2.to_json()), "hensel": dumps(hensel.to_json()),
+            "cube-root": dumps(cube_root.to_json()),
             "disc": dumps(disc), "halo": dumps(halo),
             "classical": dumps(classical), "points": dumps(points)}
 
@@ -189,6 +192,7 @@ def _argvs():
         ("refuse-precision-approx",
          ["approx", "linear-form.json", "--c", "4", "--eps", "1/3"]),
         ("refuse-precision-sharp", ["sharp", "--prec", "9", "t.json"]),
+        ("refuse-dencap-sharp", ["sharp", inline["cube-root"]]),
         ("refuse-budget-exact", ["toric", "sections", "pn2.json",
                                  "hyperplane.json", "--dencap", "6",
                                  "--p", "3"]),

@@ -494,6 +494,37 @@ def test_approximate_validates_inputs():
         approximate(f.with_precision(1), 1, Fraction(1, 3))
 
 
+def _valexp(e):
+    """The exponent e as the ValExp that ``valuation()`` hands out."""
+    return UntiltElement.monomial(C3, 1, e).valuation()
+
+
+def _linear_form():
+    return uvar(C3, 2, 0) + uvar(C3, 2, 1, UntiltElement.uniformizer(C3))
+
+
+# Each entry point that reads an exponent, called with the exponent
+# builder e (Fraction or _valexp).
+_EXPONENT_CALLS = {
+    "init": lambda e: HomogeneousElement(C3, "untilt", 1, 1, {},
+                                         precexp=e(2)),
+    "with_precision": lambda e: uvar(C3, 1, 0).with_precision(e(2)),
+    "scaled": lambda e: Monomial(C3, [Fraction(1, 3), 1]).scaled(e(2)),
+    "tilt_power": lambda e: tilt_power(tvar(C3, 1, 0), e(Fraction(1, 3))),
+    "approximate": lambda e: approximate(_linear_form(), e(1),
+                                         e(Fraction(1, 3))),
+    "verify_contract": lambda e: verify_contract(
+        _linear_form(), approximate(_linear_form(), 1, Fraction(1, 3)),
+        e(1), e(Fraction(1, 3)), [GaussPoint()]).to_json(),
+}
+
+
+@pytest.mark.parametrize("name", list(_EXPONENT_CALLS))
+def test_entry_points_take_the_exponents_the_package_hands_out(name):
+    call = _EXPONENT_CALLS[name]
+    assert call(_valexp) == call(Fraction)
+
+
 def test_expansion_error_reports_shallow_remainder():
     h = uvar(C3, 1, 0, UntiltElement.monomial(C3, 1, Fraction(1, 9)))
     g = tvar(C3, 1, 0)

@@ -382,41 +382,101 @@ def test_sharp_factors_the_integer_valuation_out(monkeypatch):
             assert result.is_zero()
 
 
-# Inputs the split would compute, or find zero, but that the whole
-# p^(k-1) root refuses; each refusal and its message are kept.
-_KEPT_REFUSALS = [
-    # t^3 rooted by 2^2 and by 3^3 leaves the integer lattice
-    (lambda: sharp(TiltElement.monomial(FieldConfig(2, 4, 0), 1, 3), 3),
-     DencapError, "exponent 3/4 needs denominator p^2, cap is p^0"),
-    (lambda: sharp(TiltElement.monomial(FieldConfig(3, 6, 0), 1, 3), 4),
-     DencapError, "exponent 1/9 needs denominator p^2, cap is p^0"),
-    # t^q (1 + t^(1/5^7)) rooted by 5: 5^8 slots, though the split needs
-    # 5^7 slots at q = 1 and no layer at q = 2
-    (lambda: sharp(TiltElement(FieldConfig(5, 4, 8), {
-        1: 1, 1 + Fraction(1, 5 ** 7): 1}), 2),
-     BudgetError, "a p^1-th power on the 1/5^8 lattice needs a layer of "
-     "390625 slots of 4 bytes, over the budget of 262144 bytes"),
-    (lambda: sharp(TiltElement(FieldConfig(5, 4, 8), {
-        2: 1, 2 + Fraction(1, 5 ** 7): 1}), 2),
-     BudgetError, "a p^1-th power on the 1/5^8 lattice needs a layer of "
-     "390625 slots of 4 bytes, over the budget of 262144 bytes"),
-    # theta: component 1 = t^5 (1 + t^(1/5^6)) sets the common depth 8,
-    # and the first nonzero term's budget is checked there
-    (lambda: theta(WittVector(FieldConfig(5, 6, 8), [
-        TiltElement.one(FieldConfig(5, 6, 8)),
-        TiltElement(FieldConfig(5, 6, 8), {5: 1, 5 + Fraction(1, 5 ** 6): 1}),
-        TiltElement.zero(FieldConfig(5, 6, 8))])),
-     BudgetError, "a p^2-th power on the 1/5^8 lattice needs a layer of "
-     "390625 slots of 5 bytes, over the budget of 262144 bytes"),
-]
+def test_every_term_is_rooted_before_any_layer_work(monkeypatch):
+    # component 1 = t^(1/3^4) rooted by 3^2 leaves the 1/3^4 lattice;
+    # component 0 = 1 would power first, but no layer is touched
+    calls = []
+    monkeypatch.setattr(tiltkit, "_power_layer",
+                        lambda *args: calls.append(args))
+    config = FieldConfig(3, 8, 4)
+    w = WittVector(config, [
+        TiltElement.one(config),
+        TiltElement.monomial(config, 1, Fraction(1, 3 ** 4)),
+        TiltElement.zero(config)])
+    with pytest.raises(DencapError) as info:
+        theta(w)
+    assert str(info.value) == ("exponent 1/729 needs denominator p^6, "
+                               "cap is p^4")
+    assert calls == []
 
 
-@pytest.mark.parametrize("call,error,message", _KEPT_REFUSALS)
-def test_split_keeps_the_refusals_of_the_whole_root(call, error, message):
-    with pytest.raises(error) as info:
-        call()
-    assert type(info.value) is error
-    assert str(info.value) == message
+def _p_power(config, q, x):
+    return UntiltElement.uniformizer(config) ** q * x
+
+
+def _case_theta():
+    # component 1 = t^5 (1 + t^(1/5^6)) is p^2 [(1 + t^(1/5^6))^(1/5)]:
+    # theta = [1] + p^2 sharp(w^(1/5), 1), by linearity of the sum
+    config = FieldConfig(5, 6, 8)
+    w = TiltElement(config, {0: 1, Fraction(1, 5 ** 6): 1})
+    value = theta(WittVector(config, [
+        TiltElement.one(config), TiltElement.uniformizer(config) ** 5 * w,
+        TiltElement.zero(config)]))
+    expected = (UntiltElement.one(config)
+                + _p_power(config, 2, sharp(w.root(1), 1))).with_precision(3)
+    return value, expected
+
+
+def _case_sharp(config, exps, q, k):
+    # sharp(t^q w, k) against p^q sharp(w, k - q), or 0 when q >= k
+    w = TiltElement(config, {e: 1 for e in exps})
+    value = sharp(TiltElement.uniformizer(config) ** q * w, k)
+    if q >= k:
+        expected = UntiltElement.zero(config).with_precision(k)
+    else:
+        expected = _p_power(config, q, sharp(w, k - q)).with_precision(k)
+    return value, expected
+
+
+# Inputs whose whole p^(k-1) root leaves the lattice or overruns the
+# layer budget, though no term of the split needs that root: t^3 rooted
+# by 2^2 and by 3^3 at dencap 0, and t^q (1 + t^(1/5^7)) on 5^8 slots,
+# where the split needs 5^7 slots at q = 1 and no layer at q = 2.
+_SPLIT_VALUES = {
+    "t3-p2": (lambda: _case_sharp(FieldConfig(2, 4, 0), [0], 3, 3),
+              "O(p^3)"),
+    "t3-p3": (lambda: _case_sharp(FieldConfig(3, 6, 0), [0], 3, 4),
+              "1*p^3 + O(p^4)"),
+    "t1-5^7": (lambda: _case_sharp(FieldConfig(5, 4, 8),
+                                   [0, Fraction(1, 5 ** 7)], 1, 2),
+               "1*p + 1*p^(78126/78125) + O(p^2)"),
+    "t2-5^7": (lambda: _case_sharp(FieldConfig(5, 4, 8),
+                                   [0, Fraction(1, 5 ** 7)], 2, 2),
+               "O(p^2)"),
+    "theta": (_case_theta, "1 + 1*p^2 + 1*p^(156251/78125) + O(p^3)"),
+}
+
+
+@pytest.mark.parametrize("case", list(_SPLIT_VALUES))
+def test_split_answers_what_the_whole_root_refused(case):
+    build, text = _SPLIT_VALUES[case]
+    value, expected = build()
+    assert value == expected
+    assert value.to_text() == text
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_sharp_of_t_power_is_p_power_of_sharp(data):
+    # sharp(t^q w, k) = p^q sharp(w, k - q) read at precision k whenever
+    # the right side answers; when it refuses, so does the left, alike.
+    config = data.draw(st.sampled_from(
+        [FieldConfig(2, 6, 3), FieldConfig(3, 5, 2), FieldConfig(5, 4, 2)]))
+    k = data.draw(st.integers(2, config.prec))
+    q = data.draw(st.integers(1, k - 1))
+    # w below t^(prec - q), so that t^q w loses no digit to truncation
+    w = data.draw(elements(config, "tilt", max_terms=4)).with_precision(
+        config.prec - q)
+    assume(not w.is_zero())
+    shifted = TiltElement.uniformizer(config) ** q * w
+    try:
+        expected = _p_power(config, q, sharp(w, k - q)).with_precision(k)
+    except KernelError as refusal:
+        with pytest.raises(type(refusal)) as info:
+            sharp(shifted, k)
+        assert str(info.value) == str(refusal)
+        return
+    assert sharp(shifted, k) == expected
 
 
 def _assert_canonical(r):
