@@ -33,8 +33,8 @@ from .arith import (
     KernelError,
     TiltElement,
     UntiltElement,
+    denominator_power,
     element_from_json,
-    has_p_power_denominator,
 )
 from .polyroots import Polynomial
 from .tiltkit import sharp
@@ -196,7 +196,8 @@ class AdicPoint:
             return 1
         if self.kind == "halo":
             return 5
-        if has_p_power_denominator(self.radius_exp, self.config.p):
+        if denominator_power(self.radius_exp.denominator,
+                             self.config.p) is not None:
             return 2
         return 3
 

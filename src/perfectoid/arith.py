@@ -19,18 +19,23 @@ carries c // p to j + p^m, because p * p^(j/p^m) = p^((j + p^m)/p^m).
 A product is known below min(K1 + v2, K2 + v1, prec * p^m), v the index
 of the lowest digit (K when none is visible).
 
-``ValExp`` (num / p^denpow, reduced) and ``Fraction`` remain only at the
-API boundary: constructors take maps keyed by either and convert each key
-once; ``digits``, ``precexp`` and ``valuation()`` hand out ValExp
-exponents, built on each access.  The text and JSON forms go through one
-codec on indices: ``_exp_pair`` reduces j / p^dencap to num / p^denpow
-in integers, ``_power_text`` and ``_index_json`` write it, and
-``_index_from_json`` and ``_power_index`` read it back; a Fraction is
-built there only to word a refusal.  The modules above (tatealg,
-polyroots, adicdisc) compute on the same indices: they read ``_digits``,
-``_low()`` and ``_k`` and convert exponents with ``_lattice_index``.
+Exponents are elements of Z[1/p], and at the API boundary they are
+``Fraction``s: constructors take maps keyed by ints or Fractions and
+convert each key once; ``digits``, ``precexp`` and ``valuation()`` hand
+out exponents built on each access, as ``ValExp``, a Fraction subclass
+that keeps ``as_fraction()`` for code written against the former
+num / p^denpow class.  ``_index`` puts an exponent on the lattice, and
+an exponent off it, or below zero, is refused by ``_exponent_error``,
+which reads the power of p in its denominator with ``denominator_power``.
+The text and JSON forms go through one codec on indices: ``_exp_pair``
+reduces j / p^dencap to num / p^denpow in integers, ``_power_text`` and
+``_index_json`` write it, and ``_index_from_json`` and ``_power_index``
+read it back; refusals word an index with ``_exp_text``.  The modules
+above (tatealg, polyroots, adicdisc) compute on the same indices: they
+read ``_digits``, ``_low()`` and ``_k`` and convert exponents with
+``_lattice_index``.
 
-    ValExp                  -- exponent lattice Z[1/p]>=0 at the boundary
+    ValExp                  -- an exponent handed out: a Fraction
     FieldConfig             -- (p, prec, dencap) for a whole computation
     UntiltElement           -- digits with base-p carries
     TiltElement             -- digits over F_p, Frobenius and exact p-th roots
@@ -48,7 +53,6 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from functools import total_ordering
 from heapq import heapify, heappop, heappush
 from math import log10
 from typing import Iterable, Mapping
@@ -90,120 +94,44 @@ class BudgetError(KernelError):
 # Exponents
 # =====================================================================
 
-@total_ordering
-class ValExp:
-    """A nonnegative element of Z[1/p], stored as num / p^denpow.
+class ValExp(Fraction):
+    """An exponent as the views hand it out: a Fraction, built like one.
 
-    Normalized so that p does not divide num unless denpow = 0; order and
-    arithmetic agree with the rational value.  Instances are immutable.
+    ``as_fraction()`` returns it as a plain Fraction, for code written
+    against the num / p^denpow class this once was.
     """
 
-    __slots__ = ("num", "denpow", "p")
-
-    def __init__(self, num: int, denpow: int, p: int):
-        if num < 0:
-            raise KernelError(f"negative exponent {num}/p^{denpow}")
-        if denpow < 0:
-            raise KernelError(f"negative denominator exponent {denpow}")
-        while denpow > 0 and num % p == 0:
-            num //= p
-            denpow -= 1
-        if num == 0:
-            denpow = 0
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "denpow", denpow)
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ValExp is immutable")
-
-    @classmethod
-    def from_fraction(cls, value: Fraction | int, p: int,
-                      dencap: int | None = None) -> "ValExp":
-        """Builds an exponent from a rational, checking the denominator.
-
-        The denominator must be a power of p, and at most p^dencap when a
-        cap is given.
-        """
-        frac = Fraction(value)
-        den = frac.denominator
-        denpow = 0
-        while den % p == 0:
-            den //= p
-            denpow += 1
-        if den != 1:
-            raise DencapError(
-                f"denominator {frac.denominator} is not a power of {p}")
-        if dencap is not None and denpow > dencap:
-            raise DencapError(
-                f"exponent {frac} needs denominator p^{denpow}, "
-                f"cap is p^{dencap}")
-        return cls(frac.numerator, denpow, p)
+    __slots__ = ()
 
     def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.p ** self.denpow)
+        return Fraction(self)
 
-    def _scaled(self, denpow: int) -> int:
-        # the numerator of self over p^denpow, denpow >= self.denpow
-        return self.num * self.p ** (denpow - self.denpow)
-
-    def _plus(self, other, sign: int):
-        # self + sign * other, on integers over the larger denominator
-        p = self.p
-        if isinstance(other, ValExp) and other.p != p:
-            return ValExp.from_fraction(
-                self.as_fraction() + sign * other.as_fraction(), p)
-        if isinstance(other, ValExp):
-            d = max(self.denpow, other.denpow)
-            num = self._scaled(d) + sign * other._scaled(d)
-        elif isinstance(other, int):
-            d = self.denpow
-            num = self.num + sign * other * p ** d
-        else:
-            return NotImplemented
-        # reduced before the sign check, so that a negative result is
-        # reported in lowest terms
-        while d > 0 and num % p == 0:
-            num //= p
-            d -= 1
-        return ValExp(num, d, p)
-
-    def __add__(self, other):
-        return self._plus(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def __eq__(self, other):
-        if not isinstance(other, ValExp):
-            return NotImplemented
-        return (self.num, self.denpow, self.p) == (other.num, other.denpow,
-                                                   other.p)
-
-    def __lt__(self, other):
-        if not isinstance(other, ValExp):
-            return NotImplemented
-        return (self.num * other.p ** other.denpow
-                < other.num * self.p ** self.denpow)
-
-    def __hash__(self):
-        return hash((self.num, self.denpow))
-
-    def __str__(self):
-        return str(self.as_fraction())
-
-    def __repr__(self):
-        return f"ValExp({self.num}/{self.p}^{self.denpow})"
+    @property
+    def denpow(self) -> int:
+        """d with denominator p^d, as the former class stored it; the
+        traced runs of ``perfbench`` still read it.  A power of a prime
+        is a perfect k-th power exactly for the k dividing d, so d is
+        the largest such k."""
+        den = self.denominator
+        for k in range(den.bit_length() - 1, 1, -1):
+            root = 1 << -(-den.bit_length() // k)    # above den^(1/k)
+            while True:     # Newton's step, down to the floor
+                down = ((k - 1) * root + den // root ** (k - 1)) // k
+                if down >= root:
+                    break
+                root = down
+            if root ** k == den:
+                return k
+        return int(den > 1)
 
 
-def has_p_power_denominator(q: Fraction, p: int) -> bool:
-    """Whether the reduced denominator of q is a power of p (1 included)."""
-    den = q.denominator
+def denominator_power(den: int, p: int) -> int | None:
+    """d with den = p^d, or None when den is not a power of p."""
+    d = 0
     while den % p == 0:
         den //= p
-    return den == 1
+        d += 1
+    return d if den == 1 else None
 
 
 class _Infinity:
@@ -334,32 +262,38 @@ class FieldConfig:
 # Digit elements
 # =====================================================================
 
-def _as_fraction_exp(e) -> Fraction:
-    if isinstance(e, ValExp):
-        return e.as_fraction()
-    return Fraction(e)
-
-
 def _index(e, config: FieldConfig) -> int | None:
     """The lattice index j of the exponent e = j / p^dencap, or None when
-    e is off the lattice.  e is an int, a ValExp or anything Fraction
-    takes; the sign is not checked."""
+    e is off the lattice.  e is an int or anything Fraction takes; the
+    sign is not checked."""
     if type(e) is int:
         return e * config.scale
-    if isinstance(e, ValExp):
-        down = config.dencap - e.denpow
-        return e.num * config.p ** down if down >= 0 else None
-    f = e if type(e) is Fraction else Fraction(e)
+    f = e if isinstance(e, Fraction) else Fraction(e)
     q, r = divmod(config.scale, f.denominator)
     return None if r else f.numerator * q
 
 
+def _exponent_error(f: Fraction, config: FieldConfig) -> KernelError:
+    """The refusal of the exponent f, off the lattice or below zero: a
+    DencapError when its denominator is not a power of p or passes the
+    cap, else a KernelError for its sign."""
+    p, cap = config.p, config.dencap
+    d = denominator_power(f.denominator, p)
+    if d is None:
+        return DencapError(
+            f"denominator {f.denominator} is not a power of {p}")
+    if d > cap:
+        return DencapError(
+            f"exponent {f} needs denominator p^{d}, cap is p^{cap}")
+    return KernelError(f"negative exponent {f.numerator}/p^{d}")
+
+
 def _lattice_index(e, config: FieldConfig) -> int:
     """The lattice index of the exponent e >= 0; an exponent off the
-    lattice or below zero raises the error ValExp.from_fraction gives."""
+    lattice or below zero raises ``_exponent_error``."""
     j = _index(e, config)
     if j is None or j < 0:
-        ValExp.from_fraction(_as_fraction_exp(e), config.p, config.dencap)
+        raise _exponent_error(Fraction(e), config)
     return j
 
 
@@ -391,6 +325,12 @@ def _power_text(symbol: str, j: int, config: FieldConfig) -> str:
             f"the text form cannot write the exponent of {symbol} with "
             f"denominator {config.p}^{denpow} in decimal: {exc}") from None
     return symbol if num else ""
+
+
+def _exp_text(j: int, config: FieldConfig) -> str:
+    """The exponent j / p^dencap as a refusal words it (``_ratio_text``),
+    sign included."""
+    return _ratio_text(*_exp_pair(j, config), config.p)
 
 
 def _ratio_text(num: int, denpow: int, p: int) -> str:
@@ -443,7 +383,7 @@ def _refuse_off_lattice(off: dict, config: FieldConfig, bound: int,
     if not carries:
         for f, c in off.items():
             if f < kf and c % p:
-                ValExp.from_fraction(f, p, config.dencap)
+                raise _exponent_error(f, config)
         return
     pending = {f: c for f, c in off.items() if c}
     heap = list(pending)
@@ -455,7 +395,7 @@ def _refuse_off_lattice(off: dict, config: FieldConfig, bound: int,
             continue
         carry, digit = divmod(c, p)
         if digit:
-            ValExp.from_fraction(f, p, config.dencap)
+            raise _exponent_error(f, config)
         if carry:
             if f + 1 in pending:
                 pending[f + 1] += carry
@@ -495,8 +435,8 @@ class _DigitElement:
     with the indices in increasing order and below ``_k``, and the
     element is known modulo X^(_k/p^dencap).  Canonical form is unique,
     so equality is structural.  ``digits`` and ``precexp`` give the same
-    data with ValExp exponents; the text and JSON writers walk ``_digits``
-    in its stored order.
+    data with Fraction exponents (``ValExp``); the text and JSON writers
+    walk ``_digits`` in its stored order.
     """
 
     __slots__ = ("config", "_digits", "_k")
@@ -506,35 +446,33 @@ class _DigitElement:
     _carries = False
 
     def __init__(self, config: FieldConfig,
-                 digits: Mapping[ValExp, int] | Mapping[Fraction, int]
-                 | None = None,
+                 digits: Mapping[Fraction, int] | None = None,
                  precexp=None):
         acc: dict[int, int] = {}
         off: dict[Fraction, int] = {}
         for e, c in (digits or {}).items():
             j = _index(e, config)
             if j is None:
-                f = _as_fraction_exp(e)
+                f = Fraction(e)
                 if f < 0:
                     raise KernelError(f"negative digit exponent {f}")
                 off[f] = off.get(f, 0) + int(c)
                 continue
             if j < 0:
                 raise KernelError(
-                    f"negative digit exponent {Fraction(j, config.scale)}")
+                    f"negative digit exponent {_exp_text(j, config)}")
             acc[j] = acc.get(j, 0) + int(c)
         k = config.full if precexp is None else _index(precexp, config)
         if k is None:
-            kf = _as_fraction_exp(precexp)
+            kf = Fraction(precexp)
             if kf < 0:
                 raise PrecisionError(f"negative precision exponent {kf}")
             if kf < config.prec:
-                # off the lattice: raises the DencapError naming kf
-                ValExp.from_fraction(kf, config.p, config.dencap)
+                raise _exponent_error(kf, config)
             k = config.full     # beyond prec it is cut to prec
         elif k < 0:
             raise PrecisionError(
-                f"negative precision exponent {Fraction(k, config.scale)}")
+                f"negative precision exponent {_exp_text(k, config)}")
         k = min(k, config.full)
         if off:
             _refuse_off_lattice(off, config, k, self._carries)
@@ -604,15 +542,15 @@ class _DigitElement:
 
     @property
     def digits(self) -> dict[ValExp, int]:
-        """The digits as {ValExp exponent: digit}, in increasing order:
-        a new dict on each access, so editing it leaves self alone."""
-        p, cap = self.config.p, self.config.dencap
-        return {ValExp(j, cap, p): c for j, c in self._digits.items()}
+        """The digits as {exponent: digit}, in increasing order: a new
+        dict on each access, so editing it leaves self alone."""
+        scale = self.config.scale
+        return {ValExp(j, scale): c for j, c in self._digits.items()}
 
     @property
     def precexp(self) -> ValExp:
         """The precision exponent: self is known modulo X^precexp."""
-        return ValExp(self._k, self.config.dencap, self.config.p)
+        return ValExp(self._k, self.config.scale)
 
     def is_zero(self) -> bool:
         """True when no digit is visible at the current precision."""
@@ -621,7 +559,7 @@ class _DigitElement:
     def valuation(self):
         """Smallest stored exponent; INF when a == 0 at current precision."""
         for j in self._digits:
-            return ValExp(j, self.config.dencap, self.config.p)
+            return ValExp(j, self.config.scale)
         return INF
 
     def _low(self) -> int:
@@ -671,14 +609,14 @@ class _DigitElement:
         if j is not None:
             return self._shift(j)
         # off the lattice: at most the all-zero element survives
-        sf = _as_fraction_exp(s)
-        kf = self.precexp.as_fraction() + sf
+        sf = Fraction(s)
+        kf = self.precexp + sf
         if kf < 0:
             raise PrecisionError(
                 f"shift by {sf} leaves no precision (precexp {self.precexp})")
         acc = {}
         for e, c in self.digits.items():
-            f = e.as_fraction() + sf
+            f = e + sf
             if f < 0:
                 raise DivisionError(
                     f"digit at exponent {e} does not divide by "
@@ -692,14 +630,13 @@ class _DigitElement:
         k = self._k + s
         if k < 0:
             raise PrecisionError(
-                f"shift by {Fraction(s, config.scale)} leaves no precision "
-                f"(precexp {self.precexp})")
+                f"shift by {_exp_text(s, config)} leaves no precision "
+                f"(precexp {_exp_text(self._k, config)})")
         low = self._low()
         if self._digits and low + s < 0:
             raise DivisionError(
-                f"digit at exponent {ValExp(low, config.dencap, config.p)} "
-                f"does not divide by {self.symbol}^"
-                f"{Fraction(-s, config.scale)}")
+                f"digit at exponent {_exp_text(low, config)} does not "
+                f"divide by {self.symbol}^{_exp_text(-s, config)}")
         k = min(k, config.full)
         digits = {}
         for j, c in self._digits.items():
@@ -725,7 +662,7 @@ class _DigitElement:
                                     self.config.full)
         return other
 
-    def _plus(self, other, sign: int):
+    def _sum(self, other, sign: int):
         # self + sign * other
         other = self._coerce(other)
         self._check_compatible(other)
@@ -735,7 +672,7 @@ class _DigitElement:
         return self._make(self.config, acc, min(self._k, other._k))
 
     def __add__(self, other):
-        return self._plus(other, 1)
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
@@ -744,7 +681,7 @@ class _DigitElement:
                           {j: -c for j, c in self._digits.items()}, self._k)
 
     def __sub__(self, other):
-        return self._plus(other, -1)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -1013,11 +950,11 @@ def pth_root_mod(a: UntiltElement, k) -> UntiltElement:
     construction stops satisfying the defining congruence (carries appear
     at exponent 1), so larger k is rejected.
     """
-    kf = _as_fraction_exp(k)
+    kf = Fraction(k)
     if kf > 1:
         raise PrecisionError(
             f"pth_root_mod is defined modulo p^k for k <= 1 only, got k={kf}")
-    if a.precexp.as_fraction() < kf:
+    if a.precexp < kf:
         raise PrecisionError(
             f"operand only known modulo p^{a.precexp}, root modulo p^{kf} "
             f"requested")
@@ -1042,10 +979,10 @@ def invert_unit(a: _DigitElement) -> _DigitElement:
     dropped.
     """
     digits = a._digits
-    if 0 not in digits:
-        raise DivisionError(
-            f"invert_unit needs valuation 0, got {a.valuation()!r}")
     config = a.config
+    if 0 not in digits:
+        got = _exp_text(a._low(), config) if digits else "INF"
+        raise DivisionError(f"invert_unit needs valuation 0, got {got}")
     p, k = config.p, a._k
     step = config.scale if a._carries else 0
     a0 = digits[0]

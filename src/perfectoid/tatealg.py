@@ -18,10 +18,11 @@ acceptable.
 
 Exponents are lattice indices, as inside the digit elements: monomial
 entries, degrees, precisions and the approximation schedule are
-integers j standing for j/p^dencap.  ``Monomial.exps`` (ValExp),
-``degree`` and ``precexp`` (Fraction) and the valuations the evaluators
-return are views built on access; the JSON form and monomial text are
-written and read by the digit elements' exponent codec on the indices.
+integers j standing for j/p^dencap.  ``Monomial.exps``, ``degree``,
+``precexp`` and the valuations the evaluators return are Fractions
+built on access (``exps`` as ``ValExp``, which keeps ``as_fraction()``);
+the JSON form and monomial text are written and read by the digit
+elements' exponent codec on the indices.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .arith import (
     TiltElement,
     UntiltElement,
     ValExp,
-    _as_fraction_exp,
     _exp_pair,
     _index,
     _index_from_json,
@@ -70,8 +70,8 @@ class Monomial:
 
     Entries are nonnegative elements of Z[1/p] on the dencap lattice,
     stored as their lattice indices (``_idx``, entry e at e * p^dencap);
-    ``exps`` gives them as ValExp.  Monomials are immutable and usable
-    as dict keys; the order used for leading-term selection is graded
+    ``exps`` gives them as Fractions (``ValExp``).  Monomials are
+    immutable and usable as dict keys; the order used for leading-term selection is graded
     lexicographic (total degree first, then entrywise comparison).
     """
 
@@ -96,7 +96,7 @@ class Monomial:
     @property
     def exps(self) -> tuple:
         config = self.config
-        return tuple(ValExp(j, config.dencap, config.p) for j in self._idx)
+        return tuple(ValExp(j, config.scale) for j in self._idx)
 
     @property
     def nvars(self) -> int:
@@ -110,7 +110,7 @@ class Monomial:
 
     def scaled(self, factor: Fraction) -> "Monomial":
         """Entrywise multiple; the route to fractional powers T^(e*i)."""
-        f = _as_fraction_exp(factor)
+        f = Fraction(factor)
         if f < 0:
             raise KernelError(f"negative monomial power {f}")
         num, den = f.numerator, f.denominator
@@ -196,7 +196,7 @@ class HomogeneousElement:
         items = dict(terms or {})
         k = config.full
         if precexp is not None:
-            kf = _as_fraction_exp(precexp)
+            kf = Fraction(precexp)
             if kf < 0:
                 raise PrecisionError(f"negative precision exponent {kf}")
             if kf < config.prec:
@@ -316,7 +316,7 @@ class HomogeneousElement:
     def with_precision(self, precexp) -> "HomogeneousElement":
         """Truncates, or promotes every coefficient as a chosen
         representative of its residue class."""
-        kf = _as_fraction_exp(precexp)
+        kf = Fraction(precexp)
         return HomogeneousElement(
             self.config, self.kind, self.nvars, self.degree,
             {m: c.with_precision(kf) for m, c in self.terms.items()}, kf)
@@ -536,7 +536,7 @@ def tilt_power(g: HomogeneousElement, i) -> HomogeneousElement:
     """
     if not isinstance(g, HomogeneousElement) or g.kind != "tilt":
         raise ConfigError("tilt_power expects a tilt homogeneous element")
-    frac = _as_fraction_exp(i)
+    frac = Fraction(i)
     if frac < 0:
         raise KernelError(f"nonnegative power expected, got {frac}")
     return _tilt_power(g, _lattice_index(frac, g.config))
@@ -733,8 +733,8 @@ def approximate(f: HomogeneousElement, c, eps) -> HomogeneousElement:
     if not isinstance(f, HomogeneousElement) or f.kind != "untilt":
         raise ConfigError("approximate expects an untilt homogeneous element")
     config = f.config
-    cf = _as_fraction_exp(c)
-    ef = _as_fraction_exp(eps)
+    cf = Fraction(c)
+    ef = Fraction(eps)
     if cf < 0:
         raise KernelError(f"depth must be nonnegative, got {cf}")
     if not 0 < ef < 1:
@@ -1095,8 +1095,8 @@ def verify_contract(f: HomogeneousElement, g: HomogeneousElement, c, eps,
     if (g.config != f.config or g.nvars != f.nvars
             or g.degree != f.degree):
         raise ConfigError("f and g do not describe the same shape")
-    cf = _as_fraction_exp(c)
-    ef = _as_fraction_exp(eps)
+    cf = Fraction(c)
+    ef = Fraction(eps)
     if cf < 0:
         raise KernelError(f"depth must be nonnegative, got {cf}")
     if not 0 < ef < 1:

@@ -420,7 +420,9 @@ def _teichmuller_sum(config: FieldConfig, components,
     Each term refuses only what it needs: every kept term is rooted
     first, in component order, so a ``DencapError`` comes before any
     layer work, and each power then checks its own layer budget before
-    its first product (``_power_layer``).
+    its first product (``_power_layer``).  Only the digits of w below
+    t^(p^(n-1-q)) are rooted: the others land at 1 or above, outside
+    the residue.
     """
     p, scale = config.p, config.scale
     if n == 1:
@@ -434,7 +436,11 @@ def _teichmuller_sum(config: FieldConfig, components,
         q = x._low() // (scale * p ** i)
         if q < n - i:
             w = x._shift(-q * p ** i * scale) if q else x
-            roots.append((i, q, _residue(w.root(n - 1 - q), scale)))
+            cut = p ** (n - 1 - q) * scale
+            if next(reversed(w._digits)) >= cut:
+                w = w._at(cut)
+            # every digit below the cut roots to below 1: the residue
+            roots.append((i, q, w.root(n - 1 - q)._digits))
     terms = []
     for i, q, residue in roots:
         depth = _depth(residue, config)

@@ -28,7 +28,7 @@ from .arith import (
     KernelError,
     UntiltElement,
     check_prime,
-    has_p_power_denominator,
+    denominator_power,
 )
 from .tatealg import (
     ClassicalPoint,
@@ -368,8 +368,10 @@ class Fan:
                 raise ConeError(
                     f"cone {list(c.generators)} lies inside "
                     f"{list(host.generators)} without being a face of it")
+        duals = {m: _nonneg_solutions(m.generators, rank) for m in maximal}
         for a, b in combinations(maximal, 2):
-            defect = _intersection_defect(a, b, faces[a], faces[b], rank)
+            defect = _intersection_defect(faces[a], faces[b], duals[a],
+                                          duals[b], rank)
             if defect is not None:
                 raise ConeError(
                     f"cones {list(a.generators)} and {list(b.generators)} "
@@ -416,21 +418,16 @@ def _subcone(a: Cone, b: Cone) -> bool:
     return all(_in_cone(v, b.generators) for v in a.generators)
 
 
-def _intersect(a: Cone, b: Cone, rank: int) -> Cone:
-    da = _nonneg_solutions(a.generators, rank)
-    db = _nonneg_solutions(b.generators, rank)
-    gens = _nonneg_solutions(sorted(set(da) | set(db)), rank)
-    # normalized by _nonneg_solutions; a meet of pointed cones is pointed
-    return Cone._trusted(rank, tuple(gens), True)
+def _intersection_defect(a_faces: list[Cone], b_faces: list[Cone],
+                         a_duals: list, b_duals: list,
+                         rank: int) -> str | None:
+    """None when the intersection of two cones is a common face, else a
+    witness.
 
-
-def _intersection_defect(a: Cone, b: Cone, a_faces: list[Cone],
-                         b_faces: list[Cone], rank: int) -> str | None:
-    """None when the intersection is a common face, else a witness.
-
-    a_faces and b_faces are the faces of a and b.  The intersection is
-    computed outright by double dualization, in any rank, and must be
-    the one maximal common face.
+    a_faces and b_faces are the faces of the cones, a_duals and b_duals
+    the generators of their duals.  The intersection is computed
+    outright by double dualization, in any rank, and must be the one
+    maximal common face.
     """
     b_faces = set(b_faces)
     common = [f for f in a_faces if f in b_faces]
@@ -439,7 +436,9 @@ def _intersection_defect(a: Cone, b: Cone, a_faces: list[Cone],
     if len(maxes) != 1:
         return (f"share several maximal faces "
                 f"{[list(f.generators) for f in maxes]}")
-    inter = _intersect(a, b, rank)
+    gens = _nonneg_solutions(sorted(set(a_duals) | set(b_duals)), rank)
+    # normalized by _nonneg_solutions; a meet of pointed cones is pointed
+    inter = Cone._trusted(rank, tuple(gens), True)
     if inter != maxes[0]:
         return (f"meet in {list(inter.generators)}, which is not a "
                 f"common face")
@@ -614,7 +613,7 @@ def sections(fan: Fan, divisor: TWeilDivisor, dencap: int = 0,
     if p is not None:
         check_prime(p)
         for a in divisor.coefficients:
-            if not has_p_power_denominator(a, p):
+            if denominator_power(a.denominator, p) is None:
                 raise ConeError(
                     f"coefficient {a} has a denominator not a power of "
                     f"{p}")

@@ -213,12 +213,12 @@ def all_dense_vectors(config: FieldConfig, limit_idx: int):
 
 
 # ---------------------------------------------------------------------
-# Text and JSON writers through the public ValExp views.
+# Text and JSON writers through the public exponent views.
 #
 # The package writes both forms from lattice indices, reducing
 # j / p^dencap in integers; these go through ``digits``, ``precexp`` and
-# ``Monomial.exps``, sort the terms by Fraction value and format the
-# Fractions.
+# ``Monomial.exps``, whose exponents are Fractions, sort the terms by
+# value and format the Fractions.
 # ---------------------------------------------------------------------
 
 def _reference_power(symbol: str, f: Fraction) -> str:
@@ -246,17 +246,26 @@ def reference_text(x) -> str:
     return " + ".join(parts)
 
 
+def _reference_exp_json(e, p: int) -> dict:
+    # num / p^denpow: the numerator, and the power of p in the denominator
+    den, denpow = e.denominator, 0
+    while den > 1:
+        den //= p
+        denpow += 1
+    return {"num": e.numerator, "denpow": denpow}
+
+
 def reference_json(x) -> dict:
     """The canonical JSON form of a digit element."""
-    precexp = x.precexp
-    terms = [{"num": e.num, "denpow": e.denpow, "digit": c}
+    p = x.config.p
+    terms = [{**_reference_exp_json(e, p), "digit": c}
              for e, c in _reference_digits(x)]
     return {
         "kind": x.kind,
-        "p": x.config.p,
+        "p": p,
         "prec": x.config.prec,
         "dencap": x.config.dencap,
-        "precexp": {"num": precexp.num, "denpow": precexp.denpow},
+        "precexp": _reference_exp_json(x.precexp, p),
         "terms": terms,
     }
 
@@ -268,7 +277,7 @@ def reference_monomial_repr(m) -> str:
 
 
 def reference_monomial_json(m) -> list:
-    return [{"num": e.num, "denpow": e.denpow} for e in m.exps]
+    return [_reference_exp_json(e, m.config.p) for e in m.exps]
 
 
 # ---------------------------------------------------------------------

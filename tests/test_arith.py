@@ -32,6 +32,7 @@ from perfectoid.arith import (
     pth_root_mod,
     reduce_mod_uniformizer,
 )
+from perfectoid.tatealg import HomogeneousElement, Monomial
 
 C2 = FieldConfig(2, 6, 2)
 C3 = FieldConfig(3, 8, 2)
@@ -50,31 +51,37 @@ def _cls(kind):
 # =====================================================================
 
 def test_valexp_normalization():
-    assert ValExp(3, 1, 3) == ValExp(1, 0, 3)
-    assert ValExp(9, 2, 3) == ValExp(1, 0, 3)
-    assert ValExp(0, 5, 3) == ValExp(0, 0, 3)
-    e = ValExp(4, 1, 3)
-    assert (e.num, e.denpow) == (4, 1)
+    assert ValExp(3, 3) == Fraction(1)
+    assert ValExp(9, 9) == Fraction(1)
+    assert ValExp(0, 3 ** 5) == Fraction(0)
+    e = ValExp(4, 3)
+    assert (e.numerator, e.denominator) == (4, 3)
     assert e.as_fraction() == Fraction(4, 3)
+    assert type(e.as_fraction()) is Fraction
+    assert [ValExp(1, p ** d).denpow for p, d in
+            ((2, 0), (2, 1), (3, 4), (5, 6), (2 ** 61 - 1, 3))] == \
+        [0, 1, 4, 6, 3]
 
 
 def test_valexp_order_and_arithmetic():
-    a = ValExp(1, 2, 3)   # 1/9
-    b = ValExp(1, 1, 3)   # 1/3
-    assert a < b < ValExp(1, 0, 3)
-    assert (a + b).as_fraction() == Fraction(4, 9)
-    assert (b - a).as_fraction() == Fraction(2, 9)
+    a = ValExp(1, 9)
+    b = ValExp(1, 3)
+    assert a < b < ValExp(1, 1)
+    assert a + b == Fraction(4, 9)
+    assert b - a == Fraction(2, 9)
     assert a < INF and INF > a and not (INF < a)
     assert INF + a is INF and a + INF is INF
 
 
 def test_valexp_rejects_negative_and_bad_denominator():
-    with pytest.raises(KernelError):
-        ValExp(1, 1, 3) - ValExp(1, 0, 3)
-    with pytest.raises(DencapError):
-        ValExp.from_fraction(Fraction(1, 2), 3)
-    with pytest.raises(DencapError):
-        ValExp.from_fraction(Fraction(1, 27), 3, dencap=2)
+    with pytest.raises(KernelError, match="^negative exponent -1/p\\^0$"):
+        arith._lattice_index(-1, C3)
+    with pytest.raises(DencapError,
+                       match="^denominator 2 is not a power of 3$"):
+        UntiltElement(C3, {Fraction(1, 2): 1})
+    with pytest.raises(DencapError, match="^exponent 1/27 needs denominator "
+                                          "p\\^3, cap is p\\^2$"):
+        UntiltElement(C3, {Fraction(1, 27): 1})
 
 
 def test_config_validation():
@@ -150,16 +157,16 @@ def test_tilt_square_has_no_carries():
 
 def test_negative_integers_wrap():
     minus_one = UntiltElement.from_int(C3, -1)
-    assert minus_one.digits == {ValExp(j, 0, 3): 2 for j in range(8)}
+    assert minus_one.digits == {Fraction(j): 2 for j in range(8)}
     assert minus_one + UntiltElement.one(C3) == UntiltElement.zero(C3)
 
 
 def test_valuation_examples():
     x = UntiltElement(C3, {Fraction(1, 9): 1, Fraction(1): 1})
-    assert x.valuation() == ValExp(1, 2, 3)
+    assert x.valuation() == Fraction(1, 9)
     assert UntiltElement.zero(C3).valuation() is INF
     y = UntiltElement(C3, {Fraction(0): 2, Fraction(5, 3): 1})
-    assert y.valuation() == ValExp(0, 0, 3)
+    assert y.valuation() == Fraction(0)
 
 
 def test_frobenius_and_pth_root_examples():
@@ -313,7 +320,7 @@ def test_shift_and_division():
     assert unit * inv == UntiltElement.one(C3)
     q = divide_exact(a, UntiltElement.monomial(C3, 2, Fraction(1, 3)))
     assert q * UntiltElement.monomial(C3, 2, Fraction(1, 3)) == \
-        a.with_precision(q.precexp + ValExp(1, 1, 3))
+        a.with_precision(q.precexp + Fraction(1, 3))
 
 
 # =====================================================================
@@ -371,6 +378,26 @@ def test_valuation_laws(config, kind, data):
         assert s.valuation() is INF or s.valuation() >= va
     assume(va.as_fraction() + vb.as_fraction() < config.prec)
     assert (a * b).valuation() == va + vb
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_exponent_views_are_fractions(kind, data):
+    config = data.draw(st.sampled_from(CONFIGS))
+    x = data.draw(elements(config, kind, vary_precision=True))
+    scale = config.scale
+    assert x.precexp == Fraction(x._k, scale)
+    if x.is_zero():
+        assert x.valuation() is INF
+    else:
+        assert x.valuation() == min(x.digits) == Fraction(x._low(), scale)
+    for j, c in x._digits.items():
+        assert x.digits[Fraction(j, scale)] == c
+    assert type(x)(x.config, x.digits, x.precexp) == x
+    f = HomogeneousElement(config, kind, 1, 0, {Monomial(config, [0]): x},
+                           precexp=x.precexp)
+    assert f.precexp == x.precexp
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"p{c.p}")
@@ -469,6 +496,43 @@ def test_text_form_past_the_decimal_limit_is_a_typed_refusal():
         x.to_text()
     with pytest.raises(BudgetError):
         repr(x)
+
+
+# Refusals word their exponents as ``_index_from_json`` does: the first
+# five at exponent 1/2^20000, whose denominator is past the decimal
+# limit, the last two where the decimal fraction is written.
+_DEEP = FieldConfig(2, 4, 20000)
+_DEEP_E = Fraction(1, 2 ** 20000)
+_WORDED_REFUSALS = {
+    "digit": (lambda: UntiltElement(_DEEP, {-_DEEP_E: 1}), KernelError,
+              "negative digit exponent -1/2^20000"),
+    "precexp": (lambda: UntiltElement(_DEEP, {}, -_DEEP_E), PrecisionError,
+                "negative precision exponent -1/2^20000"),
+    "_shift": (lambda: TiltElement(_DEEP, {}, _DEEP_E)._shift(-2),
+               PrecisionError,
+               "shift by -1/2^19999 leaves no precision (precexp "
+               "1/2^20000)"),
+    "shift": (lambda: TiltElement(_DEEP, {_DEEP_E: 1}).shift(-1),
+              DivisionError,
+              "digit at exponent 1/2^20000 does not divide by t^1"),
+    "invert_unit": (lambda: invert_unit(TiltElement(_DEEP, {_DEEP_E: 1})),
+                    DivisionError,
+                    "invert_unit needs valuation 0, got 1/2^20000"),
+    "invert_unit-1/3": (
+        lambda: invert_unit(TiltElement(C3, {Fraction(1, 3): 1})),
+        DivisionError, "invert_unit needs valuation 0, got 1/3"),
+    "invert_unit-zero": (lambda: invert_unit(TiltElement.zero(C3)),
+                         DivisionError,
+                         "invert_unit needs valuation 0, got INF"),
+}
+
+
+@pytest.mark.parametrize("case", list(_WORDED_REFUSALS))
+def test_refusals_word_exponents_as_the_codec_does(case):
+    call, error, message = _WORDED_REFUSALS[case]
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),

@@ -430,8 +430,10 @@ def _case_sharp(config, exps, q, k):
 
 # Inputs whose whole p^(k-1) root leaves the lattice or overruns the
 # layer budget, though no term of the split needs that root: t^3 rooted
-# by 2^2 and by 3^3 at dencap 0, and t^q (1 + t^(1/5^7)) on 5^8 slots,
-# where the split needs 5^7 slots at q = 1 and no layer at q = 2.
+# by 2^2 and by 3^3 at dencap 0, t^q (1 + t^(1/5^7)) on 5^8 slots,
+# where the split needs 5^7 slots at q = 1 and no layer at q = 2, and
+# 1 + t^3 rooted by 2 at dencap 0, where only the digits below t^2 reach
+# the residue.
 _SPLIT_VALUES = {
     "t3-p2": (lambda: _case_sharp(FieldConfig(2, 4, 0), [0], 3, 3),
               "O(p^3)"),
@@ -444,6 +446,10 @@ _SPLIT_VALUES = {
                                    [0, Fraction(1, 5 ** 7)], 2, 2),
                "O(p^2)"),
     "theta": (_case_theta, "1 + 1*p^2 + 1*p^(156251/78125) + O(p^3)"),
+    "1+t3-p2": (lambda: (sharp(TiltElement(FieldConfig(2, 4, 0),
+                                           {0: 1, 3: 1}), 2),
+                         sharp(TiltElement.one(FieldConfig(2, 4, 0)), 2)),
+                "1 + O(p^2)"),
 }
 
 
