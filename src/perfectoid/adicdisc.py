@@ -37,7 +37,6 @@ from .arith import (
     element_from_json,
 )
 from .polyroots import Polynomial
-from .tiltkit import sharp
 
 _SIGNS = ("<", ">")
 
@@ -492,6 +491,7 @@ def _tilt_center(center: UntiltElement, center_tilt):
         if not isinstance(center_tilt, TiltElement) \
                 or center_tilt.config != config:
             raise ConfigError(f"bad tilt center {center_tilt!r}")
+        from .tiltkit import sharp
         image = sharp(center_tilt, config.prec)._at(center._k)
         if image != center:
             raise KernelError(
@@ -540,6 +540,7 @@ def tilt_point_check(fb: Polynomial, x: AdicPoint,
     if not (x.kind == "classical" or x.is_gauss()):
         raise KernelError(
             "the check runs at classical points and the Gauss point")
+    from .tiltkit import sharp
     config = fb.config
     fs = Polynomial([sharp(c, config.prec) for c in fb.coeffs])
     untilt_exp = eval_at(fs, x)

@@ -281,11 +281,11 @@ def _exponent_error(f: Fraction, config: FieldConfig) -> KernelError:
     d = denominator_power(f.denominator, p)
     if d is None:
         return DencapError(
-            f"denominator {f.denominator} is not a power of {p}")
+            f"denominator {_int_text(f.denominator)} is not a power of {p}")
     if d > cap:
-        return DencapError(
-            f"exponent {f} needs denominator p^{d}, cap is p^{cap}")
-    return KernelError(f"negative exponent {f.numerator}/p^{d}")
+        return DencapError(f"exponent {_ratio_text(f.numerator, d, p)} "
+                           f"needs denominator p^{d}, cap is p^{cap}")
+    return KernelError(f"negative exponent {_int_text(f.numerator)}/p^{d}")
 
 
 def _lattice_index(e, config: FieldConfig) -> int:
@@ -338,10 +338,27 @@ def _ratio_text(num: int, denpow: int, p: int) -> str:
     decimal fraction while p^denpow has fewer digits than Python's
     default int-to-str limit of 4300, else num/p^denpow as
     ``_index_from_json`` words it.  Decided from denpow, before p^denpow
-    is built."""
+    is built; num is written by ``_int_text``."""
+    if not denpow:
+        return _int_text(num)
     if denpow * log10(p) < 4299:
-        return str(Fraction(num, p ** denpow))
-    return f"{num}/{p}^{denpow}"
+        return f"{_int_text(num)}/{p ** denpow}"
+    return f"{_int_text(num)}/{p}^{denpow}"
+
+
+def _int_text(n: int) -> str:
+    """n as a refusal words it: in decimal while its bit length keeps
+    it under Python's default int-to-str limit of 4300 digits, else in
+    hexadecimal, which has no limit."""
+    return str(n) if n.bit_length() * log10(2) < 4299 else hex(n)
+
+
+def _fraction_text(f: Fraction) -> str:
+    """The Fraction f as a refusal words it: ``str(f)``, with each part
+    written by ``_int_text``."""
+    if f.denominator == 1:
+        return _int_text(f.numerator)
+    return f"{_int_text(f.numerator)}/{_int_text(f.denominator)}"
 
 
 def _index_json(j: int, config: FieldConfig) -> dict:
@@ -357,7 +374,7 @@ def _index_from_json(data, config: FieldConfig) -> int:
     if type(num) is not int or type(denpow) is not int or denpow < 0:
         raise TypeError(f"exponent {data!r} is not num / p^denpow")
     if num < 0:
-        raise KernelError(f"negative exponent {num}/p^{denpow}")
+        raise KernelError(f"negative exponent {_int_text(num)}/p^{denpow}")
     p, cap = config.p, config.dencap
     if not num:
         return 0
@@ -365,8 +382,8 @@ def _index_from_json(data, config: FieldConfig) -> int:
         num //= p
         denpow -= 1
     if denpow > cap:
-        raise DencapError(f"exponent {num}/{p}^{denpow} needs denominator "
-                          f"p^{denpow}, cap is p^{cap}")
+        raise DencapError(f"exponent {_int_text(num)}/{p}^{denpow} needs "
+                          f"denominator p^{denpow}, cap is p^{cap}")
     return num * p ** (cap - denpow)
 
 
@@ -455,7 +472,8 @@ class _DigitElement:
             if j is None:
                 f = Fraction(e)
                 if f < 0:
-                    raise KernelError(f"negative digit exponent {f}")
+                    raise KernelError(
+                        f"negative digit exponent {_fraction_text(f)}")
                 off[f] = off.get(f, 0) + int(c)
                 continue
             if j < 0:
@@ -466,7 +484,8 @@ class _DigitElement:
         if k is None:
             kf = Fraction(precexp)
             if kf < 0:
-                raise PrecisionError(f"negative precision exponent {kf}")
+                raise PrecisionError(
+                    f"negative precision exponent {_fraction_text(kf)}")
             if kf < config.prec:
                 raise _exponent_error(kf, config)
             k = config.full     # beyond prec it is cut to prec
@@ -613,14 +632,15 @@ class _DigitElement:
         kf = self.precexp + sf
         if kf < 0:
             raise PrecisionError(
-                f"shift by {sf} leaves no precision (precexp {self.precexp})")
+                f"shift by {_fraction_text(sf)} leaves no precision "
+                f"(precexp {_fraction_text(self.precexp)})")
         acc = {}
         for e, c in self.digits.items():
             f = e + sf
             if f < 0:
                 raise DivisionError(
-                    f"digit at exponent {e} does not divide by "
-                    f"{self.symbol}^{-sf}")
+                    f"digit at exponent {_fraction_text(e)} does not divide "
+                    f"by {self.symbol}^{_fraction_text(-sf)}")
             acc[f] = c
         return type(self)(self.config, acc, kf)
 

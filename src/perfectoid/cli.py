@@ -10,9 +10,13 @@ domain error (reported as a single JSON object on stderr), 2 on usage
 errors.
 
 The parser is the standard library's argparse, with abbreviated options
-refused.  Only ``arith`` is imported with this module; each command
-imports the kernel modules it uses when it runs, so a process loads
-those alone.
+refused.  A process builds the parser of the one command its leading
+words name, and the whole command tree only when they name none (no
+arguments, ``--help``, an unknown or incomplete command).  Only
+``arith`` is imported with this module; each command imports the kernel
+modules it uses when it runs, so a process loads those alone: ``toric``
+for the toric commands other than ``transfer``, ``polyroots`` for
+``newton``, and ``polyroots`` with ``adicdisc`` for ``disc``.
 """
 
 from __future__ import annotations
@@ -23,9 +27,6 @@ import os
 import re
 import sys
 from fractions import Fraction
-from importlib import resources
-
-from pathlib import Path
 
 from .arith import (
     ConfigError,
@@ -49,10 +50,13 @@ def dumps(doc) -> str:
 
 
 def fixture_dir():
+    """The bundled fixture directory beside this module, or the
+    PERFECTOID_FIXTURES override."""
+    from pathlib import Path
     override = os.environ.get("PERFECTOID_FIXTURES")
     if override:
         return Path(override)
-    return resources.files("perfectoid").joinpath("fixtures")
+    return Path(__file__).with_name("fixtures")
 
 
 def _read_source(arg: str) -> str:
@@ -176,12 +180,17 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
-def _parser() -> _Parser:
+def _parser(argv: list) -> _Parser:
+    """The parser of the command that argv's leading words name, or of
+    the whole tree when they name none.  A command's help and usage do
+    not depend on its siblings, so both parsers give the same bytes."""
+    commands = [c for c in _COMMANDS if argv[:len(c[0])] == c[0]] \
+        or _COMMANDS
     parser = _Parser(prog="perfectoid", description=(
         "Exact finite-precision computations across the tilting "
         "correspondence."))
     levels = {(): parser.add_subparsers(metavar="COMMAND", required=True)}
-    for words, fn, arguments in _COMMANDS:
+    for words, fn, arguments in commands:
         *group, name = words
         group = tuple(group)
         if group not in levels:
@@ -199,7 +208,8 @@ def _parser() -> _Parser:
 
 def main(argv=None) -> None:
     """Runs one command line, ``sys.argv[1:]`` by default."""
-    namespace, extra = _parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    namespace, extra = _parser(argv).parse_known_args(argv)
     args = vars(namespace)
     fn, parser = args.pop("command")
     if extra:

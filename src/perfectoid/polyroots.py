@@ -35,7 +35,6 @@ from .arith import (
     element_from_json,
     reduce_mod_uniformizer,
 )
-from .tiltkit import sharp, untilt_power_pn
 
 
 class RootError(KernelError):
@@ -491,6 +490,7 @@ def fw_transfer(P: Polynomial, n: int) -> Polynomial:
     if not isinstance(n, int) or n < 0:
         raise KernelError(f"root depth must be a nonnegative integer, not "
                           f"{n!r}")
+    from .tiltkit import sharp
     full = P.config.prec
     out = []
     for c in P.coeffs:
@@ -526,6 +526,7 @@ def transfer_agreement(P: Polynomial, n: int):
     """
     if P.kind != "tilt":
         raise ConfigError("transfer_agreement expects a tilt polynomial")
+    from .tiltkit import sharp, untilt_power_pn
     config = P.config
     levels = []
     for c in P.coeffs:
@@ -604,6 +605,7 @@ def mixed_root_refine(P: Polynomial, *, max_stages: int | None = None):
                 f"(stage polynomial {Q!r})")
 
         if not y.is_zero():
+            from .tiltkit import sharp
             y_sharp = sharp(y.with_precision(full), full)
             x_acc = x_acc + y_sharp._shift(scale_exp)
             R = R.shifted(y_sharp)

@@ -30,14 +30,6 @@ from .arith import (
     check_prime,
     denominator_power,
 )
-from .tatealg import (
-    ClassicalPoint,
-    ContractReport,
-    GaussPoint,
-    HomogeneousElement,
-    approximate,
-    verify_contract,
-)
 
 
 class ConeError(KernelError):
@@ -707,6 +699,7 @@ def frobenius_pullback(x, p: int | None = None):
     each coefficient is raised to the p-th power, which on the
     characteristic-p side is exactly the Frobenius.
     """
+    from .tatealg import HomogeneousElement
     if isinstance(x, HomogeneousElement):
         config = x.config
         terms = {
@@ -773,6 +766,7 @@ class TransferResult:
 def _transfer_sample(config: FieldConfig, nvars: int, cap: int = 20):
     """Unit-ball coordinate tuples with some coordinate a unit, plus
     the sup-norm point."""
+    from .tatealg import ClassicalPoint, GaussPoint
     values = [
         UntiltElement.zero(config),
         UntiltElement.one(config),
@@ -806,6 +800,7 @@ def hypersurface_transfer(fan: Fan, f: HomogeneousElement, c,
         ApproximationError / precision errors: propagated from the
             approximation loop.
     """
+    from .tatealg import HomogeneousElement, approximate, verify_contract
     if not isinstance(f, HomogeneousElement) or f.kind != "untilt":
         raise ConeError("transfer starts from a section over the "
                         "characteristic-0 side")

@@ -535,6 +535,44 @@ def test_refusals_word_exponents_as_the_codec_does(case):
     assert str(caught.value) == message
 
 
+# Refusals of an exponent with the numerator n: (error, call, message
+# at a small n, a small n, a huge n).  The huge numerators are past
+# Python's int-to-str limit of 4,300 digits; the small ones keep the
+# decimal wording byte for byte.
+_FAR = FieldConfig(2, 1000, 14280)
+_FAR_E = Fraction(1, 2 ** 14280)
+_TWO = FieldConfig(2, 4, 0)
+_N = 10 ** 5000 + 1
+_HUGE_NUMERATORS = {
+    "_shift": (
+        PrecisionError,
+        lambda n: TiltElement(_FAR, {}, _FAR_E).shift(-(n + 3) * _FAR_E),
+        lambda n: f"shift by {-(n + 3) * _FAR_E} leaves no precision "
+                  f"(precexp {_FAR_E})", 0, 1000 * 2 ** 14280),
+    "off-lattice digit": (
+        KernelError, lambda n: TiltElement(_TWO, {Fraction(-n, 2): 1}),
+        lambda n: f"negative digit exponent {Fraction(-n, 2)}", 3, _N),
+    "off-lattice shift": (
+        PrecisionError, lambda n: TiltElement.one(_TWO).shift(Fraction(-n, 2)),
+        lambda n: f"shift by {Fraction(-n, 2)} leaves no precision "
+                  f"(precexp 4)", 11, _N),
+    "lattice digit": (
+        KernelError, lambda n: TiltElement(_TWO, {-(n - 1): 1}),
+        lambda n: f"negative digit exponent {-(n - 1)}", 3, _N),
+}
+
+
+@pytest.mark.parametrize("case", list(_HUGE_NUMERATORS))
+def test_huge_numerators_keep_the_refusal_type(case):
+    error, call, message, small, huge = _HUGE_NUMERATORS[case]
+    with pytest.raises(error) as caught:
+        call(small)
+    assert str(caught.value) == message(small)
+    with pytest.raises(error) as caught:
+        call(huge)
+    assert type(caught.value) is error
+
+
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
                     reason="this Python reads integers of any length")
 @pytest.mark.parametrize("text,what", [

@@ -1,9 +1,12 @@
 """Command-line plumbing: input resolution, exit codes, canonical output."""
 
 import json
+import os
+import pkgutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -544,23 +547,142 @@ def test_suite_exit_code_follows_failures(runner, monkeypatch):
     assert json.loads(result.output)[0]["passed"] is False
 
 
-def test_package_import_does_not_load_sympy():
-    probe = ("import sys, perfectoid.cli, perfectoid.suite; "
-             "print('sympy' in sys.modules, 'numpy' in sys.modules, "
-             "'click' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout == "False False False\n"
+# Every integer option, with the command line it is added to
+_INT_OPTIONS = [
+    (["sharp", "t.json"], "--p"), (["sharp", "t.json"], "--prec"),
+    (["sharp", "t.json"], "--dencap"),
+    (["tilt-reduce", "u.json"], "--p"), (["tilt-reduce", "u.json"], "--prec"),
+    (["tilt-reduce", "u.json"], "--dencap"),
+    (["witt", "lift", "t.json"], "--length"),
+    (["transfer", "x2-t.json"], "--n"),
+    (["root", "x2-p.json"], "--start"),
+    (["decompose", "linear-form.json"], "--c"),
+    (["toric", "sections", "pn2.json", "hyperplane.json"], "--dencap"),
+    (["toric", "sections", "pn2.json", "hyperplane.json"], "--p"),
+    (["suite", "--only", "mixed-roots"], "--seed"),
+]
 
 
-def test_sharp_loads_only_the_modules_it_uses():
-    # each command imports its kernel modules when it runs: sharp needs
-    # arith and tiltkit, not the battery, the toric layer or click
-    unwanted = ("click", "dataclasses", "perfectoid.suite", "perfectoid.toric",
-                "perfectoid.tatealg")
-    probe = ("import sys, perfectoid.cli; "
-             "perfectoid.cli.main(['sharp', '--prec', '4', 't.json']); "
-             f"print([m for m in {unwanted!r} if m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "[]"
+@pytest.mark.parametrize("value", ["0", "-1", str(10 ** 9), str(10 ** 18)])
+@pytest.mark.parametrize("argv,option", _INT_OPTIONS,
+                         ids=[f"{argv[0]}{option}" for argv, option
+                              in _INT_OPTIONS])
+def test_an_integer_option_at_any_size_exits_soundly(runner, argv, option,
+                                                     value):
+    # 0, -1 and values far past any budget give a result, a usage error
+    # or one typed JSON error, at once and in little memory
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        result = invoke(runner, *argv, option, value)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2.0
+    assert peak < 64 * 2 ** 20
+    assert result.exit_code in (0, 1, 2)
+    if result.exit_code == 1:
+        assert result.stdout == ""
+        error = json.loads(result.stderr)
+        assert set(error) == {"error", "message"}
+
+
+def _child(probe: str, *args) -> str:
+    """The last line ``probe`` prints in a fresh ``python -S`` process:
+    -S keeps site, and the .pth files it runs, from importing modules
+    the package does not.  The child finds the package where this
+    process did."""
+    import perfectoid
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(
+                   perfectoid.__file__)))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_package_loads_only_the_standard_library():
+    import perfectoid
+    names = [m.name for m in pkgutil.iter_modules(perfectoid.__path__)]
+    assert {"cli", "suite", "fixtures", "toric"} <= set(names)
+    probe = (f"import sys\n"
+             f"for name in {names!r}:\n"
+             f"    __import__('perfectoid.' + name)\n"
+             f"known = set(sys.stdlib_module_names) | "
+             f"set(sys.builtin_module_names) | {{'perfectoid', '__main__'}}\n"
+             f"print(sorted({{m.split('.')[0] for m in sys.modules}}"
+             f" - known))")
+    assert _child(probe) == "[]"
+
+
+_INLINE_T = dumps(TiltElement.uniformizer(FieldConfig(3, 8, 4)).to_json())
+_GAUSS = '{"type":"gauss"}'
+
+# The commands of the benchmark's cli workload, and an inline sharp that
+# reads no file: each process imports the package modules its command
+# runs and no others.
+_COMMAND_MODULES = {
+    "help": (["--help"], set()),
+    "sharp": (["sharp", "--prec", "4", "t.json"], {"tiltkit"}),
+    "sharp-inline": (["sharp", _INLINE_T], {"tiltkit"}),
+    "newton": (["newton", "x2-p.json"], {"polyroots"}),
+    "root": (["root", "x2-p.json"], {"polyroots"}),
+    "approx": (["approx", "linear-form.json", "--c", "1", "--eps", "1/3"],
+               {"tatealg", "tiltkit"}),
+    "disc-eval": (["disc", "eval", "x2-p.json", "--point", _GAUSS],
+                  {"polyroots", "adicdisc"}),
+    "disc-member": (["disc", "member", "subset-t.json", "gauss.json"],
+                    {"polyroots", "adicdisc"}),
+    "toric-sections": (["toric", "sections", "pn2.json", "hyperplane.json"],
+                       {"toric"}),
+    "toric-validate": (["toric", "validate", "broken-pn2.json"], {"toric"}),
+    "witt-mul": (["witt", "mul", "witt-t.json", "witt-t.json"], {"tiltkit"}),
+    "theta": (["theta", "witt-t.json"], {"tiltkit"}),
+}
+
+
+@pytest.mark.parametrize("case", list(_COMMAND_MODULES))
+def test_a_command_loads_only_the_modules_it_uses(case):
+    argv, modules = _COMMAND_MODULES[case]
+    probe = ("import sys, perfectoid.cli\n"
+             "try:\n"
+             "    perfectoid.cli.main(sys.argv[1:])\n"
+             "except SystemExit:\n"
+             "    pass\n"
+             "print(sorted(m for m in sys.modules if m.startswith("
+             "'perfectoid')), 'importlib.resources' in sys.modules, "
+             "'dataclasses' in sys.modules)")
+    want = sorted({"perfectoid", "perfectoid.arith", "perfectoid.cli"}
+                  | {f"perfectoid.{m}" for m in modules})
+    assert _child(probe, *argv) == f"{want} False False"
+
+
+# Command lines that name no command, or a command with a usage error:
+# the parser of one command must print what the whole tree prints.
+_PARSER_ARGVS = [
+    [], ["--help"], ["sharp", "--help"], ["toric"], ["toric", "--help"],
+    ["toric", "bogus"], ["shar"], ["sharp"], ["sharp", "--pre", "4", "t.json"],
+    ["sharp", "t.json", "extra"], ["witt", "mul", "witt-t.json"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGVS,
+                         ids=lambda argv: " ".join(argv) or "(none)")
+def test_one_command_parser_prints_what_the_whole_tree_does(
+        runner, monkeypatch, argv):
+    from perfectoid import cli
+    alone = invoke(runner, *argv)
+    assert alone.exit_code in (0, 2)
+    whole = cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda argv: whole([]))
+    assert invoke(runner, *argv) == alone
+
+
+def test_the_parser_builds_the_named_command_alone():
+    from perfectoid import cli
+    assert "tilt-reduce" in cli._parser(["shar"]).format_help()
+    for argv in (["sharp", "t.json"], ["toric", "sections", "--help"]):
+        top = cli._parser(argv).format_help()
+        assert argv[0] in top and "tilt-reduce" not in top
