@@ -683,9 +683,11 @@ class _DigitElement:
         return other
 
     def _sum(self, other, sign: int):
-        # self + sign * other
-        other = self._coerce(other)
-        self._check_compatible(other)
+        # self + sign * other; operands of one class on one config object
+        # skip the coercion and the compatibility check
+        if type(other) is not type(self) or other.config is not self.config:
+            other = self._coerce(other)
+            self._check_compatible(other)
         acc = dict(self._digits)
         for j, c in other._digits.items():
             acc[j] = acc.get(j, 0) + sign * c
@@ -707,11 +709,14 @@ class _DigitElement:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        self._check_compatible(other)
-        k = _product_index(self, other)
-        return self._make(self.config,
-                          _mul_rows({}, self._digits, other._digits, k), k)
+        if type(other) is not type(self) or other.config is not self.config:
+            other = self._coerce(other)
+            self._check_compatible(other)
+        a, b, config = self._digits, other._digits, self.config
+        # _product_index, inline: the first index of a map is its _low()
+        k = min(self._k + next(iter(b), other._k),
+                other._k + next(iter(a), self._k), config.full)
+        return self._make(config, _mul_rows({}, a, b, k), k)
 
     __rmul__ = __mul__
 
@@ -807,27 +812,41 @@ class UntiltElement(_DigitElement):
 
     @staticmethod
     def _normalize(acc, config, k):
-        # Process indices in increasing order so every carry lands on a
-        # not-yet-visited slot; each carry raises the index by exactly
-        # p^dencap, so the loop ends after at most prec rounds a class.
+        # One pass over the keys of acc in increasing order.  A carry
+        # raises its index by exactly p^dencap, so it lands ahead of the
+        # pass and waits in ``carried`` until the pass reaches it.  Only
+        # the carry indices that are not keys of acc (a borrow running
+        # past the last key, say) also go on the heap ``spill``, which is
+        # drained in order before each key; the sentinel key k drains the
+        # rest.  Carries at or past k are dropped.
         p, scale = config.p, config.scale
-        pending = {j: c for j, c in acc.items() if c and j < k}
-        heap = list(pending)
-        heapify(heap)
+        keys = sorted(acc)
+        keys.append(k)
+        carried = {}
+        spill = []
         out = {}
-        while heap:
-            j = heappop(heap)
-            carry, digit = divmod(pending.pop(j), p)
-            if digit:
-                out[j] = digit
-            if carry:
-                up = j + scale
-                if up in pending:
-                    pending[up] += carry
-                elif up < k:
-                    pending[up] = carry
-                    heappush(heap, up)
-        return out
+        for j in keys:
+            while True:
+                if spill and spill[0] < j:
+                    i = heappop(spill)
+                    c = carried.pop(i)
+                elif j < k:
+                    i = j
+                    c = acc[j] + carried.pop(j) if j in carried else acc[j]
+                else:
+                    return out
+                carry, digit = divmod(c, p)
+                if digit:
+                    out[i] = digit
+                if carry and (up := i + scale) < k:
+                    if up in carried:
+                        carried[up] += carry
+                    else:
+                        carried[up] = carry
+                        if up not in acc:
+                            heappush(spill, up)
+                if i == j:
+                    break
 
 
 class TiltElement(_DigitElement):

@@ -86,13 +86,17 @@ def _require(cond, message):
 
 
 def _random_element(rng, config, cls, max_terms=4, max_denpow=0):
-    digits = {}
+    # Each term draws denpow, then its digit, then the numerator of its
+    # exponent num / p^denpow, keyed by the lattice index
+    # num * p^(dencap - denpow); a later term at the same index replaces
+    # the digit of an earlier one.
+    p, digits = config.p, {}
     for _ in range(rng.randrange(max_terms + 1)):
         denpow = rng.randrange(max_denpow + 1)
-        scale = config.p ** denpow
-        digits[Fraction(rng.randrange(0, config.prec * scale), scale)] = (
-            rng.randrange(1, config.p))
-    return cls(config, digits)
+        digit = rng.randrange(1, p)
+        num = rng.randrange(config.prec * p ** denpow)
+        digits[num * p ** (config.dencap - denpow)] = digit
+    return cls._make(config, digits, config.full)
 
 
 # =====================================================================
@@ -140,15 +144,16 @@ def check_sharp_map(seed: int) -> str:
         y = _random_element(rng, config, TiltElement, 3, 1)
         lhs = sharp(x * y, 3)
         rhs = (sharp(x, 3) * sharp(y, 3)).with_precision(3)
-        _require(lhs == rhs, f"sharp is not multiplicative on {x!r}, {y!r}")
+        if lhs != rhs:
+            raise SuiteFailure(f"sharp is not multiplicative on {x!r}, {y!r}")
 
     kept = 0
     while kept < 500:
         x = _random_element(rng, config, TiltElement, 3, 1)
         if x.is_zero() or x._low() >= 3 * config.scale:
             continue
-        _require(sharp(x, 3)._low() == x._low(),
-                 f"sharp changed the valuation of {x!r}")
+        if sharp(x, 3)._low() != x._low():
+            raise SuiteFailure(f"sharp changed the valuation of {x!r}")
         kept += 1
 
     added = (sharp(t, 3) + sharp(t, 3)).with_precision(3)
@@ -200,9 +205,9 @@ def check_newton_transfer(seed: int) -> str:
                   for _ in range(degree)]
         coeffs.append(TiltElement.one(small))
         P = Polynomial(coeffs)
-        _require(newton_polygon(fw_transfer(P, 0)).slopes()
-                 == newton_polygon(P).slopes(),
-                 f"transfer moved the polygon of {P!r}")
+        if (newton_polygon(fw_transfer(P, 0)).slopes()
+                != newton_polygon(P).slopes()):
+            raise SuiteFailure(f"transfer moved the polygon of {P!r}")
 
     deep = FieldConfig(3, 8, 10)
     t = TiltElement.uniformizer(deep)
@@ -303,19 +308,22 @@ _DISC_RADII = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2),
 
 
 def _disc_element(rng, config):
+    # integer exponents, drawn as in _random_element: digit, then exponent
     digits = {}
     for _ in range(rng.randrange(3)):
-        digits[Fraction(rng.randrange(0, config.prec))] = (
-            rng.randrange(1, config.p))
-    return UntiltElement(config, digits)
+        digit = rng.randrange(1, config.p)
+        digits[rng.randrange(config.prec) * config.scale] = digit
+    return UntiltElement._make(config, digits, config.full)
 
 
 def _disc_poly(rng, config):
     degree = rng.randrange(1, 3)
     coeffs = [_disc_element(rng, config) for _ in range(degree)]
     # keep the leading valuation shallow so products stay visible
-    coeffs.append(UntiltElement(config, {
-        Fraction(rng.randrange(0, 2)): rng.randrange(1, config.p)}))
+    exponent = rng.randrange(2)
+    coeffs.append(UntiltElement._make(
+        config, {exponent * config.scale: rng.randrange(1, config.p)},
+        config.full))
     return Polynomial(coeffs)
 
 
@@ -379,18 +387,14 @@ def check_adic_disc(seed: int) -> str:
             vf = eval_at(f, x)
             vg = eval_at(g, x)
             vprod = eval_at(_poly_mul(f, g, config), x)
-            if isinstance(vf, Rank2Value):
-                _require(vprod == vf * vg,
-                         f"eval not multiplicative at {x!r}")
-            else:
-                _require(vprod == vf + vg,
-                         f"eval not multiplicative at {x!r}")
+            product = vf * vg if isinstance(vf, Rank2Value) else vf + vg
+            if vprod != product:
+                raise SuiteFailure(f"eval not multiplicative at {x!r}")
             total = _poly_add(f, g, config)
             if not all(c.is_zero() for c in total):
                 vs = eval_at(Polynomial.trimmed(total), x)
-                _require(_value_key(vs) >= min(_value_key(vf),
-                                               _value_key(vg)),
-                         f"ultrametric bound failed at {x!r}")
+                if not _value_key(vs) >= min(_value_key(vf), _value_key(vg)):
+                    raise SuiteFailure(f"ultrametric bound failed at {x!r}")
         except IndeterminateError:
             continue
         seen_types.add(x.classify())

@@ -346,6 +346,12 @@ def _power_layer(points: dict[int, int], m: int, p: int, n: int,
     round could need, p^m slots of the width that holds a folded product
     modulo p^top, before any product; with no rounds there is none.
 
+    Only min(n, top - 1 + m) rounds run, with the same result at any n:
+    the first n - top + 1 rounds run modulo p, where the layer ring is
+    F_p[u]/(u^(p^m)) and a round sends c * u^r to c * u^(p r), since
+    c^p = c in F_p.  After m such rounds only the constant coefficient
+    is left, and every further one fixes it.
+
     Raises:
         BudgetError: the packed layer would exceed _LAYER_BUDGET bytes.
     """
@@ -357,15 +363,16 @@ def _power_layer(points: dict[int, int], m: int, p: int, n: int,
                 f"a p^{n}-th power on the 1/{p}^{m} lattice needs a layer "
                 f"of {size} slots of {width} bytes, over the budget of "
                 f"{_LAYER_BUDGET} bytes")
-    mod = p ** max(top - n, 1)
+    rounds = min(n, top - 1 + m)
+    mod = p ** max(top - rounds, 1)
     vec = {r: v for r, c in points.items() if (v := c % mod)}
-    for left in range(n - 1, -1, -1):
+    for left in range(rounds - 1, -1, -1):
         e = max(top - left, 1)
         if type(vec) is dict:
             vec = _pow_pn(vec, p, 1,
                           partial(_layer_product, c=p, size=size, mod=p ** e))
         else:
-            vec = _pth_power(vec, p, n - 1 - left, e)
+            vec = _pth_power(vec, p, rounds - 1 - left, e)
     if type(vec) is dict:
         return vec
     return {r: c for r, c in enumerate(vec) if c}
@@ -378,7 +385,11 @@ def untilt_power_pn(x: UntiltElement, n: int) -> UntiltElement:
     The result keeps x's precision exponent.  The layer arithmetic runs
     modulo a power of p that grows by one with each p-th-power round and
     reaches p^ceil(precexp), which holds every digit below it, in the
-    last round (see _power_layer for why that is exact).
+    last round (see _power_layer for why that is exact).  Any height n
+    costs at most ceil(precexp) - 1 + m rounds, m the depth of x's
+    lattice: of the rounds that run modulo p only the first m change
+    the power.  A zero x keeps min(precexp * p^n, prec) and builds p^n
+    only while it can be below the full index.
 
     Raises:
         KernelError: n is negative.
@@ -391,8 +402,12 @@ def untilt_power_pn(x: UntiltElement, n: int) -> UntiltElement:
     if n == 0:
         return x
     if x.is_zero():
-        return UntiltElement._canonical(config, {},
-                                        min(x._k * p ** n, config.full))
+        full = config.full
+        if n >= full.bit_length():      # p^n >= 2^n > full
+            k = full if x._k else 0
+        else:
+            k = min(x._k * p ** n, full)
+        return UntiltElement._canonical(config, {}, k)
     m = _depth(x._digits, config)
     top = -(-x._k // config.scale)
     vec = _power_layer(_layer_points(x._digits, m, config), m, p, n, top)

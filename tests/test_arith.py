@@ -714,6 +714,12 @@ def _dense(x):
     return oracles.dense_from_element(x), oracles.dense_precision(x)
 
 
+def _assert_stored_in_order(x):
+    # dict equality ignores order: the writers rely on ascending indices
+    assert list(x._digits) == sorted(x._digits)
+    assert all(j < x._k for j in x._digits)
+
+
 @pytest.mark.parametrize("config", ORACLE_CONFIGS,
                          ids=lambda c: f"p{c.p}n{c.prec}m{c.dencap}")
 @pytest.mark.parametrize("kind", KINDS)
@@ -738,6 +744,8 @@ def test_ring_ops_match_dense_oracle_at_any_precision(config, kind, data):
     va, vb = oracles.dense_valuation(da, ka), oracles.dense_valuation(db, kb)
     assert a * b == expect(oracles.dense_mul(da, db, config, kind),
                            min(ka + vb, kb + va, full))
+    for x in (a + b, a - b, -a, a * b):
+        _assert_stored_in_order(x)
 
 
 @pytest.mark.parametrize("config", ORACLE_CONFIGS,
@@ -747,12 +755,14 @@ def test_ring_ops_match_dense_oracle_at_any_precision(config, kind, data):
 @given(data=st.data())
 def test_construction_matches_dense_oracle(config, kind, data):
     # coefficients outside 0..p-1, negative ones included, carry (untilt)
-    # or reduce (tilt) exactly as the dense normalization does
+    # or reduce (tilt) exactly as the dense normalization does; up to
+    # p^3 in size, they give borrows and carries that run past the last
+    # key
     full = oracles.dense_length(config)
     scale = config.p ** config.dencap
     raw = data.draw(st.dictionaries(
         st.integers(min_value=0, max_value=full - 1),
-        st.integers(min_value=-3 * config.p, max_value=3 * config.p),
+        st.integers(min_value=-config.p ** 3, max_value=config.p ** 3),
         max_size=8))
     known = data.draw(st.integers(min_value=0, max_value=full))
     x = _cls(kind)(config, {Fraction(j, scale): c for j, c in raw.items()},
@@ -761,6 +771,7 @@ def test_construction_matches_dense_oracle(config, kind, data):
     expected = oracles.dense_truncate(
         oracles.dense_normalize(vec, config, kind), known)
     assert x == oracles.dense_to_element(expected, config, kind, known)
+    _assert_stored_in_order(x)
 
 
 @pytest.mark.parametrize("config", ORACLE_CONFIGS,

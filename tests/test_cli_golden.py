@@ -4,7 +4,7 @@ Every case in ``data/cli_golden.json`` is an argv with the stdout,
 stderr and exit code it produced when the file was written; the test
 replays each one and compares the bytes.  The cases cover the README
 commands, every subcommand on the bundled fixtures it accepts, the
-battery at two seeds, and one typed refusal per error kind.  No case
+battery at three seeds, and one typed refusal per error kind.  No case
 names a filesystem path, so the bytes do not depend on the checkout.
 
 Regenerate the file (only when an output change is intended) with
@@ -103,6 +103,7 @@ def _argvs():
         ("readme-toric-validate", ["toric", "validate", "broken-pn2.json"]),
         ("readme-suite", ["suite"]),
         ("suite-seed-7", ["suite", "--seed", "7"]),
+        ("suite-seed-42", ["suite", "--seed", "42"]),
         ("suite-text", ["suite", "--only", "newton-transfer,adic-disc",
                         "--format", "text"]),
         # element maps

@@ -1,10 +1,14 @@
 """Battery runner mechanics; the checks themselves run in the
 acceptance module."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 import perfectoid.suite as suite
-from perfectoid.arith import KernelError
+from perfectoid.adicdisc import Rank2Value, eval_at
+from perfectoid.arith import FieldConfig, KernelError, TiltElement, UntiltElement
 from perfectoid.suite import (
     CheckResult,
     check_names,
@@ -12,6 +16,7 @@ from perfectoid.suite import (
     run_all,
     run_check,
 )
+from perfectoid.tiltkit import sharp
 
 
 def test_check_names_are_stable():
@@ -63,3 +68,112 @@ def test_format_lines_aligns_and_flags():
         CheckResult("much-longer-name", False, "bad", 2.0)])
     assert lines[0].startswith("short             pass")
     assert "FAIL" in lines[1]
+
+
+# =====================================================================
+# Inputs drawn on the lattice, against the Fraction-keyed draws
+# =====================================================================
+
+def _fraction_keyed_element(rng, config, cls, max_terms=4, max_denpow=0):
+    # the reference draw: Fraction exponents through the constructor
+    digits = {}
+    for _ in range(rng.randrange(max_terms + 1)):
+        denpow = rng.randrange(max_denpow + 1)
+        scale = config.p ** denpow
+        digits[Fraction(rng.randrange(0, config.prec * scale), scale)] = (
+            rng.randrange(1, config.p))
+    return cls(config, digits)
+
+
+def _fraction_keyed_disc_poly(rng, config):
+    def element():
+        digits = {}
+        for _ in range(rng.randrange(3)):
+            digits[Fraction(rng.randrange(0, config.prec))] = (
+                rng.randrange(1, config.p))
+        return UntiltElement(config, digits)
+
+    degree = rng.randrange(1, 3)
+    coeffs = [element() for _ in range(degree)]
+    coeffs.append(UntiltElement(config, {
+        Fraction(rng.randrange(0, 2)): rng.randrange(1, config.p)}))
+    return coeffs
+
+
+# (config, max_terms, max_denpow) of every _random_element call the
+# battery makes: ring-axioms, sharp-map, witt-theta, newton-transfer
+_BATTERY_DRAWS = [(FieldConfig(p, 8, 2), 4, 2) for p in (2, 3, 5)] + [
+    (FieldConfig(3, 9, 8), 3, 1), (FieldConfig(2, 8, 6), 2, 0),
+    (FieldConfig(3, 9, 6), 2, 0), (FieldConfig(3, 4, 4), 2, 0)]
+
+
+def _same_element(x, y):
+    assert x == y
+    assert list(x._digits) == list(y._digits)
+
+
+@pytest.mark.parametrize("cls", [UntiltElement, TiltElement],
+                         ids=lambda cls: cls.kind)
+@pytest.mark.parametrize("draw", _BATTERY_DRAWS,
+                         ids=lambda d: f"{d[0].p}-{d[0].prec}-{d[0].dencap}")
+def test_lattice_drawn_elements_match_fraction_keyed_draws(draw, cls):
+    config, max_terms, max_denpow = draw
+    for seed in range(100):
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(30):
+            _same_element(
+                suite._random_element(rng, config, cls, max_terms,
+                                      max_denpow),
+                _fraction_keyed_element(reference, config, cls, max_terms,
+                                        max_denpow))
+            assert rng.getstate() == reference.getstate()
+
+
+def test_lattice_drawn_disc_polynomials_match_fraction_keyed_draws():
+    config = FieldConfig(3, 4, 3)
+    for seed in range(100):
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(30):
+            poly = suite._disc_poly(rng, config)
+            coeffs = _fraction_keyed_disc_poly(reference, config)
+            assert len(poly.coeffs) == len(coeffs)
+            for x, y in zip(poly.coeffs, coeffs):
+                _same_element(x, y)
+            assert rng.getstate() == reference.getstate()
+
+
+# =====================================================================
+# Failure text, built only on failure
+# =====================================================================
+
+def test_sharp_failure_names_the_pair_it_broke_on(monkeypatch):
+    seen = []
+
+    def broken(x, target_prec):
+        seen.append(x)
+        value = sharp(x, target_prec)
+        return value + 1 if target_prec == 3 else value
+
+    monkeypatch.setattr(suite, "sharp", broken)
+    result = run_check("sharp-map", seed=1)
+    assert not result.passed
+    assert result.detail.startswith("sharp is not multiplicative on <tilt ")
+    assert result.detail == (f"sharp is not multiplicative on "
+                             f"{seen[-2]!r}, {seen[-1]!r}")
+
+
+def test_eval_failure_names_the_point_it_broke_at(monkeypatch):
+    seen = []
+
+    def broken(f, x):
+        seen.append(x)
+        value = eval_at(f, x)
+        if isinstance(value, Rank2Value):
+            return Rank2Value(value.q + 1, value.k, value.sign)
+        return value + 1
+
+    monkeypatch.setattr(suite, "eval_at", broken)
+    result = run_check("adic-disc", seed=1)
+    assert not result.passed
+    assert result.detail.startswith("eval not multiplicative at <adic ")
+    assert result.detail == f"eval not multiplicative at {seen[-1]!r}"

@@ -181,6 +181,40 @@ def test_power_tower_paths_agree(data):
     assert power == naive
 
 
+def _power_cap(x):
+    # the most rounds untilt_power_pn runs: ceil(precexp) - 1 + m, m the
+    # depth of x's lattice
+    return (-(-x._k // x.config.scale) - 1
+            + tiltkit._depth(x._digits, x.config))
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_power_tower_past_the_round_cap_matches_naive_powering(data):
+    # Every height up to five past the cap agrees with raising x to the
+    # p-th power n times, so the rounds the cap skips change nothing.
+    config = data.draw(st.sampled_from([C3, C2, FieldConfig(5, 3, 2)]))
+    x = data.draw(elements(config, "untilt", max_denpow=2, max_terms=4,
+                           vary_precision=True))
+    if data.draw(st.booleans()):
+        x = x + 1
+    naive = x
+    for n in range(_power_cap(x) + 6):
+        power = untilt_power_pn(x, n)
+        assert power == naive.with_precision(power.precexp)
+        naive = naive ** config.p
+
+
+@pytest.mark.parametrize("digits", [{}, {0: 1, Fraction(1, 3): 1}],
+                         ids=["zero", "one-plus-cube-root"])
+def test_power_tower_of_any_height_answers_at_once(digits):
+    x = UntiltElement(FieldConfig(3, 8, 4), digits)
+    start = time.perf_counter()
+    power = untilt_power_pn(x, 10 ** 18)
+    assert time.perf_counter() - start < 0.01
+    assert power == untilt_power_pn(x, _power_cap(x) + 5)
+
+
 @pytest.mark.parametrize("bits", [8, 16, 24, 32, 40, 48, 56, 64])
 @pytest.mark.parametrize("side", ["below", "above"])
 @settings(max_examples=15)
