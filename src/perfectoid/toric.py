@@ -1,11 +1,14 @@
 """Fans, torus-invariant divisors, section lattices, and transfer.
 
-Cones and fans are exact integer-lattice objects; all of the polyhedral
-work (dualization, face enumeration, membership, section enumeration)
+Cones and fans are exact integer-lattice objects; the polyhedral work
 runs on Python integers through one fraction-free (Bareiss) elimination,
 over generators of small rank, which is the regime the varieties here
-live in: projective spaces and products of them.  Fractions appear only
-at the boundary, in divisor coefficients and section points.  On top
+live in: projective spaces and products of them.  A cone is built once
+into one canonical generator form, by the rank test of the double
+description method, together with the same form of its dual: membership
+is then a sign test against the dual generators, dualizing swaps the
+two, and faces are read off sums of dual generators.  Fractions appear
+only at the boundary, in divisor coefficients and section points.  On top
 of the combinatorics sit the section spaces of torus-invariant divisors
 (including fractional ones on the p-divided character lattice), the
 coordinatewise p-power map of the Frobenius tower, and the transfer of
@@ -40,11 +43,24 @@ class ConeError(KernelError):
 # Exact linear algebra helpers
 # =====================================================================
 
-def _as_vector(v, rank: int) -> tuple[int, ...]:
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_tuple(v) -> tuple[int, ...]:
+    """The entries of v, which must be integers: a float or a string is
+    refused rather than converted, so nothing is truncated."""
     try:
-        tup = tuple(int(c) for c in v)
-    except (TypeError, ValueError) as exc:
+        tup = tuple(v)
+    except TypeError as exc:
         raise ConeError(f"not an integer vector: {v!r}") from exc
+    if not all(map(_is_int, tup)):
+        raise ConeError(f"not an integer vector: {v!r}")
+    return tup
+
+
+def _as_vector(v, rank: int) -> tuple[int, ...]:
+    tup = _int_tuple(v)
     if len(tup) != rank:
         raise ConeError(f"vector {tup} has length {len(tup)}, expected "
                         f"{rank}")
@@ -107,54 +123,6 @@ def _det(rows) -> int:
     return M[-1][-1] if len(pivots) == len(M) else 0
 
 
-def _solve_conic(columns, target) -> bool:
-    """Whether target is a nonnegative combination of the columns.
-
-    One elimination of [A | target], A having the given columns.  The
-    columns are independent and target lies in their span exactly when
-    the pivots are the first s columns; dependent column sets report
-    False and are covered by another subset of the caller's enumeration.
-    The leading rows are then d = M[0][0] times the reduced row echelon
-    form, so the unique coefficients are row[s] / d, nonnegative exactly
-    when row[s] * d >= 0.
-    """
-    s = len(columns)
-    M, pivots = _eliminate(zip(*columns, target))
-    if pivots != list(range(s)):
-        return False
-    d = M[0][0]
-    return all(row[s] * d >= 0 for row in M)
-
-
-def _in_cone(vec, gens) -> bool:
-    """Exact membership of vec in the cone spanned by gens.
-
-    A member is a nonnegative combination of independent generators
-    (Caratheodory), and those extend within gens to a basis of their
-    span, so the subsets of gens of the span's dimension suffice.
-    """
-    size = _matrix_rank(gens)
-    return any(_solve_conic(sub, vec) for sub in combinations(gens, size))
-
-
-def _is_pointed(gens, rank: int) -> bool:
-    """Whether the cone of the nonzero gens holds no line, no nontrivial
-    nonnegative combination summing to zero: the origin is not in their
-    convex hull, nor (0, 1) in the cone of the lifts (v, 1)."""
-    return not _in_cone((0,) * rank + (1,), [v + (1,) for v in gens])
-
-
-def _irredundant(gens) -> list:
-    """Sorted distinct gens less each one in the cone of the others left
-    at its turn.  One pass suffices: a kept generator stays outside the
-    cone of the fewer generators left after it."""
-    out = sorted(set(gens))
-    for v in list(out):
-        if _in_cone(v, [w for w in out if w != v]):
-            out.remove(v)
-    return out
-
-
 def _nullspace_vectors(vectors, rank: int) -> list[tuple[int, ...]]:
     """Primitive integer basis of {x : <v, x> = 0 for all v}.
 
@@ -177,29 +145,38 @@ def _nullspace_vectors(vectors, rank: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _nonneg_solutions(vectors, rank: int) -> list[tuple[int, ...]]:
-    """Generators of {u : <u, v> >= 0 for all v}, in any rank.
+def _nonneg_solutions(vectors, rank: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical generators of {u : <u, v> >= 0 for all v}, in any rank.
 
     The solutions form a cone whose lineality space L is the nullspace
-    of the vectors, and modulo L a pointed cone inside their span S.
-    Each extreme ray of that pointed cone is the line of S cut out by
-    dim S - 1 independent active vectors (Schrijver 1986, section 8),
-    that is the line orthogonal to those vectors and a basis of L:
-    rank - 1 independent vectors in all.  So both signs of the basis of
-    L and of the line orthogonal to every independent (rank - 1)-subset
-    of the vectors and that basis hold a generating set; filtering by
-    the half-spaces and pruning leave an irredundant one.
+    of the vectors, and modulo L a pointed cone inside their span S, the
+    orthogonal complement of L.  Its generators, sorted, are:
+
+    - both signs of the primitive basis of L that elimination reads off
+      the vectors; it depends only on S, through the reduced row echelon
+      form;
+    - the primitive vector of S on each extreme ray of the pointed cone.
+      By the rank test of the double description method (Motzkin et al.
+      1953; Fukuda and Prodon 1996) such a ray is the line of S cut out
+      by dim S - 1 independent vectors, that is the line orthogonal to
+      them and to the basis of L.  Each (dim S - 1)-subset of the
+      vectors that leaves one such line contributes it, with the sign
+      that pairs >= 0 with every vector, if either does.
+
+    No candidate is redundant, so nothing is pruned, and the result
+    depends only on the solution cone: equal cones get equal generators.
     """
     lineality = _nullspace_vectors(vectors, rank)
-    lines = list(lineality)
-    for sub in combinations(list(vectors) + lineality, rank - 1):
-        # an independent subset leaves one free column, hence one line
-        kernel = _nullspace_vectors(sub, rank)
+    out = {w for u in lineality for w in (u, tuple(-c for c in u))}
+    size = rank - len(lineality) - 1  # dim S - 1, or -1 when S = 0
+    for sub in combinations(vectors, size) if size >= 0 else ():
+        kernel = _nullspace_vectors(list(sub) + lineality, rank)
         if len(kernel) == 1:
-            lines += kernel
-    valid = {u for line in lines for u in (line, tuple(-c for c in line))
-             if all(_dot(u, v) >= 0 for v in vectors)}
-    return _irredundant(valid)
+            u = kernel[0]
+            for w in (u, tuple(-c for c in u)):
+                if w not in out and all(_dot(w, v) >= 0 for v in vectors):
+                    out.add(w)
+    return tuple(sorted(out))
 
 
 # =====================================================================
@@ -209,51 +186,67 @@ def _nonneg_solutions(vectors, rank: int) -> list[tuple[int, ...]]:
 class Cone:
     """A rational polyhedral cone given by generators in Z^rank.
 
-    Generators are normalized to primitive, irredundant, sorted form,
-    so equal cones compare equal structurally.  Construction rejects
-    cones containing a line unless pointed=False is passed (dual cones
-    of lower-dimensional cones are genuinely not pointed).
+    Generators are in one canonical form, so equal cones compare equal
+    structurally: both signs of a primitive basis of the lineality space
+    (the largest subspace in the cone), and the primitive vector on each
+    extreme ray of the cone modulo that space, taken orthogonal to it;
+    sorted.  The constructor reaches it as the dual of the dual.  A cone
+    keeps the same form of its dual, so membership is a sign test and
+    dualizing swaps the two.  Construction rejects cones containing a
+    line unless pointed=False is passed (dual cones of
+    lower-dimensional cones are genuinely not pointed).
     """
 
-    __slots__ = ("rank", "generators", "pointed")
+    __slots__ = ("rank", "generators", "_duals")
 
     def __init__(self, rank: int, generators, *, pointed: bool = True):
-        if not isinstance(rank, int) or rank < 1:
+        if not _is_int(rank) or rank < 1:
             raise ConeError(f"rank must be a positive integer, got {rank!r}")
-        raw = []
-        for v in generators:
-            vec = _primitive(_as_vector(v, rank))
-            if vec is not None:
-                raw.append(vec)
-        gens = tuple(_irredundant(raw))
-        is_pointed = _is_pointed(gens, rank)
-        if pointed and not is_pointed:
-            raise ConeError(
-                f"generators {gens} span a cone containing a line "
-                f"through the origin")
+        raw = {_primitive(_as_vector(v, rank)) for v in generators} - {None}
+        duals = _nonneg_solutions(raw, rank)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "pointed", is_pointed)
+        object.__setattr__(self, "generators", _nonneg_solutions(duals, rank))
+        object.__setattr__(self, "_duals", duals)
+        if pointed and not self.pointed:
+            raise ConeError(
+                f"generators {self.generators} span a cone containing a "
+                f"line through the origin")
 
     @classmethod
-    def _trusted(cls, rank: int, generators: tuple, pointed: bool) -> "Cone":
-        """Wraps generators that are already primitive, irredundant and
-        sorted, with their pointedness known; nothing is re-derived."""
+    def _trusted(cls, rank: int, generators: tuple) -> "Cone":
+        """Wraps generators already in canonical form; nothing is
+        re-derived, and the dual generators wait until they are read."""
         self = object.__new__(cls)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "pointed", pointed)
+        object.__setattr__(self, "_duals", None)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("cones are immutable")
 
     @property
+    def duals(self) -> tuple[tuple[int, ...], ...]:
+        """Canonical generators of the dual cone, computed once."""
+        if self._duals is None:
+            object.__setattr__(self, "_duals",
+                               _nonneg_solutions(self.generators, self.rank))
+        return self._duals
+
+    @property
+    def pointed(self) -> bool:
+        """Whether the cone holds no line: in canonical form a line shows
+        as a generator whose negative is a generator too."""
+        gens = set(self.generators)
+        return not any(tuple(-c for c in v) in gens for v in gens)
+
+    @property
     def dim(self) -> int:
         return _matrix_rank(self.generators)
 
     def contains(self, vec) -> bool:
-        return _in_cone(tuple(vec), self.generators)
+        vec = _as_vector(vec, self.rank)
+        return all(_dot(u, vec) >= 0 for u in self.duals)
 
     def faces(self) -> list["Cone"]:
         """All faces, the cone itself and the minimal face included.
@@ -262,28 +255,25 @@ class Cone:
         as faces.  Otherwise a face is the zero locus of a supporting
         functional, and summing subsets of the dual generators reaches
         the relative interior of every dual face, hence every face
-        downstairs; that route runs through half-space intersection, in
-        any rank.  A subset of normalized generators is normalized, so
-        faces are not normalized again.
+        downstairs.  A face holds the cone's lineality space, so it is
+        pointed exactly when the cone is, and its canonical generators
+        are those of the cone's that it contains.
         """
         if not self.generators:
             return [self]
         if self.pointed and self.dim == len(self.generators):
-            return [Cone._trusted(self.rank, sub, True)
+            return [Cone._trusted(self.rank, sub)
                     for r in range(len(self.generators) + 1)
                     for sub in combinations(self.generators, r)]
-        duals = _nonneg_solutions(self.generators, self.rank)
         seen: dict[tuple, Cone] = {}
-        for r in range(len(duals) + 1):
-            for sub in combinations(duals, r):
+        for r in range(len(self.duals) + 1):
+            for sub in combinations(self.duals, r):
                 u = tuple(sum(col) for col in zip(*sub)) if sub \
                     else (0,) * self.rank
                 fgens = tuple(v for v in self.generators
                               if _dot(u, v) == 0)
                 if fgens not in seen:
-                    seen[fgens] = Cone._trusted(
-                        self.rank, fgens,
-                        self.pointed or _is_pointed(fgens, self.rank))
+                    seen[fgens] = Cone._trusted(self.rank, fgens)
         return list(seen.values())
 
     def __eq__(self, other):
@@ -305,14 +295,14 @@ class Cone:
 def dual_cone(cone: Cone) -> Cone:
     """The cone of functionals nonnegative on the input.
 
-    Computed by half-space intersection in any rank, which already
-    returns primitive, irredundant, sorted generators; the dual is
-    pointed exactly when the input is full-dimensional.
+    A cone keeps its dual's canonical generators, so this swaps the
+    two tuples and eliminates nothing.
     """
     if not isinstance(cone, Cone):
         raise ConeError(f"not a cone: {cone!r}")
-    gens = _nonneg_solutions(cone.generators, cone.rank)
-    return Cone._trusted(cone.rank, tuple(gens), cone.dim == cone.rank)
+    dual = Cone._trusted(cone.rank, cone.duals)
+    object.__setattr__(dual, "_duals", cone.generators)
+    return dual
 
 
 # =====================================================================
@@ -360,10 +350,9 @@ class Fan:
                 raise ConeError(
                     f"cone {list(c.generators)} lies inside "
                     f"{list(host.generators)} without being a face of it")
-        duals = {m: _nonneg_solutions(m.generators, rank) for m in maximal}
         for a, b in combinations(maximal, 2):
-            defect = _intersection_defect(faces[a], faces[b], duals[a],
-                                          duals[b], rank)
+            defect = _intersection_defect(faces[a], faces[b], a.duals,
+                                          b.duals, rank)
             if defect is not None:
                 raise ConeError(
                     f"cones {list(a.generators)} and {list(b.generators)} "
@@ -397,7 +386,8 @@ class Fan:
         if isinstance(data, str):
             data = json.loads(data)
         try:
-            return cls(int(data["rank"]), data["cones"])
+            # the rank is checked, not converted, where the cones are built
+            return cls(data["rank"], data["cones"])
         except (KeyError, TypeError) as exc:
             raise ConeError(f"malformed fan JSON: {exc}") from exc
 
@@ -407,7 +397,7 @@ class Fan:
 
 
 def _subcone(a: Cone, b: Cone) -> bool:
-    return all(_in_cone(v, b.generators) for v in a.generators)
+    return all(b.contains(v) for v in a.generators)
 
 
 def _intersection_defect(a_faces: list[Cone], b_faces: list[Cone],
@@ -417,23 +407,22 @@ def _intersection_defect(a_faces: list[Cone], b_faces: list[Cone],
     witness.
 
     a_faces and b_faces are the faces of the cones, a_duals and b_duals
-    the generators of their duals.  The intersection is computed
-    outright by double dualization, in any rank, and must be the one
-    maximal common face.
+    the generators of their duals.  Common faces are faces of one cone,
+    so one lies inside another exactly when its generators are a subset
+    of the other's.  The intersection is computed outright by double
+    dualization, in any rank, and must be the one maximal common face;
+    both are in canonical form, so their generators compare directly.
     """
     b_faces = set(b_faces)
-    common = [f for f in a_faces if f in b_faces]
-    maxes = [f for f in common
-             if not any(g != f and _subcone(f, g) for g in common)]
+    common = {f: set(f.generators) for f in a_faces if f in b_faces}
+    maxes = [f for f, gens in common.items()
+             if not any(gens < other for other in common.values())]
     if len(maxes) != 1:
         return (f"share several maximal faces "
                 f"{[list(f.generators) for f in maxes]}")
-    gens = _nonneg_solutions(sorted(set(a_duals) | set(b_duals)), rank)
-    # normalized by _nonneg_solutions; a meet of pointed cones is pointed
-    inter = Cone._trusted(rank, tuple(gens), True)
-    if inter != maxes[0]:
-        return (f"meet in {list(inter.generators)}, which is not a "
-                f"common face")
+    gens = _nonneg_solutions(set(a_duals) | set(b_duals), rank)
+    if gens != maxes[0].generators:
+        return f"meet in {list(gens)}, which is not a common face"
     return None
 
 
@@ -547,14 +536,14 @@ class TWeilDivisor:
             data = json.loads(data)
         try:
             coeffs = [Fraction(a) for a in data["coefficients"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            given = (tuple(map(_int_tuple, data["rays"]))
+                     if "rays" in data else fan.rays)
+        except (KeyError, TypeError, ValueError, OverflowError,
+                ZeroDivisionError) as exc:
             raise ConeError(f"malformed divisor JSON: {exc}") from exc
-        if "rays" in data:
-            given = tuple(tuple(int(c) for c in r) for r in data["rays"])
-            if given != fan.rays:
-                raise ConeError(
-                    f"divisor rays {list(given)} do not match the fan's "
-                    f"rays {list(fan.rays)}")
+        if given != fan.rays:
+            raise ConeError(f"divisor rays {list(given)} do not match the "
+                            f"fan's rays {list(fan.rays)}")
         return cls(fan, coeffs)
 
     def __repr__(self):

@@ -456,8 +456,11 @@ def lower_hull_brute(points):
 # ---------------------------------------------------------------------
 # Rational Gauss-Jordan elimination: the reference for the toric
 # module's fraction-free integer elimination.  Cone generators are
-# normalized the way toric.Cone does it (primitive, sorted, redundant
-# ones dropped in that order), so results compare as tuples.
+# primitive and sorted with redundant ones dropped greedily, which is
+# toric.Cone's canonical form on pointed cones, so those compare as
+# tuples.  A cone holding a line has more than one irredundant set;
+# there the greedy choice may differ from toric's, and tests compare
+# the two as cones.
 # ---------------------------------------------------------------------
 
 def rref(rows, width: int):
@@ -561,6 +564,11 @@ def cone_generators(gens, rank: int) -> tuple:
 
 def dual_generators(gens, rank: int) -> tuple:
     """Normalized generators of the dual of the cone spanned by gens.
+
+    When the dual is pointed (gens span the space) these are its extreme
+    rays, exactly as toric.dual_cone gives them.  Otherwise the greedy
+    pruning keeps some irredundant set of the same cone, which need not
+    be toric's canonical one.
 
     Up to rank 3 the candidates are the generators, the nullspace and
     their pairwise perpendiculars (both signs), filtered by the

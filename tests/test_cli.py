@@ -379,6 +379,33 @@ def test_toric_validate_rejects_broken_fans(runner, name):
     assert json.loads(result.stderr)["error"] == "ConeError"
 
 
+P2_CONES = '[[[1,0],[0,1]],[[0,1],[-1,-1]],[[-1,-1],[1,0]]]'
+
+
+@pytest.mark.parametrize("args,message", [
+    (["toric", "validate", '{"rank":"x","cones":' + P2_CONES + '}'],
+     "rank must be a positive integer, got 'x'"),
+    (["toric", "validate", '{"rank":1e400,"cones":' + P2_CONES + '}'],
+     "rank must be a positive integer, got inf"),
+    (["toric", "validate", '{"rank":2.5,"cones":' + P2_CONES + '}'],
+     "rank must be a positive integer, got 2.5"),
+    (["toric", "validate", '{"rank":2,"cones":[[[1.5,0],[0,1]]]}'],
+     "not an integer vector: [1.5, 0]"),
+    (["toric", "sections", "pn2.json",
+      '{"rays":5,"coefficients":["1","0","0"]}'],
+     "malformed divisor JSON: 'int' object is not iterable"),
+    (["toric", "sections", "pn2.json",
+      '{"rays":[["a",0],[0,1],[1,0]],"coefficients":["1","0","0"]}'],
+     "not an integer vector: ['a', 0]"),
+])
+def test_malformed_toric_json_is_one_typed_error(runner, args, message):
+    result = invoke(runner, *args)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {"error": "ConeError",
+                                         "message": message}
+
+
 def test_toric_transfer_defaults_to_the_projective_fan(runner):
     result = invoke(runner, "toric", "transfer", "linear-form.json",
                     "--c", "1", "--eps", "1/3")
