@@ -722,26 +722,47 @@ HEXAGON = [(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, 0, 1), (0, -1, 1),
            (1, -1, 1)]
 
 
-def test_built_cones_answer_membership_and_duality_without_elimination(
-        monkeypatch):
-    # a cone keeps the generators of its dual: membership is a sign test
-    # and dualizing swaps the two, also for a cone that holds a line
-    cones = [Cone(3, HEXAGON + [(0, 0, 1)]),
-             Cone(3, [(1, 0, 0), (0, 1, 0), (0, -1, 0)], pointed=False)]
+def _count_calls(monkeypatch, name: str) -> list:
     calls = []
-    inner = toric._eliminate
+    inner = getattr(toric, name)
 
-    def counted(rows):
-        calls.append(rows)
-        return inner(rows)
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
 
-    monkeypatch.setattr(toric, "_eliminate", counted)
-    hexagon, wedge = cones
-    assert hexagon.generators == tuple(sorted(HEXAGON))
-    assert not hexagon.contains((0, 0, -1))
-    assert hexagon.contains((0, 0, 1)) and hexagon.contains((1, 0, 1))
+    monkeypatch.setattr(toric, name, counted)
+    return calls
+
+
+def test_membership_solves_one_system_per_basis_subset(monkeypatch):
+    # building solves one nullspace system for the lineality space and
+    # one per (dim - 1)-subset of the vectors, once for the dual and once
+    # for the dual of the dual; membership then solves none, it is a
+    # sign test on the stored dual generators
+    calls = _count_calls(monkeypatch, "_nullspace_vectors")
+    cone = Cone(3, HEXAGON + [(0, 0, 1)])
+    assert len(cone.duals) == 6
+    assert len(calls) == 1 + comb(7, 2) + 1 + comb(6, 2)
+    calls.clear()
+    assert not cone.contains((0, 0, -1))
+    assert cone.contains((0, 0, 1)) and cone.contains((1, 0, 1))
+    wedge = Cone(3, [(1, 0, 0), (0, 1, 0), (0, -1, 0)], pointed=False)
+    calls.clear()
     assert wedge.contains((0, -5, 0)) and not wedge.contains((-1, 0, 0))
-    for cone in cones:
+    assert calls == []
+
+
+def test_irredundant_tests_each_generator_once(monkeypatch):
+    # the apex (0, 0, 1) is redundant and a multiple or a repeat of a
+    # corner is the same ray: the canonical form keeps each corner once,
+    # with nothing pruned afterwards
+    hexagon = Cone(3, HEXAGON + [(0, 0, 1), (2, 0, 2), HEXAGON[0]])
+    assert hexagon.generators == tuple(sorted(HEXAGON))
+    wedge = Cone(3, [(1, 0, 0), (0, 1, 0), (0, -1, 0)], pointed=False)
+    # dualizing a built cone swaps the stored generators, also for a
+    # cone that holds a line: no elimination runs
+    calls = _count_calls(monkeypatch, "_eliminate")
+    for cone in (hexagon, wedge):
         dual = dual_cone(cone)
         assert dual_cone(dual) == cone
         assert dual.contains(dual.generators[0])
