@@ -1148,7 +1148,10 @@ def parse_text(text: str, config: FieldConfig, kind: str) -> _DigitElement:
 def element_from_json(data: dict | str) -> _DigitElement:
     """Rebuilds an element from its canonical JSON form."""
     if isinstance(data, str):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise KernelError(f"malformed element JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise KernelError(f"element JSON must be an object, got {data!r}")
     try:

@@ -128,12 +128,22 @@ class Polynomial:
         full on the untilt side, and full or 0 on the tilt side as p
         divides C(j, i) or not; b_i's precision is the least over j of
         the precision of (a_j * C(j, i)) * delta^(j-i).
+
+        Zero shift: an exact zero delta (no digits, precision full)
+        returns the polynomial itself.  The chain is then (full, 0)
+        followed by (full, full), so the term j = i bounds b_i by ka_i
+        and every term j > i by full or more; b_i is a_i to a_i's own
+        precision, which is what the rule above gives.  A zero known
+        only below full takes the general rule, which may lower the
+        precision of the b_i.
         """
         coeffs = self.coeffs
         first = coeffs[0]
         delta = first._coerce(delta)
         first._check_compatible(delta)
         config = self.config
+        if not delta._digits and delta._k == config.full:
+            return self
         p, full, d = config.p, config.full, self.degree
         kd, vd = delta._k, delta._low()
         chain = [(full, 0)]

@@ -443,9 +443,9 @@ class HomogeneousElement:
 
     @classmethod
     def from_json(cls, data: dict | str) -> "HomogeneousElement":
-        if isinstance(data, str):
-            data = json.loads(data)
         try:
+            if isinstance(data, str):
+                data = json.loads(data)
             config = FieldConfig(int(data["p"]), int(data["prec"]),
                                  int(data["dencap"]))
             kind = data["kind"]
@@ -457,7 +457,7 @@ class HomogeneousElement:
             nvars = int(data["nvars"])
             deg = _index_from_json(data["degree"], config)
             k = _index_from_json(data["precexp"], config)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise KernelError(
                 f"malformed homogeneous element JSON: {exc}") from exc
         cls._check_terms(config, kind, nvars, deg, terms)

@@ -190,11 +190,15 @@ class Cone:
     structurally: both signs of a primitive basis of the lineality space
     (the largest subspace in the cone), and the primitive vector on each
     extreme ray of the cone modulo that space, taken orthogonal to it;
-    sorted.  The constructor reaches it as the dual of the dual.  A cone
-    keeps the same form of its dual, so membership is a sign test and
-    dualizing swaps the two.  Construction rejects cones containing a
-    line unless pointed=False is passed (dual cones of
-    lower-dimensional cones are genuinely not pointed).
+    sorted.  The constructor reaches it as the dual of the dual, except
+    when the primitive generators are linearly independent: that cone is
+    pointed and simplicial, every generator spans an extreme ray and is
+    primitive, so the sorted generators are already canonical.  The
+    first dualization tells the cases apart, as its lineality pairs
+    number rank - dim span.  A cone keeps the same form of its dual, so
+    membership is a sign test and dualizing swaps the two.  Construction
+    rejects cones containing a line unless pointed=False is passed (dual
+    cones of lower-dimensional cones are genuinely not pointed).
     """
 
     __slots__ = ("rank", "generators", "_duals")
@@ -204,8 +208,12 @@ class Cone:
             raise ConeError(f"rank must be a positive integer, got {rank!r}")
         raw = {_primitive(_as_vector(v, rank)) for v in generators} - {None}
         duals = _nonneg_solutions(raw, rank)
+        members = set(duals)
+        pairs = sum(tuple(-c for c in u) in members for u in duals) // 2
+        gens = (tuple(sorted(raw)) if pairs == rank - len(raw)
+                else _nonneg_solutions(duals, rank))
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "generators", _nonneg_solutions(duals, rank))
+        object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_duals", duals)
         if pointed and not self.pointed:
             raise ConeError(
@@ -383,12 +391,12 @@ class Fan:
 
     @classmethod
     def from_json(cls, data: dict | str) -> "Fan":
-        if isinstance(data, str):
-            data = json.loads(data)
         try:
+            if isinstance(data, str):
+                data = json.loads(data)
             # the rank is checked, not converted, where the cones are built
             return cls(data["rank"], data["cones"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ConeError(f"malformed fan JSON: {exc}") from exc
 
     def __repr__(self):
@@ -486,6 +494,14 @@ def is_complete(fan: Fan) -> bool:
 # Divisors and sections
 # =====================================================================
 
+def _coefficient(value) -> Fraction:
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise ConeError(f"malformed divisor coefficient {value!r}: "
+                        f"{exc}") from exc
+
+
 class TWeilDivisor:
     """A rational coefficient per ray of the fan.
 
@@ -502,7 +518,8 @@ class TWeilDivisor:
             raise ConeError(f"not a fan: {fan!r}")
         rays = fan.rays
         if isinstance(coefficients, dict):
-            keyed = {tuple(k): Fraction(v) for k, v in coefficients.items()}
+            keyed = {tuple(k): _coefficient(v)
+                     for k, v in coefficients.items()}
             missing = [r for r in rays if r not in keyed]
             extra = [k for k in keyed if k not in rays]
             if missing or extra:
@@ -511,7 +528,7 @@ class TWeilDivisor:
                     f"missing {missing}, extraneous {extra}")
             coeffs = tuple(keyed[r] for r in rays)
         else:
-            coeffs = tuple(Fraction(c) for c in coefficients)
+            coeffs = tuple(_coefficient(c) for c in coefficients)
             if len(coeffs) != len(rays):
                 raise ConeError(
                     f"{len(coeffs)} coefficients for {len(rays)} rays")
@@ -532,9 +549,9 @@ class TWeilDivisor:
 
     @classmethod
     def from_json(cls, fan: Fan, data: dict | str) -> "TWeilDivisor":
-        if isinstance(data, str):
-            data = json.loads(data)
         try:
+            if isinstance(data, str):
+                data = json.loads(data)
             coeffs = [Fraction(a) for a in data["coefficients"]]
             given = (tuple(map(_int_tuple, data["rays"]))
                      if "rays" in data else fan.rays)

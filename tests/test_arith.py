@@ -690,6 +690,11 @@ def test_json_exponents_off_the_lattice_or_malformed_are_refused():
         element_from_json(doc)
 
 
+def test_malformed_json_text_is_refused_typed():
+    with pytest.raises(KernelError, match="^malformed element JSON"):
+        element_from_json('{"kind": "tilt",')
+
+
 # =====================================================================
 # The lattice core against the dense oracle, at any precision
 # =====================================================================

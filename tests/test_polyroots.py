@@ -121,6 +121,43 @@ def test_shift_matches_the_binomial_form_byte_for_byte(p, dencap, kind,
     assert [c.dumps() for c in got.coeffs] == [c.dumps() for c in want]
 
 
+def _seeded_element(rng, config, cls):
+    # up to 4 digits on the full lattice, at a random precision index
+    k = rng.randrange(config.full + 1)
+    digits = {rng.randrange(k): rng.randrange(1, config.p)
+              for _ in range(rng.randrange(5) if k else 0)}
+    return cls._make(config, digits, k)
+
+
+@pytest.mark.parametrize("config", [C3, C2, FieldConfig(5, 3, 1)],
+                         ids=lambda c: f"p{c.p}")
+@pytest.mark.parametrize("cls", [UntiltElement, TiltElement],
+                         ids=lambda cls: cls.kind)
+def test_shift_by_an_exact_zero_is_the_identity(config, cls):
+    """Shifting by 0 or by zero(config) returns the polynomial itself,
+    which is the binomial re-expansion byte for byte; a zero known only
+    below full precision takes the general rule, and there the result
+    can lose precision."""
+    rng = random.Random(23)
+    changed = 0
+    for _ in range(60):
+        coeffs = [_seeded_element(rng, config, cls)
+                  for _ in range(rng.randrange(1, 6))]
+        if coeffs[-1].is_zero():
+            continue
+        P = Polynomial(coeffs)
+        for zero in (0, cls.zero(config)):
+            assert P.shifted(zero) is P
+            want = shifted_binomial(coeffs, zero)
+            assert [c.dumps() for c in P.coeffs] == [c.dumps() for c in want]
+        low = cls._make(config, {}, rng.randrange(config.full))
+        got = P.shifted(low)
+        want = shifted_binomial(coeffs, low)
+        assert [c.dumps() for c in got.coeffs] == [c.dumps() for c in want]
+        changed += got != P
+    assert changed > 0
+
+
 @pytest.mark.parametrize("config", [C3, C2, FieldConfig(5, 3, 1)],
                          ids=lambda c: f"p{c.p}")
 @pytest.mark.parametrize("kind", ["untilt", "tilt"])

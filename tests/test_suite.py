@@ -1,6 +1,7 @@
 """Battery runner mechanics; the checks themselves run in the
 acceptance module."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -142,6 +143,37 @@ def test_lattice_drawn_disc_polynomials_match_fraction_keyed_draws():
             assert rng.getstate() == reference.getstate()
 
 
+def test_battery_inputs_are_pinned(monkeypatch):
+    """The values ring-axioms, sharp-map, witt-theta and adic-disc draw
+    at seed 1, each as its dumps() (a polynomial as its coefficients'),
+    digested; the digest was taken before the checks were rewritten to
+    reuse their sums and products, so a rewrite that changed what is
+    drawn, or in which order, fails here."""
+    seen = []
+
+    def recording(inner):
+        def draw(*args, **kwargs):
+            seen.append(inner(*args, **kwargs))
+            return seen[-1]
+        return draw
+
+    for name in ("_random_element", "_disc_element", "_disc_poly"):
+        monkeypatch.setattr(suite, name, recording(getattr(suite, name)))
+    digest = hashlib.sha256()
+    counts = []
+    for check in ("ring-axioms", "sharp-map", "witt-theta", "adic-disc"):
+        seen.clear()
+        assert run_check(check, seed=1).passed
+        counts.append(len(seen))
+        for value in seen:
+            line = " ".join(c.dumps() for c in getattr(value, "coeffs",
+                                                       (value,)))
+            digest.update(f"{check} {line}\n".encode())
+    assert counts == [9000, 2277, 1200, 3443]
+    assert digest.hexdigest() == (
+        "43e0a1fe295aa268176577368c5fce353894a623fdc9c338bb7cc3644fe09ff8")
+
+
 # =====================================================================
 # Failure text, built only on failure
 # =====================================================================
@@ -160,6 +192,25 @@ def test_sharp_failure_names_the_pair_it_broke_on(monkeypatch):
     assert result.detail.startswith("sharp is not multiplicative on <tilt ")
     assert result.detail == (f"sharp is not multiplicative on "
                              f"{seen[-2]!r}, {seen[-1]!r}")
+
+
+@pytest.mark.parametrize("add,mul,axiom", [
+    # each pair of operations breaks exactly one axiom first
+    (lambda add, x, y: add(x, add(y, y)), None, "addition associativity"),
+    (None, lambda mul, x, y: mul(x, y) + 1, "multiplication associativity"),
+    (lambda add, x, y: add(add(x, y), 1), None, "distributivity"),
+    (lambda add, x, y: x, None, "addition commutativity"),
+    (None, lambda mul, x, y: y, "multiplication commutativity"),
+])
+def test_ring_axiom_failure_names_the_axiom(monkeypatch, add, mul, axiom):
+    for name, broken in (("__add__", add), ("__mul__", mul)):
+        if broken is not None:
+            inner = getattr(UntiltElement, name)
+            monkeypatch.setattr(UntiltElement, name,
+                                lambda x, y, f=broken, g=inner: f(g, x, y))
+    result = run_check("ring-axioms", seed=1)
+    assert not result.passed
+    assert result.detail == f"{axiom} broke at p=2"
 
 
 def test_eval_failure_names_the_point_it_broke_at(monkeypatch):

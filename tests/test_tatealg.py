@@ -200,6 +200,12 @@ def test_element_json_is_read_without_fraction(fractions_built):
     assert made == []
 
 
+def test_malformed_json_text_is_refused_typed():
+    with pytest.raises(KernelError,
+                       match="^malformed homogeneous element JSON"):
+        HomogeneousElement.from_json('{"p": 3,')
+
+
 @pytest.mark.parametrize("field", ["degree", "precexp", "exps"])
 def test_huge_json_denominator_in_an_element_is_refused(field):
     F = HomogeneousElement(C3, "untilt", 2, 1, {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -184,6 +185,51 @@ def test_cones_with_a_line_have_one_canonical_form(rank, lists):
         assert dual_cone(dual_cone(cone)) == cone
 
 
+def _fast_path_corpus() -> list:
+    """Generator lists of ranks 1-4 covering each branch of the
+    constructor: empty, independent, dependent with at most rank
+    vectors, with an opposite pair, and random lists of 0-6 vectors."""
+    rng = random.Random(23)
+    corpus = []
+    for rank in range(1, 5):
+        def vec():
+            return tuple(rng.randint(-3, 3) for _ in range(rank))
+        corpus.append((rank, []))
+        corpus.append((rank, [(0,) * rank]))
+        for _ in range(40):
+            gens = [vec() for _ in range(rng.randint(1, rank))]
+            corpus.append((rank, gens))
+            corpus.append((rank, gens + [tuple(-c for c in gens[0])]))
+            k = rng.randint(2, 3)
+            corpus.append((rank, gens + [tuple(k * c for c in gens[0])]))
+            if len(gens) >= 2 and len(gens) < rank:
+                mix = tuple(a + b for a, b in zip(gens[0], gens[1]))
+                corpus.append((rank, gens + [mix]))
+            corpus.append((rank, [vec() for _ in range(rng.randint(0, 6))]))
+    return corpus
+
+
+def test_independent_generators_skip_the_second_dualization():
+    """The constructor keeps sorted independent generators; on every
+    list it gives the dual of the dual of the primitive vectors, and the
+    stored dual is their first dualization."""
+    kinds = set()
+    for rank, gens in _fast_path_corpus():
+        raw = {toric._primitive(tuple(v)) for v in gens} - {None}
+        duals = toric._nonneg_solutions(raw, rank)
+        cone = Cone(rank, gens, pointed=False)
+        assert cone.generators == toric._nonneg_solutions(duals, rank), \
+            (rank, gens)
+        assert cone.duals == duals, (rank, gens)
+        span = _matrix_rank(list(raw)) if raw else 0
+        kinds.add("empty" if not raw else
+                  "independent" if span == len(raw) else
+                  "dependent" if len(raw) <= rank else "many")
+        if not cone.pointed:
+            kinds.add("line")
+    assert kinds == {"empty", "independent", "dependent", "many", "line"}
+
+
 # ---------------------------------------------------------------------
 # fans
 # ---------------------------------------------------------------------
@@ -350,10 +396,24 @@ def test_divisor_indexing():
     ({"coefficients": [float("inf"), 0, 0]}, "^malformed divisor JSON"),
     ({"coefficients": [float("nan"), 0, 0]}, "^malformed divisor JSON"),
     ({"rays": [[0, 1], [1, 0]]}, "^malformed divisor JSON"),
+    ('{"coefficients": [1, 0', "^malformed divisor JSON"),
 ])
 def test_divisor_json_refusals_are_typed(data, message):
     with pytest.raises(ConeError, match=message):
         TWeilDivisor.from_json(P2, data)
+
+
+def test_fan_json_text_that_does_not_parse_is_refused():
+    with pytest.raises(ConeError, match="^malformed fan JSON"):
+        Fan.from_json('{"rank": 2,')
+
+
+@pytest.mark.parametrize("bad", ["x", "1/0", float("inf"), None, [1]])
+def test_divisor_coefficients_that_are_not_rational_are_refused(bad):
+    with pytest.raises(ConeError, match="^malformed divisor coefficient"):
+        TWeilDivisor(P2, {(1, 0): bad, (0, 1): 0, (-1, -1): 0})
+    with pytest.raises(ConeError, match="^malformed divisor coefficient"):
+        TWeilDivisor(P2, [bad, 0, 0])
 
 
 def test_hyperplane_sections():
@@ -767,6 +827,17 @@ def test_irredundant_tests_each_generator_once(monkeypatch):
         assert dual_cone(dual) == cone
         assert dual.contains(dual.generators[0])
     assert calls == []
+
+
+def test_independent_generators_dualize_once(monkeypatch):
+    # independent generators are already canonical; a dependent list
+    # takes the dual of the dual
+    calls = _count_calls(monkeypatch, "_nonneg_solutions")
+    Cone(3, [(1, 2, 0), (0, 1, 3)])
+    assert len(calls) == 1
+    calls.clear()
+    Cone(3, [(1, 2, 0), (0, 1, 3), (1, 3, 3)], pointed=False)
+    assert len(calls) == 2
 
 
 def test_rank_four_simplicial_dual_is_the_dual_basis():
