@@ -23,7 +23,6 @@ error instead of guessing.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .arith import (
@@ -33,6 +32,7 @@ from .arith import (
     KernelError,
     TiltElement,
     UntiltElement,
+    _json_reader,
     denominator_power,
     element_from_json,
 )
@@ -43,10 +43,6 @@ _SIGNS = ("<", ">")
 
 def _frac_json(q: Fraction) -> dict:
     return {"num": q.numerator, "den": q.denominator}
-
-
-def _frac_from_json(data) -> Fraction:
-    return Fraction(int(data["num"]), int(data["den"]))
 
 
 # =====================================================================
@@ -262,12 +258,11 @@ class AdicPoint:
         return (f"<adic halo D({c}, {self.sign}p^-({self.radius_exp}))>")
 
 
+@_json_reader("adic point")
 def adic_point_from_json(data: dict | str,
                          config: FieldConfig | None = None) -> AdicPoint:
     """Rebuilds a point; the Gauss shorthand needs the config supplied
     either inline (p/prec/dencap keys) or as an argument."""
-    if isinstance(data, str):
-        data = json.loads(data)
     kind = data.get("type")
     if kind == "gauss":
         if config is None:
@@ -275,15 +270,15 @@ def adic_point_from_json(data: dict | str,
                 raise KernelError(
                     "the gauss shorthand needs p/prec/dencap or an "
                     "explicit config")
-            config = FieldConfig(int(data["p"]), int(data["prec"]),
-                                 int(data["dencap"]))
+            config = FieldConfig(data["p"], data["prec"], data["dencap"])
         return AdicPoint.gauss(config)
     if kind not in ("classical", "disc", "halo"):
         raise ConfigError(f"unknown point type {kind!r}")
     center = element_from_json(data["center"])
     if kind == "classical":
         return AdicPoint.classical(center)
-    q = _frac_from_json(data["radius_exp"])
+    radius = data["radius_exp"]
+    q = Fraction(radius["num"], radius["den"])
     if kind == "disc":
         return AdicPoint.disc(center, q)
     return AdicPoint.halo(center, q, data["sign"])
@@ -421,9 +416,8 @@ class RationalSubset:
                 "denominator": self.denominator.to_json()}
 
     @classmethod
+    @_json_reader("rational subset")
     def from_json(cls, data: dict | str) -> "RationalSubset":
-        if isinstance(data, str):
-            data = json.loads(data)
         return cls([Polynomial.from_json(d) for d in data["numerators"]],
                    Polynomial.from_json(data["denominator"]))
 

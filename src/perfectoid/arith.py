@@ -30,7 +30,10 @@ which reads the power of p in its denominator with ``denominator_power``.
 The text and JSON forms go through one codec on indices: ``_exp_pair``
 reduces j / p^dencap to num / p^denpow in integers, ``_power_text`` and
 ``_index_json`` write it, and ``_index_from_json`` and ``_power_index``
-read it back; refusals word an index with ``_exp_text``.  The modules
+read it back; refusals word an index with ``_exp_text``.  ``dumps``
+writes every JSON form, and every public reader of one follows
+``_json_reader``: text is parsed, fields are checked, never converted,
+and a malformed document is refused with a typed error.  The modules
 above (tatealg, polyroots, adicdisc) compute on the same indices: they
 read ``_digits``, ``_low()`` and ``_k`` and convert exponents with
 ``_lattice_index``.
@@ -53,8 +56,10 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import wraps
 from heapq import heapify, heappop, heappush
 from math import log10
+from operator import index
 from typing import Iterable, Mapping
 
 
@@ -788,7 +793,7 @@ class _DigitElement:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), separators=(",", ":"))
+        return dumps(self.to_json())
 
 
 # The slots' own setters: __setattr__ refuses every write, and these are
@@ -1142,27 +1147,47 @@ def parse_text(text: str, config: FieldConfig, kind: str) -> _DigitElement:
 
 
 # =====================================================================
-# Canonical JSON form: parsing
+# Canonical JSON form
 # =====================================================================
 
+def dumps(doc) -> str:
+    """The canonical byte form of a JSON document: compact separators,
+    keys in insertion order, no trailing whitespace."""
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def _json_reader(what: str, error: type = KernelError):
+    """Decorates the reader of the JSON form of ``what``.  Its argument
+    ``data``, when text, is parsed first; a KernelError raised in it
+    passes through, and what else a malformed document raises becomes
+    ``error``, worded "malformed <what> JSON: <reason>"."""
+    def wrap(read):
+        at = read.__code__.co_varnames.index("data")
+
+        @wraps(read)
+        def reader(*args, **kwargs):
+            try:
+                if isinstance(args[at], str):
+                    args = (*args[:at], json.loads(args[at]),
+                            *args[at + 1:])
+                return read(*args, **kwargs)
+            except (KeyError, IndexError, TypeError, ValueError,
+                    AttributeError, ZeroDivisionError, OverflowError,
+                    RecursionError) as exc:
+                raise error(f"malformed {what} JSON: {exc}") from exc
+        return reader
+    return wrap
+
+
+@_json_reader("element")
 def element_from_json(data: dict | str) -> _DigitElement:
     """Rebuilds an element from its canonical JSON form."""
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise KernelError(f"malformed element JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise KernelError(f"element JSON must be an object, got {data!r}")
-    try:
-        cls = _kind_class(data["kind"])
-        config = FieldConfig(data["p"], data["prec"], data["dencap"])
-        k = _index_from_json(data["precexp"], config)
-        acc = {_index_from_json(term, config): int(term["digit"])
-               for term in data["terms"]}
-        element = cls._make(config, acc, min(k, config.full))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise KernelError(f"malformed element JSON: {exc}") from exc
+    cls = _kind_class(data["kind"])
+    config = FieldConfig(data["p"], data["prec"], data["dencap"])
+    k = _index_from_json(data["precexp"], config)
+    acc = {_index_from_json(term, config): index(term["digit"])
+           for term in data["terms"]}
+    element = cls._make(config, acc, min(k, config.full))
     if element.to_json() != data:
         raise KernelError("element JSON is not in canonical form")
     return element

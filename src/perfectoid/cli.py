@@ -33,6 +33,7 @@ from .arith import (
     KernelError,
     TiltElement,
     UntiltElement,
+    dumps,
     element_from_json,
     reduce_mod_uniformizer,
 )
@@ -41,12 +42,6 @@ from .arith import (
 class UsageError(Exception):
     """A command line the parser accepts but its command cannot use: a
     missing or malformed input, or a malformed rational.  Exit code 2."""
-
-
-def dumps(doc) -> str:
-    """The canonical byte form: compact separators, keys in insertion
-    order, no trailing whitespace."""
-    return json.dumps(doc, separators=(",", ":"))
 
 
 def fixture_dir():
@@ -79,8 +74,8 @@ def _parse(arg: str):
     text = _read_source(arg)
     try:
         return json.loads(text)
-    except ValueError as exc:
-        # JSONDecodeError, or an integer past Python's int-from-str limit
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, the int-from-str digit limit, or deep nesting
         raise UsageError(f"malformed JSON in {arg!r}: {exc}")
 
 
@@ -100,25 +95,6 @@ def _fraction(text: str, flag: str) -> Fraction:
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"{flag} wants a rational like 2 or 1/3, "
                          f"got {text!r}")
-
-
-def _element(arg: str):
-    return element_from_json(_parse(arg))
-
-
-def _polynomial(arg: str):
-    from .polyroots import Polynomial
-    return Polynomial.from_json(_parse(arg))
-
-
-def _homogeneous(arg: str):
-    from .tatealg import HomogeneousElement
-    return HomogeneousElement.from_json(_parse(arg))
-
-
-def _fan(arg: str):
-    from .toric import Fan
-    return Fan.from_json(_parse(arg))
 
 
 def _emit(doc, fmt="json", text=None):
@@ -233,7 +209,7 @@ def main(argv=None) -> None:
 def sharp_cmd(element, p, prec, dencap, fmt):
     """Multiplicative lift of a tilt element, modulo p^PREC."""
     from .tiltkit import sharp
-    x = _element(element)
+    x = element_from_json(_parse(element))
     if not isinstance(x, TiltElement):
         raise ConfigError("sharp expects a tilt element")
     _check_config(x.config, p, dencap)
@@ -245,7 +221,7 @@ def sharp_cmd(element, p, prec, dencap, fmt):
 @_command("tilt-reduce", _arg("element"), *_CONFIG, _FORMAT)
 def tilt_reduce_cmd(element, p, prec, dencap, fmt):
     """Reduction of an untilt element to the shared quotient ring."""
-    x = _element(element)
+    x = element_from_json(_parse(element))
     if not isinstance(x, UntiltElement):
         raise ConfigError("tilt-reduce expects an untilt element")
     _check_config(x.config, p, dencap, prec)
@@ -282,7 +258,7 @@ def witt_mul_cmd(left, right, fmt):
 def witt_lift_cmd(element, length, fmt):
     """Teichmuller lift of a tilt element."""
     from .tiltkit import WittVector
-    x = _element(element)
+    x = element_from_json(_parse(element))
     if not isinstance(x, TiltElement):
         raise ConfigError("the Teichmuller lift starts from a tilt element")
     _emit(WittVector.teichmuller(x, length).to_json(), fmt)
@@ -303,8 +279,8 @@ def theta_cmd(witt, fmt):
 @_command("newton", _arg("poly"), _FORMAT)
 def newton_cmd(poly, fmt):
     """Newton polygon of a polynomial, as slope/multiplicity pairs."""
-    from .polyroots import newton_polygon
-    polygon = newton_polygon(_polynomial(poly))
+    from .polyroots import Polynomial, newton_polygon
+    polygon = newton_polygon(Polynomial.from_json(_parse(poly)))
     rows = polygon.to_json()
     _emit(rows, fmt, lambda: "\n".join(f"{row['slope']} x{row['mult']}"
                                        for row in rows))
@@ -317,8 +293,8 @@ def newton_cmd(poly, fmt):
           _FORMAT)
 def transfer_cmd(poly, n, fmt):
     """Coefficientwise transfer of a tilt polynomial to the untilt."""
-    from .polyroots import fw_transfer
-    P = _polynomial(poly)
+    from .polyroots import Polynomial, fw_transfer
+    P = Polynomial.from_json(_parse(poly))
     _emit(fw_transfer(P, n).to_json(), fmt)
 
 
@@ -329,8 +305,8 @@ def transfer_cmd(poly, n, fmt):
           _FORMAT)
 def root_cmd(poly, start, fmt):
     """A root of a monic integral polynomial over the untilt."""
-    from .polyroots import hensel_root, mixed_root_refine
-    P = _polynomial(poly)
+    from .polyroots import Polynomial, hensel_root, mixed_root_refine
+    P = Polynomial.from_json(_parse(poly))
     if start is not None:
         result = hensel_root(
             P, UntiltElement.from_int(P.config, start))
@@ -349,16 +325,16 @@ def root_cmd(poly, start, fmt):
           _FORMAT)
 def decompose_cmd(element, depth, fmt):
     """Digit slices of an untilt element along uniformizer powers."""
-    from .tatealg import decompose
-    f = _homogeneous(element)
+    from .tatealg import HomogeneousElement, decompose
+    f = HomogeneousElement.from_json(_parse(element))
     _emit([g.to_json() for g in decompose(f, depth)], fmt)
 
 
 @_command("approx", _arg("element"), _DEPTH, _EPS, _FORMAT)
 def approx_cmd(element, depth, eps, fmt):
     """Tilt-side approximant of an untilt homogeneous element."""
-    from .tatealg import approximate
-    f = _homogeneous(element)
+    from .tatealg import HomogeneousElement, approximate
+    f = HomogeneousElement.from_json(_parse(element))
     g = approximate(f, _fraction(depth, "--c"), _fraction(eps, "--eps"))
     _emit(g.to_json(), fmt)
 
@@ -370,13 +346,17 @@ def approx_cmd(element, depth, eps, fmt):
           _FORMAT)
 def verify_cmd(element, candidate, depth, eps, points, fmt):
     """Pointwise check that a tilt candidate approximates an element."""
-    from .tatealg import GaussPoint, point_from_json, verify_contract
-    f = _homogeneous(element)
-    g = _homogeneous(candidate)
+    from .tatealg import (GaussPoint, HomogeneousElement, point_from_json,
+                          verify_contract)
+    f = HomogeneousElement.from_json(_parse(element))
+    g = HomogeneousElement.from_json(_parse(candidate))
     if points is None:
         sample = [GaussPoint()]
     else:
-        sample = [point_from_json(entry) for entry in _parse(points)]
+        entries = _parse(points)
+        if not isinstance(entries, list):
+            raise UsageError(f"--points wants a JSON array, got {points!r}")
+        sample = [point_from_json(entry) for entry in entries]
     report = verify_contract(f, g, _fraction(depth, "--c"),
                              _fraction(eps, "--eps"), sample)
     _emit(report.to_json(), fmt)
@@ -393,13 +373,13 @@ def verify_cmd(element, candidate, depth, eps, points, fmt):
           _FORMAT)
 def disc_eval_cmd(poly, point, fmt):
     """Valuation of a polynomial at a point of the disc."""
-    from .adicdisc import adic_point_from_json, eval_at
-    P = _polynomial(poly)
+    from .adicdisc import _frac_json, adic_point_from_json, eval_at
+    from .polyroots import Polynomial
+    P = Polynomial.from_json(_parse(poly))
     x = adic_point_from_json(_parse(point), config=P.config)
     value = eval_at(P, x)
     if isinstance(value, Fraction):
-        doc = {"exponent": {"num": value.numerator,
-                            "den": value.denominator}}
+        doc = {"exponent": _frac_json(value)}
     else:
         doc = value.to_json()
     _emit(doc, fmt)
@@ -438,8 +418,8 @@ def disc_specializes_cmd(source, target, fmt):
           _FORMAT)
 def toric_sections_cmd(fan, divisor, scale, dencap, p, fmt):
     """Lattice points of the divisor's section polytope."""
-    from .toric import TWeilDivisor, sections
-    F = _fan(fan)
+    from .toric import Fan, TWeilDivisor, sections
+    F = Fan.from_json(_parse(fan))
     D = TWeilDivisor.from_json(F, _parse(divisor))
     if scale is not None:
         D = D.scaled(_fraction(scale, "--scale"))
@@ -451,21 +431,22 @@ def toric_sections_cmd(fan, divisor, scale, dencap, p, fmt):
 @_command("toric smooth", _arg("fan"), _FORMAT)
 def toric_smooth_cmd(fan, fmt):
     """Whether every cone of the fan is unimodular."""
-    from .toric import is_smooth
-    _emit({"smooth": is_smooth(_fan(fan))}, fmt)
+    from .toric import Fan, is_smooth
+    _emit({"smooth": is_smooth(Fan.from_json(_parse(fan)))}, fmt)
 
 
 @_command("toric complete", _arg("fan"), _FORMAT)
 def toric_complete_cmd(fan, fmt):
     """Whether the fan's support is the whole lattice."""
-    from .toric import is_complete
-    _emit({"complete": is_complete(_fan(fan))}, fmt)
+    from .toric import Fan, is_complete
+    _emit({"complete": is_complete(Fan.from_json(_parse(fan)))}, fmt)
 
 
 @_command("toric validate", _arg("fan"), _FORMAT)
 def toric_validate_cmd(fan, fmt):
     """Parse a fan and report its shape; invalid fans are rejected."""
-    F = _fan(fan)
+    from .toric import Fan
+    F = Fan.from_json(_parse(fan))
     _emit({"rank": F.rank, "cones": len(F.cones),
            "maximal": len(F.maximal_cones), "rays": len(F.rays)}, fmt)
 
@@ -477,9 +458,11 @@ def toric_validate_cmd(fan, fmt):
           _FORMAT)
 def toric_transfer_cmd(element, depth, eps, fan_arg, fmt):
     """Tilt-side model of a hypersurface, with its contract report."""
-    from .toric import hypersurface_transfer, projective_fan
-    f = _homogeneous(element)
-    F = _fan(fan_arg) if fan_arg is not None else projective_fan(f.nvars - 1)
+    from .tatealg import HomogeneousElement
+    from .toric import Fan, hypersurface_transfer, projective_fan
+    f = HomogeneousElement.from_json(_parse(element))
+    F = (Fan.from_json(_parse(fan_arg)) if fan_arg is not None
+         else projective_fan(f.nvars - 1))
     result = hypersurface_transfer(F, f, _fraction(depth, "--c"),
                                    _fraction(eps, "--eps"))
     _emit(result.to_json(), fmt)

@@ -9,12 +9,12 @@ constructor must reject, so their documents are literal.
 
 from __future__ import annotations
 
-import json
 import os
 from fractions import Fraction
 
 from .adicdisc import AdicPoint, RationalSubset, adic_point_from_json
-from .arith import FieldConfig, TiltElement, UntiltElement, element_from_json
+from .arith import (FieldConfig, TiltElement, UntiltElement, dumps,
+                    element_from_json)
 from .polyroots import Polynomial
 from .tatealg import HomogeneousElement
 from .tiltkit import WittVector
@@ -128,6 +128,6 @@ def write_fixtures(directory: str) -> list[str]:
     for name, doc in fixture_documents().items():
         path = os.path.join(directory, name)
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(doc, separators=(",", ":")) + "\n")
+            handle.write(dumps(doc) + "\n")
         written.append(name)
     return written

@@ -29,6 +29,7 @@ from .arith import (
     KernelError,
     TiltElement,
     UntiltElement,
+    _json_reader,
     _kind_class,
     _mul_rows,
     divide_exact,
@@ -197,7 +198,8 @@ class Polynomial:
         return [c.to_json() for c in self.coeffs]
 
     @classmethod
-    def from_json(cls, data) -> "Polynomial":
+    @_json_reader("polynomial")
+    def from_json(cls, data: list | str) -> "Polynomial":
         if not isinstance(data, list) or not data:
             raise KernelError("polynomial JSON must be a non-empty array")
         return cls([element_from_json(entry) for entry in data])

@@ -27,7 +27,6 @@ elements' exponent codec on the indices.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import Mapping
@@ -47,10 +46,12 @@ from .arith import (
     _index,
     _index_from_json,
     _index_json,
+    _json_reader,
     _kind_class,
     _lattice_index,
     _power_text,
     divide_exact,
+    dumps,
     element_from_json,
     reduce_mod_uniformizer,
 )
@@ -162,7 +163,10 @@ class Monomial:
         return [_index_json(j, self.config) for j in self._idx]
 
     @classmethod
-    def from_json(cls, config: FieldConfig, data: list) -> "Monomial":
+    @_json_reader("monomial")
+    def from_json(cls, config: FieldConfig, data: list | str) -> "Monomial":
+        if not isinstance(data, list):
+            raise KernelError("monomial JSON must be an array")
         return cls._of(config, tuple(_index_from_json(d, config)
                                      for d in data))
 
@@ -439,27 +443,18 @@ class HomogeneousElement:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), separators=(",", ":"))
+        return dumps(self.to_json())
 
     @classmethod
+    @_json_reader("homogeneous element")
     def from_json(cls, data: dict | str) -> "HomogeneousElement":
-        try:
-            if isinstance(data, str):
-                data = json.loads(data)
-            config = FieldConfig(int(data["p"]), int(data["prec"]),
-                                 int(data["dencap"]))
-            kind = data["kind"]
-            terms = {}
-            for row in data["terms"]:
-                mono = Monomial.from_json(config, row["exps"])
-                coeff = element_from_json(row["coeff"])
-                terms[mono] = coeff
-            nvars = int(data["nvars"])
-            deg = _index_from_json(data["degree"], config)
-            k = _index_from_json(data["precexp"], config)
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
-            raise KernelError(
-                f"malformed homogeneous element JSON: {exc}") from exc
+        config = FieldConfig(data["p"], data["prec"], data["dencap"])
+        kind = data["kind"]
+        terms = {Monomial.from_json(config, row["exps"]):
+                 element_from_json(row["coeff"]) for row in data["terms"]}
+        nvars = data["nvars"]
+        deg = _index_from_json(data["degree"], config)
+        k = _index_from_json(data["precexp"], config)
         cls._check_terms(config, kind, nvars, deg, terms)
         return cls._make(config, kind, nvars, deg, terms, min(k, config.full))
 
@@ -699,6 +694,21 @@ def _expand(h: HomogeneousElement, g: HomogeneousElement, cur: int,
     return {j: r for j, r in result.items() if not r.is_zero()}
 
 
+def _depth_and_budget(c, eps) -> tuple[Fraction, Fraction]:
+    """The depth c and loss budget eps as Fractions, refused unless
+    they are rationals with c >= 0 and 0 < eps < 1."""
+    try:
+        cf, ef = Fraction(c), Fraction(eps)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise KernelError(f"depth and loss budget must be rationals, got "
+                          f"{c!r} and {eps!r}") from None
+    if cf < 0:
+        raise KernelError(f"depth must be nonnegative, got {cf}")
+    if not 0 < ef < 1:
+        raise KernelError(f"loss budget must satisfy 0 < eps < 1, got {ef}")
+    return cf, ef
+
+
 def approximate(f: HomogeneousElement, c, eps) -> HomogeneousElement:
     """A tilt element g whose sharp image approximates f.
 
@@ -733,12 +743,7 @@ def approximate(f: HomogeneousElement, c, eps) -> HomogeneousElement:
     if not isinstance(f, HomogeneousElement) or f.kind != "untilt":
         raise ConfigError("approximate expects an untilt homogeneous element")
     config = f.config
-    cf = Fraction(c)
-    ef = Fraction(eps)
-    if cf < 0:
-        raise KernelError(f"depth must be nonnegative, got {cf}")
-    if not 0 < ef < 1:
-        raise KernelError(f"loss budget must satisfy 0 < eps < 1, got {ef}")
+    cf, ef = _depth_and_budget(c, eps)
     depth = _lattice_index(cf, config)
     loss = _lattice_index(ef, config)
     scale = config.scale
@@ -876,9 +881,8 @@ class ClassicalPoint:
         return f"<point ({inner})>"
 
 
+@_json_reader("point")
 def point_from_json(data: dict | str):
-    if isinstance(data, str):
-        data = json.loads(data)
     kind = data.get("kind")
     if kind == "gauss":
         return GaussPoint()
@@ -1095,12 +1099,7 @@ def verify_contract(f: HomogeneousElement, g: HomogeneousElement, c, eps,
     if (g.config != f.config or g.nvars != f.nvars
             or g.degree != f.degree):
         raise ConfigError("f and g do not describe the same shape")
-    cf = Fraction(c)
-    ef = Fraction(eps)
-    if cf < 0:
-        raise KernelError(f"depth must be nonnegative, got {cf}")
-    if not 0 < ef < 1:
-        raise KernelError(f"loss budget must satisfy 0 < eps < 1, got {ef}")
+    cf, ef = _depth_and_budget(c, eps)
     config = f.config
     # both claims compare valuations against thresholds below c + 1, so
     # the sharp image at that depth settles them; deeper targets would

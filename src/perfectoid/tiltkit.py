@@ -63,6 +63,7 @@ from .arith import (
     PrecisionError,
     TiltElement,
     UntiltElement,
+    _json_reader,
 )
 
 # =====================================================================
@@ -635,14 +636,12 @@ class WittVector:
                 "components": [c.to_json() for c in self.components]}
 
     @classmethod
-    def from_json(cls, data: dict) -> "WittVector":
+    @_json_reader("Witt")
+    def from_json(cls, data: dict | str) -> "WittVector":
         from .arith import element_from_json
-        try:
-            components = [element_from_json(c) for c in data["components"]]
-            if data["length"] != len(components):
-                raise KernelError("Witt length field does not match")
-        except (KeyError, TypeError) as exc:
-            raise KernelError(f"malformed Witt JSON: {exc}") from exc
+        components = [element_from_json(c) for c in data["components"]]
+        if data["length"] != len(components):
+            raise KernelError("Witt length field does not match")
         if not components:
             raise KernelError("Witt vectors have length >= 1")
         return cls(components[0].config, components)

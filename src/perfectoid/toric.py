@@ -18,7 +18,6 @@ integralization.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -30,6 +29,7 @@ from .arith import (
     FieldConfig,
     KernelError,
     UntiltElement,
+    _json_reader,
     check_prime,
     denominator_power,
 )
@@ -390,14 +390,10 @@ class Fan:
                 "cones": [c.to_json() for c in self.maximal_cones]}
 
     @classmethod
+    @_json_reader("fan", ConeError)
     def from_json(cls, data: dict | str) -> "Fan":
-        try:
-            if isinstance(data, str):
-                data = json.loads(data)
-            # the rank is checked, not converted, where the cones are built
-            return cls(data["rank"], data["cones"])
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
-            raise ConeError(f"malformed fan JSON: {exc}") from exc
+        # the rank is checked, not converted, where the cones are built
+        return cls(data["rank"], data["cones"])
 
     def __repr__(self):
         return (f"<fan in Z^{self.rank}, {len(self.maximal_cones)} maximal "
@@ -518,7 +514,7 @@ class TWeilDivisor:
             raise ConeError(f"not a fan: {fan!r}")
         rays = fan.rays
         if isinstance(coefficients, dict):
-            keyed = {tuple(k): _coefficient(v)
+            keyed = {_int_tuple(k): _coefficient(v)
                      for k, v in coefficients.items()}
             missing = [r for r in rays if r not in keyed]
             extra = [k for k in keyed if k not in rays]
@@ -528,7 +524,11 @@ class TWeilDivisor:
                     f"missing {missing}, extraneous {extra}")
             coeffs = tuple(keyed[r] for r in rays)
         else:
-            coeffs = tuple(_coefficient(c) for c in coefficients)
+            try:
+                values = iter(coefficients)
+            except TypeError:
+                raise ConeError(f"not a coefficient list: {coefficients!r}")
+            coeffs = tuple(map(_coefficient, values))
             if len(coeffs) != len(rays):
                 raise ConeError(
                     f"{len(coeffs)} coefficients for {len(rays)} rays")
@@ -548,16 +548,11 @@ class TWeilDivisor:
                 "coefficients": [str(a) for a in self.coefficients]}
 
     @classmethod
+    @_json_reader("divisor", ConeError)
     def from_json(cls, fan: Fan, data: dict | str) -> "TWeilDivisor":
-        try:
-            if isinstance(data, str):
-                data = json.loads(data)
-            coeffs = [Fraction(a) for a in data["coefficients"]]
-            given = (tuple(map(_int_tuple, data["rays"]))
-                     if "rays" in data else fan.rays)
-        except (KeyError, TypeError, ValueError, OverflowError,
-                ZeroDivisionError) as exc:
-            raise ConeError(f"malformed divisor JSON: {exc}") from exc
+        coeffs = [Fraction(a) for a in data["coefficients"]]
+        given = (tuple(map(_int_tuple, data["rays"]))
+                 if "rays" in data else fan.rays)
         if given != fan.rays:
             raise ConeError(f"divisor rays {list(given)} do not match the "
                             f"fan's rays {list(fan.rays)}")

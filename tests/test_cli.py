@@ -96,6 +96,14 @@ def test_tilt_reduce_keeps_shallow_digits(runner):
     assert result.output == "2*t^(1/3) + O(t)\n"
 
 
+def test_json_nested_past_the_recursion_limit_is_a_usage_error(runner):
+    result = invoke(runner, "newton", "[" * 100_000)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "malformed JSON" in result.stderr
+    assert "recursion" in result.stderr
+
+
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
                     reason="this Python writes integers of any length")
 def test_text_form_past_the_decimal_limit_is_a_json_error(runner):
@@ -279,6 +287,18 @@ def test_verify_reads_a_points_file(runner, tmp_path):
                     "--points", str(points))
     assert report.exit_code == 0
     assert len(json.loads(report.output)["points"]) == 1
+
+
+def test_verify_refuses_points_that_are_not_an_array(runner):
+    # an object's keys would otherwise be read as one point each
+    approx = invoke(runner, "approx", "linear-form.json",
+                    "--c", "1", "--eps", "1/3")
+    report = invoke(runner, "verify", "linear-form.json",
+                    approx.output.strip(), "--c", "1", "--eps", "1/3",
+                    "--points", '{"kind":"gauss"}')
+    assert report.exit_code == 2
+    assert report.stdout == ""
+    assert "--points wants a JSON array" in report.stderr
 
 
 def test_a_flag_value_may_start_with_a_minus_sign(runner):

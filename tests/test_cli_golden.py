@@ -69,6 +69,8 @@ def _inline_inputs():
             "radius_exp": {"num": 1, "den": 3}}
     halo = {"type": "halo", "center": p.to_json(),
             "radius_exp": {"num": 1, "den": 2}, "sign": ">"}
+    fractional = {"type": "disc", "center": zero.to_json(),
+                  "radius_exp": {"num": 1.9, "den": 2}}
     classical = {"type": "classical",
                  "center": UntiltElement.monomial(small, 1, "2/3").to_json()}
     form = FieldConfig(3, 4, 5)
@@ -80,6 +82,7 @@ def _inline_inputs():
     return {"t2": dumps(t2.to_json()), "hensel": dumps(hensel.to_json()),
             "cube-root": dumps(cube_root.to_json()),
             "disc": dumps(disc), "halo": dumps(halo),
+            "fractional": dumps(fractional),
             "classical": dumps(classical), "points": dumps(points)}
 
 
@@ -211,6 +214,18 @@ def _argvs():
         ("refuse-config", ["sharp", "u.json"]),
         ("refuse-cone", ["toric", "sections", "broken-pn2.json",
                          "hyperplane.json"]),
+        # malformed documents: a typed refusal, or a usage error for
+        # text that is not JSON
+        ("refuse-point-missing-key", ["disc", "eval", "x2-p.json",
+                                      "--point", '{"type":"disc"}']),
+        ("refuse-point-fractional-radius",
+         ["disc", "eval", inline["t2"], "--point", inline["fractional"]]),
+        ("refuse-subset-missing-denominator",
+         ["disc", "member", '{"numerators":[]}', "gauss.json"]),
+        ("usage-points-object", ["verify", "linear-form.json", candidate,
+                                 "--c", "1", "--eps", "1/3", "--points",
+                                 '{"kind":"gauss"}']),
+        ("usage-deep-nesting", ["newton", "[" * 10_000]),
     ]
     return cases
 

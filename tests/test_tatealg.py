@@ -500,6 +500,32 @@ def test_approximate_validates_inputs():
         approximate(f.with_precision(1), 1, Fraction(1, 3))
 
 
+_DEPTH_AND_BUDGET_CALLS = {
+    "approximate": lambda c, eps: approximate(uvar(C3, 1, 0), c, eps),
+    "verify_contract": lambda c, eps: verify_contract(
+        uvar(C3, 1, 0), tvar(C3, 1, 0), c, eps, [GaussPoint()]),
+}
+
+
+@pytest.mark.parametrize("call", _DEPTH_AND_BUDGET_CALLS.values(),
+                         ids=_DEPTH_AND_BUDGET_CALLS)
+@pytest.mark.parametrize("c,eps,message", [
+    ("x", "1/3", "^depth and loss budget must be rationals, got 'x' and "
+                 "'1/3'$"),
+    (1, "1/0", "^depth and loss budget must be rationals"),
+    (float("inf"), "1/3", "^depth and loss budget must be rationals"),
+    (1, float("nan"), "^depth and loss budget must be rationals"),
+    (None, "1/3", "^depth and loss budget must be rationals"),
+    (-1, "1/3", "^depth must be nonnegative, got -1$"),
+    (1, "3/2", r"^loss budget must satisfy 0 < eps < 1, got 3/2$"),
+], ids=["text", "zero-denominator", "infinite", "nan", "none",
+        "negative-depth", "budget-above-one"])
+def test_depth_and_budget_are_checked_alike(call, c, eps, message):
+    with pytest.raises(KernelError, match=message) as refused:
+        call(c, eps)
+    assert type(refused.value) is KernelError
+
+
 def _valexp(e):
     """The exponent e as the ValExp that ``valuation()`` hands out."""
     return UntiltElement.monomial(C3, 1, e).valuation()

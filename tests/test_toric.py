@@ -416,6 +416,20 @@ def test_divisor_coefficients_that_are_not_rational_are_refused(bad):
         TWeilDivisor(P2, [bad, 0, 0])
 
 
+@pytest.mark.parametrize("coefficients,message", [
+    ({5: 1, (0, 1): 0, (-1, -1): 0}, r"^not an integer vector: 5$"),
+    ({(1.0, 0): 1, (0, 1): 0, (-1, -1): 0},
+     r"^not an integer vector: \(1\.0, 0\)$"),
+    ({"10": 1, (0, 1): 0, (-1, -1): 0}, "^not an integer vector"),
+    (5, r"^not a coefficient list: 5$"),
+    (None, r"^not a coefficient list: None$"),
+])
+def test_divisor_keys_and_containers_are_checked_not_converted(
+        coefficients, message):
+    with pytest.raises(ConeError, match=message):
+        TWeilDivisor(P2, coefficients)
+
+
 def test_hyperplane_sections():
     pts = sections(P2, HYPERPLANE)
     assert pts == [(0, 0), (0, 1), (1, 0)]
