@@ -32,7 +32,9 @@ from .arith import (
     KernelError,
     TiltElement,
     UntiltElement,
+    _is_int,
     _json_reader,
+    _Value,
     denominator_power,
     element_from_json,
 )
@@ -49,7 +51,7 @@ def _frac_json(q: Fraction) -> dict:
 # Rank-2 values
 # =====================================================================
 
-class Rank2Value:
+class Rank2Value(_Value):
     """The value p^-q * gamma^k at a halo point of the given sign.
 
     gamma is a formal element squeezed between p^-q and all reals on
@@ -69,8 +71,8 @@ class Rank2Value:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "sign", sign)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("values are immutable")
+    def _key(self) -> tuple:
+        return self.q, self.k, self.sign
 
     def sort_key(self):
         """Deeper value = larger key; ties on q break by the sign."""
@@ -87,14 +89,6 @@ class Rank2Value:
             raise ConfigError("rank-2 values multiply within one halo only")
         return Rank2Value(self.q + other.q, self.k + other.k, self.sign)
 
-    def __eq__(self, other):
-        if not isinstance(other, Rank2Value):
-            return NotImplemented
-        return (self.q, self.k, self.sign) == (other.q, other.k, other.sign)
-
-    def __hash__(self):
-        return hash((self.q, self.k, self.sign))
-
     def to_json(self) -> dict:
         return {"exponent": _frac_json(self.q), "gamma_exp": self.k,
                 "sign": self.sign}
@@ -107,7 +101,7 @@ class Rank2Value:
 # Points
 # =====================================================================
 
-class AdicPoint:
+class AdicPoint(_Value):
     """A point of the closed unit disc, in one of three shapes.
 
     classical: evaluation at a center in the closed unit ball.
@@ -156,8 +150,8 @@ class AdicPoint:
         object.__setattr__(self, "radius_exp", radius_exp)
         object.__setattr__(self, "sign", sign)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("points are immutable")
+    def _key(self) -> tuple:
+        return self.kind, self.center, self.radius_exp, self.sign
 
     # -- constructors ----------------------------------------------------
 
@@ -224,16 +218,6 @@ class AdicPoint:
             return bound > self.radius_exp
         return bound >= self.radius_exp
 
-    def __eq__(self, other):
-        if not isinstance(other, AdicPoint):
-            return NotImplemented
-        return (self.kind == other.kind and self.center == other.center
-                and self.radius_exp == other.radius_exp
-                and self.sign == other.sign)
-
-    def __hash__(self):
-        return hash((self.kind, self.center, self.radius_exp, self.sign))
-
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
@@ -262,15 +246,21 @@ class AdicPoint:
 def adic_point_from_json(data: dict | str,
                          config: FieldConfig | None = None) -> AdicPoint:
     """Rebuilds a point; the Gauss shorthand needs the config supplied
-    either inline (p/prec/dencap keys) or as an argument."""
+    inline (p/prec/dencap keys) or as an argument, and both must agree
+    when both are given."""
     kind = data.get("type")
     if kind == "gauss":
-        if config is None:
-            if "p" not in data:
-                raise KernelError(
-                    "the gauss shorthand needs p/prec/dencap or an "
-                    "explicit config")
-            config = FieldConfig(data["p"], data["prec"], data["dencap"])
+        if data.keys() & {"p", "prec", "dencap"}:
+            inline = FieldConfig(data["p"], data["prec"], data["dencap"])
+            if config is None:
+                config = inline
+            elif inline != config:
+                raise ConfigError(f"the gauss point has {inline}, the "
+                                  f"input has {config}")
+        elif config is None:
+            raise KernelError(
+                "the gauss shorthand needs p/prec/dencap or an "
+                "explicit config")
         return AdicPoint.gauss(config)
     if kind not in ("classical", "disc", "halo"):
         raise ConfigError(f"unknown point type {kind!r}")
@@ -279,6 +269,9 @@ def adic_point_from_json(data: dict | str,
         return AdicPoint.classical(center)
     radius = data["radius_exp"]
     q = Fraction(radius["num"], radius["den"])
+    # Fraction refuses a float or a string itself, but takes a bool
+    if not (_is_int(radius["num"]) and _is_int(radius["den"])):
+        raise TypeError(f"radius exponent {radius!r} is not num / den")
     if kind == "disc":
         return AdicPoint.disc(center, q)
     return AdicPoint.halo(center, q, data["sign"])
@@ -370,7 +363,7 @@ def _is_uniformizer_power(f: Polynomial) -> bool:
     return list(a._digits.values()) == [1] and a._low() % a.config.scale == 0
 
 
-class RationalSubset:
+class RationalSubset(_Value):
     """The locus |f_i(x)| <= |g(x)| for all i.
 
     The numerators must generate the unit ideal at working precision;
@@ -404,8 +397,8 @@ class RationalSubset:
         object.__setattr__(self, "numerators", numerators)
         object.__setattr__(self, "denominator", denominator)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("rational subsets are immutable")
+    def _key(self) -> tuple:
+        return self.numerators, self.denominator
 
     @property
     def config(self) -> FieldConfig:

@@ -48,18 +48,26 @@ read ``_digits``, ``_low()`` and ``_k`` and convert exponents with
     invert_unit             -- digit-by-digit long division
     divide_exact            -- exact division when the quotient is integral
 
-All values are immutable after construction and safe to share.
+Every value the package hands out is immutable and compares by value,
+so values are safe to share.  A value class derives from ``_Value``:
+its base ``_Frozen`` refuses every attribute write, and two values are
+equal exactly when they are of one class with equal ``_key()`` tuples,
+and hash as that tuple.  The elements derive from ``_Frozen`` alone and
+write that equality out themselves, for the shortcut on a shared config
+object.
+The two reports (``ContractReport``, ``TransferResult``) derive from
+``_Frozen`` alone too: they hold dicts and compare by identity.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import wraps
 from heapq import heapify, heappop, heappush
 from math import log10
-from operator import index
 from typing import Iterable, Mapping
 
 
@@ -93,6 +101,53 @@ class DivisionError(KernelError):
 
 class BudgetError(KernelError):
     """An operation would need more time or memory than its fixed budget."""
+
+
+# =====================================================================
+# Values
+# =====================================================================
+
+class _Frozen:
+    """Refuses every attribute write; constructors set their slots with
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state):
+        # copy and pickle restore a slotted object by setattr
+        for part in state if isinstance(state, tuple) else (state,):
+            for name, value in (part or {}).items():
+                object.__setattr__(self, name, value)
+
+
+class _Value(_Frozen):
+    """An immutable value: equal to another exactly when both are of one
+    class with equal ``_key()`` tuples, and hashed as that tuple."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+def _is_int(x) -> bool:
+    """Whether x is an integer, and not a bool: JSON's true and false
+    read as bools, which Python counts as the integers 1 and 0."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 # =====================================================================
@@ -204,7 +259,7 @@ def check_prime(p: int) -> None:
     """FieldConfig's refusal of p: ConfigError if p is not an integer,
     BudgetError from _PRIME_BOUND on, where the primality test stops
     being exact, ConfigError if p is not prime."""
-    if not isinstance(p, int):
+    if not _is_int(p):
         raise ConfigError(f"p must be an integer, got {p!r}")
     if p >= _PRIME_BOUND:
         raise BudgetError(f"p = {p} is not below {_PRIME_BOUND}, the "
@@ -218,7 +273,7 @@ def check_prime(p: int) -> None:
 _SCALE_BITS = 2 ** 20
 
 
-class FieldConfig:
+class FieldConfig(_Value):
     """Shared parameters of a computation: the prime p, the working
     precision N (elements known modulo p^N resp. t^N) and the denominator
     cap m (all exponents lie in (1/p^m) Z).
@@ -229,7 +284,7 @@ class FieldConfig:
     __slots__ = ("p", "prec", "dencap", "scale", "full")
 
     def __init__(self, p: int, prec: int, dencap: int):
-        if not all(isinstance(v, int) for v in (p, prec, dencap)):
+        if not all(map(_is_int, (p, prec, dencap))):
             raise ConfigError(f"p, prec and dencap must be integers, got "
                               f"{p!r}, {prec!r}, {dencap!r}")
         check_prime(p)
@@ -247,17 +302,8 @@ class FieldConfig:
         object.__setattr__(self, "scale", p ** dencap)
         object.__setattr__(self, "full", prec * p ** dencap)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldConfig is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldConfig):
-            return NotImplemented
-        return (self.p, self.prec, self.dencap) == (other.p, other.prec,
-                                                    other.dencap)
-
-    def __hash__(self):
-        return hash((self.p, self.prec, self.dencap))
+    def _key(self) -> tuple:
+        return self.p, self.prec, self.dencap
 
     def __repr__(self):
         return f"FieldConfig(p={self.p}, prec={self.prec}, dencap={self.dencap})"
@@ -449,16 +495,18 @@ def _mul_rows(acc: dict[int, int], a: dict[int, int], b: dict[int, int],
     return acc
 
 
-class _DigitElement:
+class _DigitElement(_Frozen):
     """Common machinery of the two element kinds.
 
     An element is stored on its config's lattice: ``_digits`` maps the
     index j of the term digit * X^(j/p^dencap) to the digit in 1..p-1,
     with the indices in increasing order and below ``_k``, and the
     element is known modulo X^(_k/p^dencap).  Canonical form is unique,
-    so equality is structural.  ``digits`` and ``precexp`` give the same
-    data with Fraction exponents (``ValExp``); the text and JSON writers
-    walk ``_digits`` in its stored order.
+    so equality is structural; it is written out here rather than taken
+    from ``_Value``, for the shortcut on a shared config object.
+    ``digits`` and ``precexp`` give the same data with Fraction
+    exponents (``ValExp``); the text and JSON writers walk ``_digits``
+    in its stored order.
     """
 
     __slots__ = ("config", "_digits", "_k")
@@ -503,9 +551,6 @@ class _DigitElement:
         _set_config(self, config)
         _set_k(self, k)
         _set_digits(self, self._normalize(acc, config, k))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- canonicalization ------------------------------------------------
 
@@ -796,7 +841,7 @@ class _DigitElement:
         return dumps(self.to_json())
 
 
-# The slots' own setters: __setattr__ refuses every write, and these are
+# The slots' own setters: _Frozen refuses every write, and these are
 # faster than object.__setattr__, which looks the slot up by name.
 _set_config = _DigitElement.config.__set__
 _set_k = _DigitElement._k.__set__
@@ -1156,11 +1201,18 @@ def dumps(doc) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+# Whether a reader call is running in this context: a reader called
+# inside another reads a part of its document, never text.
+_READING = ContextVar("_READING", default=False)
+
+
 def _json_reader(what: str, error: type = KernelError):
     """Decorates the reader of the JSON form of ``what``.  Its argument
-    ``data``, when text, is parsed first; a KernelError raised in it
-    passes through, and what else a malformed document raises becomes
-    ``error``, worded "malformed <what> JSON: <reason>"."""
+    ``data``, when text, is parsed first, by the outermost reader call
+    only: a string where a nested document belongs is refused.  A
+    KernelError raised in the reader passes through, and what else a
+    malformed document raises becomes ``error``, worded
+    "malformed <what> JSON: <reason>"."""
     def wrap(read):
         at = read.__code__.co_varnames.index("data")
 
@@ -1168,9 +1220,16 @@ def _json_reader(what: str, error: type = KernelError):
         def reader(*args, **kwargs):
             try:
                 if isinstance(args[at], str):
+                    if _READING.get():
+                        raise TypeError(f"a string where a nested {what} "
+                                        f"document belongs")
                     args = (*args[:at], json.loads(args[at]),
                             *args[at + 1:])
-                return read(*args, **kwargs)
+                token = _READING.set(True)
+                try:
+                    return read(*args, **kwargs)
+                finally:
+                    _READING.reset(token)
             except (KeyError, IndexError, TypeError, ValueError,
                     AttributeError, ZeroDivisionError, OverflowError,
                     RecursionError) as exc:
@@ -1185,8 +1244,12 @@ def element_from_json(data: dict | str) -> _DigitElement:
     cls = _kind_class(data["kind"])
     config = FieldConfig(data["p"], data["prec"], data["dencap"])
     k = _index_from_json(data["precexp"], config)
-    acc = {_index_from_json(term, config): index(term["digit"])
-           for term in data["terms"]}
+    acc = {}
+    for term in data["terms"]:
+        j, digit = _index_from_json(term, config), term["digit"]
+        if type(digit) is not int:
+            raise TypeError(f"digit {digit!r} is not an integer")
+        acc[j] = digit
     element = cls._make(config, acc, min(k, config.full))
     if element.to_json() != data:
         raise KernelError("element JSON is not in canonical form")

@@ -356,6 +356,9 @@ def verify_cmd(element, candidate, depth, eps, points, fmt):
         entries = _parse(points)
         if not isinstance(entries, list):
             raise UsageError(f"--points wants a JSON array, got {points!r}")
+        if not all(isinstance(entry, dict) for entry in entries):
+            raise UsageError(f"--points wants each point as a JSON "
+                             f"object, got {points!r}")
         sample = [point_from_json(entry) for entry in entries]
     report = verify_contract(f, g, _fraction(depth, "--c"),
                              _fraction(eps, "--eps"), sample)

@@ -32,6 +32,7 @@ from .arith import (
     _json_reader,
     _kind_class,
     _mul_rows,
+    _Value,
     divide_exact,
     element_from_json,
     reduce_mod_uniformizer,
@@ -42,7 +43,7 @@ class RootError(KernelError):
     """A root search failed: no convergence, budget, or a bad stage."""
 
 
-class Polynomial:
+class Polynomial(_Value):
     """A polynomial with coefficients in one of the two rings.
 
     Coefficients are stored ascending (index = degree).  The leading
@@ -74,8 +75,8 @@ class Polynomial:
         object.__setattr__(self, "kind", first.kind)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("polynomials are immutable")
+    def _key(self) -> tuple:
+        return self.kind, self.coeffs
 
     @classmethod
     def trimmed(cls, coeffs) -> "Polynomial":
@@ -182,14 +183,6 @@ class Polynomial:
                     top)
         return Polynomial([b._at(k) for b, k in zip(vals, ks)])
 
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.kind == other.kind and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.kind, self.coeffs))
-
     def __repr__(self):
         inner = ", ".join(c.to_text() for c in self.coeffs)
         return f"<poly/{self.kind} [{inner}]>"
@@ -205,7 +198,7 @@ class Polynomial:
         return cls([element_from_json(entry) for entry in data])
 
 
-class NewtonPolygon:
+class NewtonPolygon(_Value):
     """Root valuations of a polynomial, with multiplicities.
 
     segments: tuple of (root valuation, multiplicity), strictly
@@ -228,20 +221,11 @@ class NewtonPolygon:
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "vanishing_order", int(vanishing_order))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("polygons are immutable")
+    def _key(self) -> tuple:
+        return self.segments, self.vanishing_order
 
     def slopes(self) -> tuple:
         return tuple(s for s, _ in self.segments)
-
-    def __eq__(self, other):
-        if not isinstance(other, NewtonPolygon):
-            return NotImplemented
-        return (self.segments == other.segments
-                and self.vanishing_order == other.vanishing_order)
-
-    def __hash__(self):
-        return hash((self.segments, self.vanishing_order))
 
     def __repr__(self):
         parts = [f"({s}, x{m})" for s, m in self.segments]

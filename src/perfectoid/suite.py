@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
 from math import comb, gcd
@@ -28,6 +27,7 @@ from .arith import (
     UntiltElement,
     _mul_rows,
     _product_index,
+    _Value,
 )
 from .polyroots import (
     Polynomial,
@@ -60,12 +60,25 @@ from .toric import (
 DEFAULT_SEED = 20260822
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float
+class CheckResult(_Value):
+    """The outcome of one check: its name, whether it passed, its
+    one-line summary or first violation, and its time in seconds."""
+
+    __slots__ = ("name", "passed", "detail", "elapsed")
+
+    def __init__(self, name: str, passed: bool, detail: str,
+                 elapsed: float):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "elapsed", elapsed)
+
+    def _key(self) -> tuple:
+        return self.name, self.passed, self.detail, self.elapsed
+
+    def __repr__(self):
+        return (f"CheckResult(name={self.name!r}, passed={self.passed!r}, "
+                f"detail={self.detail!r}, elapsed={self.elapsed!r})")
 
     def to_json(self) -> dict:
         return {

@@ -43,13 +43,16 @@ from .arith import (
     UntiltElement,
     ValExp,
     _exp_pair,
+    _Frozen,
     _index,
     _index_from_json,
     _index_json,
+    _is_int,
     _json_reader,
     _kind_class,
     _lattice_index,
     _power_text,
+    _Value,
     divide_exact,
     dumps,
     element_from_json,
@@ -66,7 +69,7 @@ class ApproximationError(KernelError):
 # Monomials
 # =====================================================================
 
-class Monomial:
+class Monomial(_Value):
     """Exponent vector over the variables T_0, ..., T_{n-1}.
 
     Entries are nonnegative elements of Z[1/p] on the dencap lattice,
@@ -91,8 +94,8 @@ class Monomial:
         object.__setattr__(self, "_idx", idx)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("monomials are immutable")
+    def _key(self) -> tuple:
+        return self.config, self._idx
 
     @property
     def exps(self) -> tuple:
@@ -145,19 +148,11 @@ class Monomial:
         if other.config != self.config or other.nvars != self.nvars:
             raise ConfigError("monomials over different variable sets")
 
-    def __eq__(self, other):
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self.config == other.config and self._idx == other._idx
-
     def __lt__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented
         self._check(other)
         return self.sort_key() < other.sort_key()
-
-    def __hash__(self):
-        return hash((self.config, self._idx))
 
     def to_json(self) -> list:
         return [_index_json(j, self.config) for j in self._idx]
@@ -180,7 +175,7 @@ class Monomial:
 # Homogeneous elements
 # =====================================================================
 
-class HomogeneousElement:
+class HomogeneousElement(_Value):
     """A finite sum of monomials of one total degree.
 
     ``terms`` maps Monomial -> digit element of the stated kind; zero
@@ -217,7 +212,7 @@ class HomogeneousElement:
         # refuses a kind, variable count or term unfit for an element of
         # degree index deg
         cls = _kind_class(kind)
-        if not isinstance(nvars, int) or nvars < 1:
+        if not _is_int(nvars) or nvars < 1:
             raise ConfigError(f"variable count must be a positive integer, "
                               f"got {nvars!r}")
         for mono, coeff in items.items():
@@ -261,8 +256,9 @@ class HomogeneousElement:
         self._fill(*fields)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("homogeneous elements are immutable")
+    def _key(self) -> tuple:
+        return (self.config, self.kind, self.nvars, self._deg, self._k,
+                frozenset(self.terms.items()))
 
     @property
     def degree(self) -> Fraction:
@@ -411,21 +407,6 @@ class HomogeneousElement:
         if not self.terms:
             return self._k
         return min(c._low() for c in self.terms.values())
-
-    # -- identity --------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, HomogeneousElement):
-            return NotImplemented
-        return (self.config == other.config and self.kind == other.kind
-                and self.nvars == other.nvars
-                and self._deg == other._deg
-                and self._k == other._k
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.config, self.kind, self.nvars, self._deg,
-                     self._k, frozenset(self.terms.items())))
 
     # -- serialization ---------------------------------------------------
 
@@ -790,25 +771,22 @@ def approximate(f: HomogeneousElement, c, eps) -> HomogeneousElement:
 # Points of the unit polydisc and evaluation
 # =====================================================================
 
-class GaussPoint:
+class GaussPoint(_Value):
     """The sup-norm point: |f| is the maximum coefficient size."""
 
     __slots__ = ()
 
+    def _key(self) -> tuple:
+        return ()
+
     def to_json(self) -> dict:
         return {"kind": "gauss"}
-
-    def __eq__(self, other):
-        return isinstance(other, GaussPoint)
-
-    def __hash__(self):
-        return hash("gauss-point")
 
     def __repr__(self):
         return "<gauss point>"
 
 
-class ClassicalPoint:
+class ClassicalPoint(_Value):
     """A coordinate tuple in the unit polydisc.
 
     Coordinates are untilt elements (integral by representation).  A
@@ -852,21 +830,12 @@ class ClassicalPoint:
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "tilt_coords", tilt_coords)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("points are immutable")
+    def _key(self) -> tuple:
+        return self.coords, self.tilt_coords
 
     @property
     def nvars(self) -> int:
         return len(self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, ClassicalPoint):
-            return NotImplemented
-        return (self.coords == other.coords
-                and self.tilt_coords == other.tilt_coords)
-
-    def __hash__(self):
-        return hash((self.coords, self.tilt_coords))
 
     def to_json(self) -> dict:
         out = {"kind": "classical",
@@ -1040,7 +1009,7 @@ def _val_text(val: tuple) -> str:
     return f">={lower}"
 
 
-class ContractReport:
+class ContractReport(_Frozen):
     """Pointwise outcome of the approximation contract."""
 
     __slots__ = ("rows", "passed")
@@ -1050,9 +1019,6 @@ class ContractReport:
         object.__setattr__(self, "passed",
                            all(r["equality"] == "pass"
                                and r["inequality"] == "pass" for r in rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("reports are immutable")
 
     def failures(self) -> list:
         return [r for r in self.rows

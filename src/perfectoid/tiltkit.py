@@ -63,7 +63,9 @@ from .arith import (
     PrecisionError,
     TiltElement,
     UntiltElement,
+    _is_int,
     _json_reader,
+    _Value,
 )
 
 # =====================================================================
@@ -578,7 +580,7 @@ def _check_length(config: FieldConfig, length: int) -> None:
             f"length {length} exceeds working precision {config.prec}")
 
 
-class WittVector:
+class WittVector(_Value):
     """A finite-length Witt vector (x_0, ..., x_{n-1}) over the tilt."""
 
     __slots__ = ("config", "components")
@@ -594,8 +596,8 @@ class WittVector:
         object.__setattr__(self, "config", config)
         object.__setattr__(self, "components", components)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WittVector is immutable")
+    def _key(self) -> tuple:
+        return self.config, self.components
 
     @property
     def length(self) -> int:
@@ -611,15 +613,6 @@ class WittVector:
         _check_length(x.config, length)
         rest = [TiltElement.zero(x.config)] * (length - 1)
         return cls(x.config, [x, *rest])
-
-    def __eq__(self, other):
-        if not isinstance(other, WittVector):
-            return NotImplemented
-        return (self.config == other.config
-                and self.components == other.components)
-
-    def __hash__(self):
-        return hash((self.config, self.components))
 
     def __add__(self, other):
         return witt_add(self, other)
@@ -640,7 +633,10 @@ class WittVector:
     def from_json(cls, data: dict | str) -> "WittVector":
         from .arith import element_from_json
         components = [element_from_json(c) for c in data["components"]]
-        if data["length"] != len(components):
+        length = data["length"]
+        if not _is_int(length):
+            raise TypeError(f"length {length!r} is not an integer")
+        if length != len(components):
             raise KernelError("Witt length field does not match")
         if not components:
             raise KernelError("Witt vectors have length >= 1")

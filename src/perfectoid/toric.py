@@ -29,7 +29,10 @@ from .arith import (
     FieldConfig,
     KernelError,
     UntiltElement,
+    _Frozen,
+    _is_int,
     _json_reader,
+    _Value,
     check_prime,
     denominator_power,
 )
@@ -42,10 +45,6 @@ class ConeError(KernelError):
 # =====================================================================
 # Exact linear algebra helpers
 # =====================================================================
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
 
 def _int_tuple(v) -> tuple[int, ...]:
     """The entries of v, which must be integers: a float or a string is
@@ -183,7 +182,7 @@ def _nonneg_solutions(vectors, rank: int) -> tuple[tuple[int, ...], ...]:
 # Cones
 # =====================================================================
 
-class Cone:
+class Cone(_Value):
     """A rational polyhedral cone given by generators in Z^rank.
 
     Generators are in one canonical form, so equal cones compare equal
@@ -230,8 +229,8 @@ class Cone:
         object.__setattr__(self, "_duals", None)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("cones are immutable")
+    def _key(self) -> tuple:
+        return self.rank, self.generators
 
     @property
     def duals(self) -> tuple[tuple[int, ...], ...]:
@@ -284,15 +283,6 @@ class Cone:
                     seen[fgens] = Cone._trusted(self.rank, fgens)
         return list(seen.values())
 
-    def __eq__(self, other):
-        if not isinstance(other, Cone):
-            return NotImplemented
-        return (self.rank, self.generators) == (other.rank,
-                                                other.generators)
-
-    def __hash__(self):
-        return hash((self.rank, self.generators))
-
     def to_json(self) -> list:
         return [list(v) for v in self.generators]
 
@@ -317,7 +307,7 @@ def dual_cone(cone: Cone) -> Cone:
 # Fans
 # =====================================================================
 
-class Fan:
+class Fan(_Value):
     """A finite face-closed collection of pointed cones.
 
     Construction closes the input under faces (so listing only maximal
@@ -358,32 +348,27 @@ class Fan:
                 raise ConeError(
                     f"cone {list(c.generators)} lies inside "
                     f"{list(host.generators)} without being a face of it")
+        # the fan condition: two maximal cones meet in a face of each.
+        # The meet is the dual of their duals, computed in any rank; it
+        # and the faces are in canonical form, so generators compare
+        face_gens = {m: {f.generators for f in faces[m]} for m in maximal}
         for a, b in combinations(maximal, 2):
-            defect = _intersection_defect(faces[a], faces[b], a.duals,
-                                          b.duals, rank)
-            if defect is not None:
+            meet = _nonneg_solutions(set(a.duals) | set(b.duals), rank)
+            if meet not in face_gens[a] or meet not in face_gens[b]:
                 raise ConeError(
                     f"cones {list(a.generators)} and {list(b.generators)} "
-                    f"{defect}")
+                    f"meet in {list(meet)}, which is not a common face")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "cones", tuple(allc))
         object.__setattr__(self, "maximal_cones", tuple(maximal))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("fans are immutable")
+    def _key(self) -> tuple:
+        return self.rank, self.cones
 
     @property
     def rays(self) -> tuple[tuple[int, ...], ...]:
         return tuple(c.generators[0] for c in self.cones
                      if len(c.generators) == 1 and c.dim == 1)
-
-    def __eq__(self, other):
-        if not isinstance(other, Fan):
-            return NotImplemented
-        return (self.rank, self.cones) == (other.rank, other.cones)
-
-    def __hash__(self):
-        return hash((self.rank, self.cones))
 
     def to_json(self) -> dict:
         return {"rank": self.rank,
@@ -402,32 +387,6 @@ class Fan:
 
 def _subcone(a: Cone, b: Cone) -> bool:
     return all(b.contains(v) for v in a.generators)
-
-
-def _intersection_defect(a_faces: list[Cone], b_faces: list[Cone],
-                         a_duals: list, b_duals: list,
-                         rank: int) -> str | None:
-    """None when the intersection of two cones is a common face, else a
-    witness.
-
-    a_faces and b_faces are the faces of the cones, a_duals and b_duals
-    the generators of their duals.  Common faces are faces of one cone,
-    so one lies inside another exactly when its generators are a subset
-    of the other's.  The intersection is computed outright by double
-    dualization, in any rank, and must be the one maximal common face;
-    both are in canonical form, so their generators compare directly.
-    """
-    b_faces = set(b_faces)
-    common = {f: set(f.generators) for f in a_faces if f in b_faces}
-    maxes = [f for f, gens in common.items()
-             if not any(gens < other for other in common.values())]
-    if len(maxes) != 1:
-        return (f"share several maximal faces "
-                f"{[list(f.generators) for f in maxes]}")
-    gens = _nonneg_solutions(set(a_duals) | set(b_duals), rank)
-    if gens != maxes[0].generators:
-        return f"meet in {list(gens)}, which is not a common face"
-    return None
 
 
 def validate_fan(cones, rank: int | None = None) -> Fan:
@@ -498,7 +457,7 @@ def _coefficient(value) -> Fraction:
                         f"{exc}") from exc
 
 
-class TWeilDivisor:
+class TWeilDivisor(_Value):
     """A rational coefficient per ray of the fan.
 
     Integer coefficients give honest torus-invariant divisors; p-power
@@ -535,8 +494,8 @@ class TWeilDivisor:
         object.__setattr__(self, "fan", fan)
         object.__setattr__(self, "coefficients", coeffs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("divisors are immutable")
+    def _key(self) -> tuple:
+        return self.fan, self.coefficients
 
     def scaled(self, factor) -> "TWeilDivisor":
         factor = Fraction(factor)
@@ -735,7 +694,7 @@ def _projective_dimension(fan: Fan) -> int | None:
     return None
 
 
-class TransferResult:
+class TransferResult(_Frozen):
     """Outcome of a hypersurface transfer.
 
     approximant: the section over the characteristic-p side.
@@ -753,9 +712,6 @@ class TransferResult:
         object.__setattr__(self, "twist", twist)
         object.__setattr__(self, "integralized", integralized)
         object.__setattr__(self, "report", report)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("transfer results are immutable")
 
     def to_json(self) -> dict:
         return {"g": self.approximant.to_json(),

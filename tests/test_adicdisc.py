@@ -314,10 +314,7 @@ def test_rational_subset_validation_and_json():
     with pytest.raises(ConfigError):
         RationalSubset([tpoly(1)], upoly(1))
     U = RationalSubset([T_VAR], upoly(3))
-    again = RationalSubset.from_json(U.to_json())
-    assert [f.coeffs for f in again.numerators] \
-        == [f.coeffs for f in U.numerators]
-    assert again.denominator.coeffs == U.denominator.coeffs
+    assert RationalSubset.from_json(U.to_json()) == U
 
 
 # ---------------------------------------------------------------------
@@ -571,6 +568,8 @@ def test_gauss_json_shorthand():
     assert data["type"] == "gauss"
     assert adic_point_from_json(data) == g
     assert adic_point_from_json({"type": "gauss"}, config=C) == g
+    # an inline config equal to the caller's leaves the caller's object
+    assert adic_point_from_json(data, config=C).config is C
     with pytest.raises(KernelError):
         adic_point_from_json({"type": "gauss"})
 

@@ -226,6 +226,19 @@ def _argvs():
                                  "--c", "1", "--eps", "1/3", "--points",
                                  '{"kind":"gauss"}']),
         ("usage-deep-nesting", ["newton", "[" * 10_000]),
+        # JSON's true where an integer belongs, and a Gauss point whose
+        # inline config is not the polynomial's
+        ("refuse-config-true-prec",
+         ["sharp", '{"kind":"tilt","p":3,"prec":true,"dencap":0,'
+          '"precexp":{"num":1,"denpow":0},'
+          '"terms":[{"num":0,"denpow":0,"digit":1}]}']),
+        ("refuse-config-gauss-prime",
+         ["disc", "eval", "x2-p.json", "--point",
+          '{"type":"gauss","p":5,"prec":8,"dencap":4}']),
+        # a point given as JSON text inside the --points array
+        ("usage-points-nested-text",
+         ["verify", "linear-form.json", candidate, "--c", "1", "--eps",
+          "1/3", "--points", '["{\\"kind\\":\\"gauss\\"}"]']),
     ]
     return cases
 

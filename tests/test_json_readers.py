@@ -1,7 +1,8 @@
 """Every public reader of a JSON form follows one rule.
 
-Text is parsed, a parsed value is taken as it is, fields are checked
-and never converted, and a malformed document is refused with the
+Text is parsed, by the outermost reader call only, a parsed value is
+taken as it is, fields are checked and never converted (JSON's true is
+not the integer 1), and a malformed document is refused with the
 reader's typed error: ``ConeError`` for the toric readers, a
 ``KernelError`` for the rest.  The table below feeds each reader the
 same list of malformed documents, plus malformed fields of one of its
@@ -32,6 +33,17 @@ ELEMENT = DOCS["t.json"]
 CONFIG = FieldConfig(ELEMENT["p"], ELEMENT["prec"], ELEMENT["dencap"])
 P2 = projective_fan(2)
 DELETE = object()
+# documents of one variable and one component: there, true read as the
+# integer 1 would fit
+ONE_VARIABLE = HomogeneousElement.variable(CONFIG, "tilt", 1, 0).to_json()
+ONE_COMPONENT = {"length": 1, "components": [ELEMENT]}
+
+
+def _text(doc, *path):
+    """The part of doc at path, as JSON text."""
+    for key in path:
+        doc = doc[key]
+    return json.dumps(doc)
 
 # Documents malformed for every reader: text that is not JSON, nesting
 # past the recursion limit, values of the wrong shape, and the radius
@@ -62,6 +74,9 @@ READERS = [
          "string-digit": (["terms", 0, "digit"], "1"),
          "float-digit": (["terms", 0, "digit"], 1.0),
          "float-exponent": (["terms", 0, "num"], 1.9),
+         "true-int": (["dencap"], True),
+         "true-digit": (["terms", 0, "digit"], True),
+         "string-document": (["precexp"], _text(ELEMENT, "precexp")),
      }),
     ("perfectoid.tiltkit.WittVector.from_json", WittVector.from_json,
      KernelError, "Witt", DOCS["witt-t.json"], {
@@ -69,12 +84,17 @@ READERS = [
          "string-int": (["length"], "3"),
          "float-int": (["length"], 3.9),
          "float-component": (["components", 0, "dencap"], 6.0),
+         "true-int": ([], {**ONE_COMPONENT, "length": True}),
+         "string-document": (["components", 0],
+                             _text(DOCS["witt-t.json"], "components", 0)),
      }),
     ("perfectoid.polyroots.Polynomial.from_json", Polynomial.from_json,
      KernelError, "polynomial", DOCS["x2-p.json"], {
          "missing-key": ([0, "terms"], DELETE),
          "string-int": ([0, "p"], "3"),
          "float-int": ([0, "p"], 3.9),
+         "true-int": ([2, "terms", 0, "digit"], True),
+         "string-document": ([0], _text(DOCS["x2-p.json"], 0)),
      }),
     ("perfectoid.tatealg.HomogeneousElement.from_json",
      HomogeneousElement.from_json, KernelError, "homogeneous element",
@@ -84,6 +104,14 @@ READERS = [
          "float-int": (["p"], 3.9),
          "float-nvars": (["nvars"], 3.5),
          "float-exponent": (["terms", 0, "exps", 0, "num"], 1.9),
+         "true-int": (["terms", 0, "coeff", "terms", 0, "digit"], True),
+         "true-nvars": ([], {**ONE_VARIABLE, "nvars": True}),
+         "string-document": (["terms", 0, "coeff"],
+                             _text(DOCS["linear-form.json"], "terms", 0,
+                                   "coeff")),
+         "string-monomial": (["terms", 0, "exps"],
+                             _text(DOCS["linear-form.json"], "terms", 0,
+                                   "exps")),
      }),
     ("perfectoid.tatealg.Monomial.from_json",
      lambda data: Monomial.from_json(CONFIG, data), KernelError,
@@ -91,12 +119,16 @@ READERS = [
          "missing-key": ([0, "denpow"], DELETE),
          "string-int": ([0, "num"], "1"),
          "float-int": ([0, "num"], 1.9),
+         "true-int": ([0, "num"], True),
+         "string-document": ([0], json.dumps({"num": 1, "denpow": 0})),
      }),
     ("perfectoid.tatealg.point_from_json", point_from_json, KernelError,
      "point", {"kind": "classical", "coords": [DOCS["u.json"]]}, {
          "missing-key": (["coords"], DELETE),
          "string-int": (["coords", 0, "p"], "3"),
          "float-int": (["coords", 0, "p"], 3.9),
+         "true-int": (["coords", 0, "terms", 1, "digit"], True),
+         "string-document": (["coords", 0], _text(DOCS["u.json"])),
      }),
     ("perfectoid.adicdisc.adic_point_from_json", adic_point_from_json,
      KernelError, "adic point",
@@ -112,6 +144,11 @@ READERS = [
                                    "dencap": 4}),
          "string-gauss-prec": ([], {"type": "gauss", "p": 3, "prec": "4",
                                     "dencap": 4}),
+         "true-int": (["radius_exp", "num"], True),
+         "true-gauss-prec": ([], {"type": "gauss", "p": 3, "prec": True,
+                                  "dencap": 4}),
+         "string-document": (["center"],
+                             UntiltElement.zero(CONFIG).dumps()),
      }),
     ("perfectoid.adicdisc.RationalSubset.from_json",
      RationalSubset.from_json, KernelError, "rational subset",
@@ -119,6 +156,11 @@ READERS = [
          "missing-key": (["denominator"], DELETE),
          "string-int": (["numerators", 0, 0, "p"], "3"),
          "float-int": (["numerators", 0, 0, "p"], 3.9),
+         "true-int": (["numerators", 1, 0, "terms", 0, "digit"], True),
+         "string-document": (["denominator"],
+                             _text(DOCS["subset-t.json"], "denominator")),
+         "string-element": (["denominator", 0],
+                            _text(DOCS["subset-t.json"], "denominator", 0)),
      }),
     ("perfectoid.toric.Fan.from_json", Fan.from_json, ConeError, "fan",
      DOCS["pn2.json"], {
@@ -126,6 +168,9 @@ READERS = [
          "string-int": (["rank"], "2"),
          "float-int": (["rank"], 2.5),
          "float-ray": (["cones", 0, 0, 0], 1.0),
+         "true-int": (["rank"], True),
+         "string-document": (["cones", 0], _text(DOCS["pn2.json"], "cones",
+                                                 0)),
      }),
     ("perfectoid.toric.TWeilDivisor.from_json",
      lambda data: TWeilDivisor.from_json(P2, data), ConeError, "divisor",
@@ -135,6 +180,8 @@ READERS = [
          "float-int": (["rays", 0, 0], 1.5),
          "infinite-coefficient": (["coefficients", 0], float("inf")),
          "zero-denominator-coefficient": (["coefficients", 0], "1/0"),
+         "true-int": (["rays", 0, 0], True),
+         "string-document": (["rays", 0], "[-1, -1]"),
      }),
 ]
 

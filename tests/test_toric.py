@@ -341,6 +341,16 @@ def test_rank_four_overlaps_are_refused():
         Fan(4, [orthant, octahedron])
 
 
+def test_a_pair_with_two_maximal_common_faces_is_refused_by_its_meet():
+    # the cones share the rays (1,0,1) and (-1,0,1), opposite corners of
+    # the square, and meet in a cone that is a face of neither
+    square = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+    with pytest.raises(ConeError, match=(
+            r"meet in \[\(-1, 0, 1\), \(0, 1, 1\), \(1, 0, 1\)\], "
+            r"which is not a common face$")):
+        Fan(3, [square, [(1, 0, 1), (-1, 0, 1), (0, 1, -1)]])
+
+
 def test_validate_fan_infers_rank_and_round_trips():
     fan = validate_fan([[(1, 0), (0, 1)], [(0, 1), (-1, -1)],
                         [(-1, -1), (1, 0)]])
@@ -379,8 +389,7 @@ def test_divisor_indexing():
         TWeilDivisor(P2, [1, 0])
     with pytest.raises(ConeError):
         TWeilDivisor(P2, {(0, 1): 1})
-    again = TWeilDivisor.from_json(P2, HYPERPLANE.to_json())
-    assert again.coefficients == HYPERPLANE.coefficients
+    assert TWeilDivisor.from_json(P2, HYPERPLANE.to_json()) == HYPERPLANE
 
 
 @pytest.mark.parametrize("data,message", [
