@@ -40,6 +40,11 @@ from .arith import (
 )
 from .polyroots import Polynomial
 
+__all__ = [
+    "Rank2Value", "AdicPoint", "adic_point_from_json", "eval_at",
+    "RationalSubset", "in_rational_subset", "specializes", "tilt_point_check",
+]
+
 _SIGNS = ("<", ">")
 
 
@@ -457,15 +462,6 @@ def specializes(x: AdicPoint, y: AdicPoint) -> bool:
         return False
     diff = x.center - y.center
     return Fraction(diff._low(), diff.config.scale) >= x.radius_exp
-
-
-def generizations(x: AdicPoint, candidates) -> list:
-    """The candidates (plus x) that specialize to x, sorted generic
-    first; by the model this is always a chain."""
-    chain = [y for y in candidates if specializes(y, x)
-             and not y.same_point(x)]
-    chain.sort(key=lambda y: y.classify())
-    return chain + [x]
 
 
 # =====================================================================

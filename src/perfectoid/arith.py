@@ -68,7 +68,16 @@ from fractions import Fraction
 from functools import wraps
 from heapq import heapify, heappop, heappush
 from math import log10
-from typing import Iterable, Mapping
+from typing import Mapping
+
+__all__ = [
+    "KernelError", "ConfigError", "DencapError", "PrecisionError",
+    "IndeterminateError", "DivisionError", "BudgetError", "ValExp", "INF",
+    "FieldConfig", "UntiltElement", "TiltElement", "check_prime",
+    "denominator_power", "reduce_mod_uniformizer", "lift_mod_uniformizer",
+    "pth_root_mod", "invert_unit", "divide_exact", "parse_text", "dumps",
+    "element_from_json",
+]
 
 
 # =====================================================================
@@ -637,9 +646,6 @@ class _DigitElement(_Frozen):
         for j in self._digits:
             return j
         return self._k
-
-    def sorted_digits(self) -> list[tuple[ValExp, int]]:
-        return list(self.digits.items())
 
     def digit_at(self, exponent) -> int:
         return self._digits.get(_index(exponent, self.config), 0)

@@ -38,6 +38,8 @@ from .arith import (
     reduce_mod_uniformizer,
 )
 
+__all__ = ["main", "UsageError", "fixture_dir"]
+
 
 class UsageError(Exception):
     """A command line the parser accepts but its command cannot use: a
@@ -356,6 +358,9 @@ def verify_cmd(element, candidate, depth, eps, points, fmt):
         entries = _parse(points)
         if not isinstance(entries, list):
             raise UsageError(f"--points wants a JSON array, got {points!r}")
+        if not entries:
+            raise UsageError(f"--points wants at least one point, got "
+                             f"{points!r}")
         if not all(isinstance(entry, dict) for entry in entries):
             raise UsageError(f"--points wants each point as a JSON "
                              f"object, got {points!r}")
@@ -487,6 +492,8 @@ def suite_cmd(seed, only, fmt):
     names = None
     if only is not None:
         names = [part.strip() for part in only.split(",") if part.strip()]
+        if not names:
+            raise UsageError(f"--only names no check: {only!r}")
         known = set(check_names())
         for name in names:
             if name not in known:

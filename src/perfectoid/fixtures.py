@@ -20,6 +20,11 @@ from .tatealg import HomogeneousElement
 from .tiltkit import WittVector
 from .toric import Fan, TWeilDivisor, projective_fan
 
+__all__ = [
+    "fixture_documents", "fixture_parsers", "is_rejection_fixture",
+    "write_fixtures",
+]
+
 
 def _element_fixtures():
     config = FieldConfig(3, 8, 4)

@@ -38,6 +38,12 @@ from .arith import (
     reduce_mod_uniformizer,
 )
 
+__all__ = [
+    "RootError", "Polynomial", "NewtonPolygon", "newton_polygon",
+    "hensel_root", "charp_root", "fw_transfer", "transfer_agreement",
+    "mixed_root_refine",
+]
+
 
 class RootError(KernelError):
     """A root search failed: no convergence, budget, or a bad stage."""

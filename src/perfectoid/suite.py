@@ -57,6 +57,11 @@ from .toric import (
     sections,
 )
 
+__all__ = [
+    "DEFAULT_SEED", "CheckResult", "SuiteFailure", "check_names", "run_check",
+    "run_all",
+]
+
 DEFAULT_SEED = 20260822
 
 
@@ -79,14 +84,6 @@ class CheckResult(_Value):
     def __repr__(self):
         return (f"CheckResult(name={self.name!r}, passed={self.passed!r}, "
                 f"detail={self.detail!r}, elapsed={self.elapsed!r})")
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-            "elapsed": round(self.elapsed, 3),
-        }
 
 
 class SuiteFailure(AssertionError):
@@ -554,13 +551,3 @@ def run_all(seed: int = DEFAULT_SEED, names=None) -> list[CheckResult]:
     if names is None:
         names = check_names()
     return [run_check(name, seed) for name in names]
-
-
-def format_lines(results) -> list[str]:
-    width = max(len(r.name) for r in results)
-    lines = []
-    for r in results:
-        status = "pass" if r.passed else "FAIL"
-        lines.append(f"{r.name.ljust(width)}  {status}  "
-                     f"{r.elapsed:6.2f}s  {r.detail}")
-    return lines

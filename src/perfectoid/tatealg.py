@@ -60,6 +60,13 @@ from .arith import (
 )
 from .tiltkit import sharp
 
+__all__ = [
+    "ApproximationError", "Monomial", "HomogeneousElement", "sharp_element",
+    "decompose", "approximate", "GaussPoint", "ClassicalPoint",
+    "point_from_json", "evaluate", "valuation_at", "ContractReport",
+    "verify_contract",
+]
+
 
 class ApproximationError(KernelError):
     """The expansion step cannot represent a remainder within budget."""
@@ -479,16 +486,6 @@ def sharp_element(g: HomogeneousElement,
                               terms, target_prec)
 
 
-def reduce_element(f: HomogeneousElement) -> HomogeneousElement:
-    """The residue modulo the uniformizer, written on the tilt side."""
-    if not isinstance(f, HomogeneousElement) or f.kind != "untilt":
-        raise ConfigError("reduce_element expects an untilt homogeneous "
-                          "element")
-    terms = {m: reduce_mod_uniformizer(c) for m, c in f.terms.items()}
-    return HomogeneousElement._make(f.config, "tilt", f.nvars, f._deg, terms,
-                                    min(f._k, f.config.scale))
-
-
 def _residue_lift(f: HomogeneousElement) -> HomogeneousElement:
     # Tilt element matching f mod w, promoted to a full-precision
     # representative (digits of the residue are exact by convention).
@@ -497,25 +494,6 @@ def _residue_lift(f: HomogeneousElement) -> HomogeneousElement:
              for m, c in f.terms.items()}
     return HomogeneousElement._make(f.config, "tilt", f.nvars, f._deg, terms,
                                     full)
-
-
-def tilt_power(g: HomogeneousElement, i) -> HomogeneousElement:
-    """g^i for rational i >= 0 in Z[1/p], on the tilt side.
-
-    Fractional powers are exact in characteristic p: the p-th root acts
-    digit by digit on coefficients and divides monomial exponents by p.
-    The input is treated as an exact finite expansion, so the result is
-    produced at full working precision.
-
-    Raises:
-        DencapError: a rooted exponent leaves the dencap lattice.
-    """
-    if not isinstance(g, HomogeneousElement) or g.kind != "tilt":
-        raise ConfigError("tilt_power expects a tilt homogeneous element")
-    frac = Fraction(i)
-    if frac < 0:
-        raise KernelError(f"nonnegative power expected, got {frac}")
-    return _tilt_power(g, _lattice_index(frac, g.config))
 
 
 def _tilt_power(g: HomogeneousElement, j: int) -> HomogeneousElement:

@@ -68,6 +68,11 @@ from .arith import (
     _Value,
 )
 
+__all__ = [
+    "untilt_power_pn", "sharp", "sharp_const", "WittVector", "witt_add",
+    "witt_mul", "theta",
+]
+
 # =====================================================================
 # Layer-ring powering
 # =====================================================================

@@ -25,7 +25,6 @@ from math import floor, gcd, lcm, log2, prod
 
 from .arith import (
     BudgetError,
-    ConfigError,
     FieldConfig,
     KernelError,
     UntiltElement,
@@ -36,6 +35,12 @@ from .arith import (
     check_prime,
     denominator_power,
 )
+
+__all__ = [
+    "ConeError", "Cone", "dual_cone", "Fan", "is_smooth", "is_complete",
+    "TWeilDivisor", "sections", "frobenius_pullback", "projective_fan",
+    "TransferResult", "hypersurface_transfer",
+]
 
 
 class ConeError(KernelError):
@@ -389,22 +394,6 @@ def _subcone(a: Cone, b: Cone) -> bool:
     return all(b.contains(v) for v in a.generators)
 
 
-def validate_fan(cones, rank: int | None = None) -> Fan:
-    """Builds a Fan from maximal cones, inferring rank when possible."""
-    cones = list(cones)
-    if rank is None:
-        for c in cones:
-            if isinstance(c, Cone):
-                rank = c.rank
-                break
-            if c:
-                rank = len(list(c[0]))
-                break
-    if rank is None:
-        raise ConeError("cannot infer the fan rank; pass it explicitly")
-    return Fan(rank, cones)
-
-
 def is_smooth(fan: Fan) -> bool:
     """Every maximal cone's generators extend to a lattice basis."""
     for cone in fan.maximal_cones:
@@ -509,7 +498,12 @@ class TWeilDivisor(_Value):
     @classmethod
     @_json_reader("divisor", ConeError)
     def from_json(cls, fan: Fan, data: dict | str) -> "TWeilDivisor":
-        coeffs = [Fraction(a) for a in data["coefficients"]]
+        coeffs = data["coefficients"]
+        if not isinstance(coeffs, list) or not all(
+                _is_int(a) or isinstance(a, str) for a in coeffs):
+            raise TypeError(f"coefficients {coeffs!r} are not a list of "
+                            f"integers and rational strings")
+        coeffs = list(map(Fraction, coeffs))
         given = (tuple(map(_int_tuple, data["rays"]))
                  if "rays" in data else fan.rays)
         if given != fan.rays:
@@ -780,14 +774,3 @@ def hypersurface_transfer(fan: Fan, f: HomogeneousElement, c,
     sample = _transfer_sample(f.config, f.nvars)
     report = verify_contract(f, g, c, eps, sample)
     return TransferResult(g, twist, h, report)
-
-
-def complete_intersection_degree(degrees) -> Fraction:
-    """Degree of a transverse intersection of hypersurfaces against the
-    ample class: the product of the individual degrees.  Each factor
-    cuts the dimension by one, so intersecting two transferred
-    hypersurfaces is plain bookkeeping on (degree, codimension)."""
-    out = Fraction(1)
-    for d in degrees:
-        out *= Fraction(d)
-    return out

@@ -11,8 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from perfectoid.arith import FieldConfig, TiltElement, UntiltElement
-from perfectoid.cli import dumps, fixture_dir
+from perfectoid.arith import FieldConfig, TiltElement, UntiltElement, dumps
+from perfectoid.cli import fixture_dir
 from perfectoid.polyroots import Polynomial
 from perfectoid.suite import CheckResult
 from perfectoid.tiltkit import WittVector
@@ -301,6 +301,18 @@ def test_verify_refuses_points_that_are_not_an_array(runner):
     assert "--points wants a JSON array" in report.stderr
 
 
+def test_verify_refuses_an_empty_points_array(runner):
+    # a contract checked at no point would pass vacuously
+    approx = invoke(runner, "approx", "linear-form.json",
+                    "--c", "1", "--eps", "1/3")
+    report = invoke(runner, "verify", "linear-form.json",
+                    approx.output.strip(), "--c", "1", "--eps", "1/3",
+                    "--points", "[]")
+    assert report.exit_code == 2
+    assert report.stdout == ""
+    assert "--points wants at least one point" in report.stderr
+
+
 def test_a_flag_value_may_start_with_a_minus_sign(runner):
     # "-1/3" is the value of --c, refused by the kernel, not an option
     result = invoke(runner, "approx", "linear-form.json", "--c", "-1/3",
@@ -580,6 +592,15 @@ def test_suite_text_table(runner):
 def test_suite_unknown_check_is_a_usage_error(runner):
     result = invoke(runner, "suite", "--only", "no-such-check")
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_suite_selection_of_no_check_is_a_usage_error(runner, fmt):
+    # an empty battery would otherwise pass, or end in a traceback
+    result = invoke(runner, "suite", "--only", ",", "--format", fmt)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "--only names no check" in result.stderr
 
 
 def test_suite_exit_code_follows_failures(runner, monkeypatch):

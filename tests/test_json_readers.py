@@ -180,6 +180,8 @@ READERS = [
          "float-int": (["rays", 0, 0], 1.5),
          "infinite-coefficient": (["coefficients", 0], float("inf")),
          "zero-denominator-coefficient": (["coefficients", 0], "1/0"),
+         "true-coefficient": (["coefficients", 0], True),
+         "float-coefficient": (["coefficients", 0], 0.5),
          "true-int": (["rays", 0, 0], True),
          "string-document": (["rays", 0], "[-1, -1]"),
      }),
@@ -236,15 +238,13 @@ def test_a_malformed_document_is_refused_typed(read, error, what, doc,
 
 
 def _public_readers():
-    """Qualified names of every public ``from_json`` class method and
-    ``*_from_json`` function the package defines."""
+    """Qualified names of every ``from_json`` class method and
+    ``*_from_json`` function in a module's ``__all__``."""
     found = set()
     for info in pkgutil.iter_modules(perfectoid.__path__):
         module = importlib.import_module(f"perfectoid.{info.name}")
-        for attr, obj in vars(module).items():
-            if attr.startswith("_") or \
-                    getattr(obj, "__module__", None) != module.__name__:
-                continue
+        for attr in module.__all__:
+            obj = getattr(module, attr)
             if inspect.isfunction(obj) and attr.endswith("_from_json"):
                 found.add(f"{module.__name__}.{attr}")
             if inspect.isclass(obj) and "from_json" in vars(obj):

@@ -423,7 +423,7 @@ def test_charp_matches_brute_force(p):
                     continue
                 assert vf in finite
                 by_slope.setdefault(vf, set()).add(
-                    y.sorted_digits()[0][1])
+                    next(iter(y.digits.values())))
             for s, mult in polygon.segments:
                 assert len(by_slope.get(s, ())) <= mult
     assert checked > 10

@@ -1,0 +1,128 @@
+"""Every module declares its public surface, and src carries no public
+code that only the tests use.
+
+A module's ``__all__`` lists the names another module, the command line,
+the battery, the README or the benchmark uses, plus the operations its
+own public functions are built on.  Three rules follow, read from the
+source: every ``__all__`` name resolves; every public top-level name is
+in ``__all__`` or used in src outside its own definition (or held in one
+of the module's private tables, as ``cli._COMMANDS`` and
+``suite._CHECKS`` hold the commands and checks); and every ``__all__``
+name is used somewhere besides the tests.
+"""
+
+import ast
+import importlib
+import re
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "perfectoid"
+MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+TREES = {name: ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+         for name in MODULES}
+OUTSIDE_SRC = "\n".join(
+    [(ROOT / "README.md").read_text(encoding="utf-8")]
+    + [path.read_text(encoding="utf-8")
+       for path in sorted((ROOT / "perfbench").rglob("*.py"))])
+
+# __all__ names that only the tests use, with the reason each stays
+TEST_ONLY = {
+    ("fixtures", "fixture_parsers"): "the fixtures module exists to "
+    "generate the bundled fixtures and to verify them against it",
+    ("fixtures", "is_rejection_fixture"): "as fixture_parsers",
+}
+
+
+def _module(name):
+    return importlib.import_module(
+        "perfectoid" if name == "__init__" else f"perfectoid.{name}")
+
+
+def _definitions(tree):
+    """The top-level statements of tree that bind a name, by name."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    found[target.id] = node
+    return found
+
+
+def _references(node):
+    """The names the code under node reads or imports, with repeats."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+# an import counts: the package's own re-export is a use
+REFERENCES = Counter(name for tree in TREES.values()
+                     for name in _references(tree))
+
+
+def _used_in_src(name, definition):
+    """Whether src uses name outside the statement defining it."""
+    inside = Counter(_references(definition)) if definition else Counter()
+    return REFERENCES[name] > inside[name]
+
+
+def _registered(module):
+    """The objects held in the module's private top-level tables."""
+    held = set()
+    for attr, value in vars(module).items():
+        if attr.startswith("_") and isinstance(value, (list, tuple)):
+            for entry in value:
+                for obj in entry if isinstance(entry, tuple) else (entry,):
+                    held.add(id(obj))
+    return held
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_module_declares_names_that_resolve(name):
+    module = _module(name)
+    assert isinstance(getattr(module, "__all__", None), list)
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert missing == []
+    assert len(set(module.__all__)) == len(module.__all__)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_public_name_is_declared_or_used_in_src(name):
+    module = _module(name)
+    registered = _registered(module)
+    stray = [attr for attr, node in _definitions(TREES[name]).items()
+             if not attr.startswith("_") and attr not in module.__all__
+             and not _used_in_src(attr, node)
+             and id(getattr(module, attr)) not in registered]
+    assert stray == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_declared_name_is_used_only_by_the_tests(name):
+    module = _module(name)
+    definitions = _definitions(TREES[name])
+    test_only = [
+        attr for attr in module.__all__
+        if not attr.startswith("_") and (name, attr) not in TEST_ONLY
+        and not _used_in_src(attr, definitions.get(attr))
+        and not re.search(rf"\b{attr}\b", OUTSIDE_SRC)]
+    assert test_only == []
+
+
+def test_the_written_exceptions_are_still_needed():
+    for name, attr in TEST_ONLY:
+        definitions = _definitions(TREES[name])
+        assert attr in _module(name).__all__
+        assert not _used_in_src(attr, definitions[attr])
+        assert not re.search(rf"\b{attr}\b", OUTSIDE_SRC)

@@ -10,13 +10,7 @@ import pytest
 import perfectoid.suite as suite
 from perfectoid.adicdisc import Rank2Value, eval_at
 from perfectoid.arith import FieldConfig, KernelError, TiltElement, UntiltElement
-from perfectoid.suite import (
-    CheckResult,
-    check_names,
-    format_lines,
-    run_all,
-    run_check,
-)
+from perfectoid.suite import check_names, run_all, run_check
 from perfectoid.tiltkit import sharp
 
 
@@ -54,21 +48,6 @@ def test_run_all_respects_name_subset(monkeypatch):
     results = run_all(seed=7, names=["b"])
     assert [r.name for r in results] == ["b"]
     assert calls == [7]
-
-
-def test_result_json_shape():
-    result = CheckResult("sample", True, "fine", 0.5)
-    assert result.to_json() == {
-        "name": "sample", "passed": True, "detail": "fine",
-        "elapsed": 0.5}
-
-
-def test_format_lines_aligns_and_flags():
-    lines = format_lines([
-        CheckResult("short", True, "ok", 0.1),
-        CheckResult("much-longer-name", False, "bad", 2.0)])
-    assert lines[0].startswith("short             pass")
-    assert "FAIL" in lines[1]
 
 
 # =====================================================================

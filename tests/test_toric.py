@@ -33,7 +33,6 @@ from perfectoid.toric import (
     TransferResult,
     _matrix_rank,
     _nullspace_vectors,
-    complete_intersection_degree,
     dual_cone,
     frobenius_pullback,
     hypersurface_transfer,
@@ -41,7 +40,6 @@ from perfectoid.toric import (
     is_smooth,
     projective_fan,
     sections,
-    validate_fan,
 )
 
 C = FieldConfig(3, 4, 5)
@@ -351,9 +349,9 @@ def test_a_pair_with_two_maximal_common_faces_is_refused_by_its_meet():
         Fan(3, [square, [(1, 0, 1), (-1, 0, 1), (0, 1, -1)]])
 
 
-def test_validate_fan_infers_rank_and_round_trips():
-    fan = validate_fan([[(1, 0), (0, 1)], [(0, 1), (-1, -1)],
-                        [(-1, -1), (1, 0)]])
+def test_fan_of_maximal_cones_round_trips():
+    fan = Fan(2, [[(1, 0), (0, 1)], [(0, 1), (-1, -1)],
+                  [(-1, -1), (1, 0)]])
     assert fan == P2
     assert Fan.from_json(fan.to_json()) == fan
 
@@ -680,13 +678,6 @@ def test_transfer_report_serializes():
     data = res.to_json()
     assert set(data) == {"g", "twist", "h", "report"}
     assert data["report"]["passed"] is True
-
-
-def test_complete_intersection_degrees_multiply():
-    assert complete_intersection_degree([2, 3]) == 6
-    assert complete_intersection_degree(
-        [Fraction(4, 3), 3]) == 4
-    assert complete_intersection_degree([]) == 1
 
 
 # ---------------------------------------------------------------------
