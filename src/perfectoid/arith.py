@@ -27,6 +27,11 @@ that keeps ``as_fraction()`` for code written against the former
 num / p^denpow class.  ``_index`` puts an exponent on the lattice, and
 an exponent off it, or below zero, is refused by ``_exponent_error``,
 which reads the power of p in its denominator with ``denominator_power``.
+That rule holds wherever an exponent enters, with no normalization
+first: a digit key off the lattice is refused even when its digit would
+cancel, and a precision exponent goes through ``_precision_index``,
+which refuses one off the lattice or below zero and cuts the rest to
+prec.
 The text and JSON forms go through one codec on indices: ``_exp_pair``
 reduces j / p^dencap to num / p^denpow in integers, ``_power_text`` and
 ``_index_json`` write it, and ``_index_from_json`` and ``_power_index``
@@ -66,7 +71,7 @@ import re
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import wraps
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import log10
 from typing import Mapping
 
@@ -357,6 +362,23 @@ def _lattice_index(e, config: FieldConfig) -> int:
     return j
 
 
+def _precision_index(precexp, config: FieldConfig) -> int:
+    """The lattice index of the precision exponent precexp, cut to
+    ``config.full``: a negative precexp raises PrecisionError, and one
+    off the lattice ``_exponent_error``, also above prec."""
+    k = _index(precexp, config)
+    if k is None:
+        f = Fraction(precexp)
+        if f < 0:
+            raise PrecisionError(
+                f"negative precision exponent {_fraction_text(f)}")
+        raise _exponent_error(f, config)
+    if k < 0:
+        raise PrecisionError(
+            f"negative precision exponent {_exp_text(k, config)}")
+    return min(k, config.full)
+
+
 def _exp_pair(j: int, config: FieldConfig) -> tuple[int, int]:
     """(num, denpow): the exponent j / p^dencap as num / p^denpow, p not
     dividing num unless denpow = 0."""
@@ -447,40 +469,6 @@ def _index_from_json(data, config: FieldConfig) -> int:
     return num * p ** (cap - denpow)
 
 
-def _refuse_off_lattice(off: dict, config: FieldConfig, bound: int,
-                        carries: bool) -> None:
-    """Raises the DencapError of the first digit of ``off`` (rational
-    exponents off the lattice, with their coefficients) that survives
-    normalization below the lattice index ``bound``; returns when none
-    does.  Carries stay in an exponent's class modulo 1, so lattice
-    digits never meet these.  The first digit is the smallest exponent
-    with carries and the first inserted without, as in normalization."""
-    p = config.p
-    kf = Fraction(bound, config.scale)
-    if not carries:
-        for f, c in off.items():
-            if f < kf and c % p:
-                raise _exponent_error(f, config)
-        return
-    pending = {f: c for f, c in off.items() if c}
-    heap = list(pending)
-    heapify(heap)
-    while heap:
-        f = heappop(heap)
-        c = pending.pop(f)
-        if f >= kf:
-            continue
-        carry, digit = divmod(c, p)
-        if digit:
-            raise _exponent_error(f, config)
-        if carry:
-            if f + 1 in pending:
-                pending[f + 1] += carry
-            else:
-                pending[f + 1] = carry
-                heappush(heap, f + 1)
-
-
 def _product_index(a: "_DigitElement", b: "_DigitElement") -> int:
     """The precision index of the product a * b.  Each factor's
     uncertainty is scaled by the other factor's valuation; when no digit
@@ -528,7 +516,7 @@ class _DigitElement(_Frozen):
                  digits: Mapping[Fraction, int] | None = None,
                  precexp=None):
         acc: dict[int, int] = {}
-        off: dict[Fraction, int] = {}
+        off = None      # the first key off the lattice, refused last
         for e, c in (digits or {}).items():
             j = _index(e, config)
             if j is None:
@@ -536,27 +524,16 @@ class _DigitElement(_Frozen):
                 if f < 0:
                     raise KernelError(
                         f"negative digit exponent {_fraction_text(f)}")
-                off[f] = off.get(f, 0) + int(c)
+                off = off or f
                 continue
             if j < 0:
                 raise KernelError(
                     f"negative digit exponent {_exp_text(j, config)}")
             acc[j] = acc.get(j, 0) + int(c)
-        k = config.full if precexp is None else _index(precexp, config)
-        if k is None:
-            kf = Fraction(precexp)
-            if kf < 0:
-                raise PrecisionError(
-                    f"negative precision exponent {_fraction_text(kf)}")
-            if kf < config.prec:
-                raise _exponent_error(kf, config)
-            k = config.full     # beyond prec it is cut to prec
-        elif k < 0:
-            raise PrecisionError(
-                f"negative precision exponent {_exp_text(k, config)}")
-        k = min(k, config.full)
-        if off:
-            _refuse_off_lattice(off, config, k, self._carries)
+        k = (config.full if precexp is None
+             else _precision_index(precexp, config))
+        if off is not None:
+            raise _exponent_error(off, config)
         _set_config(self, config)
         _set_k(self, k)
         _set_digits(self, self._normalize(acc, config, k))
@@ -660,12 +637,7 @@ class _DigitElement(_Frozen):
         precision; callers use it when an element is an explicitly chosen
         representative of a residue class.
         """
-        config = self.config
-        k = _index(precexp, config)
-        if k is None or k < 0:
-            # refused, or clamped to full precision, as by the constructor
-            return type(self)(config, self.digits, precexp)
-        return self._at(min(k, config.full))
+        return self._at(_precision_index(precexp, self.config))
 
     def _at(self, k: int):
         # self read modulo X^(k/p^dencap), 0 <= k <= config.full
@@ -683,22 +655,18 @@ class _DigitElement(_Frozen):
         j = _index(s, self.config)
         if j is not None:
             return self._shift(j)
-        # off the lattice: at most the all-zero element survives
+        # off the lattice: refused, after the refusals of a lattice shift
         sf = Fraction(s)
-        kf = self.precexp + sf
-        if kf < 0:
+        if self.precexp + sf < 0:
             raise PrecisionError(
                 f"shift by {_fraction_text(sf)} leaves no precision "
                 f"(precexp {_fraction_text(self.precexp)})")
-        acc = {}
-        for e, c in self.digits.items():
-            f = e + sf
-            if f < 0:
-                raise DivisionError(
-                    f"digit at exponent {_fraction_text(e)} does not divide "
-                    f"by {self.symbol}^{_fraction_text(-sf)}")
-            acc[f] = c
-        return type(self)(self.config, acc, kf)
+        low = self.valuation()
+        if low + sf < 0:
+            raise DivisionError(
+                f"digit at exponent {_fraction_text(low)} does not divide "
+                f"by {self.symbol}^{_fraction_text(-sf)}")
+        raise _exponent_error(sf, self.config)
 
     def _shift(self, s: int):
         # shift by s / p^dencap

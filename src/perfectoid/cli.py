@@ -495,11 +495,13 @@ def suite_cmd(seed, only, fmt):
         if not names:
             raise UsageError(f"--only names no check: {only!r}")
         known = set(check_names())
-        for name in names:
+        for i, name in enumerate(names):
             if name not in known:
                 raise UsageError(
                     f"unknown check {name!r}; expected a subset of "
                     f"{', '.join(check_names())}")
+            if name in names[:i]:
+                raise UsageError(f"--only names {name!r} twice: {only!r}")
     results = run_all(DEFAULT_SEED if seed is None else seed, names)
     # timings stay out of the output so identical runs stay identical
     if fmt == "json":

@@ -43,8 +43,8 @@ from .arith import (
     UntiltElement,
     ValExp,
     _exp_pair,
+    _exponent_error,
     _Frozen,
-    _index,
     _index_from_json,
     _index_json,
     _is_int,
@@ -52,6 +52,7 @@ from .arith import (
     _kind_class,
     _lattice_index,
     _power_text,
+    _precision_index,
     _Value,
     divide_exact,
     dumps,
@@ -125,13 +126,12 @@ class Monomial(_Value):
         if f < 0:
             raise KernelError(f"negative monomial power {f}")
         num, den = f.numerator, f.denominator
-        if any(j * num % den for j in self._idx):
-            # off the lattice: the constructor raises the DencapError
-            scale = den * self.config.scale
-            return Monomial(self.config,
-                            [Fraction(j * num, scale) for j in self._idx])
-        return Monomial._of(self.config,
-                            tuple(j * num // den for j in self._idx))
+        config = self.config
+        for j in self._idx:
+            if j * num % den:
+                raise _exponent_error(
+                    Fraction(j * num, den * config.scale), config)
+        return Monomial._of(config, tuple(j * num // den for j in self._idx))
 
     def divides(self, other: "Monomial") -> bool:
         self._check(other)
@@ -200,18 +200,9 @@ class HomogeneousElement(_Value):
                  precexp=None):
         deg = _lattice_index(degree, config)
         items = dict(terms or {})
-        k = config.full
-        if precexp is not None:
-            kf = Fraction(precexp)
-            if kf < 0:
-                raise PrecisionError(f"negative precision exponent {kf}")
-            if kf < config.prec:
-                k = _index(kf, config)     # None off the lattice
+        k = (config.full if precexp is None
+             else _precision_index(precexp, config))
         self._check_terms(config, kind, nvars, deg, items)
-        if k is None:
-            # an off-lattice bound stands only if a coefficient undercuts it
-            low = min((c._k for c in items.values()), default=config.full)
-            k = low if low <= kf * config.scale else _lattice_index(kf, config)
         self._fill(config, kind, nvars, deg, items, k)
 
     @staticmethod
@@ -1031,7 +1022,8 @@ def verify_contract(f: HomogeneousElement, g: HomogeneousElement, c, eps,
         c: depth, nonnegative rational.
         eps: rational with 0 < eps < 1 (any rational; the verifier does
             not need lattice exponents).
-        points: iterable of ClassicalPoint / GaussPoint.
+        points: iterable of ClassicalPoint / GaussPoint, at least one:
+            an empty sample would pass any contract.
 
     Returns:
         ContractReport with one row per point.
@@ -1044,6 +1036,9 @@ def verify_contract(f: HomogeneousElement, g: HomogeneousElement, c, eps,
             or g.degree != f.degree):
         raise ConfigError("f and g do not describe the same shape")
     cf, ef = _depth_and_budget(c, eps)
+    points = list(points)
+    if not points:
+        raise KernelError("verify_contract needs at least one point")
     config = f.config
     # both claims compare valuations against thresholds below c + 1, so
     # the sharp image at that depth settles them; deeper targets would

@@ -448,10 +448,6 @@ def _teichmuller_sum(config: FieldConfig, components,
     the residue.
     """
     p, scale = config.p, config.scale
-    if n == 1:
-        # no root and no power: the digitwise lift modulo p, with no layer
-        return UntiltElement._canonical(
-            config, _residue(components[0], scale), scale)
     roots = []
     for i, x in enumerate(components):
         if not x._digits:
@@ -481,11 +477,6 @@ def _teichmuller_sum(config: FieldConfig, components,
             r *= spread
             total[r] = total.get(r, 0) + weight * c
     return _layer_to_element(total, m, config, n * scale)
-
-
-def _residue(x: TiltElement, scale: int) -> dict[int, int]:
-    """The lattice digits of x below 1: its residue modulo t."""
-    return {j: c for j, c in x._digits.items() if j < scale}
 
 
 def sharp(x: TiltElement, target_prec: int) -> UntiltElement:

@@ -645,27 +645,20 @@ def _box_bits(lows, highs, p, dencap) -> int | None:
 # Frobenius tower
 # =====================================================================
 
-def frobenius_pullback(x, p: int | None = None):
-    """Pullback along multiplication by p on the character lattice.
-
-    Section lattice points map to p*u.  Homogeneous coordinate
-    elements map termwise: exponent vectors are multiplied by p and
-    each coefficient is raised to the p-th power, which on the
+def frobenius_pullback(x):
+    """Pullback along multiplication by p on the character lattice, on
+    a homogeneous coordinate element: exponent vectors are multiplied by
+    p and each coefficient is raised to the p-th power, which on the
     characteristic-p side is exactly the Frobenius.
     """
     from .tatealg import HomogeneousElement
-    if isinstance(x, HomogeneousElement):
-        config = x.config
-        terms = {
-            m.scaled(config.p):
-            c ** config.p
-            for m, c in x.terms.items()
-        }
-        return HomogeneousElement(config, x.kind, x.nvars,
-                                  x.degree * config.p, terms)
-    if p is None:
-        raise ConeError("lattice-point pullback needs the prime p")
-    return tuple(Fraction(c) * p for c in x)
+    if not isinstance(x, HomogeneousElement):
+        raise ConeError(f"frobenius_pullback expects a homogeneous "
+                        f"element, got {type(x).__name__}")
+    config = x.config
+    terms = {m.scaled(config.p): c ** config.p for m, c in x.terms.items()}
+    return HomogeneousElement(config, x.kind, x.nvars,
+                              x.degree * config.p, terms)
 
 
 # =====================================================================

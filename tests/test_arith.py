@@ -323,6 +323,54 @@ def test_shift_and_division():
         a.with_precision(q.precexp + Fraction(1, 3))
 
 
+# One rule wherever an exponent enters: off the 1/p^dencap lattice it
+# is refused, also where its digit would cancel below the precision, or
+# the exponent lies above prec.
+_LATTICE_C = FieldConfig(3, 2, 1)
+_LATTICE_D = FieldConfig(3, 4, 1)
+_OFF_LATTICE = {
+    "tilt digit key, digit 0 mod p": lambda: TiltElement(
+        _LATTICE_C, {Fraction(1, 9): 3}),
+    "untilt digit key, carried out": lambda: UntiltElement(
+        _LATTICE_C, {Fraction(1, 9): 9}),
+    "untilt digit key, above precexp": lambda: UntiltElement(
+        _LATTICE_C, {Fraction(1, 9): 1}, 0),
+    "precexp above prec": lambda: TiltElement(
+        _LATTICE_C, {1: 1}, Fraction(5, 2)),
+    "with_precision above prec": lambda: TiltElement.one(
+        _LATTICE_C).with_precision(Fraction(5, 2)),
+    "shift of zero": lambda: TiltElement.zero(_LATTICE_C).shift(
+        Fraction(1, 9)),
+    "homogeneous precexp above prec": lambda: HomogeneousElement(
+        _LATTICE_D, "untilt", 2, 1,
+        {Monomial(_LATTICE_D, [1, 0]): UntiltElement.one(_LATTICE_D)},
+        Fraction(9, 2)),
+    "Monomial.scaled": lambda: Monomial(
+        _LATTICE_C, [Fraction(1, 3), 0]).scaled(Fraction(1, 3)),
+}
+
+
+@pytest.mark.parametrize("case", list(_OFF_LATTICE))
+def test_an_exponent_off_the_lattice_is_refused_where_it_enters(case):
+    with pytest.raises(DencapError):
+        _OFF_LATTICE[case]()
+
+
+def test_a_precexp_on_the_lattice_above_prec_is_cut_to_full():
+    x = TiltElement(_LATTICE_C, {1: 1}, Fraction(7, 3))
+    assert x.precexp == 2
+    assert x == TiltElement.uniformizer(_LATTICE_C)
+    assert TiltElement.one(_LATTICE_C).with_precision(5).precexp == 2
+
+
+def test_an_off_lattice_shift_keeps_the_refusals_of_a_lattice_shift():
+    one = TiltElement.one(_LATTICE_C)
+    with pytest.raises(DivisionError, match="^digit at exponent 0 does"):
+        one.shift(Fraction(-1, 9))
+    with pytest.raises(PrecisionError, match="^shift by -19/9 leaves"):
+        one.shift(Fraction(-19, 9))
+
+
 # =====================================================================
 # Algebraic laws (property tests)
 # =====================================================================

@@ -603,6 +603,16 @@ def test_suite_selection_of_no_check_is_a_usage_error(runner, fmt):
     assert "--only names no check" in result.stderr
 
 
+@pytest.mark.parametrize("only", ["mixed-roots,mixed-roots",
+                                  "mixed-roots, mixed-roots"])
+def test_suite_repeated_check_is_a_usage_error(runner, only):
+    # a repeated name would run its check twice and print two rows
+    result = invoke(runner, "suite", "--only", only)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "--only names 'mixed-roots' twice" in result.stderr
+
+
 def test_suite_exit_code_follows_failures(runner, monkeypatch):
     # the suite command imports run_all from perfectoid.suite when it runs
     import perfectoid.suite as suite_module

@@ -23,6 +23,7 @@ from perfectoid.polyroots import (
     NewtonPolygon,
     Polynomial,
     RootError,
+    _lower_hull,
     charp_root,
     fw_transfer,
     hensel_root,
@@ -263,6 +264,18 @@ def test_polygon_is_honest_under_refinement(config, kind, data):
     except IndeterminateError:
         return
     assert newton_polygon(fine) == coarse
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_lower_hull_matches_the_brute_oracle(data):
+    # points a small offset above one line: many lie on it, so collinear
+    # runs are common, and the hull keeps only their ends
+    xs = sorted(data.draw(st.lists(st.integers(0, 20), min_size=1,
+                                   max_size=10, unique=True)))
+    slope = data.draw(st.integers(-3, 3))
+    points = [(x, slope * x + data.draw(st.integers(0, 3))) for x in xs]
+    assert _lower_hull(points) == lower_hull_brute(points)
 
 
 # =====================================================================

@@ -8,7 +8,8 @@ source: every ``__all__`` name resolves; every public top-level name is
 in ``__all__`` or used in src outside its own definition (or held in one
 of the module's private tables, as ``cli._COMMANDS`` and
 ``suite._CHECKS`` hold the commands and checks); and every ``__all__``
-name is used somewhere besides the tests.
+name is used somewhere besides the tests.  A fourth holds for src and
+tests alike: no module imports a name it never uses.
 """
 
 import ast
@@ -126,3 +127,56 @@ def test_the_written_exceptions_are_still_needed():
         assert attr in _module(name).__all__
         assert not _used_in_src(attr, definitions[attr])
         assert not re.search(rf"\b{attr}\b", OUTSIDE_SRC)
+
+
+# every module of src and of the tests, as its path under the repo
+SOURCES = sorted(path.relative_to(ROOT).as_posix() for path in
+                 [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")])
+
+
+def _imported(tree):
+    """The names the imports anywhere in tree bind."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _used(tree):
+    """The names tree reads, with those in ``__all__`` and in quoted
+    annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        annotation = None
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in node.targets):
+            used.update(ast.literal_eval(node.value))
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        for sub in ast.walk(annotation) if annotation else ():
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                used.update(name.id for name in ast.walk(
+                    ast.parse(sub.value, mode="eval"))
+                    if isinstance(name, ast.Name))
+    return used
+
+
+@pytest.mark.parametrize("path", SOURCES)
+def test_no_module_imports_a_name_it_never_uses(path):
+    tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+    assert sorted(set(_imported(tree)) - _used(tree)) == []
+
+
+def test_a_name_in_a_quoted_annotation_counts_as_used():
+    tree = ast.parse("from typing import Mapping\n"
+                     "def f(x: 'Mapping[str, int]') -> None: pass\n")
+    assert set(_imported(tree)) <= _used(tree)
+    assert list(_imported(ast.parse("import a.b"))) == ["a"]

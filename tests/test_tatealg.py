@@ -627,6 +627,22 @@ def test_contract_reports_indeterminate_when_precision_runs_out():
     assert not report.passed
 
 
+def test_contract_refuses_an_empty_sample(monkeypatch):
+    # no point checked would pass any contract; refused before any sharp
+    import perfectoid.tatealg as tatealg
+
+    def no_sharp(*args):
+        raise AssertionError("sharp_element called")
+
+    monkeypatch.setattr(tatealg, "sharp_element", no_sharp)
+    f = uvar(C3, 1, 0)
+    g = HomogeneousElement.zero(C3, "tilt", 1, 1)
+    for points in ([], iter(())):
+        with pytest.raises(KernelError, match="at least one point") as refused:
+            verify_contract(f, g, 1, Fraction(1, 3), points)
+        assert type(refused.value) is KernelError
+
+
 def test_contract_report_shapes():
     f, g = _linear_pair()
     report = verify_contract(f, g, 1, Fraction(1, 3), [GaussPoint()])

@@ -22,7 +22,7 @@ from perfectoid.arith import (
     TiltElement,
     UntiltElement,
 )
-from perfectoid.tatealg import HomogeneousElement, Monomial, sharp_element
+from perfectoid.tatealg import HomogeneousElement, Monomial
 from perfectoid.toric import (
     _SECTION_BUDGET,
     _box_bits,
@@ -584,17 +584,12 @@ def test_section_box_at_the_budget_is_enumerated():
 # Frobenius tower
 # ---------------------------------------------------------------------
 
-def test_frobenius_on_lattice_points():
-    assert frobenius_pullback((Fraction(1, 3), 0), p=3) == (1, 0)
-    with pytest.raises(ConeError):
-        frobenius_pullback((1, 0))
-
-
 def test_frobenius_sends_sections_into_scaled_sections():
+    # on the character lattice the pullback is u -> p*u
     frac = HYPERPLANE.scaled(Fraction(1, 3))
     small = sections(P2, frac, dencap=1, p=3)
     big = set(sections(P2, frac.scaled(3)))
-    images = [frobenius_pullback(u, p=3) for u in small]
+    images = [tuple(3 * c for c in u) for u in small]
     assert len(set(images)) == len(small)
     assert set(images) <= big
 
@@ -615,6 +610,11 @@ def test_frobenius_on_linear_form_gives_p_power_equation():
 def test_frobenius_is_p_power_on_tilt_elements():
     g = tvar(0) + tvar(1).scalar_mul(TiltElement.uniformizer(C))
     assert frobenius_pullback(g) == g ** 3
+
+
+def test_frobenius_refuses_anything_but_a_homogeneous_element():
+    with pytest.raises(ConeError, match="expects a homogeneous element"):
+        frobenius_pullback((Fraction(1, 3), 0))
 
 
 def test_frobenius_on_monomial():
