@@ -32,6 +32,7 @@ from .arith import (
     KernelError,
     TiltElement,
     UntiltElement,
+    _fraction,
     _is_int,
     _json_reader,
     _Value,
@@ -72,7 +73,7 @@ class Rank2Value(_Value):
             raise ConfigError(f"sign must be '<' or '>', got {sign!r}")
         if not isinstance(k, int):
             raise ConfigError(f"gamma exponent must be an integer, got {k!r}")
-        object.__setattr__(self, "q", Fraction(q))
+        object.__setattr__(self, "q", _fraction(q))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "sign", sign)
 
@@ -135,7 +136,7 @@ class AdicPoint(_Value):
             if radius_exp is not None or sign is not None:
                 raise ConfigError("classical points carry no radius or sign")
         else:
-            radius_exp = Fraction(radius_exp)
+            radius_exp = _fraction(radius_exp)
             if radius_exp < 0:
                 raise KernelError(
                     f"radius exponent must be nonnegative, got {radius_exp}")
@@ -474,11 +475,8 @@ def _tilt_center(center: UntiltElement, center_tilt):
         if not isinstance(center_tilt, TiltElement) \
                 or center_tilt.config != config:
             raise ConfigError(f"bad tilt center {center_tilt!r}")
-        from .tiltkit import sharp
-        image = sharp(center_tilt, config.prec)._at(center._k)
-        if image != center:
-            raise KernelError(
-                f"tilt center {center_tilt!r} does not lift to {center!r}")
+        from .tiltkit import _check_lift
+        _check_lift(center_tilt, center)
         return center_tilt
     if center.is_zero():
         return TiltElement.zero(config, config.prec)

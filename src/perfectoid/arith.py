@@ -26,7 +26,8 @@ out exponents built on each access, as ``ValExp``, a Fraction subclass
 that keeps ``as_fraction()`` for code written against the former
 num / p^denpow class.  ``_index`` puts an exponent on the lattice, and
 an exponent off it, or below zero, is refused by ``_exponent_error``,
-which reads the power of p in its denominator with ``denominator_power``.
+which reads the power of p in its denominator with ``denominator_power``;
+one that is not a rational number at all is refused by ``_fraction``.
 That rule holds wherever an exponent enters, with no normalization
 first: a digit key off the lattice is refused even when its digit would
 cancel, and a precision exponent goes through ``_precision_index``,
@@ -52,6 +53,10 @@ read ``_digits``, ``_low()`` and ``_k`` and convert exponents with
     pth_root_mod            -- p-th roots modulo p^k for k <= 1
     invert_unit             -- digit-by-digit long division
     divide_exact            -- exact division when the quotient is integral
+
+Every p-power root of a tilt element is ``TiltElement.root``, which is
+also its one promotion to full precision (``root(0)``, made before a
+lift); a digit value is checked to be an integer, never converted.
 
 Every value the package hands out is immutable and compares by value,
 so values are safe to share.  A value class derives from ``_Value``:
@@ -327,13 +332,24 @@ class FieldConfig(_Value):
 # Digit elements
 # =====================================================================
 
+def _fraction(e) -> Fraction:
+    """The exponent e as a Fraction: e is an int or anything Fraction
+    takes, and anything else is refused with a KernelError."""
+    if isinstance(e, Fraction):
+        return e
+    try:
+        return Fraction(e)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise KernelError(f"exponent {e!r} is not a rational") from None
+
+
 def _index(e, config: FieldConfig) -> int | None:
     """The lattice index j of the exponent e = j / p^dencap, or None when
-    e is off the lattice.  e is an int or anything Fraction takes; the
-    sign is not checked."""
+    e is off the lattice.  e is an int or anything ``_fraction`` takes;
+    the sign is not checked."""
     if type(e) is int:
         return e * config.scale
-    f = e if isinstance(e, Fraction) else Fraction(e)
+    f = _fraction(e)
     q, r = divmod(config.scale, f.denominator)
     return None if r else f.numerator * q
 
@@ -529,7 +545,9 @@ class _DigitElement(_Frozen):
             if j < 0:
                 raise KernelError(
                     f"negative digit exponent {_exp_text(j, config)}")
-            acc[j] = acc.get(j, 0) + int(c)
+            if not _is_int(c):
+                raise KernelError(f"digit {c!r} is not an integer")
+            acc[j] = acc.get(j, 0) + c
         k = (config.full if precexp is None
              else _precision_index(precexp, config))
         if off is not None:
@@ -625,7 +643,10 @@ class _DigitElement(_Frozen):
         return self._k
 
     def digit_at(self, exponent) -> int:
-        return self._digits.get(_index(exponent, self.config), 0)
+        """The digit at the exponent, 0 when none is stored; an exponent
+        off the lattice or below zero is refused as the constructor
+        refuses it."""
+        return self._digits.get(_lattice_index(exponent, self.config), 0)
 
     # -- precision handling ----------------------------------------------
 
@@ -909,26 +930,13 @@ class TiltElement(_DigitElement):
         return TiltElement._canonical(config, digits, k)
 
     def pth_root(self) -> "TiltElement":
-        """The exact p-th root: exponents divided by p.
+        """The exact p-th root, ``root(1)``, at self's precision exponent
+        divided by p and rounded down to the lattice (knowing x mod t^k
+        implies knowing it mod t^k' for any k' <= k).
 
         Raises DencapError when a divided exponent leaves the lattice.
-        The precision exponent is divided as well, then rounded down to
-        the lattice (knowing x mod t^k implies knowing it mod t^k' for
-        any k' <= k).
         """
-        config = self.config
-        p = config.p
-        k = self._k // p
-        digits = {}
-        for j, c in self._digits.items():
-            q, r = divmod(j, p)
-            if r:
-                raise DencapError(
-                    f"exponent {Fraction(j, config.scale * p)} exceeds "
-                    f"denominator cap p^{config.dencap}")
-            if q < k:
-                digits[q] = c
-        return TiltElement._canonical(config, digits, k)
+        return self.root(1)._at(self._k // self.config.p)
 
     def root(self, n: int) -> "TiltElement":
         """The exact p^n-th root, at full working precision.
@@ -938,8 +946,10 @@ class TiltElement(_DigitElement):
         order: each index is divided by p^n in integers.  The result is
         promoted to full working precision, taking self as exact by
         convention (its digits are the chosen representative of its
-        class).  This is the one such promotion of a root; ``pth_root``
-        floors the precision exponent instead.
+        class).  This is the one p-power root of a tilt element and its
+        one promotion: ``pth_root`` is ``root(1)`` read back at the
+        floored precision, and ``root(0)`` promotes self unchanged, as
+        is done before a lift.
 
         Raises DencapError when a divided exponent leaves the lattice,
         that is when p^n does not divide its index j.  That is decided
@@ -1013,7 +1023,7 @@ def pth_root_mod(a: UntiltElement, k) -> UntiltElement:
     construction stops satisfying the defining congruence (carries appear
     at exponent 1), so larger k is rejected.
     """
-    kf = Fraction(k)
+    kf = _fraction(k)
     if kf > 1:
         raise PrecisionError(
             f"pth_root_mod is defined modulo p^k for k <= 1 only, got k={kf}")

@@ -399,7 +399,12 @@ def _segment_digit_candidates(P: Polynomial, exp: int):
     return out
 
 
-def charp_root(P: Polynomial, budget: int = 4000):
+# The most re-centerings one charp_root search may make, across all its
+# branches.
+_ROOT_SEARCH_BUDGET = 4000
+
+
+def charp_root(P: Polynomial):
     """Search for a root of a characteristic-p polynomial, digitwise.
 
     Walks the Newton polygon deepest slope first: each slope gives the
@@ -414,7 +419,6 @@ def charp_root(P: Polynomial, budget: int = 4000):
     Args:
         P: polynomial over the tilt with a determinate leading
             coefficient; degree >= 1.
-        budget: maximum number of re-centerings across all branches.
 
     Returns:
         A root at the coefficients' common precision, or None when the
@@ -422,7 +426,8 @@ def charp_root(P: Polynomial, budget: int = 4000):
         needed exponent has a denominator that is not a p-power).
 
     Raises:
-        RootError: the budget is exhausted before the search space is.
+        RootError: the budget of _ROOT_SEARCH_BUDGET re-centerings is
+            exhausted before the search space is.
         IndeterminateError: a stage polygon is not determined.
     """
     if P.kind != "tilt":
@@ -433,7 +438,7 @@ def charp_root(P: Polynomial, budget: int = 4000):
     target = min(c._k for c in P.coeffs)
     if P.coeffs[0].is_zero():
         return TiltElement.zero(config, P.coeffs[0].precexp)
-    nodes = [budget]
+    nodes = [_ROOT_SEARCH_BUDGET]
 
     def search(Pc, floor_exp):
         c0 = Pc.coeffs[0]
@@ -450,8 +455,9 @@ def charp_root(P: Polynomial, budget: int = 4000):
             for cand in _segment_digit_candidates(Pc, exp):
                 if nodes[0] <= 0:
                     raise RootError(
-                        f"digit search budget ({budget} re-centerings) "
-                        f"exhausted; a root may exist beyond it")
+                        f"digit search budget ({_ROOT_SEARCH_BUDGET} "
+                        f"re-centerings) exhausted; a root may exist "
+                        f"beyond it")
                 nodes[0] -= 1
                 digit = TiltElement._make(config, {exp: cand}, config.full)
                 rest = search(Pc.shifted(digit), exp)
@@ -493,14 +499,7 @@ def fw_transfer(P: Polynomial, n: int) -> Polynomial:
         raise KernelError(f"root depth must be a nonnegative integer, not "
                           f"{n!r}")
     from .tiltkit import sharp
-    full = P.config.prec
-    out = []
-    for c in P.coeffs:
-        if c.is_zero():
-            out.append(UntiltElement.zero(P.config, full))
-        else:
-            out.append(sharp(c.root(n), full))
-    return Polynomial(out)
+    return Polynomial([sharp(c.root(n), P.config.prec) for c in P.coeffs])
 
 
 # The precision of transfer_agreement's stage 0; stage n takes n more.
@@ -535,11 +534,7 @@ def transfer_agreement(P: Polynomial, n: int):
         pair = []
         for stage in (n, n + 1):
             prec = min(_AGREEMENT_BASE + stage, config.prec)
-            if c.is_zero():
-                lifted = UntiltElement.zero(config, prec)
-            else:
-                lifted = sharp(c.root(stage), prec)
-            pair.append(untilt_power_pn(lifted, stage))
+            pair.append(untilt_power_pn(sharp(c.root(stage), prec), stage))
         # the first digit, or the certified precision when none is visible
         levels.append((pair[1] - pair[0])._low())
     return Fraction(min(levels), config.scale)
@@ -549,7 +544,7 @@ def transfer_agreement(P: Polynomial, n: int):
 # Mixed-characteristic root refinement
 # =====================================================================
 
-def mixed_root_refine(P: Polynomial, *, max_stages: int | None = None):
+def mixed_root_refine(P: Polynomial):
     """Assemble a root of an untilt polynomial from digit solves.
 
     Loop: reduce the working polynomial modulo the uniformizer, find a
@@ -560,7 +555,6 @@ def mixed_root_refine(P: Polynomial, *, max_stages: int | None = None):
 
     Args:
         P: monic polynomial over the untilt ring, integral coeffs.
-        max_stages: outer iteration cap, default the working precision.
 
     Returns:
         An element x with v(P(x)) at or above working precision.
@@ -568,7 +562,8 @@ def mixed_root_refine(P: Polynomial, *, max_stages: int | None = None):
     Raises:
         RootError: a stage has no characteristic-p root, a rescale
             exponent leaves the lattice, or the loop runs out of
-            stages or of usable precision.
+            stages (one per unit of working precision) or of usable
+            precision.
     """
     if P.kind != "untilt":
         raise ConfigError("mixed_root_refine expects an untilt polynomial")
@@ -579,8 +574,6 @@ def mixed_root_refine(P: Polynomial, *, max_stages: int | None = None):
         raise KernelError("mixed_root_refine expects a monic polynomial")
     config = P.config
     full = config.prec
-    if max_stages is None:
-        max_stages = full
 
     x_acc = UntiltElement.zero(config, full)
     # the accumulated rescale exponent, as a lattice index; digits of a
@@ -588,7 +581,7 @@ def mixed_root_refine(P: Polynomial, *, max_stages: int | None = None):
     # zero ends the loop
     scale_exp = 0
     R = P
-    for _ in range(max_stages):
+    for _ in range(full):
         if P(x_acc).is_zero():
             return x_acc
 
@@ -608,7 +601,7 @@ def mixed_root_refine(P: Polynomial, *, max_stages: int | None = None):
 
         if not y.is_zero():
             from .tiltkit import sharp
-            y_sharp = sharp(y.with_precision(full), full)
+            y_sharp = sharp(y.root(0), full)
             x_acc = x_acc + y_sharp._shift(scale_exp)
             R = R.shifted(y_sharp)
             if P(x_acc).is_zero():
@@ -643,4 +636,4 @@ def mixed_root_refine(P: Polynomial, *, max_stages: int | None = None):
             c._shift(j * s - mu) for j, c in enumerate(R.coeffs))
         scale_exp += s
 
-    raise RootError(f"no convergence within {max_stages} refinement stages")
+    raise RootError(f"no convergence within {full} refinement stages")

@@ -260,7 +260,7 @@ def check_mixed_roots(seed: int) -> str:
             a0 = zu - UntiltElement.from_int(config, rhs)
         P = Polynomial([a0] + [zu] * (degree - 1)
                        + [UntiltElement.one(config)])
-        root = mixed_root_refine(P, max_stages=6)
+        root = mixed_root_refine(P)
         residual = P(root)
         _require(residual.is_zero() or residual._low() >= 6 * config.scale,
                  f"residual of degree-{degree} root at p={p} is shallow")

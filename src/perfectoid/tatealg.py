@@ -44,6 +44,7 @@ from .arith import (
     ValExp,
     _exp_pair,
     _exponent_error,
+    _fraction,
     _Frozen,
     _index_from_json,
     _index_json,
@@ -59,7 +60,7 @@ from .arith import (
     element_from_json,
     reduce_mod_uniformizer,
 )
-from .tiltkit import sharp
+from .tiltkit import _check_lift, sharp
 
 __all__ = [
     "ApproximationError", "Monomial", "HomogeneousElement", "sharp_element",
@@ -122,7 +123,7 @@ class Monomial(_Value):
 
     def scaled(self, factor: Fraction) -> "Monomial":
         """Entrywise multiple; the route to fractional powers T^(e*i)."""
-        f = Fraction(factor)
+        f = _fraction(factor)
         if f < 0:
             raise KernelError(f"negative monomial power {f}")
         num, den = f.numerator, f.denominator
@@ -282,16 +283,14 @@ class HomogeneousElement(_Value):
 
     @classmethod
     def variable(cls, config: FieldConfig, kind: str, nvars: int,
-                 j: int, coeff=None) -> "HomogeneousElement":
-        """coeff * T_j (coefficient defaults to 1)."""
+                 j: int) -> "HomogeneousElement":
+        """The variable T_j."""
         if not 0 <= j < nvars:
             raise ConfigError(f"variable index {j} out of range")
         exps = [0] * nvars
         exps[j] = 1
-        if coeff is None:
-            coeff = _kind_class(kind).one(config)
         return cls(config, kind, nvars, 1,
-                   {Monomial(config, exps): coeff})
+                   {Monomial(config, exps): _kind_class(kind).one(config)})
 
     # -- inspection ------------------------------------------------------
 
@@ -314,7 +313,7 @@ class HomogeneousElement(_Value):
     def with_precision(self, precexp) -> "HomogeneousElement":
         """Truncates, or promotes every coefficient as a chosen
         representative of its residue class."""
-        kf = Fraction(precexp)
+        kf = _fraction(precexp)
         return HomogeneousElement(
             self.config, self.kind, self.nvars, self.degree,
             {m: c.with_precision(kf) for m, c in self.terms.items()}, kf)
@@ -480,11 +479,10 @@ def sharp_element(g: HomogeneousElement,
 def _residue_lift(f: HomogeneousElement) -> HomogeneousElement:
     # Tilt element matching f mod w, promoted to a full-precision
     # representative (digits of the residue are exact by convention).
-    full = f.config.full
-    terms = {m: reduce_mod_uniformizer(c)._at(full)
+    terms = {m: reduce_mod_uniformizer(c).root(0)
              for m, c in f.terms.items()}
     return HomogeneousElement._make(f.config, "tilt", f.nvars, f._deg, terms,
-                                    full)
+                                    f.config.full)
 
 
 def _tilt_power(g: HomogeneousElement, j: int) -> HomogeneousElement:
@@ -791,11 +789,7 @@ class ClassicalPoint(_Value):
                     continue
                 if not isinstance(y, TiltElement) or y.config != config:
                     raise ConfigError(f"bad tilt preimage {y!r}")
-                image = sharp(y, config.prec)._at(x._k)
-                if image != x:
-                    raise KernelError(
-                        f"tilt preimage {y!r} does not lift to the "
-                        f"coordinate {x!r}")
+                _check_lift(y, x)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "tilt_coords", tilt_coords)
 
@@ -858,8 +852,6 @@ def _coord_power(x: UntiltElement, preimage, j: int,
 
 def _tilt_coord_power(y: TiltElement, j: int,
                       config: FieldConfig) -> TiltElement:
-    if y.is_zero():
-        return TiltElement.zero(config, config.prec)
     num, denpow = _exp_pair(j, config)
     return y.root(denpow) ** num
 

@@ -7,11 +7,14 @@ field to
 
 in the characteristic-0 field; the limit is well defined modulo p^(n+1)
 as soon as the n-th root is known modulo t.  ``sharp`` computes exactly
-that finite-stage value.  On top of it sit the Teichmüller lift of a
-residue digit (``sharp_const``), finite-length Witt vectors over the
-tilt, and the untilting homomorphism ``theta``.  The tilt is perfect, so
-its Witt vectors form the strict p-ring (Z/p^n)[t^(1/p^inf)]: Witt sums
-and products are ring operations on Teichmüller expansions.
+that finite-stage value, and it is the one lift here: the Teichmüller
+lift of a residue digit (``sharp_const``) is sharp of the constant, and
+the test that a tilt element lifts to a given untilt element
+(``_check_lift``) compares its sharp.  On top of it sit finite-length
+Witt vectors over the tilt and the untilting homomorphism ``theta``.
+The tilt is perfect, so its Witt vectors form the strict p-ring
+(Z/p^n)[t^(1/p^inf)]: Witt sums and products are ring operations on
+Teichmüller expansions.
 
 Powering in ``sharp`` runs on a "layer": an element of
 (Z/mod)[u]/(u^(p^M) - p), u = p^(1/p^M), held sparse until it is dense.
@@ -539,28 +542,23 @@ def sharp(x: TiltElement, target_prec: int) -> UntiltElement:
     return _teichmuller_sum(config, [x], target_prec)
 
 
-def sharp_const(config: FieldConfig, c: int) -> UntiltElement:
-    """The Teichmüller lift of the residue digit c.
+def _check_lift(y: TiltElement, x: UntiltElement) -> None:
+    """Refuses y unless it is a tilt of x: sharp(y) must equal x at x's
+    precision."""
+    if sharp(y, x.config.prec)._at(x._k) != x:
+        raise KernelError(f"tilt preimage {y!r} does not lift to {x!r}")
 
-    The unique (p-1)-st root of unity (or 0) congruent to c mod p,
-    truncated to the working precision; found by iterating c -> c^p
-    modulo p^N to its fixed point.
+
+def sharp_const(config: FieldConfig, c: int) -> UntiltElement:
+    """The Teichmüller lift of the residue digit c: ``sharp`` of the
+    constant c, at the working precision.
+
+    The unique (p-1)-st root of unity (or 0) congruent to c mod p.
     """
-    p, prec = config.p, config.prec
-    if not 0 <= c < p:
-        raise KernelError(f"residue digit must lie in 0..{p - 1}, got {c}")
-    if c == 0:
-        return UntiltElement.zero(config)
-    mod = p ** prec
-    value = c % mod
-    for _ in range(prec + 2):
-        nxt = pow(value, p, mod)
-        if nxt == value:
-            break
-        value = nxt
-    else:
-        raise KernelError("Teichmüller iteration did not stabilize")
-    return UntiltElement.from_int(config, value)
+    p = config.p
+    if not (_is_int(c) and 0 <= c < p):
+        raise KernelError(f"residue digit must lie in 0..{p - 1}, got {c!r}")
+    return sharp(TiltElement.from_int(config, c), config.prec)
 
 
 # =====================================================================

@@ -707,9 +707,9 @@ class TransferResult(_Frozen):
                 "report": self.report.to_json()}
 
 
-def _transfer_sample(config: FieldConfig, nvars: int, cap: int = 20):
-    """Unit-ball coordinate tuples with some coordinate a unit, plus
-    the sup-norm point."""
+def _transfer_sample(config: FieldConfig, nvars: int):
+    """Unit-ball coordinate tuples with some coordinate a unit, at most
+    20 of them, plus the sup-norm point."""
     from .tatealg import ClassicalPoint, GaussPoint
     values = [
         UntiltElement.zero(config),
@@ -720,7 +720,7 @@ def _transfer_sample(config: FieldConfig, nvars: int, cap: int = 20):
     unit = values[1]
     points = [GaussPoint()]
     for combo in product(values, repeat=nvars):
-        if len(points) > cap:
+        if len(points) > 20:
             break
         if not any(c is unit for c in combo):
             continue

@@ -518,7 +518,7 @@ def test_tilt_check_requires_recognizable_center():
     center = ui(1) + W
     with pytest.raises(KernelError):
         tilt_point_check(tpoly(0, 1), AdicPoint.classical(center))
-    with pytest.raises(KernelError):
+    with pytest.raises(KernelError, match="^tilt preimage .* does not lift "):
         tilt_point_check(tpoly(0, 1), AdicPoint.classical(center),
                          center_tilt=TW)
 

@@ -32,6 +32,7 @@ from perfectoid.arith import (
     pth_root_mod,
     reduce_mod_uniformizer,
 )
+from perfectoid.adicdisc import AdicPoint, Rank2Value
 from perfectoid.tatealg import HomogeneousElement, Monomial
 
 C2 = FieldConfig(2, 6, 2)
@@ -356,6 +357,50 @@ def test_an_exponent_off_the_lattice_is_refused_where_it_enters(case):
         _OFF_LATTICE[case]()
 
 
+@pytest.mark.parametrize("e", [Fraction(1, 9), Fraction(-1, 3),
+                               Fraction(1, 2), "x"])
+def test_digit_at_refuses_what_the_constructor_refuses(e):
+    config = FieldConfig(3, 2, 1)
+    with pytest.raises(KernelError) as built:
+        TiltElement(config, {e: 1})
+    with pytest.raises(KernelError) as read:
+        TiltElement.one(config).digit_at(e)
+    assert type(read.value) is type(built.value)
+    assert TiltElement.one(config).digit_at(Fraction(0)) == 1
+
+
+_NOT_RATIONAL = {
+    "with_precision": lambda e: UntiltElement.one(C3).with_precision(e),
+    "shift": lambda e: UntiltElement.one(C3).shift(e),
+    "monomial": lambda e: UntiltElement.monomial(C3, 1, e),
+    "digit key": lambda e: UntiltElement(C3, {e: 1}),
+    "Monomial": lambda e: Monomial(C3, [e, 0]),
+    "Monomial.scaled": lambda e: Monomial(C3, [1, 0]).scaled(e),
+    "homogeneous degree": lambda e: HomogeneousElement(C3, "untilt", 2, e),
+    "homogeneous with_precision": lambda e: HomogeneousElement.zero(
+        C3, "untilt", 2, 1).with_precision(e),
+    "pth_root_mod": lambda e: pth_root_mod(UntiltElement.one(C3), e),
+    "AdicPoint.disc": lambda e: AdicPoint.disc(UntiltElement.one(C3), e),
+    "Rank2Value": lambda e: Rank2Value(e, 0, "<"),
+}
+
+
+@pytest.mark.parametrize("entry", list(_NOT_RATIONAL))
+@pytest.mark.parametrize("e", ["x", None, float("nan")], ids=repr)
+def test_an_exponent_that_is_not_rational_is_a_typed_refusal(entry, e):
+    with pytest.raises(KernelError):
+        _NOT_RATIONAL[entry](e)
+
+
+@pytest.mark.parametrize("digit", [1.5, "1", True, None, Fraction(1)],
+                         ids=repr)
+def test_a_digit_value_is_checked_not_converted(digit):
+    with pytest.raises(KernelError, match="is not an integer$"):
+        UntiltElement(C3, {0: digit})
+    with pytest.raises(KernelError, match="is not an integer$"):
+        TiltElement.from_int(C3, digit)
+
+
 def test_a_precexp_on_the_lattice_above_prec_is_cut_to_full():
     x = TiltElement(_LATTICE_C, {1: 1}, Fraction(7, 3))
     assert x.precexp == 2
@@ -547,7 +592,7 @@ def test_text_form_past_the_decimal_limit_is_a_typed_refusal():
 
 
 # Refusals word their exponents as ``_index_from_json`` does: the first
-# five at exponent 1/2^20000, whose denominator is past the decimal
+# six at exponent 1/2^20000 or its root, whose denominator is past the decimal
 # limit, the last two where the decimal fraction is written.
 _DEEP = FieldConfig(2, 4, 20000)
 _DEEP_E = Fraction(1, 2 ** 20000)
@@ -566,6 +611,9 @@ _WORDED_REFUSALS = {
     "invert_unit": (lambda: invert_unit(TiltElement(_DEEP, {_DEEP_E: 1})),
                     DivisionError,
                     "invert_unit needs valuation 0, got 1/2^20000"),
+    "pth_root": (lambda: TiltElement(_DEEP, {_DEEP_E: 1}).pth_root(),
+                 DencapError, "exponent 1/2^20001 needs denominator "
+                 "p^20001, cap is p^20000"),
     "invert_unit-1/3": (
         lambda: invert_unit(TiltElement(C3, {Fraction(1, 3): 1})),
         DivisionError, "invert_unit needs valuation 0, got 1/3"),

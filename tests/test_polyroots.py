@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import elements, refined
 from oracles import lower_hull_brute, shifted_binomial
+from perfectoid import polyroots
 from perfectoid.arith import (
     INF,
     ConfigError,
@@ -361,11 +362,12 @@ def test_charp_rejects_untilt():
         charp_root(x_squared_minus_p(C2))
 
 
-def test_charp_budget_surfaced():
+def test_charp_budget_surfaced(monkeypatch):
+    monkeypatch.setattr(polyroots, "_ROOT_SEARCH_BUDGET", 1)
     P = Polynomial([TiltElement.uniformizer(C3), TiltElement.one(C3),
                     TiltElement.one(C3)])
     with pytest.raises(RootError):
-        charp_root(P, budget=1)
+        charp_root(P)
 
 
 # =====================================================================
@@ -530,9 +532,25 @@ def test_mixed_unit_root():
     assert root == hensel_root(P, UntiltElement.one(M3))
 
 
-def test_mixed_respects_stage_cap():
-    with pytest.raises(RootError):
-        mixed_root_refine(x_squared_minus_p(M2), max_stages=1)
+def test_mixed_respects_stage_cap(monkeypatch):
+    # A stage solver that keeps only the lowest digit of each root makes
+    # X^2 - (1 + p^(1/3)) gain 1/3 a stage, so the refinement runs out
+    # of its prec stages.
+    solve = charp_root
+
+    def lowest_digit(Q):
+        root = solve(Q)
+        e = root.valuation()
+        return TiltElement.monomial(M3, root.digit_at(e), e, root.precexp)
+
+    monkeypatch.setattr(polyroots, "charp_root", lowest_digit)
+    P = Polynomial([
+        -(u_int(M3, 1) + UntiltElement.monomial(M3, 1, Fraction(1, 3))),
+        UntiltElement.zero(M3),
+        UntiltElement.one(M3),
+    ])
+    with pytest.raises(RootError, match="^no convergence within 6 "):
+        mixed_root_refine(P)
 
 
 def test_mixed_lattice_failure_loud():

@@ -47,11 +47,13 @@ TC3 = FieldConfig(3, 9, 6)
 
 
 def uvar(config, nvars, j, coeff=None):
-    return HomogeneousElement.variable(config, "untilt", nvars, j, coeff)
+    x = HomogeneousElement.variable(config, "untilt", nvars, j)
+    return x if coeff is None else x.scalar_mul(coeff)
 
 
 def tvar(config, nvars, j, coeff=None):
-    return HomogeneousElement.variable(config, "tilt", nvars, j, coeff)
+    x = HomogeneousElement.variable(config, "tilt", nvars, j)
+    return x if coeff is None else x.scalar_mul(coeff)
 
 
 def w_times(config, F, s):
@@ -392,6 +394,22 @@ def test_evaluate_fractional_exponent_through_preimage():
     assert evaluate(F, pt) == sharp(root, C3.prec)
 
 
+def test_evaluate_a_tilt_element_at_the_tilt_coordinates():
+    # F = T0^(1/3) T1^(2/3) + t T0 at the tilt coordinates (1 + t, y1)
+    F = HomogeneousElement(C3, "tilt", 2, 1, {
+        Monomial(C3, [Fraction(1, 3), Fraction(2, 3)]): TiltElement.one(C3),
+        Monomial(C3, [1, 0]): TiltElement.uniformizer(C3)})
+    y0 = TiltElement.one(C3) + TiltElement.uniformizer(C3)
+    for y1, want in [
+            # (1 + t^(1/3)) t^(2/3) + t (1 + t) = t^(2/3) + 2t + t^2
+            (TiltElement.uniformizer(C3),
+             TiltElement(C3, {Fraction(2, 3): 1, 1: 2, 2: 1})),
+            # a zero coordinate: its roots are zero at full precision
+            (TiltElement.zero(C3), TiltElement(C3, {1: 1, 2: 1}))]:
+        pt = ClassicalPoint([sharp(y, C3.prec) for y in (y0, y1)], [y0, y1])
+        assert evaluate(F, pt) == want
+
+
 def test_evaluate_reports_missing_roots():
     F = HomogeneousElement(
         C3, "untilt", 1, Fraction(1, 3),
@@ -420,7 +438,7 @@ def test_point_validates_tilt_preimages():
     y = TiltElement.uniformizer(C3)
     good = UntiltElement.uniformizer(C3)
     ClassicalPoint([good], [y])
-    with pytest.raises(KernelError):
+    with pytest.raises(KernelError, match="^tilt preimage .* does not lift "):
         ClassicalPoint([UntiltElement.one(C3)], [y])
 
 

@@ -88,8 +88,9 @@ def test_sharp_const_values():
     assert sharp_const(SC3, 1) == UntiltElement.one(SC3)
     assert sharp_const(SC3, 0) == UntiltElement.zero(SC3)
     assert minus_one * minus_one == UntiltElement.one(SC3)
-    with pytest.raises(KernelError):
-        sharp_const(SC3, 3)
+    for c in (3, -1, 1.5, "1", True):
+        with pytest.raises(KernelError, match="^residue digit must lie"):
+            sharp_const(SC3, c)
 
 
 def test_sharp_const_agrees_with_sharp_on_digits():
