@@ -33,6 +33,7 @@ from .arith import (
     TiltElement,
     UntiltElement,
     _fraction,
+    _integer,
     _is_int,
     _json_reader,
     _Value,
@@ -71,8 +72,7 @@ class Rank2Value(_Value):
     def __init__(self, q, k: int, sign: str):
         if sign not in _SIGNS:
             raise ConfigError(f"sign must be '<' or '>', got {sign!r}")
-        if not isinstance(k, int):
-            raise ConfigError(f"gamma exponent must be an integer, got {k!r}")
+        _integer(k, "gamma exponent", None, ConfigError)
         object.__setattr__(self, "q", _fraction(q))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "sign", sign)
@@ -136,7 +136,7 @@ class AdicPoint(_Value):
             if radius_exp is not None or sign is not None:
                 raise ConfigError("classical points carry no radius or sign")
         else:
-            radius_exp = _fraction(radius_exp)
+            radius_exp = _fraction(radius_exp, "radius exponent")
             if radius_exp < 0:
                 raise KernelError(
                     f"radius exponent must be nonnegative, got {radius_exp}")

@@ -26,8 +26,7 @@ out exponents built on each access, as ``ValExp``, a Fraction subclass
 that keeps ``as_fraction()`` for code written against the former
 num / p^denpow class.  ``_index`` puts an exponent on the lattice, and
 an exponent off it, or below zero, is refused by ``_exponent_error``,
-which reads the power of p in its denominator with ``denominator_power``;
-one that is not a rational number at all is refused by ``_fraction``.
+which reads the power of p in its denominator with ``denominator_power``.
 That rule holds wherever an exponent enters, with no normalization
 first: a digit key off the lattice is refused even when its digit would
 cancel, and a precision exponent goes through ``_precision_index``,
@@ -54,9 +53,14 @@ read ``_digits``, ``_low()`` and ``_k`` and convert exponents with
     invert_unit             -- digit-by-digit long division
     divide_exact            -- exact division when the quotient is integral
 
+Nothing numeric is converted: an integer argument goes through
+``_integer`` (an int, not a bool, at least a bound), a rational one
+through ``_fraction`` (an int, a Fraction or text Fraction reads), a
+digit through ``_is_int``; a float or a bool gets a typed refusal.
+
 Every p-power root of a tilt element is ``TiltElement.root``, which is
 also its one promotion to full precision (``root(0)``, made before a
-lift); a digit value is checked to be an integer, never converted.
+lift).
 
 Every value the package hands out is immutable and compares by value,
 so values are safe to share.  A value class derives from ``_Value``:
@@ -169,6 +173,20 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+_AT_LEAST = {None: "an integer", 0: "a nonnegative integer",
+             1: "a positive integer"}
+
+
+def _integer(n, what: str, low: int | None = None,
+             error: type = KernelError) -> int:
+    """The integer argument n, refused with ``error`` unless it is an
+    int, not a bool, and at least ``low`` (None: any int), worded
+    "<what> must be a nonnegative integer, got 1.5"."""
+    if (type(n) is int or _is_int(n)) and (low is None or n >= low):
+        return n
+    raise error(f"{what} must be {_AT_LEAST[low]}, got {n!r}")
+
+
 # =====================================================================
 # Exponents
 # =====================================================================
@@ -278,9 +296,7 @@ def check_prime(p: int) -> None:
     """FieldConfig's refusal of p: ConfigError if p is not an integer,
     BudgetError from _PRIME_BOUND on, where the primality test stops
     being exact, ConfigError if p is not prime."""
-    if not _is_int(p):
-        raise ConfigError(f"p must be an integer, got {p!r}")
-    if p >= _PRIME_BOUND:
+    if _integer(p, "p", None, ConfigError) >= _PRIME_BOUND:
         raise BudgetError(f"p = {p} is not below {_PRIME_BOUND}, the "
                           f"bound of the primality test")
     if not _is_prime(p):
@@ -332,15 +348,20 @@ class FieldConfig(_Value):
 # Digit elements
 # =====================================================================
 
-def _fraction(e) -> Fraction:
-    """The exponent e as a Fraction: e is an int or anything Fraction
-    takes, and anything else is refused with a KernelError."""
-    if isinstance(e, Fraction):
-        return e
+def _fraction(x, what: str = "exponent",
+              error: type = KernelError) -> Fraction:
+    """The rational argument x as a Fraction: x is an int (not a bool),
+    a Fraction or text that Fraction reads.  A float, a bool and
+    anything else are refused with ``error``, worded "<what> 0.5 is not
+    a rational"."""
+    if isinstance(x, Fraction):
+        return x
     try:
-        return Fraction(e)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise KernelError(f"exponent {e!r} is not a rational") from None
+        if _is_int(x) or isinstance(x, str):
+            return Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise error(f"{what} {x!r} is not a rational")
 
 
 def _index(e, config: FieldConfig) -> int | None:
@@ -349,7 +370,7 @@ def _index(e, config: FieldConfig) -> int | None:
     the sign is not checked."""
     if type(e) is int:
         return e * config.scale
-    f = _fraction(e)
+    f = e if isinstance(e, Fraction) else _fraction(e)
     q, r = divmod(config.scale, f.denominator)
     return None if r else f.numerator * q
 
@@ -374,7 +395,7 @@ def _lattice_index(e, config: FieldConfig) -> int:
     lattice or below zero raises ``_exponent_error``."""
     j = _index(e, config)
     if j is None or j < 0:
-        raise _exponent_error(Fraction(e), config)
+        raise _exponent_error(_fraction(e), config)
     return j
 
 
@@ -384,7 +405,7 @@ def _precision_index(precexp, config: FieldConfig) -> int:
     off the lattice ``_exponent_error``, also above prec."""
     k = _index(precexp, config)
     if k is None:
-        f = Fraction(precexp)
+        f = _fraction(precexp)
         if f < 0:
             raise PrecisionError(
                 f"negative precision exponent {_fraction_text(f)}")
@@ -677,7 +698,7 @@ class _DigitElement(_Frozen):
         if j is not None:
             return self._shift(j)
         # off the lattice: refused, after the refusals of a lattice shift
-        sf = Fraction(s)
+        sf = _fraction(s)
         if self.precexp + sf < 0:
             raise PrecisionError(
                 f"shift by {_fraction_text(sf)} leaves no precision "
@@ -722,7 +743,7 @@ class _DigitElement(_Frozen):
                 f"config mismatch: {self.config} vs {other.config}")
 
     def _coerce(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return type(self)._make(self.config, {0: other},
                                     self.config.full)
         return other
@@ -751,7 +772,7 @@ class _DigitElement(_Frozen):
         return self._sum(other, -1)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return -self + other
 
     def __mul__(self, other):
         if type(other) is not type(self) or other.config is not self.config:
@@ -777,8 +798,7 @@ class _DigitElement(_Frozen):
             dict(self._digits), x._digits, y._digits, k), k)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise KernelError(f"integer power expected, got {n!r}")
+        _integer(n, "power", 0)
         out = type(self).one(self.config)
         base = self
         while n:
@@ -957,9 +977,7 @@ class TiltElement(_DigitElement):
         only once it divides an index, and is then at most that index.
         KernelError when n is not a nonnegative integer.
         """
-        if not isinstance(n, int) or n < 0:
-            raise KernelError(f"root depth must be a nonnegative integer, "
-                              f"not {n!r}")
+        _integer(n, "root depth", 0)
         config = self.config
         p, cap = config.p, config.dencap
         step = None

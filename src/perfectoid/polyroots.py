@@ -29,6 +29,8 @@ from .arith import (
     KernelError,
     TiltElement,
     UntiltElement,
+    _fraction,
+    _integer,
     _json_reader,
     _kind_class,
     _mul_rows,
@@ -215,17 +217,15 @@ class NewtonPolygon(_Value):
     __slots__ = ("segments", "vanishing_order")
 
     def __init__(self, segments, vanishing_order: int = 0):
-        segments = tuple((Fraction(s), int(m)) for s, m in segments)
+        segments = tuple((_fraction(s, "slope"),
+                          _integer(m, "multiplicity", 1))
+                         for s, m in segments)
         for (s1, m1), (s2, _) in zip(segments, segments[1:]):
             if s2 <= s1:
                 raise KernelError("polygon slopes must strictly increase")
-        for _, m in segments:
-            if m < 1:
-                raise KernelError("segment multiplicities must be positive")
-        if vanishing_order < 0:
-            raise KernelError("vanishing order cannot be negative")
         object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "vanishing_order", int(vanishing_order))
+        object.__setattr__(self, "vanishing_order",
+                           _integer(vanishing_order, "vanishing order", 0))
 
     def _key(self) -> tuple:
         return self.segments, self.vanishing_order
@@ -495,9 +495,7 @@ def fw_transfer(P: Polynomial, n: int) -> Polynomial:
     """
     if P.kind != "tilt":
         raise ConfigError("fw_transfer expects a polynomial over the tilt")
-    if not isinstance(n, int) or n < 0:
-        raise KernelError(f"root depth must be a nonnegative integer, not "
-                          f"{n!r}")
+    _integer(n, "root depth", 0)
     from .tiltkit import sharp
     return Polynomial([sharp(c.root(n), P.config.prec) for c in P.coeffs])
 
@@ -527,6 +525,7 @@ def transfer_agreement(P: Polynomial, n: int):
     """
     if P.kind != "tilt":
         raise ConfigError("transfer_agreement expects a tilt polynomial")
+    _integer(n, "stage index", 0)
     from .tiltkit import sharp, untilt_power_pn
     config = P.config
     levels = []

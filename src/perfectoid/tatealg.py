@@ -48,7 +48,7 @@ from .arith import (
     _Frozen,
     _index_from_json,
     _index_json,
-    _is_int,
+    _integer,
     _json_reader,
     _kind_class,
     _lattice_index,
@@ -72,6 +72,11 @@ __all__ = [
 
 class ApproximationError(KernelError):
     """The expansion step cannot represent a remainder within budget."""
+
+
+def _nvars(n) -> int:
+    # the variable count n, refused unless it is a positive integer
+    return _integer(n, "variable count", 1, ConfigError)
 
 
 # =====================================================================
@@ -211,9 +216,7 @@ class HomogeneousElement(_Value):
         # refuses a kind, variable count or term unfit for an element of
         # degree index deg
         cls = _kind_class(kind)
-        if not _is_int(nvars) or nvars < 1:
-            raise ConfigError(f"variable count must be a positive integer, "
-                              f"got {nvars!r}")
+        _nvars(nvars)
         for mono, coeff in items.items():
             if not isinstance(mono, Monomial) or mono.config != config:
                 raise ConfigError(f"bad monomial key {mono!r}")
@@ -277,7 +280,7 @@ class HomogeneousElement(_Value):
     @classmethod
     def one(cls, config: FieldConfig, kind: str,
             nvars: int) -> "HomogeneousElement":
-        mono = Monomial(config, [0] * nvars)
+        mono = Monomial(config, [0] * _nvars(nvars))
         coeff = _kind_class(kind).one(config)
         return cls(config, kind, nvars, 0, {mono: coeff})
 
@@ -285,7 +288,7 @@ class HomogeneousElement(_Value):
     def variable(cls, config: FieldConfig, kind: str, nvars: int,
                  j: int) -> "HomogeneousElement":
         """The variable T_j."""
-        if not 0 <= j < nvars:
+        if _integer(j, "variable index", 0, ConfigError) >= _nvars(nvars):
             raise ConfigError(f"variable index {j} out of range")
         exps = [0] * nvars
         exps[j] = 1
@@ -313,10 +316,8 @@ class HomogeneousElement(_Value):
     def with_precision(self, precexp) -> "HomogeneousElement":
         """Truncates, or promotes every coefficient as a chosen
         representative of its residue class."""
-        kf = _fraction(precexp)
-        return HomogeneousElement(
-            self.config, self.kind, self.nvars, self.degree,
-            {m: c.with_precision(kf) for m, c in self.terms.items()}, kf)
+        k = _precision_index(precexp, self.config)
+        return self._like({m: c._at(k) for m, c in self.terms.items()}, k)
 
     # -- ring structure --------------------------------------------------
 
@@ -374,8 +375,7 @@ class HomogeneousElement(_Value):
         return self._like(acc, k, self._deg + other._deg)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise KernelError(f"integer power expected, got {n!r}")
+        _integer(n, "power", 0)
         out = HomogeneousElement.one(self.config, self.kind, self.nvars)
         base = self
         while n:
@@ -527,8 +527,7 @@ def decompose(f: HomogeneousElement, c: int) -> list:
     """
     if not isinstance(f, HomogeneousElement) or f.kind != "untilt":
         raise ConfigError("decompose expects an untilt homogeneous element")
-    if not isinstance(c, int) or c < 0:
-        raise KernelError(f"depth must be a nonnegative integer, got {c!r}")
+    _integer(c, "depth", 0)
     if f._k < (c + 1) * f.config.scale:
         raise PrecisionError(
             f"decomposition to depth {c} needs f modulo w^{c + 1}, "
@@ -645,11 +644,7 @@ def _expand(h: HomogeneousElement, g: HomogeneousElement, cur: int,
 def _depth_and_budget(c, eps) -> tuple[Fraction, Fraction]:
     """The depth c and loss budget eps as Fractions, refused unless
     they are rationals with c >= 0 and 0 < eps < 1."""
-    try:
-        cf, ef = Fraction(c), Fraction(eps)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise KernelError(f"depth and loss budget must be rationals, got "
-                          f"{c!r} and {eps!r}") from None
+    cf, ef = _fraction(c, "depth"), _fraction(eps, "loss budget")
     if cf < 0:
         raise KernelError(f"depth must be nonnegative, got {cf}")
     if not 0 < ef < 1:
@@ -1028,7 +1023,11 @@ def verify_contract(f: HomogeneousElement, g: HomogeneousElement, c, eps,
             or g.degree != f.degree):
         raise ConfigError("f and g do not describe the same shape")
     cf, ef = _depth_and_budget(c, eps)
-    points = list(points)
+    try:
+        points = list(points)
+    except TypeError:
+        raise KernelError(f"verify_contract needs an iterable of points, "
+                          f"got {points!r}") from None
     if not points:
         raise KernelError("verify_contract needs at least one point")
     config = f.config

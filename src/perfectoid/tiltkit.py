@@ -66,6 +66,7 @@ from .arith import (
     PrecisionError,
     TiltElement,
     UntiltElement,
+    _integer,
     _is_int,
     _json_reader,
     _Value,
@@ -403,11 +404,10 @@ def untilt_power_pn(x: UntiltElement, n: int) -> UntiltElement:
     only while it can be below the full index.
 
     Raises:
-        KernelError: n is negative.
+        KernelError: n is not a nonnegative integer.
         BudgetError: the layer would be too large to power.
     """
-    if n < 0:
-        raise KernelError(f"negative power tower height {n}")
+    _integer(n, "power tower height", 0)
     config = x.config
     p = config.p
     if n == 0:
@@ -528,10 +528,8 @@ def sharp(x: TiltElement, target_prec: int) -> UntiltElement:
             f"sharp expects a tilt element, got "
             f"{getattr(x, 'kind', type(x).__name__)}")
     config = x.config
-    if not isinstance(target_prec, int) or target_prec < 1:
-        raise PrecisionError(f"target precision must be a positive integer, "
-                             f"got {target_prec!r}")
-    if target_prec > config.prec:
+    if _integer(target_prec, "target precision", 1,
+                PrecisionError) > config.prec:
         raise PrecisionError(
             f"target precision {target_prec} exceeds working precision "
             f"{config.prec}")
@@ -567,7 +565,7 @@ def sharp_const(config: FieldConfig, c: int) -> UntiltElement:
 
 def _check_length(config: FieldConfig, length: int) -> None:
     """Refuses a Witt length outside 1..prec, before any list is built."""
-    if length < 1:
+    if _integer(length, "Witt length") < 1:
         raise KernelError("Witt vectors have length >= 1")
     if length > config.prec:
         raise KernelError(
@@ -627,10 +625,7 @@ class WittVector(_Value):
     def from_json(cls, data: dict | str) -> "WittVector":
         from .arith import element_from_json
         components = [element_from_json(c) for c in data["components"]]
-        length = data["length"]
-        if not _is_int(length):
-            raise TypeError(f"length {length!r} is not an integer")
-        if length != len(components):
+        if _integer(data["length"], "Witt length") != len(components):
             raise KernelError("Witt length field does not match")
         if not components:
             raise KernelError("Witt vectors have length >= 1")

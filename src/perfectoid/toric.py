@@ -29,6 +29,8 @@ from .arith import (
     KernelError,
     UntiltElement,
     _Frozen,
+    _fraction,
+    _integer,
     _is_int,
     _json_reader,
     _Value,
@@ -208,8 +210,7 @@ class Cone(_Value):
     __slots__ = ("rank", "generators", "_duals")
 
     def __init__(self, rank: int, generators, *, pointed: bool = True):
-        if not _is_int(rank) or rank < 1:
-            raise ConeError(f"rank must be a positive integer, got {rank!r}")
+        _integer(rank, "rank", 1, ConeError)
         raw = {_primitive(_as_vector(v, rank)) for v in generators} - {None}
         duals = _nonneg_solutions(raw, rank)
         members = set(duals)
@@ -438,14 +439,6 @@ def is_complete(fan: Fan) -> bool:
 # Divisors and sections
 # =====================================================================
 
-def _coefficient(value) -> Fraction:
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise ConeError(f"malformed divisor coefficient {value!r}: "
-                        f"{exc}") from exc
-
-
 class TWeilDivisor(_Value):
     """A rational coefficient per ray of the fan.
 
@@ -462,24 +455,24 @@ class TWeilDivisor(_Value):
             raise ConeError(f"not a fan: {fan!r}")
         rays = fan.rays
         if isinstance(coefficients, dict):
-            keyed = {_int_tuple(k): _coefficient(v)
-                     for k, v in coefficients.items()}
+            keyed = {_int_tuple(k): v for k, v in coefficients.items()}
             missing = [r for r in rays if r not in keyed]
             extra = [k for k in keyed if k not in rays]
             if missing or extra:
                 raise ConeError(
                     f"coefficients must be indexed exactly by the rays; "
                     f"missing {missing}, extraneous {extra}")
-            coeffs = tuple(keyed[r] for r in rays)
+            values = [keyed[r] for r in rays]
         else:
             try:
-                values = iter(coefficients)
+                values = list(coefficients)
             except TypeError:
                 raise ConeError(f"not a coefficient list: {coefficients!r}")
-            coeffs = tuple(map(_coefficient, values))
-            if len(coeffs) != len(rays):
+            if len(values) != len(rays):
                 raise ConeError(
-                    f"{len(coeffs)} coefficients for {len(rays)} rays")
+                    f"{len(values)} coefficients for {len(rays)} rays")
+        coeffs = tuple(_fraction(a, "malformed divisor coefficient",
+                                 ConeError) for a in values)
         object.__setattr__(self, "fan", fan)
         object.__setattr__(self, "coefficients", coeffs)
 
@@ -487,7 +480,7 @@ class TWeilDivisor(_Value):
         return self.fan, self.coefficients
 
     def scaled(self, factor) -> "TWeilDivisor":
-        factor = Fraction(factor)
+        factor = _fraction(factor, "scale factor", ConeError)
         return TWeilDivisor(self.fan,
                             [a * factor for a in self.coefficients])
 
@@ -499,11 +492,9 @@ class TWeilDivisor(_Value):
     @_json_reader("divisor", ConeError)
     def from_json(cls, fan: Fan, data: dict | str) -> "TWeilDivisor":
         coeffs = data["coefficients"]
-        if not isinstance(coeffs, list) or not all(
-                _is_int(a) or isinstance(a, str) for a in coeffs):
-            raise TypeError(f"coefficients {coeffs!r} are not a list of "
-                            f"integers and rational strings")
-        coeffs = list(map(Fraction, coeffs))
+        if not isinstance(coeffs, list):
+            raise TypeError(f"coefficients {coeffs!r} are not a list")
+        coeffs = [_fraction(a, "coefficient", TypeError) for a in coeffs]
         given = (tuple(map(_int_tuple, data["rays"]))
                  if "rays" in data else fan.rays)
         if given != fan.rays:
@@ -549,9 +540,7 @@ def sections(fan: Fan, divisor: TWeilDivisor, dencap: int = 0,
     """
     if not isinstance(divisor, TWeilDivisor) or divisor.fan != fan:
         raise ConeError("divisor does not live on this fan")
-    if not isinstance(dencap, int):
-        raise ConeError(f"dencap must be an integer, got {dencap!r}")
-    if dencap < 0:
+    if _integer(dencap, "dencap", None, ConeError) < 0:
         raise ConeError(f"dencap must be nonnegative, got {dencap}")
     if (dencap > 0 or any(a.denominator != 1
                           for a in divisor.coefficients)) and p is None:
@@ -667,8 +656,7 @@ def frobenius_pullback(x):
 
 def projective_fan(n: int) -> Fan:
     """The standard fan of n-dimensional projective space."""
-    if not isinstance(n, int) or n < 1:
-        raise ConeError(f"dimension must be a positive integer, got {n!r}")
+    _integer(n, "dimension", 1, ConeError)
     rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     rays.append((-1,) * n)
     return Fan(n, [list(sub) for sub in combinations(rays, n)])

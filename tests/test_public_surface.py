@@ -9,7 +9,10 @@ in ``__all__`` or used in src outside its own definition (or held in one
 of the module's private tables, as ``cli._COMMANDS`` and
 ``suite._CHECKS`` hold the commands and checks); and every ``__all__``
 name is used somewhere besides the tests.  A fourth holds for src and
-tests alike: no module imports a name it never uses.
+tests alike: no module imports a name it never uses.  A fifth keeps the
+one argument rule: only ``arith._is_int`` tests ``isinstance(x, int)``,
+and only the functions on a written list convert a parameter with a
+one-argument ``Fraction()`` or ``int()``.
 """
 
 import ast
@@ -180,3 +183,88 @@ def test_a_name_in_a_quoted_annotation_counts_as_used():
                      "def f(x: 'Mapping[str, int]') -> None: pass\n")
     assert set(_imported(tree)) <= _used(tree)
     assert list(_imported(ast.parse("import a.b"))) == ["a"]
+
+
+# =====================================================================
+# One argument rule: arith's two numeric entries decide what a number is
+# =====================================================================
+
+# The one test of "is an int": every other check calls it, or
+# arith._integer, which calls it.
+INT_TEST = "arith._is_int"
+# The functions that may convert a parameter with a one-argument
+# Fraction() or int(), with the reason each may.
+CONVERTERS = {
+    "arith._fraction": "the one numeric entry for a rational argument",
+    "arith._read_int": "reads the digits the text form's pattern matched",
+    "cli._fraction": "reads a command-line option, which is text",
+    "arith.ValExp.as_fraction": "drops the subclass of a value that is a "
+    "Fraction already",
+}
+
+
+def _functions(node, prefix=""):
+    """(qualified name, node) of every function under node, methods and
+    nested functions included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            name = f"{prefix}{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _functions(child, f"{name}.")
+        else:
+            yield from _functions(child, prefix)
+
+
+def _numeric_checks(module, tree):
+    """{(function, line, what)} for each ``isinstance(x, int)`` and each
+    one-argument ``Fraction(x)`` or ``int(x)`` of a parameter x."""
+    found = set()
+    for name, func in _functions(tree):
+        params = {arg.arg for arg in ast.walk(func.args)
+                  if isinstance(arg, ast.arg)}
+        for node in ast.walk(func):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)):
+                continue
+            args, callee = node.args, node.func.id
+            if callee == "isinstance" and len(args) == 2:
+                kinds = (args[1].elts if isinstance(args[1], ast.Tuple)
+                         else [args[1]])
+                if any(getattr(k, "id", None) == "int" for k in kinds):
+                    found.add((f"{module}.{name}", node.lineno,
+                               "isinstance"))
+            elif (callee in ("Fraction", "int") and len(args) == 1
+                  and not node.keywords and isinstance(args[0], ast.Name)
+                  and args[0].id in params):
+                found.add((f"{module}.{name}", node.lineno, callee))
+    return found
+
+
+NUMERIC_CHECKS = set().union(*(_numeric_checks(module, tree)
+                               for module, tree in TREES.items()))
+
+
+def test_only_the_numeric_entries_decide_what_a_number_is():
+    stray = sorted(check for check in NUMERIC_CHECKS
+                   if not (check[0] == INT_TEST if check[2] == "isinstance"
+                           else check[0] in CONVERTERS))
+    assert stray == []
+
+
+def test_the_numeric_exemptions_are_still_needed():
+    used = {name for name, _, _ in NUMERIC_CHECKS}
+    assert {INT_TEST, *CONVERTERS} <= used
+
+
+def test_the_numeric_guard_sees_each_shape():
+    tree = ast.parse("class A:\n"
+                     "    def f(self, x, y):\n"
+                     "        isinstance(x, (str, int))\n"
+                     "        def g():\n"
+                     "            return Fraction(x) + int(y)\n"
+                     "        return Fraction(x, 2) + int(x > 1) + g()\n")
+    assert _numeric_checks("m", tree) == {
+        ("m.A.f", 3, "isinstance"), ("m.A.f", 5, "Fraction"),
+        ("m.A.f", 5, "int")}

@@ -532,12 +532,11 @@ _DEPTH_AND_BUDGET_CALLS = {
 @pytest.mark.parametrize("call", _DEPTH_AND_BUDGET_CALLS.values(),
                          ids=_DEPTH_AND_BUDGET_CALLS)
 @pytest.mark.parametrize("c,eps,message", [
-    ("x", "1/3", "^depth and loss budget must be rationals, got 'x' and "
-                 "'1/3'$"),
-    (1, "1/0", "^depth and loss budget must be rationals"),
-    (float("inf"), "1/3", "^depth and loss budget must be rationals"),
-    (1, float("nan"), "^depth and loss budget must be rationals"),
-    (None, "1/3", "^depth and loss budget must be rationals"),
+    ("x", "1/3", "^depth 'x' is not a rational$"),
+    (1, "1/0", "^loss budget '1/0' is not a rational$"),
+    (float("inf"), "1/3", "^depth inf is not a rational$"),
+    (1, float("nan"), "^loss budget nan is not a rational$"),
+    (None, "1/3", "^depth None is not a rational$"),
     (-1, "1/3", "^depth must be nonnegative, got -1$"),
     (1, "3/2", r"^loss budget must satisfy 0 < eps < 1, got 3/2$"),
 ], ids=["text", "zero-denominator", "infinite", "nan", "none",
@@ -659,6 +658,27 @@ def test_contract_refuses_an_empty_sample(monkeypatch):
         with pytest.raises(KernelError, match="at least one point") as refused:
             verify_contract(f, g, 1, Fraction(1, 3), points)
         assert type(refused.value) is KernelError
+
+
+def test_contract_refuses_points_it_cannot_iterate(monkeypatch):
+    import perfectoid.tatealg as tatealg
+
+    def no_sharp(*args):
+        raise AssertionError("sharp_element called")
+
+    monkeypatch.setattr(tatealg, "sharp_element", no_sharp)
+    f = uvar(C3, 1, 0)
+    g = HomogeneousElement.zero(C3, "tilt", 1, 1)
+    for points in (None, 5):
+        with pytest.raises(KernelError, match="needs an iterable of points"):
+            verify_contract(f, g, 1, Fraction(1, 3), points)
+
+
+def test_contract_takes_a_tuple_or_a_generator_of_points():
+    f, g = _linear_pair()
+    rows = verify_contract(f, g, 1, Fraction(1, 3), [GaussPoint()]).rows
+    for points in ((GaussPoint(),), (p for p in [GaussPoint()])):
+        assert verify_contract(f, g, 1, Fraction(1, 3), points).rows == rows
 
 
 def test_contract_report_shapes():
