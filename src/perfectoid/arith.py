@@ -552,9 +552,13 @@ class _DigitElement(_Frozen):
     def __init__(self, config: FieldConfig,
                  digits: Mapping[Fraction, int] | None = None,
                  precexp=None):
+        if digits is None:
+            digits = {}
+        elif type(digits) is not dict and not isinstance(digits, Mapping):
+            raise KernelError(f"not a digit mapping: {digits!r}")
         acc: dict[int, int] = {}
         off = None      # the first key off the lattice, refused last
-        for e, c in (digits or {}).items():
+        for e, c in digits.items():
             j = _index(e, config)
             if j is None:
                 f = Fraction(e)

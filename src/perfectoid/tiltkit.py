@@ -20,9 +20,12 @@ Powering in ``sharp`` runs on a "layer": an element of
 (Z/mod)[u]/(u^(p^M) - p), u = p^(1/p^M), held sparse until it is dense.
 A power starts on sparse maps {r: C_r}, multiplied term by term with
 u^(p^M) folded to p, because inputs of a few digits have few terms in
-the early rounds.  At the first product of more than _DENSE_RATIO * p^M
-term pairs it switches for good to the dense layer of p^M coefficients,
-whose products pack each coefficient list into one Python integer
+the early rounds.  A map of one term takes no product at all:
+(C u^r)^(p^R) = C^(p^R) p^q u^r', r p^R = q p^M + r', in closed form.
+At the first product of more term pairs than both the p^M slots and a
+floor it switches for good to the dense layer of p^M coefficients (the
+rule and the measurements it rests on are at ``_DENSE_FLOOR``), whose
+products pack each coefficient list into one Python integer
 (Kronecker substitution), multiply the two integers and fold the upper
 half back by u^(p^M) = p.  Each slot has the fewest whole bytes that
 hold a folded coefficient; slots of up to 8 bytes are packed and
@@ -95,11 +98,24 @@ _WORD_CODES = ({array(code).itemsize: code for code in "BHILQ"}
 # its layer is allocated.
 _LAYER_BUDGET = 2 ** 18
 
-# A layer product of two sparse maps runs term by term while it has at
-# most _DENSE_RATIO term pairs per slot of the dense layer, and on the
-# dense Kronecker product past that: a term pair costs about as much as
-# a few dense slots.  Layer powers and Witt products share the switch.
-_DENSE_RATIO = 4
+# A layer product of two sparse maps runs term by term while its term
+# pairs are at most the layer's slots or _DENSE_FLOOR, and on the dense
+# Kronecker product past both.  Layer powers and Witt products share
+# the switch.  Measured on a 2-core Xeon VM with Python 3.11.7, best of
+# 5 on random maps: a term pair costs 0.15-0.3 us, and a dense product
+# about 10 us plus 0.2-0.5 us a slot, so the two cost the same at 1-2
+# pairs a slot on every layer from 27 to 729 slots (p = 2, 3 and 5, and
+# the Witt layers of 81, 150 and 243 slots).  Above that the dense
+# product grows faster than its slots (Karatsuba), but whole powers on
+# the battery's 3^7- and 3^9-slot layers take the same time with the
+# switch anywhere from 1 to 16 pairs a slot.  Going dense commits the
+# rest of a power to the split rounds of ``_pth_power``, which on
+# layers of 3 to 27 slots cost more than staying sparse: with no floor,
+# the battery's powers on those layers took 1.1-1.9 times as long.
+# Over every layer power and Witt operation of one lift and one battery
+# pass (seed 1, each call best of 5, floors interleaved), floors of 81
+# to 324 pairs agree within 2%, and 162 was lowest or within 0.5% of it.
+_DENSE_FLOOR = 162
 
 
 def _depth(digits: dict[int, int], config: FieldConfig) -> int:
@@ -242,7 +258,7 @@ def _layer_product(x, y, c: int, size: int, mod: int):
     """x * y in (Z/mod)[u]/(u^size - c), each operand a sparse map
     {r: C_r} of nonzero coefficients or a dense list of size of them.
 
-    Two sparse operands with at most _DENSE_RATIO * size term pairs
+    Two sparse operands with at most max(size, _DENSE_FLOOR) term pairs
     multiply term by term into a sparse map, u^(size + r) folded to
     c * u^r (c = 0 drops it).  Any other pair becomes dense and goes
     through the Kronecker product ``_layer_mul``, whose dense list
@@ -252,7 +268,7 @@ def _layer_product(x, y, c: int, size: int, mod: int):
     if not (x and y):
         return {}
     if (type(x) is dict and type(y) is dict
-            and len(x) * len(y) <= _DENSE_RATIO * size):
+            and len(x) * len(y) <= max(size, _DENSE_FLOOR)):
         acc = {}
         get = acc.get
         terms = list(y.items())
@@ -289,6 +305,24 @@ def _pow_pn(vec, p: int, k: int, mul):
                 base = mul(base, base)
         vec = acc
     return vec
+
+
+def _one_term_power(points: dict[int, int], p: int, rounds: int, size: int,
+                    c: int, mod: int) -> dict[int, int]:
+    """(C * u^r)^(p^rounds) in (Z/mod)[u]/(u^size - c), for points the
+    one-term map {r: C}, in closed form.
+
+    With r * p^rounds = q * size + r', the power is C^(p^rounds) c^q
+    u^r': it is empty once c^q vanishes modulo mod, so once q reaches the
+    modulus exponent for c = p, and at any q >= 1 for the truncation
+    c = 0.  It equals the power taken product by product (``_pow_pn``
+    over ``_layer_product``), which reduces every product modulo mod.
+    """
+    [(r, coeff)] = points.items()
+    e = p ** rounds
+    q, r = divmod(r * e, size)
+    v = pow(coeff, e, mod) * pow(c, q, mod) % mod
+    return {r: v} if v else {}
 
 
 def _pth_power(a: list[int], p: int, i: int, e: int) -> list[int]:
@@ -352,11 +386,14 @@ def _power_layer(points: dict[int, int], m: int, p: int, n: int,
     The power starts on sparse maps, because a few digits have few
     terms in the early rounds ((a + b)^(p^i) has p^i + 1), and switches
     to the dense Kronecker product for good at the first product of
-    more than _DENSE_RATIO * p^m term pairs (``_layer_product``).  Every
-    round after that is split by the p-adic shape of the powers
-    (``_pth_power``).  The budget is checked on the dense layer the last
-    round could need, p^m slots of the width that holds a folded product
-    modulo p^top, before any product; with no rounds there is none.
+    more than max(p^m, _DENSE_FLOOR) term pairs (``_layer_product``).
+    Every round after that is split by the p-adic shape of the powers
+    (``_pth_power``).  A map of one term at the start of a round takes
+    the rounds left in closed form (``_one_term_power``), modulo p^top:
+    by the lemma above, that is what the rounds would give.  The budget
+    is checked on the dense layer the last round could need, p^m slots
+    of the width that holds a folded product modulo p^top, before any
+    product or closed form; with no rounds there is none.
 
     Only min(n, top - 1 + m) rounds run, with the same result at any n:
     the first n - top + 1 rounds run modulo p, where the layer ring is
@@ -381,6 +418,9 @@ def _power_layer(points: dict[int, int], m: int, p: int, n: int,
     for left in range(rounds - 1, -1, -1):
         e = max(top - left, 1)
         if type(vec) is dict:
+            if len(vec) == 1:
+                return _one_term_power(vec, p, left + 1, size, p,
+                                       p ** max(top, 1))
             vec = _pow_pn(vec, p, 1,
                           partial(_layer_product, c=p, size=size, mod=p ** e))
         else:
@@ -632,10 +672,13 @@ class WittVector(_Value):
         return cls(components[0].config, components)
 
 
-# A Witt product costs min(term pairs, _DENSE_RATIO * dense size) units
-# (``_layer_product``); one Witt operation may spend _WITT_WORK_BUDGET of
-# them (0.2-0.7 us a unit on one Xeon core: 1-3 s), and the overrunning
-# product is refused.
+# A Witt product costs min(term pairs, max(L, _DENSE_FLOOR)) units, L the
+# slots of its dense layer: a sparse product its term pairs, a dense one
+# the term pairs at which the switch of ``_layer_product`` takes it,
+# which cost about as much.  A power of one term, taken in closed form,
+# costs a unit for each product it stands for.  One Witt operation may
+# spend _WITT_WORK_BUDGET units (0.2-0.7 us a unit on one Xeon core:
+# 1-3 s), and the overrunning product is refused.
 _WITT_WORK_BUDGET = 2 ** 22
 
 
@@ -652,8 +695,9 @@ def _witt_op(a: WittVector, b: WittVector, op: str) -> WittVector:
     the p^i digit of C_j is dropped once u^j >= t^(prec/p^i), as
     p^i t^(prec/p^i) = V^i [t^prec].  Products are those of the layer
     power, ``_layer_product`` with c = 0 on (Z/p^n)[u]/(u^L),
-    L = prec * p^M: term by term up to _DENSE_RATIO * L term pairs, on
-    the dense Kronecker product past that.
+    L = prec * p^M: term by term up to max(L, _DENSE_FLOOR) term pairs,
+    on the dense Kronecker product past that.  A Teichmüller expansion
+    of one term is taken in closed form (``_one_term_power``).
     """
     if a.config != b.config or a.length != b.length:
         raise ConfigError("Witt operands must share config and length")
@@ -664,6 +708,7 @@ def _witt_op(a: WittVector, b: WittVector, op: str) -> WittVector:
     size = prec * p ** depth
     bounds = [prec * p ** (depth - i) for i in range(n)]
     levels, spent = {}, 0
+    limit = max(size, _DENSE_FLOOR)     # term pairs past which it is dense
 
     def reduce(acc: dict, shift: int) -> dict:
         # C_j modulo p^(levels(j) - shift), for a layer divided by p^shift
@@ -680,22 +725,36 @@ def _witt_op(a: WittVector, b: WittVector, op: str) -> WittVector:
             x[j] = x.get(j, 0) + scale * c
         return x
 
-    def mul(x: dict, y: dict, shift: int) -> dict:
+    def charge(pairs: int) -> None:
         nonlocal spent
-        pairs = len(x) * len(y)
-        spent += min(pairs, _DENSE_RATIO * size)
+        spent += min(pairs, limit)
         if spent > _WITT_WORK_BUDGET:
             raise BudgetError(
                 f"Witt {op} of length {n} on the 1/p^{m} lattice overruns "
                 f"its budget of {_WITT_WORK_BUDGET} units at a product of "
                 f"{pairs} term pairs over {size} coefficients")
+
+    def mul(x: dict, y: dict, shift: int) -> dict:
+        charge(len(x) * len(y))
         prod = _layer_product(x, y, 0, size, p ** (n - shift))
         return reduce(prod if type(prod) is dict else dict(enumerate(prod)),
                       shift)
 
     def teichmuller(root: dict, k: int, shift: int) -> dict:
         # [y] modulo p^(k+1) from a lift of y^(1/p^k), raised to p^k
-        return _pow_pn(root, p, k, lambda x, y: mul(x, y, shift))
+        if len(root) > 1:
+            return _pow_pn(root, p, k, lambda x, y: mul(x, y, shift))
+        if not root:
+            return {}
+        # One term, a unit digit: taken product by product, each of the
+        # k rounds would square and multiply (``_pow_pn``) one term pair
+        # at a time, and no product would be empty, since the power lands
+        # at most where the digit it lifts sits, below bounds[shift].
+        # Each such product is charged before the closed form.
+        for _ in range(k * (p.bit_length() + p.bit_count() - 2)):
+            charge(1)
+        return reduce(_one_term_power(root, p, k, size, 0, p ** (n - shift)),
+                      shift)
 
     def expand(w: WittVector) -> dict:
         total = {}

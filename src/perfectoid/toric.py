@@ -465,6 +465,8 @@ class TWeilDivisor(_Value):
             values = [keyed[r] for r in rays]
         else:
             try:
+                if isinstance(coefficients, (str, bytes)):
+                    raise TypeError     # iterable, but by character
                 values = list(coefficients)
             except TypeError:
                 raise ConeError(f"not a coefficient list: {coefficients!r}")

@@ -9,10 +9,12 @@ of KernelError, and never escapes as a TypeError or ValueError.
 Each row of ``SITES`` names one numeric argument of one entry point:
 how to call it with that argument, its typed error, the bad values it
 must refuse and one good value with the answer it must give.  To cover
-another numeric argument, add a row.
+another numeric argument, add a row.  The digit map of an element is
+checked alike: any mapping answers, anything else is a KernelError.
 """
 
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -201,3 +203,17 @@ def test_a_bad_numeric_argument_is_a_typed_refusal(call, error, value):
                           for row in SITES])
 def test_a_good_numeric_argument_answers(call, good, expected):
     assert call(good) == expected
+
+
+@pytest.mark.parametrize("kind", [UntiltElement, TiltElement])
+@pytest.mark.parametrize("digits", [[1], (1,), [], "1", 5, {1}])
+def test_digits_that_are_not_a_mapping_are_a_typed_refusal(kind, digits):
+    with pytest.raises(KernelError, match="^not a digit mapping: "):
+        kind(C2, digits)
+
+
+@pytest.mark.parametrize("kind", [UntiltElement, TiltElement])
+def test_digits_in_any_mapping_answer(kind):
+    digits = {Fraction(1, 2): 1}
+    assert kind(C2, MappingProxyType(digits)) == kind(C2, digits)
+    assert kind(C2, None) == kind(C2, {})

@@ -5,6 +5,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from math import isqrt
 from pathlib import Path
 
@@ -27,10 +28,13 @@ from perfectoid.arith import (
     reduce_mod_uniformizer,
 )
 from perfectoid.tiltkit import (
-    _DENSE_RATIO,
+    _DENSE_FLOOR,
     WittVector,
     _dense,
     _layer_mul,
+    _layer_product,
+    _one_term_power,
+    _pow_pn,
     _power_layer,
     _slot_width,
     sharp,
@@ -270,8 +274,9 @@ def test_power_refuses_oversized_layer_before_allocating():
 def test_sparse_until_dense_power_matches_dense_oracle(data):
     # Term counts run from 1 to the whole layer, so the first product of
     # a power falls on either side of the switch to the dense product
-    # (2 * sqrt(L) terms square to _DENSE_RATIO * L pairs); coefficients
-    # above the modulus check the first reduction.
+    # (sqrt(max(L, _DENSE_FLOOR)) terms square to its limit); one term
+    # takes the closed form; coefficients above the modulus check the
+    # first reduction.
     if data is None:
         # the whole 1/3^3 layer: dense from the first product
         p, m, n, top = 3, 3, 2, 3
@@ -294,8 +299,8 @@ def test_sparse_until_dense_power_matches_dense_oracle(data):
 
 def test_sharp_of_few_digits_makes_no_dense_product(monkeypatch):
     # On the 3^6-slot layer a monomial or a 2-digit input stays far below
-    # _DENSE_RATIO * 3^6 term pairs in every product at k = 2; a full
-    # residue crosses to the dense product at once.
+    # 3^6 term pairs in every product at k = 2; a full residue crosses to
+    # the dense product at once.
     calls = []
 
     def counting(*args):
@@ -313,7 +318,7 @@ def test_sharp_of_few_digits_makes_no_dense_product(monkeypatch):
     assert calls == []
     full = TiltElement(config, {Fraction(j, 3 ** 5): 1
                                 for j in range(1, 3 ** 5, 2)})
-    assert (3 ** 5 // 2 + 1) ** 2 > _DENSE_RATIO * 3 ** 6
+    assert (3 ** 5 // 2 + 1) ** 2 > max(3 ** 6, _DENSE_FLOOR)
     sharp(full, 2)
     assert calls
 
@@ -356,20 +361,88 @@ def test_split_pth_power_matches_schoolbook(data):
 
 
 def test_dense_rounds_split_off_the_multiples_of_p(monkeypatch):
-    # 2 + 2t^2 + t^7 at k = 7 goes dense on the 3^6-slot layer in its
-    # third round; the three rounds after it multiply on layers of at
-    # most 3^5 slots.
-    lengths = []
+    # 2 + 2t^2 + t^7 at k = 7 on the 3^6-slot layer: a cube is a square
+    # and a product, so rounds 1 and 2 are products 1-4, sparse; round 3
+    # squares 45 terms, past max(3^6, _DENSE_FLOOR) pairs, and runs both
+    # its products, 5 and 6, on 3^6 slots.  The rounds after it split
+    # off the multiples of p and multiply on at most 3^5 slots.
+    products, dense = [], []
+
+    def product(*args, **kwargs):
+        products.append(args)
+        return _layer_product(*args, **kwargs)
 
     def counting(a, b, c, mod):
-        lengths.append(len(a))
+        dense.append((len(products), len(a)))
         return _layer_mul(a, b, c, mod)
 
+    monkeypatch.setattr(tiltkit, "_layer_product", product)
     monkeypatch.setattr(tiltkit, "_layer_mul", counting)
     config = FieldConfig(3, 8, 10)
     sharp(TiltElement(config, {0: 2, 2: 2, 7: 1}), 7)
-    assert lengths.count(3 ** 6) == 1
-    assert max(lengths[lengths.index(3 ** 6) + 1:]) <= 3 ** 5
+    assert [n for n, slots in dense if slots == 3 ** 6] == [5, 6]
+    assert max(slots for _, slots in dense[2:]) <= 3 ** 5
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+@example(data=None)
+def test_one_term_power_matches_the_power_product_by_product(data):
+    # (C u^r)^(p^R) in (Z/p^e)[u]/(u^L - c) against R rounds of products
+    # on sparse maps; L = p^d, or prec * p^d for the Witt truncation
+    # c = 0.  R runs to 3 past e - 1 + d, where _power_layer stops
+    # counting rounds.
+    if data is None:
+        # both empty: u^2 on 3 slots cubed three times is u^54 = p^18,
+        # past p^5, and u^5 on 6 slots squared passes the truncation
+        cases = [(3, 3, 3, 2, 1, 3, 5), (2, 6, 0, 5, 1, 1, 3)]
+    else:
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        c = data.draw(st.sampled_from([0, p]))
+        d = data.draw(st.integers(0, 4))
+        size = (data.draw(st.integers(1, 9)) if c == 0 else 1) * p ** d
+        e = data.draw(st.integers(1, 6))
+        cases = [(p, size, c, data.draw(st.integers(0, size - 1)),
+                  data.draw(st.integers(1, p ** e - 1)),
+                  data.draw(st.integers(0, e + d + 2)), e)]
+    for p, size, c, r, coeff, rounds, e in cases:
+        mod = p ** e
+        want = _pow_pn({r: coeff}, p, rounds,
+                       partial(_layer_product, c=c, size=size, mod=mod))
+        assert _one_term_power({r: coeff}, p, rounds, size, c, mod) == want
+        if data is None:
+            assert want == {}
+
+
+def test_one_term_inputs_make_no_layer_product(monkeypatch):
+    # Every power of one term is taken in closed form: sharp and theta of
+    # monomials, a monomial's p^n-th power, and the Teichmüller
+    # expansions and peeling of a Witt product of two monomial vectors,
+    # whose one product is that of the two one-term expansions.
+    calls = []
+
+    def product(x, y, *args, **kwargs):
+        calls.append((len(x), len(y)))
+        return _layer_product(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(tiltkit, "_layer_product", product)
+    config = FieldConfig(3, 8, 6)
+    x = TiltElement.monomial(config, 2, Fraction(7, 3 ** 2))
+    y = TiltElement.monomial(config, 1, Fraction(4, 3))
+    u = UntiltElement.monomial(config, 2, Fraction(5, 3 ** 3))
+    zero = TiltElement.zero(config)
+    # sharp(2 t^a) = [2] p^a
+    assert sharp(x, 5) == (sharp_const(config, 2) * UntiltElement.monomial(
+        config, 1, Fraction(7, 3 ** 2))).with_precision(5)
+    assert theta(WittVector(config, [x, y, zero])) == \
+        (sharp(x, 3) + UntiltElement.from_int(config, 3)
+         * sharp(y.root(1), 3)).with_precision(3)
+    assert untilt_power_pn(u, 4) == u ** 81
+    assert calls == []
+    a = WittVector(config, [x, zero, zero])
+    b = WittVector(config, [y, zero, zero])
+    assert witt_mul(a, b) == WittVector(config, [x * y, zero, zero])
+    assert calls == [(1, 1)]
 
 
 @settings(max_examples=80)
@@ -611,6 +684,25 @@ def test_witt_refuses_overbudget_products_before_allocating():
         with pytest.raises(BudgetError, match=f"{2100 ** 2} term pairs "
                                               f"over {8 * 5 ** 13}"):
             op(a, a)
+
+
+def test_witt_budget_charges_a_one_term_power_its_products(monkeypatch):
+    # [x] * [y] at length 3, p = 3, as the products taken one by one
+    # spent: each one-term expansion stands for two cubes of two products
+    # each, the product of the expansions is one more, and peeling [xy]
+    # off is two more cubes, 13 units in all.
+    config = FieldConfig(3, 8, 6)
+    zero = TiltElement.zero(config)
+    x = TiltElement.monomial(config, 2, Fraction(7, 9))
+    y = TiltElement.monomial(config, 1, Fraction(4, 3))
+    a = WittVector(config, [x, zero, zero])
+    b = WittVector(config, [y, zero, zero])
+    monkeypatch.setattr(tiltkit, "_WITT_WORK_BUDGET", 12)
+    with pytest.raises(BudgetError, match="budget of 12 units at a product "
+                                          "of 1 term pairs over 648 "):
+        witt_mul(a, b)
+    monkeypatch.setattr(tiltkit, "_WITT_WORK_BUDGET", 13)
+    assert witt_mul(a, b) == WittVector(config, [x * y, zero, zero])
 
 
 def test_witt_sparse_inputs_on_deep_lattices_stay_cheap():

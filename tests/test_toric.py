@@ -430,6 +430,8 @@ def test_divisor_coefficients_that_are_not_rational_are_refused(bad):
     ({"10": 1, (0, 1): 0, (-1, -1): 0}, "^not an integer vector"),
     (5, r"^not a coefficient list: 5$"),
     (None, r"^not a coefficient list: None$"),
+    ("100", r"^not a coefficient list: '100'$"),
+    (b"100", r"^not a coefficient list: b'100'$"),
 ])
 def test_divisor_keys_and_containers_are_checked_not_converted(
         coefficients, message):
