@@ -1,12 +1,16 @@
-"""Points of the adic closed unit disc and their valuations.
+"""Points of the adic closed unit disc and polydisc, and their
+valuations.
 
 The disc over the characteristic-0 field carries more points than its
-classical ones.  This module represents three kinds: classical centers,
+classical ones.  This module represents three kinds: classical points,
 disc points (the sup norm over a closed sub-disc of radius p^-q, the
 Gauss point being radius 1), and halo points (rank-2 valuations sitting
 infinitesimally inside or outside a disc, tagged by a sign).  Dead-end
 points arising from nested disc families with empty intersection need
-infinitely many centers to witness and are not represented.
+infinitely many centers to witness and are not represented.  The one
+point class, ``AdicPoint``, also holds the points of the polydisc that
+``tatealg`` evaluates at: classical points of n coordinates, each with
+an optional tilt coordinate, and the Gauss point.
 
 Values are handled in exponent form: a rank-1 value p^-e is the
 exponent e, and a rank-2 value p^-q * gamma^k is a Rank2Value, where
@@ -18,7 +22,8 @@ Evaluation decides everything at working precision: a coefficient that
 is zero at its precision only contributes the constraint "valuation at
 least the precision exponent", and when that constraint could still
 move a minimum or a tie the evaluation refuses with an indeterminacy
-error instead of guessing.
+error instead of guessing.  One routine, ``_reading``, reads every
+value so, on both sides of the tilt and for ``tatealg.valuation_at``.
 """
 
 from __future__ import annotations
@@ -108,9 +113,12 @@ class Rank2Value(_Value):
 # =====================================================================
 
 class AdicPoint(_Value):
-    """A point of the closed unit disc, in one of three shapes.
+    """A point of the closed unit polydisc in n >= 1 coordinates, in one
+    of three shapes.
 
-    classical: evaluation at a center in the closed unit ball.
+    classical: evaluation at coordinates in the closed unit ball, each
+        with an optional tilt coordinate, a tilt element whose sharp it
+        is (checked here): the point tilts there.
     disc: the sup norm over D(center, p^-radius_exp); radius_exp = 0 is
         the Gauss point.  Branching happens exactly when the radius is
         a field norm, i.e. radius_exp has a p-power denominator.
@@ -119,17 +127,25 @@ class AdicPoint(_Value):
         depending on the closed disc).  An outside halo needs
         radius_exp > 0: at radius 1 it would assign |T| a value above
         every norm of the ball, which no point of the disc does.
+
+    Disc and halo points have one coordinate, their center, except the
+    Gauss point, the disc of radius 1 at the origin in any number.
     """
 
-    __slots__ = ("kind", "center", "radius_exp", "sign")
+    __slots__ = ("kind", "coords", "tilts", "radius_exp", "sign")
 
-    def __init__(self, kind: str, center: UntiltElement, radius_exp=None,
-                 sign: str | None = None):
+    def __init__(self, kind: str, coords, radius_exp=None,
+                 sign: str | None = None, tilts=None):
         if kind not in ("classical", "disc", "halo"):
             raise ConfigError(f"unknown point kind {kind!r}")
-        if not isinstance(center, UntiltElement):
-            raise ConfigError("the center must be an element of the "
-                              "characteristic-0 side")
+        coords = (coords,) if isinstance(coords, UntiltElement) else coords
+        if not (isinstance(coords, (tuple, list)) and coords
+                and isinstance(coords[0], UntiltElement) and all(
+                    isinstance(x, UntiltElement)
+                    and x.config == coords[0].config for x in coords[1:])):
+            raise ConfigError("a point needs one or more coordinates, "
+                              "characteristic-0 elements of one config")
+        config = coords[0].config
         # digit exponents are nonnegative by construction, so any center
         # already lies in the closed unit disc
         if kind == "classical":
@@ -151,19 +167,34 @@ class AdicPoint(_Value):
                     raise KernelError(
                         "an outside halo at radius 1 would exceed the "
                         "norms of the unit ball")
+            if len(coords) > 1 and (kind, radius_exp) != ("disc", 0):
+                raise ConfigError("a disc or halo point has one "
+                                  "coordinate, unless it is the Gauss point")
+        tilts = (None,) * len(coords) if tilts is None else tilts
+        if not isinstance(tilts, (tuple, list)) or len(tilts) != len(coords):
+            raise ConfigError("a point needs a tilt or None per coordinate")
+        for x, y in zip(coords, tilts):
+            if y is not None:
+                # only a classical coordinate has a tilt
+                if kind != "classical" or not isinstance(y, TiltElement) \
+                        or y.config != config:
+                    raise ConfigError(f"bad tilt preimage {y!r}")
+                from .tiltkit import _check_lift
+                _check_lift(y, x)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "coords", tuple(coords))
+        object.__setattr__(self, "tilts", tuple(tilts))
         object.__setattr__(self, "radius_exp", radius_exp)
         object.__setattr__(self, "sign", sign)
 
     def _key(self) -> tuple:
-        return self.kind, self.center, self.radius_exp, self.sign
+        return self.kind, self.coords, self.tilts, self.radius_exp, self.sign
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def classical(cls, center: UntiltElement) -> "AdicPoint":
-        return cls("classical", center)
+    def classical(cls, *coords: UntiltElement, tilts=None) -> "AdicPoint":
+        return cls("classical", coords, tilts=tilts)
 
     @classmethod
     def disc(cls, center: UntiltElement, radius_exp) -> "AdicPoint":
@@ -175,14 +206,25 @@ class AdicPoint(_Value):
         return cls("halo", center, radius_exp, sign)
 
     @classmethod
-    def gauss(cls, config: FieldConfig) -> "AdicPoint":
-        return cls("disc", UntiltElement.zero(config), 0)
+    def gauss(cls, config: FieldConfig, nvars: int = 1) -> "AdicPoint":
+        zero = UntiltElement.zero(config)
+        return cls("disc", (zero,) * _integer(nvars, "variable count", 1,
+                                              ConfigError), 0)
 
     # -- classification --------------------------------------------------
 
     @property
     def config(self) -> FieldConfig:
-        return self.center.config
+        return self.coords[0].config
+
+    @property
+    def nvars(self) -> int:
+        return len(self.coords)
+
+    @property
+    def center(self) -> UntiltElement:
+        # the first coordinate: the center of a disc or halo point
+        return self.coords[0]
 
     def classify(self) -> int:
         """The standard numbering: 1 classical, 2 branching disc,
@@ -213,13 +255,13 @@ class AdicPoint(_Value):
             raise ConfigError(f"not a point: {other!r}")
         if self is other:
             return True
-        if (self.kind, self.radius_exp, self.sign) != (
-                other.kind, other.radius_exp, other.sign):
+        if (self.kind, self.nvars, self.radius_exp, self.sign) != (
+                other.kind, other.nvars, other.radius_exp, other.sign):
             return False
-        diff = self.center - other.center
-        bound = Fraction(diff._low(), diff.config.scale)
+        diffs = [x - y for x, y in zip(self.coords, other.coords)]
         if self.kind == "classical":
-            return diff.is_zero()
+            return all(d.is_zero() for d in diffs)
+        bound = Fraction(min(d._low() for d in diffs), self.config.scale)
         if self.kind == "halo" and self.sign == "<":
             return bound > self.radius_exp
         return bound >= self.radius_exp
@@ -227,10 +269,23 @@ class AdicPoint(_Value):
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
+        """The disc form (key "type") for one coordinate, the polydisc
+        form (key "kind") for more."""
+        if self.nvars > 1:
+            if self.kind != "classical":
+                return {"kind": "gauss"}
+            out = {"kind": "classical",
+                   "coords": [x.to_json() for x in self.coords]}
+            if any(y is not None for y in self.tilts):
+                out["tilt_coords"] = [None if y is None else y.to_json()
+                                      for y in self.tilts]
+            return out
         if self.is_gauss():
             return {"type": "gauss", "p": self.config.p,
                     "prec": self.config.prec, "dencap": self.config.dencap}
         out = {"type": self.kind, "center": self.center.to_json()}
+        if self.tilts[0] is not None:
+            out["tilt"] = self.tilts[0].to_json()
         if self.kind != "classical":
             out["radius_exp"] = _frac_json(self.radius_exp)
         if self.kind == "halo":
@@ -240,9 +295,10 @@ class AdicPoint(_Value):
     def __repr__(self):
         if self.is_gauss():
             return "<adic gauss>"
-        c = self.center.to_text()
+        c = ", ".join(x.to_text() for x in self.coords)
         if self.kind == "classical":
-            return f"<adic classical T={c}>"
+            return (f"<adic classical T={c}>" if self.nvars == 1
+                    else f"<adic classical ({c})>")
         if self.kind == "disc":
             return f"<adic disc D({c}, p^-({self.radius_exp}))>"
         return (f"<adic halo D({c}, {self.sign}p^-({self.radius_exp}))>")
@@ -250,10 +306,27 @@ class AdicPoint(_Value):
 
 @_json_reader("adic point")
 def adic_point_from_json(data: dict | str,
-                         config: FieldConfig | None = None) -> AdicPoint:
-    """Rebuilds a point; the Gauss shorthand needs the config supplied
-    inline (p/prec/dencap keys) or as an argument, and both must agree
-    when both are given."""
+                         config: FieldConfig | None = None,
+                         nvars: int = 1) -> AdicPoint:
+    """Rebuilds a point from either JSON form, chosen by key: "type" is
+    the disc form, "kind" the polydisc form.  A Gauss shorthand takes
+    what it omits from the function it is evaluated with: its config,
+    passed as config (the disc form may give it inline as p/prec/dencap,
+    and both must agree), and in the polydisc form its arity, nvars."""
+    def read(d):
+        return None if d is None else element_from_json(d)
+
+    if "type" not in data and "kind" in data:
+        kind, tilts = data["kind"], data.get("tilt_coords")
+        if kind == "classical":
+            return AdicPoint.classical(
+                *[element_from_json(d) for d in data["coords"]],
+                tilts=None if tilts is None else [read(d) for d in tilts])
+        if kind != "gauss":
+            raise ConfigError(f"unknown point kind {kind!r}")
+        if config is None:
+            raise KernelError("the gauss shorthand needs an explicit config")
+        return AdicPoint.gauss(config, nvars)
     kind = data.get("type")
     if kind == "gauss":
         if data.keys() & {"p", "prec", "dencap"}:
@@ -272,7 +345,7 @@ def adic_point_from_json(data: dict | str,
         raise ConfigError(f"unknown point type {kind!r}")
     center = element_from_json(data["center"])
     if kind == "classical":
-        return AdicPoint.classical(center)
+        return AdicPoint.classical(center, tilts=[read(data.get("tilt"))])
     radius = data["radius_exp"]
     q = Fraction(radius["num"], radius["den"])
     # Fraction refuses a float or a string itself, but takes a bool
@@ -286,6 +359,25 @@ def adic_point_from_json(data: dict | str,
 # =====================================================================
 # Evaluation
 # =====================================================================
+
+def _reading(levels: list, den: int) -> tuple:
+    """(exact, lower, blocker): the least of the levels e/den, read at
+    working precision.  levels[n] is (e, hidden): a visible coefficient
+    gives its level e, one zero at precision (hidden) only the bound
+    "at least e", e its precision; a value at a classical point is one
+    such level.  exact is the least level, or None unless some level is
+    visible and no bound falls below the least visible one (the first
+    that does is blocker); lower, the least of all, is certified."""
+    # a visible level sorts before a bound at the same level
+    lower, hidden = min(levels)
+    if not hidden:
+        value = Fraction(lower, den)
+        return value, value, None
+    least = min((e for e, hid in levels if not hid), default=None)
+    blocker = None if least is None else next(
+        n for n, (e, hid) in enumerate(levels) if hid and e < least)
+    return None, Fraction(lower, den), blocker
+
 
 def eval_at(f: Polynomial, x: AdicPoint):
     """The valuation exponent of f at the point.
@@ -309,46 +401,48 @@ def eval_at(f: Polynomial, x: AdicPoint):
         raise ConfigError(f"not a point: {x!r}")
     if f.config != x.config:
         raise ConfigError("polynomial and point configs differ")
+    if x.nvars != 1:
+        raise ConfigError(f"a polynomial in one variable is not evaluated "
+                          f"at a point of {x.nvars} coordinates")
     scale = f.config.scale
     if x.kind == "classical":
         y = f(x.center)
-        if y.is_zero():
+        exact, lower, _ = _reading([(y._low(), y.is_zero())], scale)
+        if exact is None:
             raise IndeterminateError(
                 f"f(center) vanishes at working precision "
-                f"(known modulo p^{y.precexp}); its "
+                f"(known modulo p^{lower}); its "
                 f"valuation exponent is undetermined")
-        return Fraction(y._low(), scale)
+        return exact
     # v(a_n) + n*q over the coefficients a_n of f(T + center), on the
-    # common denominator scale * den(q): exact for a visible digit, a
-    # lower bound (the precision) for a coefficient zero at precision
+    # common denominator scale * den(q)
     q = x.radius_exp
     den = scale * q.denominator
     step = scale * q.numerator
-    exact, lowers = [], []
-    for n, a in enumerate(f.shifted(x.center).coeffs):
-        level = (a._low() * q.denominator + n * step, n)
-        (lowers if a.is_zero() else exact).append(level)
-    if not exact:
+    levels = [(a._low() * q.denominator + n * step, a.is_zero())
+              for n, a in enumerate(f.shifted(x.center).coeffs)]
+    exact, _, blocker = _reading(levels, den)
+    if exact is None:
+        if blocker is None:
+            raise IndeterminateError(
+                "every re-expanded coefficient vanishes at working "
+                "precision; the sup-norm exponent is undetermined")
         raise IndeterminateError(
-            "every re-expanded coefficient vanishes at working precision; "
-            "the sup-norm exponent is undetermined")
-    m = min(e for e, _ in exact)
-    blocking = [n for e, n in lowers if e < m]
-    if blocking:
-        raise IndeterminateError(
-            f"coefficient {blocking[0]} of the re-expansion is zero at a "
+            f"coefficient {blocker} of the re-expansion is zero at a "
             f"precision too low to rule it out of the minimum")
     if x.kind == "disc":
-        return Fraction(m, den)
-    ties = [n for e, n in exact if e == m]
+        return exact
+    m = exact.numerator * den // exact.denominator
+    ties = [n for n, (e, hidden) in enumerate(levels)
+            if not hidden and e == m]
     k = min(ties) if x.sign == "<" else max(ties)
-    for e, n in lowers:
-        if e == m and ((x.sign == "<" and n < k)
-                       or (x.sign == ">" and n > k)):
+    for n, (e, hidden) in enumerate(levels):
+        if hidden and e == m and ((x.sign == "<" and n < k)
+                                  or (x.sign == ">" and n > k)):
             raise IndeterminateError(
                 f"coefficient {n} of the re-expansion is zero exactly at "
                 f"the minimal level; the gamma exponent is undetermined")
-    return Rank2Value(Fraction(m, den), k, x.sign)
+    return Rank2Value(exact, k, x.sign)
 
 
 def _abs_le(a, b) -> bool:
@@ -455,6 +549,8 @@ def specializes(x: AdicPoint, y: AdicPoint) -> bool:
         raise ConfigError("specializes compares two adic points")
     if x.config != y.config:
         raise ConfigError("points live over different configs")
+    if x.nvars != y.nvars:
+        raise ConfigError("points live in different numbers of coordinates")
     if x.same_point(y):
         return True
     if x.classify() != 2 or y.kind != "halo":
@@ -469,26 +565,7 @@ def specializes(x: AdicPoint, y: AdicPoint) -> bool:
 # Point tilting
 # =====================================================================
 
-def _tilt_center(center: UntiltElement, center_tilt):
-    config = center.config
-    if center_tilt is not None:
-        if not isinstance(center_tilt, TiltElement) \
-                or center_tilt.config != config:
-            raise ConfigError(f"bad tilt center {center_tilt!r}")
-        from .tiltkit import _check_lift
-        _check_lift(center_tilt, center)
-        return center_tilt
-    if center.is_zero():
-        return TiltElement.zero(config, config.prec)
-    if list(center._digits.values()) == [1]:
-        return TiltElement._make(config, {center._low(): 1}, config.full)
-    raise KernelError(
-        f"center {center!r} is not a recognized sharp image; supply its "
-        f"tilt preimage")
-
-
-def tilt_point_check(fb: Polynomial, x: AdicPoint,
-                     center_tilt: TiltElement | None = None) -> dict:
+def tilt_point_check(fb: Polynomial, x: AdicPoint) -> dict:
     """Compares |f^sharp(x)| with |f(x-flat)| at a tilted point.
 
     The point correspondence sends x to the valuation f -> |f^sharp(x)|
@@ -499,10 +576,9 @@ def tilt_point_check(fb: Polynomial, x: AdicPoint,
 
     Args:
         fb: polynomial over the tilt.
-        x: classical point or the Gauss point, with a center in the
-            image of the multiplicative lift.
-        center_tilt: explicit preimage of the center; required when the
-            center is not 0, 1 or a power of the uniformizer.
+        x: classical point or the Gauss point.  A classical point tilts
+            to its tilt coordinate, which 0 and the powers of p need not
+            carry.
 
     Returns:
         dict with "untilt_exponent", "tilt_exponent" (Fractions) and
@@ -526,18 +602,25 @@ def tilt_point_check(fb: Polynomial, x: AdicPoint,
     fs = Polynomial([sharp(c, config.prec) for c in fb.coeffs])
     untilt_exp = eval_at(fs, x)
     if x.is_gauss():
-        low = min(c._low() for c in fb.coeffs if not c.is_zero())
-        if any(c._k < low for c in fb.coeffs if c.is_zero()):
-            raise IndeterminateError(
-                "a tilt coefficient vanishes at a precision below the "
-                "minimum; the Gauss exponent is undetermined")
+        levels = [(c._low(), c.is_zero()) for c in fb.coeffs]
+        why = ("a tilt coefficient vanishes at a precision below the "
+               "minimum; the Gauss exponent is undetermined")
     else:
-        y = fb(_tilt_center(x.center, center_tilt))
-        if y.is_zero():
-            raise IndeterminateError(
-                f"f(tilted center) vanishes at working precision "
-                f"(known modulo t^{y.precexp})")
-        low = y._low()
-    tilt_exp = Fraction(low, config.scale)
+        tilt, center = x.tilts[0], x.center
+        if tilt is None and list(center._digits.values()) in ([], [1]):
+            # 0 and the powers of p have evident tilts, exact like them
+            tilt = TiltElement._make(config, dict.fromkeys(center._digits, 1),
+                                     config.full)
+        elif tilt is None:
+            raise KernelError(
+                f"center {center!r} is not a recognized sharp image; "
+                f"supply its tilt preimage")
+        y = fb(tilt)
+        levels = [(y._low(), y.is_zero())]
+        why = (f"f(tilted center) vanishes at working precision "
+               f"(known modulo t^{y.precexp})")
+    tilt_exp = _reading(levels, config.scale)[0]
+    if tilt_exp is None:
+        raise IndeterminateError(why)
     return {"untilt_exponent": untilt_exp, "tilt_exponent": tilt_exp,
             "match": untilt_exp == tilt_exp}

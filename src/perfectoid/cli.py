@@ -342,29 +342,27 @@ def approx_cmd(element, depth, eps, fmt):
 
 
 @_command("verify", _arg("element"), _arg("candidate"), _DEPTH, _EPS,
-          _arg("--points",
+          _arg("--points", default='[{"kind":"gauss"}]',
                help="JSON array of evaluation points; default is the "
                     "Gauss point alone."),
           _FORMAT)
 def verify_cmd(element, candidate, depth, eps, points, fmt):
     """Pointwise check that a tilt candidate approximates an element."""
-    from .tatealg import (GaussPoint, HomogeneousElement, point_from_json,
-                          verify_contract)
+    from .adicdisc import adic_point_from_json
+    from .tatealg import HomogeneousElement, verify_contract
     f = HomogeneousElement.from_json(_parse(element))
     g = HomogeneousElement.from_json(_parse(candidate))
-    if points is None:
-        sample = [GaussPoint()]
-    else:
-        entries = _parse(points)
-        if not isinstance(entries, list):
-            raise UsageError(f"--points wants a JSON array, got {points!r}")
-        if not entries:
-            raise UsageError(f"--points wants at least one point, got "
-                             f"{points!r}")
-        if not all(isinstance(entry, dict) for entry in entries):
-            raise UsageError(f"--points wants each point as a JSON "
-                             f"object, got {points!r}")
-        sample = [point_from_json(entry) for entry in entries]
+    entries = _parse(points)
+    if not isinstance(entries, list):
+        raise UsageError(f"--points wants a JSON array, got {points!r}")
+    if not entries:
+        raise UsageError(f"--points wants at least one point, got "
+                         f"{points!r}")
+    if not all(isinstance(entry, dict) for entry in entries):
+        raise UsageError(f"--points wants each point as a JSON "
+                         f"object, got {points!r}")
+    sample = [adic_point_from_json(entry, f.config, f.nvars)
+              for entry in entries]
     report = verify_contract(f, g, _fraction(depth, "--c"),
                              _fraction(eps, "--eps"), sample)
     _emit(report.to_json(), fmt)

@@ -37,13 +37,7 @@ from .polyroots import (
     newton_polygon,
     transfer_agreement,
 )
-from .tatealg import (
-    ClassicalPoint,
-    GaussPoint,
-    HomogeneousElement,
-    approximate,
-    verify_contract,
-)
+from .tatealg import HomogeneousElement, approximate, verify_contract
 from .tiltkit import WittVector, sharp, theta, witt_add, witt_mul
 from .toric import (
     Cone,
@@ -286,11 +280,9 @@ def _contract_sample(config, nvars):
     values = [UntiltElement.zero(config), UntiltElement.one(config),
               UntiltElement.monomial(config, 1, Fraction(1, config.p)),
               w, UntiltElement.one(config) + w]
-    points = []
-    for tup in islice(product(range(len(values)), repeat=nvars), 49):
-        points.append(ClassicalPoint(tuple(values[i] for i in tup)))
-    points.append(GaussPoint())
-    return points
+    combos = islice(product(values, repeat=nvars), 49)
+    return ([AdicPoint.classical(*combo) for combo in combos]
+            + [AdicPoint.gauss(config, nvars)])
 
 
 def check_approximation(seed: int) -> str:
@@ -443,23 +435,23 @@ def check_adic_disc(seed: int) -> str:
     ]
     preimage = TiltElement.one(config) + t
     points = [
-        (AdicPoint.gauss(config), None),
-        (AdicPoint.classical(UntiltElement.zero(config)), None),
-        (AdicPoint.classical(UntiltElement.one(config)), None),
-        (AdicPoint.classical(w), None),
-        (AdicPoint.classical(w * w), None),
-        (AdicPoint.classical(sharp(preimage, config.prec)), preimage),
+        AdicPoint.gauss(config),
+        AdicPoint.classical(UntiltElement.zero(config)),
+        AdicPoint.classical(UntiltElement.one(config)),
+        AdicPoint.classical(w),
+        AdicPoint.classical(w * w),
+        AdicPoint.classical(sharp(preimage, config.prec), tilts=[preimage]),
     ]
     checked = 0
     for fb in shapes:
-        for x, pre in points:
+        for x in points:
             if checked == 20:
                 break
-            if fb.degree == 1 and fb.coeffs[0].is_zero() and pre is None \
+            if fb.degree == 1 and fb.coeffs[0].is_zero() \
                     and x.kind == "classical" and x.center.is_zero():
                 # T vanishes there; the comparison has no exponent to read
                 continue
-            report = tilt_point_check(fb, x, center_tilt=pre)
+            report = tilt_point_check(fb, x)
             _require(report["match"],
                      f"tilt and untilt exponents differ for {fb!r} at {x!r}")
             checked += 1

@@ -14,7 +14,10 @@ at every point of the unit polydisc, where w is the uniformizer.  The
 contract verifier checks exactly that inequality (and the max-equality
 it implies) pointwise; it shares only the digit arithmetic with the
 construction and is the authority on whether an approximation is
-acceptable.
+acceptable.  The evaluators ``evaluate`` and ``valuation_at`` take an
+``adicdisc.AdicPoint``, classical or Gauss, and ``valuation_at`` reads
+values with ``adicdisc``'s one routine; the point code is loaded at
+the first call that takes a point, not with this module.
 
 Exponents are lattice indices, as inside the digit elements: monomial
 entries, degrees, precisions and the approximation schedule are
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from typing import Mapping
 
 from .arith import (
@@ -60,13 +64,12 @@ from .arith import (
     element_from_json,
     reduce_mod_uniformizer,
 )
-from .tiltkit import _check_lift, sharp
+from .tiltkit import sharp
 
 __all__ = [
     "ApproximationError", "Monomial", "HomogeneousElement", "sharp_element",
-    "decompose", "approximate", "GaussPoint", "ClassicalPoint",
-    "point_from_json", "evaluate", "valuation_at", "ContractReport",
-    "verify_contract",
+    "decompose", "approximate", "evaluate", "valuation_at",
+    "ContractReport", "verify_contract",
 ]
 
 
@@ -733,96 +736,6 @@ def approximate(f: HomogeneousElement, c, eps) -> HomogeneousElement:
 # Points of the unit polydisc and evaluation
 # =====================================================================
 
-class GaussPoint(_Value):
-    """The sup-norm point: |f| is the maximum coefficient size."""
-
-    __slots__ = ()
-
-    def _key(self) -> tuple:
-        return ()
-
-    def to_json(self) -> dict:
-        return {"kind": "gauss"}
-
-    def __repr__(self):
-        return "<gauss point>"
-
-
-class ClassicalPoint(_Value):
-    """A coordinate tuple in the unit polydisc.
-
-    Coordinates are untilt elements (integral by representation).  A
-    coordinate may carry a tilt preimage; fractional powers of that
-    coordinate are then taken through the preimage's exact roots, which
-    is the only general source of p-power roots on the untilt side.
-    """
-
-    __slots__ = ("coords", "tilt_coords")
-
-    def __init__(self, coords, tilt_coords=None):
-        coords = tuple(coords)
-        if not coords:
-            raise ConfigError("a point needs at least one coordinate")
-        config = None
-        for x in coords:
-            if not isinstance(x, UntiltElement):
-                raise ConfigError(
-                    f"coordinates must be untilt elements, got "
-                    f"{getattr(x, 'kind', type(x).__name__)}")
-            if config is None:
-                config = x.config
-            elif x.config != config:
-                raise ConfigError("coordinate config mismatch")
-        if tilt_coords is None:
-            tilt_coords = (None,) * len(coords)
-        else:
-            tilt_coords = tuple(tilt_coords)
-            if len(tilt_coords) != len(coords):
-                raise ConfigError("tilt preimage tuple length mismatch")
-            for x, y in zip(coords, tilt_coords):
-                if y is None:
-                    continue
-                if not isinstance(y, TiltElement) or y.config != config:
-                    raise ConfigError(f"bad tilt preimage {y!r}")
-                _check_lift(y, x)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "tilt_coords", tilt_coords)
-
-    def _key(self) -> tuple:
-        return self.coords, self.tilt_coords
-
-    @property
-    def nvars(self) -> int:
-        return len(self.coords)
-
-    def to_json(self) -> dict:
-        out = {"kind": "classical",
-               "coords": [x.to_json() for x in self.coords]}
-        if any(y is not None for y in self.tilt_coords):
-            out["tilt_coords"] = [None if y is None else y.to_json()
-                                  for y in self.tilt_coords]
-        return out
-
-    def __repr__(self):
-        inner = ", ".join(x.to_text() for x in self.coords)
-        return f"<point ({inner})>"
-
-
-@_json_reader("point")
-def point_from_json(data: dict | str):
-    kind = data.get("kind")
-    if kind == "gauss":
-        return GaussPoint()
-    if kind == "classical":
-        coords = [element_from_json(d) for d in data["coords"]]
-        tilts = data.get("tilt_coords")
-        if tilts is not None:
-            tilts = [None if d is None else element_from_json(d)
-                     for d in tilts]
-        return ClassicalPoint(coords, tilts)
-    raise ConfigError(f"unknown point kind {kind!r}")
-
-
 def _coord_power(x: UntiltElement, preimage, j: int,
                  config: FieldConfig) -> UntiltElement:
     # x^e for the exponent e > 0 at lattice index j.  Exact p-power roots
@@ -845,34 +758,47 @@ def _coord_power(x: UntiltElement, preimage, j: int,
         f"supply a tilt preimage or keep exponents integral")
 
 
-def _tilt_coord_power(y: TiltElement, j: int,
-                      config: FieldConfig) -> TiltElement:
-    num, denpow = _exp_pair(j, config)
-    return y.root(denpow) ** num
+@cache
+def _adicdisc():
+    # the point code, loaded at the first call that takes a point
+    from . import adicdisc
+    return adicdisc
+
+
+def _point(F: HomogeneousElement, point):
+    # point, refused unless it is an AdicPoint of F's arity and config
+    if not isinstance(point, _adicdisc().AdicPoint):
+        raise ConfigError(f"not a point: {point!r}")
+    if point.nvars != F.nvars:
+        raise ConfigError(
+            f"point has {point.nvars} coordinates, element has {F.nvars}")
+    if point.config is not F.config and point.config != F.config:
+        raise ConfigError(f"config mismatch: {F.config} vs {point.config}")
+    return point
 
 
 def evaluate(F: HomogeneousElement, point):
     """F at a classical point, as an element of the matching ring.
 
-    Untilt elements evaluate on the stored coordinates; tilt elements
-    need every coordinate to carry a tilt preimage.  Coordinates are
+    Untilt elements evaluate on the point's coordinates; tilt elements
+    need every coordinate to carry its tilt coordinate.  Coordinates are
     treated as exact data of the point.
 
     Raises:
         IndeterminateError: a fractional exponent needs a root the
             coordinate does not have.
     """
-    if isinstance(point, GaussPoint):
+    point = _point(F, point)
+    if point.is_gauss():
         raise KernelError(
             "the Gauss point is a norm, not a coordinate tuple; use "
             "valuation_at")
-    if not isinstance(point, ClassicalPoint):
-        raise ConfigError(f"not a point: {point!r}")
-    if point.nvars != F.nvars:
-        raise ConfigError(
-            f"point has {point.nvars} coordinates, element has {F.nvars}")
+    if point.kind != "classical":
+        raise KernelError(
+            f"homogeneous elements are evaluated at classical points "
+            f"and the Gauss point, not at {point!r}")
     config = F.config
-    if F.kind == "tilt" and any(y is None for y in point.tilt_coords):
+    if F.kind == "tilt" and any(y is None for y in point.tilts):
         raise KernelError(
             "evaluating a tilt element needs tilt preimages for every "
             "coordinate")
@@ -883,10 +809,11 @@ def evaluate(F: HomogeneousElement, point):
             if j == 0:
                 continue
             if F.kind == "untilt":
-                fac = _coord_power(point.coords[n], point.tilt_coords[n],
+                fac = _coord_power(point.coords[n], point.tilts[n],
                                    j, config)
             else:
-                fac = _tilt_coord_power(point.tilt_coords[n], j, config)
+                num, denpow = _exp_pair(j, config)
+                fac = point.tilts[n].root(denpow) ** num
             val = val * fac
         acc = val if acc is None else acc + val
     if acc is None:
@@ -903,17 +830,13 @@ def valuation_at(F: HomogeneousElement, point) -> tuple:
     coefficient valuation; stored coefficients are never zero, so it is
     exact whenever F has any term.
     """
-    scale = F.config.scale
-    if isinstance(point, GaussPoint):
-        if not F.terms:
-            return (None, F.precexp)
-        v = Fraction(F._gauss_low(), scale)
-        return (v, v)
-    value = evaluate(F, point)
-    if value.is_zero():
-        return (None, Fraction(value._k, scale))
-    v = Fraction(value._low(), scale)
-    return (v, v)
+    if _point(F, point).is_gauss():
+        # every absent monomial is zero modulo the precision
+        levels = [(c._low(), False) for c in F.terms.values()] + [(F._k, True)]
+    else:
+        value = evaluate(F, point)
+        levels = [(value._low(), value.is_zero())]
+    return _adicdisc()._reading(levels, F.config.scale)[:2]
 
 
 # =====================================================================
@@ -1009,8 +932,8 @@ def verify_contract(f: HomogeneousElement, g: HomogeneousElement, c, eps,
         c: depth, nonnegative rational.
         eps: rational with 0 < eps < 1 (any rational; the verifier does
             not need lattice exponents).
-        points: iterable of ClassicalPoint / GaussPoint, at least one:
-            an empty sample would pass any contract.
+        points: iterable of classical or Gauss AdicPoints in f's arity,
+            at least one: an empty sample would pass any contract.
 
     Returns:
         ContractReport with one row per point.

@@ -38,9 +38,10 @@ low precision.  A p^n-th power takes n p-th-power rounds, and
 the modulus grows with them: round i of n runs modulo
 p^max(K - (n - i), 1), K the precision exponent rounded up, because
 a = a' modulo p^j (j >= 1) gives a^p = a'^p modulo p^(j+1).  ``sharp``
-thus powers modulo p^(i+1) in round i, not p^K throughout.  A power
-whose dense layer would be too large for a fixed budget is refused
-before any product, even when its sparse start would stay small.
+thus powers modulo p^(i+1) in round i, not p^K throughout.  A power of
+several terms whose dense layer would be too large for a fixed budget
+is refused before any product, even when its sparse start would stay
+small; a power of one term needs no layer.
 ``theta`` sums its Teichmüller expansion on one such layer, and
 ``sharp`` is theta of a Teichmüller vector.  The lift is multiplicative
 with [t] = p, so a component x_i = t^(q p^i) w contributes
@@ -390,10 +391,11 @@ def _power_layer(points: dict[int, int], m: int, p: int, n: int,
     Every round after that is split by the p-adic shape of the powers
     (``_pth_power``).  A map of one term at the start of a round takes
     the rounds left in closed form (``_one_term_power``), modulo p^top:
-    by the lemma above, that is what the rounds would give.  The budget
-    is checked on the dense layer the last round could need, p^m slots
-    of the width that holds a folded product modulo p^top, before any
-    product or closed form; with no rounds there is none.
+    by the lemma above, that is what the rounds would give.  Any other
+    reduced input is checked against the budget on the dense layer the
+    last round could need, p^m slots of the width that holds a folded
+    product modulo p^top, before any product; with no rounds there is
+    none.
 
     Only min(n, top - 1 + m) rounds run, with the same result at any n:
     the first n - top + 1 rounds run modulo p, where the layer ring is
@@ -405,16 +407,16 @@ def _power_layer(points: dict[int, int], m: int, p: int, n: int,
         BudgetError: the packed layer would exceed _LAYER_BUDGET bytes.
     """
     size = p ** m
-    if n:
+    rounds = min(n, top - 1 + m)
+    mod = p ** max(top - rounds, 1)
+    vec = {r: v for r, c in points.items() if (v := c % mod)}
+    if n and len(vec) != 1:
         width = _slot_width(size, p ** top, p)
         if size * width > _LAYER_BUDGET:
             raise BudgetError(
                 f"a p^{n}-th power on the 1/{p}^{m} lattice needs a layer "
                 f"of {size} slots of {width} bytes, over the budget of "
                 f"{_LAYER_BUDGET} bytes")
-    rounds = min(n, top - 1 + m)
-    mod = p ** max(top - rounds, 1)
-    vec = {r: v for r, c in points.items() if (v := c % mod)}
     for left in range(rounds - 1, -1, -1):
         e = max(top - left, 1)
         if type(vec) is dict:
@@ -534,8 +536,9 @@ def sharp(x: TiltElement, target_prec: int) -> UntiltElement:
     modulo p^(i+1) in round i (see _power_layer): a lift known modulo p
     is known modulo p^(i+1) after i p-th-power rounds.  It starts on the
     lift's few terms and goes dense only once its products fill the
-    layer, so a monomial or a lift of a few digits costs little even on
-    a layer of many slots; the layer budget applies all the same.
+    layer, so a lift of a few digits costs little even on a layer of
+    many slots (the layer budget applies all the same), and a monomial
+    takes no layer.
 
     The lift is multiplicative and t-sharp is p, so with q the integer
     part of v(x), x = t^q w gives sharp(x) = p^q sharp(w) modulo
@@ -737,8 +740,8 @@ def _witt_op(a: WittVector, b: WittVector, op: str) -> WittVector:
     def mul(x: dict, y: dict, shift: int) -> dict:
         charge(len(x) * len(y))
         prod = _layer_product(x, y, 0, size, p ** (n - shift))
-        return reduce(prod if type(prod) is dict else dict(enumerate(prod)),
-                      shift)
+        return reduce(prod if type(prod) is dict else
+                      {j: c for j, c in enumerate(prod) if c}, shift)
 
     def teichmuller(root: dict, k: int, shift: int) -> dict:
         # [y] modulo p^(k+1) from a lift of y^(1/p^k), raised to p^k

@@ -700,7 +700,7 @@ class TransferResult(_Frozen):
 def _transfer_sample(config: FieldConfig, nvars: int):
     """Unit-ball coordinate tuples with some coordinate a unit, at most
     20 of them, plus the sup-norm point."""
-    from .tatealg import ClassicalPoint, GaussPoint
+    from .adicdisc import AdicPoint
     values = [
         UntiltElement.zero(config),
         UntiltElement.one(config),
@@ -708,13 +708,13 @@ def _transfer_sample(config: FieldConfig, nvars: int):
         UntiltElement.monomial(config, 1, Fraction(1, config.p)),
     ]
     unit = values[1]
-    points = [GaussPoint()]
+    points = [AdicPoint.gauss(config, nvars)]
     for combo in product(values, repeat=nvars):
         if len(points) > 20:
             break
         if not any(c is unit for c in combo):
             continue
-        points.append(ClassicalPoint(combo))
+        points.append(AdicPoint.classical(*combo))
     return points
 
 

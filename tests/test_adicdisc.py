@@ -505,22 +505,25 @@ def test_tilt_check_at_uniformizer_powers():
     assert out2["untilt_exponent"] == 3
 
 
-def test_tilt_check_with_explicit_preimage():
+def test_tilt_check_at_a_point_with_its_tilt_coordinate():
+    # 1 + p is no evident sharp image; the point carries its tilt 1 + t
     y = TiltElement.one(C) + TW
-    center = sharp(y, C.prec)
-    out = tilt_point_check(tpoly(0, 1), AdicPoint.classical(center),
-                           center_tilt=y)
-    assert out["match"]
-    assert out["untilt_exponent"] == 0
+    x = AdicPoint.classical(sharp(y, C.prec), tilts=[y])
+    one = TiltElement.one(C)
+    for fb in (tpoly(0, 1), Polynomial([TW, one])):
+        out = tilt_point_check(fb, x)
+        assert out["match"] and out["untilt_exponent"] == 0
+    # T - (1 + t) vanishes there, on both sides
+    with pytest.raises(IndeterminateError):
+        tilt_point_check(Polynomial([-y, one]), x)
 
 
 def test_tilt_check_requires_recognizable_center():
     center = ui(1) + W
-    with pytest.raises(KernelError):
+    with pytest.raises(KernelError, match="not a recognized sharp image"):
         tilt_point_check(tpoly(0, 1), AdicPoint.classical(center))
     with pytest.raises(KernelError, match="^tilt preimage .* does not lift "):
-        tilt_point_check(tpoly(0, 1), AdicPoint.classical(center),
-                         center_tilt=TW)
+        AdicPoint.classical(center, tilts=[TW])
 
 
 def test_tilt_check_rejects_other_point_kinds():
@@ -553,11 +556,53 @@ def test_tilt_membership_transfers_along_sharp():
 # ---------------------------------------------------------------------
 
 def test_point_json_round_trip():
+    y = TiltElement.one(C) + TW
     pts = [AdicPoint.classical(ui(3)),
+           AdicPoint.classical(sharp(y, C.prec), tilts=[y]),
+           AdicPoint.classical(ui(3), W, tilts=[None, TW]),
            AdicPoint.disc(ui(1), Fraction(1, 2)),
            AdicPoint.halo(ui(0), Fraction(4, 3), ">")]
     for x in pts:
         assert adic_point_from_json(x.to_json()) == x
+
+
+def test_one_coordinate_is_the_disc_form_and_more_the_polydisc_form():
+    # both forms of a classical point in one coordinate read into one
+    # point, which writes the disc form back
+    u = ui(3).to_json()
+    disc = adic_point_from_json({"type": "classical", "center": u})
+    assert adic_point_from_json({"kind": "classical", "coords": [u]}) == disc
+    assert disc.to_json() == {"type": "classical", "center": u}
+    pair = AdicPoint.classical(ui(3), W)
+    assert pair.to_json() == {"kind": "classical",
+                              "coords": [u, W.to_json()]}
+    assert AdicPoint.gauss(C, 3).to_json() == {"kind": "gauss"}
+    # each form keeps its refusal of an unknown shape
+    with pytest.raises(ConfigError, match="^unknown point type 'x'$"):
+        adic_point_from_json({"type": "x"})
+    with pytest.raises(ConfigError, match="^unknown point kind 'x'$"):
+        adic_point_from_json({"kind": "x"})
+
+
+def test_points_check_their_coordinates_tilts_and_arity():
+    with pytest.raises(ConfigError, match="one coordinate"):
+        AdicPoint("disc", (ui(0), ui(0)), Fraction(1, 2))
+    with pytest.raises(ConfigError, match="one coordinate"):
+        AdicPoint("halo", (ui(0), ui(0)), 1, "<")
+    with pytest.raises(ConfigError, match="bad tilt preimage"):
+        AdicPoint("disc", ui(0), 1, tilts=[TW])
+    for tilts in (5, [None, None], iter([None])):
+        with pytest.raises(ConfigError, match="a tilt or None per coordinate"):
+            AdicPoint.classical(ui(0), tilts=tilts)
+    with pytest.raises(ConfigError, match="one or more coordinates"):
+        AdicPoint.classical()
+    with pytest.raises(ConfigError, match="one variable"):
+        eval_at(Polynomial([ui(1)]), AdicPoint.gauss(C, 2))
+    assert AdicPoint.gauss(C, 2).same_point(AdicPoint.gauss(C, 2))
+    assert not AdicPoint.gauss(C, 2).same_point(AdicPoint.gauss(C))
+    # the Gauss point of the plane is not the disc a halo presses on
+    with pytest.raises(ConfigError, match="numbers of coordinates"):
+        specializes(AdicPoint.gauss(C, 2), AdicPoint.halo(ui(0), 0, "<"))
 
 
 def test_gauss_json_shorthand():
@@ -570,6 +615,13 @@ def test_gauss_json_shorthand():
     assert adic_point_from_json(data, config=C).config is C
     with pytest.raises(KernelError):
         adic_point_from_json({"type": "gauss"})
+    # the polydisc shorthand takes the arity as well, and has no inline
+    # config
+    assert adic_point_from_json({"kind": "gauss"}, C, 3) == \
+        AdicPoint.gauss(C, 3)
+    assert adic_point_from_json({"kind": "gauss"}, C) == g
+    with pytest.raises(KernelError, match="explicit config"):
+        adic_point_from_json({"kind": "gauss"})
 
 
 def test_rank2_json_shape():

@@ -24,8 +24,8 @@ from perfectoid.arith import (ConfigError, FieldConfig, KernelError,
                               check_prime, pth_root_mod)
 from perfectoid.polyroots import (NewtonPolygon, Polynomial, fw_transfer,
                                   transfer_agreement)
-from perfectoid.tatealg import (GaussPoint, HomogeneousElement, Monomial,
-                                approximate, decompose, verify_contract)
+from perfectoid.tatealg import (HomogeneousElement, Monomial, approximate,
+                                decompose, verify_contract)
 from perfectoid.tiltkit import WittVector, sharp, untilt_power_pn
 from perfectoid.toric import (Cone, ConeError, TWeilDivisor, projective_fan,
                               sections)
@@ -148,10 +148,10 @@ SITES = [
      KernelError, NOT_NATURAL, "1/3", _form("tilt")),
     ("verify_contract-depth", lambda c: verify_contract(
         _form("untilt"), _form("tilt"), c, Fraction(1, 3),
-        [GaussPoint()]).passed,
+        [AdicPoint.gauss(C3)]).passed,
      KernelError, NOT_NATURAL, "1", True),
     ("verify_contract-budget", lambda e: verify_contract(
-        _form("untilt"), _form("tilt"), 1, e, [GaussPoint()]).passed,
+        _form("untilt"), _form("tilt"), 1, e, [AdicPoint.gauss(C3)]).passed,
      KernelError, NOT_NATURAL, "1/3", True),
     # toric
     ("TWeilDivisor-list", lambda a: TWeilDivisor(P2, [a, 0, 0]),
@@ -179,6 +179,8 @@ SITES = [
     ("AdicPoint.halo", lambda r: AdicPoint.halo(
         UntiltElement.zero(C2), r, "<").radius_exp,
      KernelError, NOT_NATURAL, "1/2", Fraction(1, 2)),
+    ("AdicPoint.gauss", lambda n: AdicPoint.gauss(C2, n).nvars,
+     ConfigError, NOT_POSITIVE, 2, 2),
     ("Rank2Value-exponent", lambda q: Rank2Value(q, 0, "<").q,
      KernelError, NOT_NUMBERS, "-1/2", Fraction(-1, 2)),
     ("Rank2Value-gamma", lambda k: Rank2Value(0, k, "<").k,

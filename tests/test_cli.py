@@ -289,6 +289,35 @@ def test_verify_reads_a_points_file(runner, tmp_path):
     assert len(json.loads(report.output)["points"]) == 1
 
 
+def test_verify_in_one_variable_reads_and_writes_the_disc_form(runner):
+    # both Gauss shorthands take the config they omit from the element,
+    # and a point of one coordinate is written in the disc form
+    config = FieldConfig(3, 4, 5)
+    u = UntiltElement.one(config) + UntiltElement.uniformizer(config)
+    f = {"kind": "untilt", "p": 3, "prec": 4, "dencap": 5, "nvars": 1,
+         "degree": {"num": 1, "denpow": 0},
+         "precexp": {"num": 4, "denpow": 0},
+         "terms": [{"exps": [{"num": 1, "denpow": 0}],
+                    "coeff": UntiltElement.one(config).to_json()}]}
+    g = dict(f, kind="tilt", terms=[{"exps": [{"num": 1, "denpow": 0}],
+                                     "coeff": TiltElement.one(config)
+                                     .to_json()}])
+    points = [{"kind": "gauss"}, {"type": "gauss"},
+              {"kind": "classical", "coords": [u.to_json()]},
+              {"type": "classical", "center": u.to_json()}]
+    report = invoke(runner, "verify", json.dumps(f), json.dumps(g),
+                    "--c", "1", "--eps", "1/3", "--points",
+                    json.dumps(points))
+    assert report.exit_code == 0, report.stderr
+    rows = json.loads(report.output)["points"]
+    gauss = {"type": "gauss", "p": 3, "prec": 4, "dencap": 5}
+    center = {"type": "classical", "center": u.to_json()}
+    assert [row["point"] for row in rows] == [gauss, gauss, center, center]
+    default = invoke(runner, "verify", json.dumps(f), json.dumps(g),
+                     "--c", "1", "--eps", "1/3")
+    assert json.loads(default.output)["points"] == rows[:1]
+
+
 def test_verify_refuses_points_that_are_not_an_array(runner):
     # an object's keys would otherwise be read as one point each
     approx = invoke(runner, "approx", "linear-form.json",

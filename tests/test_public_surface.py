@@ -12,12 +12,17 @@ name is used somewhere besides the tests.  A fourth holds for src and
 tests alike: no module imports a name it never uses.  A fifth keeps the
 one argument rule: only ``arith._is_int`` tests ``isinstance(x, int)``,
 and only the functions on a written list convert a parameter with a
-one-argument ``Fraction()`` or ``int()``.
+one-argument ``Fraction()`` or ``int()``.  A sixth is the import layout:
+importing ``adicdisc`` loads neither ``tatealg`` nor ``tiltkit``, and
+importing ``tatealg`` neither ``adicdisc`` nor ``polyroots``.
 """
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -268,3 +273,32 @@ def test_the_numeric_guard_sees_each_shape():
     assert _numeric_checks("m", tree) == {
         ("m.A.f", 3, "isinstance"), ("m.A.f", 5, "Fraction"),
         ("m.A.f", 5, "int")}
+
+
+# =====================================================================
+# Import layout: the point code and the evaluation code load apart
+# =====================================================================
+
+# module -> the package modules importing it must not load.  adicdisc
+# reaches tiltkit, and tatealg reaches adicdisc (and through it
+# polyroots), only inside the functions that need them, so a process
+# that runs one side does not pay for the other.
+LOADS_APART = {
+    "adicdisc": {"tatealg", "tiltkit"},
+    "tatealg": {"adicdisc", "polyroots"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADS_APART))
+def test_a_module_loads_without_what_it_imports_late(name):
+    # -S keeps site, and the .pth files it runs, from importing modules
+    probe = (f"import sys, perfectoid.{name}\n"
+             f"print(sorted(m.partition('.')[2] for m in sys.modules\n"
+             f"             if m.startswith('perfectoid.')))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+    assert name in loaded
+    assert loaded & LOADS_APART[name] == set()

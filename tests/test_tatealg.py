@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import elements
+from perfectoid.adicdisc import AdicPoint, adic_point_from_json
 from perfectoid.arith import (
     ConfigError,
     DencapError,
@@ -23,8 +24,6 @@ from perfectoid.arith import (
 )
 from perfectoid.tatealg import (
     ApproximationError,
-    ClassicalPoint,
-    GaussPoint,
     HomogeneousElement,
     Monomial,
     _expand,
@@ -32,7 +31,6 @@ from perfectoid.tatealg import (
     approximate,
     decompose,
     evaluate,
-    point_from_json,
     sharp_element,
     valuation_at,
     verify_contract,
@@ -365,9 +363,9 @@ def test_decompose_recombines_mod_depth(p, c, data):
 def test_evaluate_integer_exponents():
     F = HomogeneousElement(C3, "untilt", 2, 2,
                            {Monomial(C3, [1, 1]): UntiltElement.one(C3)})
-    pt = ClassicalPoint([UntiltElement.uniformizer(C3),
-                         UntiltElement.one(C3)
-                         + UntiltElement.uniformizer(C3)])
+    pt = AdicPoint.classical(UntiltElement.uniformizer(C3),
+                             UntiltElement.one(C3)
+                             + UntiltElement.uniformizer(C3))
     got = evaluate(F, pt)
     want = UntiltElement.uniformizer(C3) * (
         UntiltElement.one(C3) + UntiltElement.uniformizer(C3))
@@ -378,14 +376,14 @@ def test_evaluate_fractional_exponent_on_uniformizer_powers():
     F = HomogeneousElement(C3, "untilt", 2, 1, {
         Monomial(C3, [Fraction(1, 3), Fraction(2, 3)]):
             UntiltElement.one(C3)})
-    pt = ClassicalPoint([UntiltElement.uniformizer(C3)] * 2)
+    pt = AdicPoint.classical(*[UntiltElement.uniformizer(C3)] * 2)
     assert evaluate(F, pt) == UntiltElement.uniformizer(C3)
 
 
 def test_evaluate_fractional_exponent_through_preimage():
     y = TiltElement.one(C3) + TiltElement.uniformizer(C3)
     x = sharp(y, C3.prec)
-    pt = ClassicalPoint([x], [y])
+    pt = AdicPoint.classical(x, tilts=[y])
     F = HomogeneousElement(
         C3, "untilt", 1, Fraction(1, 3),
         {Monomial(C3, [Fraction(1, 3)]): UntiltElement.one(C3)})
@@ -406,7 +404,8 @@ def test_evaluate_a_tilt_element_at_the_tilt_coordinates():
              TiltElement(C3, {Fraction(2, 3): 1, 1: 2, 2: 1})),
             # a zero coordinate: its roots are zero at full precision
             (TiltElement.zero(C3), TiltElement(C3, {1: 1, 2: 1}))]:
-        pt = ClassicalPoint([sharp(y, C3.prec) for y in (y0, y1)], [y0, y1])
+        pt = AdicPoint.classical(*[sharp(y, C3.prec) for y in (y0, y1)],
+                                 tilts=[y0, y1])
         assert evaluate(F, pt) == want
 
 
@@ -414,16 +413,16 @@ def test_evaluate_reports_missing_roots():
     F = HomogeneousElement(
         C3, "untilt", 1, Fraction(1, 3),
         {Monomial(C3, [Fraction(1, 3)]): UntiltElement.one(C3)})
-    pt = ClassicalPoint([UntiltElement.one(C3)
-                         + UntiltElement.uniformizer(C3)])
+    pt = AdicPoint.classical(UntiltElement.one(C3)
+                             + UntiltElement.uniformizer(C3))
     with pytest.raises(IndeterminateError):
         evaluate(F, pt)
 
 
 def test_evaluate_zero_coordinate_and_empty_element():
     F = uvar(C3, 2, 0) + uvar(C3, 2, 1)
-    pt = ClassicalPoint([UntiltElement.zero(C3, 4),
-                         UntiltElement.one(C3)])
+    pt = AdicPoint.classical(UntiltElement.zero(C3, 4),
+                             UntiltElement.one(C3))
     assert evaluate(F, pt) == UntiltElement.one(C3)
     Z = HomogeneousElement.zero(C3, "untilt", 2, 1, 4)
     assert evaluate(Z, pt).is_zero()
@@ -431,37 +430,39 @@ def test_evaluate_zero_coordinate_and_empty_element():
 
 def test_evaluate_rejects_the_gauss_point():
     with pytest.raises(KernelError):
-        evaluate(uvar(C3, 1, 0), GaussPoint())
+        evaluate(uvar(C3, 1, 0), AdicPoint.gauss(C3))
 
 
 def test_point_validates_tilt_preimages():
     y = TiltElement.uniformizer(C3)
     good = UntiltElement.uniformizer(C3)
-    ClassicalPoint([good], [y])
+    AdicPoint.classical(good, tilts=[y])
     with pytest.raises(KernelError, match="^tilt preimage .* does not lift "):
-        ClassicalPoint([UntiltElement.one(C3)], [y])
+        AdicPoint.classical(UntiltElement.one(C3), tilts=[y])
 
 
 def test_point_json_round_trip():
     y = TiltElement.uniformizer(C3)
-    pt = ClassicalPoint([UntiltElement.uniformizer(C3),
-                         UntiltElement.one(C3)], [y, None])
-    back = point_from_json(pt.to_json())
+    pt = AdicPoint.classical(UntiltElement.uniformizer(C3),
+                             UntiltElement.one(C3), tilts=[y, None])
+    back = adic_point_from_json(pt.to_json())
     assert back == pt
-    assert point_from_json(GaussPoint().to_json()) == GaussPoint()
+    gauss = AdicPoint.gauss(C3, 2)
+    assert gauss.to_json() == {"kind": "gauss"}
+    assert adic_point_from_json(gauss.to_json(), C3, 2) == gauss
 
 
 def test_gauss_valuation_reads_coefficients():
     F = (uvar(C3, 2, 0, UntiltElement.monomial(C3, 1, 2))
          + uvar(C3, 2, 1, UntiltElement.uniformizer(C3)))
-    assert valuation_at(F, GaussPoint()) == (1, 1)
+    assert valuation_at(F, AdicPoint.gauss(C3, 2)) == (1, 1)
     Z = HomogeneousElement.zero(C3, "untilt", 2, 1, 4)
-    assert valuation_at(Z, GaussPoint()) == (None, 4)
+    assert valuation_at(Z, AdicPoint.gauss(C3, 2)) == (None, 4)
 
 
 def test_classical_valuation_flags_unsettled_zero():
     F = uvar(C3, 2, 0) - uvar(C3, 2, 1)
-    pt = ClassicalPoint([UntiltElement.one(C3), UntiltElement.one(C3)])
+    pt = AdicPoint.classical(UntiltElement.one(C3), UntiltElement.one(C3))
     exact, lower = valuation_at(F, pt)
     assert exact is None
     assert lower == 4
@@ -502,10 +503,10 @@ def test_approximate_unit_coefficient_meets_contract():
              + UntiltElement.uniformizer(UC3))
     g = approximate(f, 1, Fraction(1, 3))
     assert g.degree == f.degree
-    pts = [GaussPoint(),
-           ClassicalPoint([UntiltElement.one(UC3)]),
-           ClassicalPoint([UntiltElement.uniformizer(UC3)]),
-           ClassicalPoint([UntiltElement.zero(UC3, 4)])]
+    pts = [AdicPoint.gauss(UC3),
+           AdicPoint.classical(UntiltElement.one(UC3)),
+           AdicPoint.classical(UntiltElement.uniformizer(UC3)),
+           AdicPoint.classical(UntiltElement.zero(UC3, 4))]
     report = verify_contract(f, g, 1, Fraction(1, 3), pts)
     assert report.passed, report.failures()
 
@@ -525,7 +526,7 @@ def test_approximate_validates_inputs():
 _DEPTH_AND_BUDGET_CALLS = {
     "approximate": lambda c, eps: approximate(uvar(C3, 1, 0), c, eps),
     "verify_contract": lambda c, eps: verify_contract(
-        uvar(C3, 1, 0), tvar(C3, 1, 0), c, eps, [GaussPoint()]),
+        uvar(C3, 1, 0), tvar(C3, 1, 0), c, eps, [AdicPoint.gauss(C3)]),
 }
 
 
@@ -567,7 +568,7 @@ _EXPONENT_CALLS = {
                                          e(Fraction(1, 3))),
     "verify_contract": lambda e: verify_contract(
         _linear_form(), approximate(_linear_form(), 1, Fraction(1, 3)),
-        e(1), e(Fraction(1, 3)), [GaussPoint()]).to_json(),
+        e(1), e(Fraction(1, 3)), [AdicPoint.gauss(C3, 2)]).to_json(),
 }
 
 
@@ -596,14 +597,32 @@ def _linear_pair():
 
 def test_contract_passes_on_an_exact_match():
     f, g = _linear_pair()
-    pts = [GaussPoint(),
-           ClassicalPoint([UntiltElement.one(C3), UntiltElement.one(C3)]),
-           ClassicalPoint([UntiltElement.zero(C3, 4),
-                           UntiltElement.uniformizer(C3)])]
+    pts = [AdicPoint.gauss(C3, 2),
+           AdicPoint.classical(UntiltElement.one(C3), UntiltElement.one(C3)),
+           AdicPoint.classical(UntiltElement.zero(C3, 4),
+                               UntiltElement.uniformizer(C3))]
     report = verify_contract(f, g, 1, Fraction(1, 3), pts)
     assert report.passed
     assert all(r["equality"] == "pass" and r["inequality"] == "pass"
                for r in report.rows)
+
+
+def test_contract_takes_classical_and_gauss_points_in_its_arity():
+    f, g = _linear_pair()
+    one = UntiltElement.one(C3)
+    rows = verify_contract(f, g, 1, Fraction(1, 3), [
+        AdicPoint.classical(one, UntiltElement.uniformizer(C3)),
+        AdicPoint.gauss(C3, 2)]).rows
+    assert [(r["f_valuation"], r["equality"], r["inequality"])
+            for r in rows] == [("0", "pass", "pass"), ("0", "pass", "pass")]
+    assert rows[1]["point"] == {"kind": "gauss"}
+    for point in (AdicPoint.gauss(C3), AdicPoint.classical(one),
+                  AdicPoint.gauss(FieldConfig(3, 4, 4), 2)):
+        with pytest.raises(ConfigError):
+            verify_contract(f, g, 1, Fraction(1, 3), [point])
+    with pytest.raises(KernelError, match="classical points and the Gauss"):
+        verify_contract(uvar(C3, 1, 0), tvar(C3, 1, 0), 1, Fraction(1, 3),
+                        [AdicPoint.disc(one, 1)])
 
 
 def test_contract_catches_a_dropped_term():
@@ -612,8 +631,8 @@ def test_contract_catches_a_dropped_term():
     g = tvar(C3, 2, 0)
     one = UntiltElement.one(C3)
     zero = UntiltElement.zero(C3, 4)
-    at_e0 = ClassicalPoint([one, zero])
-    at_e1 = ClassicalPoint([zero, one])
+    at_e0 = AdicPoint.classical(one, zero)
+    at_e1 = AdicPoint.classical(zero, one)
     report = verify_contract(f, g, 1, Fraction(1, 2), [at_e0, at_e1])
     assert not report.passed
     good, bad = report.rows
@@ -625,7 +644,7 @@ def test_contract_catches_a_dropped_term():
 def test_contract_fails_on_wrong_residue():
     f = uvar(C3, 1, 0)
     g = HomogeneousElement.zero(C3, "tilt", 1, 1)
-    pt = ClassicalPoint([UntiltElement.one(C3)])
+    pt = AdicPoint.classical(UntiltElement.one(C3))
     report = verify_contract(f, g, 1, Fraction(1, 3), [pt])
     assert not report.passed
     row = report.rows[0]
@@ -637,7 +656,8 @@ def test_contract_reports_indeterminate_when_precision_runs_out():
     coeff = UntiltElement(C3, {Fraction(1): 1}, Fraction(4, 3))
     f = uvar(C3, 1, 0, coeff)
     g = tvar(C3, 1, 0, TiltElement.uniformizer(C3))
-    report = verify_contract(f, g, 1, Fraction(1, 3), [GaussPoint()])
+    report = verify_contract(f, g, 1, Fraction(1, 3),
+                             [AdicPoint.gauss(C3)])
     row = report.rows[0]
     assert row["equality"] == "pass"
     assert row["inequality"] == "indeterminate"
@@ -676,14 +696,16 @@ def test_contract_refuses_points_it_cannot_iterate(monkeypatch):
 
 def test_contract_takes_a_tuple_or_a_generator_of_points():
     f, g = _linear_pair()
-    rows = verify_contract(f, g, 1, Fraction(1, 3), [GaussPoint()]).rows
-    for points in ((GaussPoint(),), (p for p in [GaussPoint()])):
+    gauss = AdicPoint.gauss(C3, 2)
+    rows = verify_contract(f, g, 1, Fraction(1, 3), [gauss]).rows
+    for points in ((gauss,), (p for p in [gauss])):
         assert verify_contract(f, g, 1, Fraction(1, 3), points).rows == rows
 
 
 def test_contract_report_shapes():
     f, g = _linear_pair()
-    report = verify_contract(f, g, 1, Fraction(1, 3), [GaussPoint()])
+    report = verify_contract(f, g, 1, Fraction(1, 3),
+                             [AdicPoint.gauss(C3, 2)])
     data = report.to_json()
     assert data["passed"] is True
     assert data["points"][0]["point"] == {"kind": "gauss"}

@@ -127,12 +127,13 @@ def _sharp_cases(rng):
                    [coarse.dumps(), 2]),
                   (f"sharp-{p}-{prec}-{dencap}-refuse-target", "sharp",
                    [deep.dumps(), prec + 1])]
-    # layers over the budget, refused before any work
+    # monomials on layers over the budget: a power of one term is taken
+    # in closed form, with no layer
     for (p, prec, dencap), denpow, k in (((3, 8, 10), 4, 7),
                                          ((5, 4, 12), 9, 4)):
         config = FieldConfig(p, prec, dencap)
         x = TiltElement.monomial(config, 1, Fraction(1, p ** denpow))
-        cases.append((f"sharp-{p}-{prec}-{dencap}-refuse-budget", "sharp",
+        cases.append((f"sharp-{p}-{prec}-{dencap}-monomial-deep", "sharp",
                       [x.dumps(), k]))
     return cases
 
@@ -156,7 +157,7 @@ def _power_cases(rng):
                                   "untilt_power_pn", [x.dumps(), n]))
     deep = UntiltElement.monomial(FieldConfig(5, 4, 12), 1,
                                   Fraction(1, 5 ** 12))
-    cases.append(("power-5-4-12-refuse-budget", "untilt_power_pn",
+    cases.append(("power-5-4-12-monomial-deep", "untilt_power_pn",
                   [deep.dumps(), 1]))
     return cases
 

@@ -249,11 +249,12 @@ def test_layer_mul_matches_schoolbook(bits, side, data):
 
 
 def test_power_refuses_oversized_layer_before_allocating():
-    # A digit at 1/5^12 asks for a layer of 5^12 (about 2.4 * 10^8)
-    # slots.  sharp and theta reach it by rooting t^(1/5^9) three times.
+    # A digit at 1/5^12 next to a unit asks for a layer of 5^12 (about
+    # 2.4 * 10^8) slots.  sharp and theta reach it by rooting
+    # 1 + t^(1/5^9) three times.
     config = FieldConfig(5, 4, 12)
-    deep = UntiltElement.monomial(config, 1, Fraction(1, 5 ** 12))
-    root = TiltElement.monomial(config, 1, Fraction(1, 5 ** 9))
+    deep = UntiltElement(config, {0: 1, Fraction(1, 5 ** 12): 1})
+    root = TiltElement(config, {0: 1, Fraction(1, 5 ** 9): 1})
     calls = [lambda: untilt_power_pn(deep, 1), lambda: sharp(root, 4),
              lambda: theta(WittVector.teichmuller(root, 4))]
     tracemalloc.start()
@@ -266,6 +267,25 @@ def test_power_refuses_oversized_layer_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_a_one_term_power_on_an_oversized_layer_answers():
+    # the same layers for one term: the closed form needs none of it
+    config = FieldConfig(5, 4, 12)
+    deep = UntiltElement.monomial(config, 1, Fraction(1, 5 ** 12))
+    root = TiltElement.monomial(config, 1, Fraction(1, 5 ** 9))
+    tracemalloc.start()
+    try:
+        power = untilt_power_pn(deep, 1)
+        lift = sharp(root, 4)
+        via_witt = theta(WittVector.teichmuller(root, 4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert power == UntiltElement.monomial(config, 1, Fraction(1, 5 ** 11))
+    assert lift == via_witt == UntiltElement.monomial(
+        config, 1, Fraction(1, 5 ** 9), 4)
 
 
 @settings(max_examples=120)

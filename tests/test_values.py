@@ -26,9 +26,7 @@ from perfectoid.arith import (FieldConfig, TiltElement, UntiltElement,
                               element_from_json)
 from perfectoid.polyroots import NewtonPolygon, Polynomial, newton_polygon
 from perfectoid.suite import CheckResult
-from perfectoid.tatealg import (ClassicalPoint, ContractReport, GaussPoint,
-                                HomogeneousElement, Monomial,
-                                point_from_json)
+from perfectoid.tatealg import ContractReport, HomogeneousElement, Monomial
 from perfectoid.tiltkit import WittVector
 from perfectoid.toric import (Cone, Fan, TransferResult, TWeilDivisor,
                               projective_fan)
@@ -36,6 +34,7 @@ from perfectoid.toric import (Cone, Fan, TransferResult, TWeilDivisor,
 C = FieldConfig(3, 4, 2)
 U = UntiltElement(C, {Fraction(1, 3): 2, 1: 1})
 T = TiltElement(C, {Fraction(1, 9): 1})
+T3 = TiltElement.uniformizer(C)
 POLY = Polynomial([-UntiltElement.uniformizer(C), UntiltElement.zero(C),
                    UntiltElement.one(C)])
 MONO = Monomial(C, [Fraction(1, 3), 1])
@@ -46,6 +45,10 @@ REPORT = ContractReport([{"equality": "pass", "inequality": "pass"}])
 
 def _element_key(x):
     return x.kind, x.config, x._k, frozenset(x._digits.items())
+
+
+def _point_key(v):
+    return v.kind, v.coords, v.tilts, v.radius_exp, v.sign
 
 
 # (sample, an equal value built apart from it or None when the class
@@ -66,18 +69,20 @@ VALUES = [
     (HOM, lambda: HomogeneousElement.from_json(HOM.dumps()),
      lambda v: (v.config, v.kind, v.nvars, v._deg, v._k,
                 frozenset(v.terms.items()))),
-    (GaussPoint(), lambda: point_from_json({"kind": "gauss"}),
-     lambda v: ()),
-    (ClassicalPoint([U, UntiltElement.one(C)]),
-     lambda: point_from_json(
-         ClassicalPoint([U, UntiltElement.one(C)]).to_json()),
-     lambda v: (v.coords, v.tilt_coords)),
     (Rank2Value(Fraction(1, 2), 1, "<"), lambda: Rank2Value("1/2", 1, "<"),
      lambda v: (v.q, v.k, v.sign)),
+    # the one point class: a halo, the Gauss point of the polydisc, and
+    # a classical point with a tilt coordinate
     (AdicPoint.halo(U, Fraction(1, 3), ">"),
      lambda: adic_point_from_json(
          AdicPoint.halo(U, Fraction(1, 3), ">").to_json()),
-     lambda v: (v.kind, v.center, v.radius_exp, v.sign)),
+     _point_key),
+    (AdicPoint.gauss(C, 2),
+     lambda: adic_point_from_json({"kind": "gauss"}, C, 2), _point_key),
+    (AdicPoint.classical(UntiltElement.uniformizer(C), U, tilts=[T3, None]),
+     lambda: adic_point_from_json(AdicPoint.classical(
+         UntiltElement.uniformizer(C), U, tilts=[T3, None]).to_json()),
+     _point_key),
     (RationalSubset([POLY], POLY),
      lambda: RationalSubset.from_json(
          RationalSubset([POLY], POLY).to_json()),
@@ -96,9 +101,17 @@ VALUES = [
     (TransferResult(HOM, 0, HOM, REPORT), None, None),
 ]
 
-IDS = [type(row[0]).__name__ for row in VALUES]
+def _id(value):
+    # the point rows are told apart by their shape
+    name = type(value).__name__
+    if isinstance(value, AdicPoint):
+        return f"{name}-{'gauss' if value.is_gauss() else value.kind}"
+    return name
+
+
+IDS = [_id(row[0]) for row in VALUES]
 EQUAL = [row for row in VALUES if row[1] is not None]
-EQUAL_IDS = [type(row[0]).__name__ for row in EQUAL]
+EQUAL_IDS = [_id(row[0]) for row in EQUAL]
 
 
 def _slots(value):
