@@ -10,7 +10,9 @@ points arising from nested disc families with empty intersection need
 infinitely many centers to witness and are not represented.  The one
 point class, ``AdicPoint``, also holds the points of the polydisc that
 ``tatealg`` evaluates at: classical points of n coordinates, each with
-an optional tilt coordinate, and the Gauss point.
+an optional tilt coordinate, and the Gauss point.  A point answers for
+its tilt (``AdicPoint.tilt``), so ``eval_at`` and ``tatealg.evaluate``
+read both kinds there.
 
 Values are handled in exponent form: a rank-1 value p^-e is the
 exponent e, and a rank-2 value p^-q * gamma^k is a Rank2Value, where
@@ -37,6 +39,7 @@ from .arith import (
     KernelError,
     TiltElement,
     UntiltElement,
+    _exp_pair,
     _fraction,
     _integer,
     _is_int,
@@ -241,6 +244,48 @@ class AdicPoint(_Value):
     def is_gauss(self) -> bool:
         return self.kind == "disc" and self.radius_exp == 0
 
+    # -- the tilt --------------------------------------------------------
+
+    def tilt(self, i: int) -> TiltElement | None:
+        """The tilt of coordinate i: the tilt coordinate it carries, or
+        else the evident one of 0 and of a power p^a, t^a exact like
+        them; None for any other coordinate."""
+        if not (_is_int(i) and 0 <= i < self.nvars):
+            raise ConfigError(f"coordinate index must be one of "
+                              f"0..{self.nvars - 1}, got {i!r}")
+        x, y = self.coords[i], self.tilts[i]
+        if y is None and list(x._digits.values()) in ([], [1]):
+            return TiltElement._make(x.config, dict.fromkeys(x._digits, 1),
+                                     x.config.full)
+        return y
+
+    def _power(self, i: int, j: int, kind: str):
+        # coordinate i to the exponent at lattice index j > 0 on the kind
+        # side.  Untilt p-power roots come from the tilt; a zero
+        # coordinate and an integral exponent build none.
+        x, config = self.coords[i], self.config
+        num, denpow = _exp_pair(j, config)
+        if kind == "untilt":
+            if x.is_zero():
+                return UntiltElement.zero(config, config.prec)
+            if not denpow:
+                return x ** num
+        y = self.tilt(i)
+        if y is None:
+            raise IndeterminateError(
+                f"no exact p-power root of the coordinate {x!r} is "
+                f"available; supply a tilt preimage or keep exponents "
+                f"integral" if kind == "untilt" else
+                f"the coordinate {x!r} has no tilt; supply its tilt preimage")
+        root = y.root(denpow)
+        if kind == "tilt":
+            return root ** num
+        if self.tilts[i] is None:
+            # a root of t^a lifts to its own digits, with no sharp rooting
+            return UntiltElement._make(config, root._digits, root._k) ** num
+        from .tiltkit import sharp
+        return sharp(root, config.prec) ** num
+
     # -- identity --------------------------------------------------------
 
     def same_point(self, other: "AdicPoint") -> bool:
@@ -385,7 +430,8 @@ def eval_at(f: Polynomial, x: AdicPoint):
     classical points return the valuation of f(center); disc points the
     minimum of v(a_n) + n*q over the re-expansion around the center;
     halo points the same minimum together with the gamma exponent, the
-    tie among minimizing n resolved toward the sign.
+    tie among minimizing n resolved toward the sign.  A polynomial over
+    the tilt is read at the tilt of a classical or the Gauss point.
 
     Returns:
         Fraction for rank-1 points, Rank2Value for halos.
@@ -393,10 +439,11 @@ def eval_at(f: Polynomial, x: AdicPoint):
     Raises:
         IndeterminateError: the working precision leaves the minimum or
             the tie unsettled (including f(center) = 0 at precision).
+        KernelError: a polynomial over the tilt at a disc or halo point,
+            or at a classical point with no tilt.
     """
-    if not isinstance(f, Polynomial) or f.kind != "untilt":
-        raise ConfigError("eval_at expects a polynomial over the "
-                          "characteristic-0 side")
+    if not isinstance(f, Polynomial):
+        raise ConfigError(f"not a polynomial: {f!r}")
     if not isinstance(x, AdicPoint):
         raise ConfigError(f"not a point: {x!r}")
     if f.config != x.config:
@@ -405,13 +452,24 @@ def eval_at(f: Polynomial, x: AdicPoint):
         raise ConfigError(f"a polynomial in one variable is not evaluated "
                           f"at a point of {x.nvars} coordinates")
     scale = f.config.scale
+    center = x.center
+    if f.kind == "tilt":
+        if not (x.kind == "classical" or x.is_gauss()):
+            raise KernelError(
+                f"a polynomial over the tilt is evaluated at classical "
+                f"points and the Gauss point, not at {x!r}")
+        center = x.tilt(0)
+        if center is None:
+            raise KernelError(
+                f"center {x.center!r} is not a recognized sharp image; "
+                f"supply its tilt preimage")
     if x.kind == "classical":
-        y = f(x.center)
+        y = f(center)
         exact, lower, _ = _reading([(y._low(), y.is_zero())], scale)
         if exact is None:
             raise IndeterminateError(
                 f"f(center) vanishes at working precision "
-                f"(known modulo p^{lower}); its "
+                f"(known modulo {y.symbol}^{lower}); its "
                 f"valuation exponent is undetermined")
         return exact
     # v(a_n) + n*q over the coefficients a_n of f(T + center), on the
@@ -420,7 +478,7 @@ def eval_at(f: Polynomial, x: AdicPoint):
     den = scale * q.denominator
     step = scale * q.numerator
     levels = [(a._low() * q.denominator + n * step, a.is_zero())
-              for n, a in enumerate(f.shifted(x.center).coeffs)]
+              for n, a in enumerate(f.shifted(center).coeffs)]
     exact, _, blocker = _reading(levels, den)
     if exact is None:
         if blocker is None:
@@ -570,15 +628,14 @@ def tilt_point_check(fb: Polynomial, x: AdicPoint) -> dict:
 
     The point correspondence sends x to the valuation f -> |f^sharp(x)|
     on the characteristic-p side, so the two exponents must agree.  The
-    check computes both independently: the sharp image of fb is
-    evaluated at x, and fb itself at the tilted center (the Gauss point
-    tilts to the Gauss point).
+    check computes both independently with ``eval_at``: the sharp image
+    of fb at x, and fb itself at the tilt of x.
 
     Args:
         fb: polynomial over the tilt.
         x: classical point or the Gauss point.  A classical point tilts
             to its tilt coordinate, which 0 and the powers of p need not
-            carry.
+            carry (``AdicPoint.tilt``).
 
     Returns:
         dict with "untilt_exponent", "tilt_exponent" (Fractions) and
@@ -590,37 +647,9 @@ def tilt_point_check(fb: Polynomial, x: AdicPoint) -> dict:
     if not isinstance(fb, Polynomial) or fb.kind != "tilt":
         raise ConfigError("tilt_point_check expects a polynomial over the "
                           "tilt")
-    if not isinstance(x, AdicPoint):
-        raise ConfigError(f"not a point: {x!r}")
-    if fb.config != x.config:
-        raise ConfigError("polynomial and point configs differ")
-    if not (x.kind == "classical" or x.is_gauss()):
-        raise KernelError(
-            "the check runs at classical points and the Gauss point")
     from .tiltkit import sharp
-    config = fb.config
-    fs = Polynomial([sharp(c, config.prec) for c in fb.coeffs])
-    untilt_exp = eval_at(fs, x)
-    if x.is_gauss():
-        levels = [(c._low(), c.is_zero()) for c in fb.coeffs]
-        why = ("a tilt coefficient vanishes at a precision below the "
-               "minimum; the Gauss exponent is undetermined")
-    else:
-        tilt, center = x.tilts[0], x.center
-        if tilt is None and list(center._digits.values()) in ([], [1]):
-            # 0 and the powers of p have evident tilts, exact like them
-            tilt = TiltElement._make(config, dict.fromkeys(center._digits, 1),
-                                     config.full)
-        elif tilt is None:
-            raise KernelError(
-                f"center {center!r} is not a recognized sharp image; "
-                f"supply its tilt preimage")
-        y = fb(tilt)
-        levels = [(y._low(), y.is_zero())]
-        why = (f"f(tilted center) vanishes at working precision "
-               f"(known modulo t^{y.precexp})")
-    tilt_exp = _reading(levels, config.scale)[0]
-    if tilt_exp is None:
-        raise IndeterminateError(why)
+    prec = fb.config.prec
+    untilt_exp = eval_at(Polynomial([sharp(c, prec) for c in fb.coeffs]), x)
+    tilt_exp = eval_at(fb, x)
     return {"untilt_exponent": untilt_exp, "tilt_exponent": tilt_exp,
             "match": untilt_exp == tilt_exp}

@@ -159,6 +159,8 @@ class _Value(_Frozen):
         raise NotImplementedError
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if type(other) is not type(self):
             return NotImplemented
         return self._key() == other._key()

@@ -73,7 +73,7 @@ class Polynomial(_Value):
         for c in coeffs[1:]:
             if type(c) is not type(first):
                 raise ConfigError("coefficients mix tilt and untilt elements")
-            if c.config is not first.config and c.config != first.config:
+            if c.config != first.config:
                 raise ConfigError("coefficients mix field configurations")
         if coeffs[-1].is_zero():
             raise KernelError(
@@ -507,12 +507,11 @@ _AGREEMENT_BASE = 2
 def transfer_agreement(P: Polynomial, n: int):
     """Agreement valuation between consecutive re-raised transfers.
 
-    The verbatim stage coefficients sharp(a^(1/p^n)) form a root tower
-    whose members drift apart, so stabilization is measured on the
-    compensated sequence sharp(a^(1/p^n))^(p^n), which walks the
-    partial-power approximations of sharp(a) and is Cauchy.  Stage n
-    is computed at precision _AGREEMENT_BASE + n so the deepening
-    agreement stays visible through the precision tracking.
+    Stage n of a coefficient a is sharp(a^(1/p^n))^(p^n) at precision
+    _AGREEMENT_BASE + n, capped at prec.  sharp is multiplicative and
+    exact at its precision, so each stage is sharp(a) at its precision,
+    and the answer is always min(_AGREEMENT_BASE + n, prec): its rise
+    with n is the precision schedule, not a Cauchy sequence converging.
 
     Args:
         P: polynomial over the tilt.

@@ -15,8 +15,8 @@ contract verifier checks exactly that inequality (and the max-equality
 it implies) pointwise; it shares only the digit arithmetic with the
 construction and is the authority on whether an approximation is
 acceptable.  The evaluators ``evaluate`` and ``valuation_at`` take an
-``adicdisc.AdicPoint``, classical or Gauss, and ``valuation_at`` reads
-values with ``adicdisc``'s one routine; the point code is loaded at
+``adicdisc.AdicPoint``, classical or Gauss, which powers its coordinates
+on both sides of the tilt and reads every value; its code is loaded at
 the first call that takes a point, not with this module.
 
 Exponents are lattice indices, as inside the digit elements: monomial
@@ -40,7 +40,6 @@ from .arith import (
     DencapError,
     DivisionError,
     FieldConfig,
-    IndeterminateError,
     KernelError,
     PrecisionError,
     TiltElement,
@@ -736,28 +735,6 @@ def approximate(f: HomogeneousElement, c, eps) -> HomogeneousElement:
 # Points of the unit polydisc and evaluation
 # =====================================================================
 
-def _coord_power(x: UntiltElement, preimage, j: int,
-                 config: FieldConfig) -> UntiltElement:
-    # x^e for the exponent e > 0 at lattice index j.  Exact p-power roots
-    # exist on the untilt side only for zero, for pure powers of p, and
-    # through a tilt preimage; anything else is reported, not guessed.
-    num, denpow = _exp_pair(j, config)
-    if x.is_zero():
-        return UntiltElement.zero(config, config.prec)
-    if denpow == 0:
-        return x ** num
-    if preimage is not None:
-        root = preimage.root(denpow)
-        return sharp(root, config.prec) ** num
-    if list(x._digits.values()) == [1]:
-        # the root of p^a is p^(a/p^n), or DencapError off the lattice
-        root = Fraction(x._low(), config.scale * config.p ** denpow)
-        return UntiltElement.monomial(config, 1, root) ** num
-    raise IndeterminateError(
-        f"no exact p-power root of the coordinate {x!r} is available; "
-        f"supply a tilt preimage or keep exponents integral")
-
-
 @cache
 def _adicdisc():
     # the point code, loaded at the first call that takes a point
@@ -772,7 +749,7 @@ def _point(F: HomogeneousElement, point):
     if point.nvars != F.nvars:
         raise ConfigError(
             f"point has {point.nvars} coordinates, element has {F.nvars}")
-    if point.config is not F.config and point.config != F.config:
+    if point.config != F.config:
         raise ConfigError(f"config mismatch: {F.config} vs {point.config}")
     return point
 
@@ -780,13 +757,15 @@ def _point(F: HomogeneousElement, point):
 def evaluate(F: HomogeneousElement, point):
     """F at a classical point, as an element of the matching ring.
 
-    Untilt elements evaluate on the point's coordinates; tilt elements
-    need every coordinate to carry its tilt coordinate.  Coordinates are
+    Untilt elements evaluate on the point's coordinates, tilt elements
+    on their tilts; the point decides both (``AdicPoint.tilt``), so a
+    coordinate 0 or p^a needs no tilt coordinate.  Coordinates are
     treated as exact data of the point.
 
     Raises:
         IndeterminateError: a fractional exponent needs a root the
-            coordinate does not have.
+            coordinate does not have, or a tilt element uses a
+            coordinate with no tilt.
     """
     point = _point(F, point)
     if point.is_gauss():
@@ -797,27 +776,15 @@ def evaluate(F: HomogeneousElement, point):
         raise KernelError(
             f"homogeneous elements are evaluated at classical points "
             f"and the Gauss point, not at {point!r}")
-    config = F.config
-    if F.kind == "tilt" and any(y is None for y in point.tilts):
-        raise KernelError(
-            "evaluating a tilt element needs tilt preimages for every "
-            "coordinate")
     acc = None
     for mono, coeff in F.sorted_terms():
         val = coeff
         for n, j in enumerate(mono._idx):
-            if j == 0:
-                continue
-            if F.kind == "untilt":
-                fac = _coord_power(point.coords[n], point.tilts[n],
-                                   j, config)
-            else:
-                num, denpow = _exp_pair(j, config)
-                fac = point.tilts[n].root(denpow) ** num
-            val = val * fac
+            if j:
+                val = val * point._power(n, j, F.kind)
         acc = val if acc is None else acc + val
     if acc is None:
-        return _kind_class(F.kind).zero(config, F.precexp)
+        return _kind_class(F.kind).zero(F.config, F.precexp)
     return acc
 
 

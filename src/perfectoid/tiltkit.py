@@ -74,6 +74,7 @@ from .arith import (
     _is_int,
     _json_reader,
     _Value,
+    element_from_json,
 )
 
 __all__ = [
@@ -666,7 +667,6 @@ class WittVector(_Value):
     @classmethod
     @_json_reader("Witt")
     def from_json(cls, data: dict | str) -> "WittVector":
-        from .arith import element_from_json
         components = [element_from_json(c) for c in data["components"]]
         if _integer(data["length"], "Witt length") != len(components):
             raise KernelError("Witt length field does not match")

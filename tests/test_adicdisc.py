@@ -234,8 +234,12 @@ def test_eval_rejects_unsettled_gamma_tie():
 
 
 def test_eval_config_and_kind_checks():
-    with pytest.raises(ConfigError):
-        eval_at(tpoly(0, 1), AdicPoint.gauss(C))
+    for x in (AdicPoint.disc(ui(0), 1), AdicPoint.halo(ui(0), 1, ">")):
+        with pytest.raises(KernelError,
+                           match="classical points and the Gauss point"):
+            eval_at(tpoly(0, 1), x)
+    with pytest.raises(ConfigError, match="not a polynomial"):
+        eval_at(ui(1), AdicPoint.gauss(C))
     other = FieldConfig(2, 4, 3)
     with pytest.raises(ConfigError):
         eval_at(T_VAR, AdicPoint.gauss(other))
@@ -516,6 +520,34 @@ def test_tilt_check_at_a_point_with_its_tilt_coordinate():
     # T - (1 + t) vanishes there, on both sides
     with pytest.raises(IndeterminateError):
         tilt_point_check(Polynomial([-y, one]), x)
+
+
+@pytest.mark.parametrize("fb, x, want", [
+    # T - 1 at the carried tilt 1 + t of sharp(1 + t)
+    (Polynomial([-TiltElement.one(C), TiltElement.one(C)]),
+     AdicPoint.classical(sharp(TiltElement.one(C) + TW, C.prec),
+                         tilts=[TiltElement.one(C) + TW]), 1),
+    # T + t^2 at 0, tT + t^3 at p^2, T^2 + t at p^(1/3): evident tilts
+    (Polynomial([TW ** 2, TiltElement.one(C)]),
+     AdicPoint.classical(ui(0)), 2),
+    (Polynomial([TW ** 3, TW]), AdicPoint.classical(W * W), 3),
+    (Polynomial([TW, TiltElement.zero(C), TiltElement.one(C)]),
+     AdicPoint.classical(UntiltElement.monomial(C, 1, Fraction(1, 3))),
+     Fraction(2, 3)),
+    # tT + t^2 at the Gauss point
+    (Polynomial([TW ** 2, TW]), AdicPoint.gauss(C), 1),
+], ids=["carried", "zero", "p-power", "p-root", "gauss"])
+def test_eval_reads_a_tilt_polynomial_at_the_tilt(fb, x, want):
+    assert eval_at(fb, x) == want
+    assert tilt_point_check(fb, x)["tilt_exponent"] == want
+
+
+def test_point_tilts_are_carried_or_evident():
+    y = TiltElement.one(C) + TW
+    x = AdicPoint.classical(sharp(y, C.prec), W ** 2, ui(1) + W, ui(0),
+                            tilts=[y, None, None, None])
+    assert [x.tilt(i) for i in range(4)] == [
+        y, TW ** 2, None, TiltElement.zero(C)]
 
 
 def test_tilt_check_requires_recognizable_center():

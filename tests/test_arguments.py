@@ -181,6 +181,8 @@ SITES = [
      KernelError, NOT_NATURAL, "1/2", Fraction(1, 2)),
     ("AdicPoint.gauss", lambda n: AdicPoint.gauss(C2, n).nvars,
      ConfigError, NOT_POSITIVE, 2, 2),
+    ("AdicPoint.tilt", lambda i: AdicPoint.gauss(C2, 2).tilt(i),
+     ConfigError, NOT_NATURAL + (2,), 1, TiltElement.zero(C2)),
     ("Rank2Value-exponent", lambda q: Rank2Value(q, 0, "<").q,
      KernelError, NOT_NUMBERS, "-1/2", Fraction(-1, 2)),
     ("Rank2Value-gamma", lambda k: Rank2Value(0, k, "<").k,

@@ -318,6 +318,19 @@ def test_hensel_vanishing_derivative_rejected():
         hensel_root(P, TiltElement.one(C3))
 
 
+@pytest.mark.parametrize("cls", [UntiltElement, TiltElement])
+def test_hensel_refuses_past_its_step_budget(cls):
+    # X^2 - (1 + w^(1/81)), w the uniformizer, from 1: each step only
+    # doubles the residual valuation 1/81, which needs 8 steps to pass
+    # precision 2, not 4
+    C = FieldConfig(3, 2, 4)
+    a = cls.one(C) + cls.monomial(C, 1, Fraction(1, 81))
+    P = Polynomial([-a, cls.zero(C), cls.one(C)])
+    with pytest.raises(RootError, match=r"^no convergence within 4 Newton "
+                       r"steps \(residual valuation 16/81\)"):
+        hensel_root(P, cls.one(C))
+
+
 # =====================================================================
 # Characteristic-p digit search
 # =====================================================================
@@ -558,6 +571,32 @@ def test_mixed_lattice_failure_loud():
     flat = FieldConfig(2, 6, 0)
     with pytest.raises(RootError):
         mixed_root_refine(x_squared_minus_p(flat))
+
+
+def test_mixed_root_of_a_zero_constant_term_is_zero():
+    P = Polynomial([UntiltElement.zero(M3), UntiltElement.uniformizer(M3),
+                    UntiltElement.one(M3)])
+    assert mixed_root_refine(P) == UntiltElement.zero(M3)
+
+
+@pytest.mark.parametrize("middle, message", [
+    # X^2 + 1 has no root over F_3
+    (None, "^characteristic-p stage has no root in the lattice"),
+    # X^3 + a X^2 + p^(2/3) X + p, with a = 0 known to p^0 or p^(1/3)
+    (Fraction(0), "^stage polygon indeterminate: coefficient 2 is zero "
+                  "at precision 0"),
+    (Fraction(1, 3), "^deepest stage slope 0 is not positive"),
+], ids=["no-root", "indeterminate", "not-positive"])
+def test_mixed_stage_refusals(middle, message):
+    one = UntiltElement.one(M3)
+    if middle is None:
+        coeffs = [one, UntiltElement.zero(M3), one]
+    else:
+        coeffs = [UntiltElement.uniformizer(M3),
+                  UntiltElement.monomial(M3, 1, Fraction(2, 3)),
+                  UntiltElement.zero(M3, middle), one]
+    with pytest.raises(RootError, match=message):
+        mixed_root_refine(Polynomial(coeffs))
 
 
 def test_mixed_requires_monic_untilt():

@@ -14,7 +14,9 @@ one argument rule: only ``arith._is_int`` tests ``isinstance(x, int)``,
 and only the functions on a written list convert a parameter with a
 one-argument ``Fraction()`` or ``int()``.  A sixth is the import layout:
 importing ``adicdisc`` loads neither ``tatealg`` nor ``tiltkit``, and
-importing ``tatealg`` neither ``adicdisc`` nor ``polyroots``.
+importing ``tatealg`` neither ``adicdisc`` nor ``polyroots``.  A seventh
+keeps late imports for that layout: a function imports from a package
+module only when its own module does not import from it at the top.
 """
 
 import ast
@@ -302,3 +304,42 @@ def test_a_module_loads_without_what_it_imports_late(name):
     loaded = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
     assert name in loaded
     assert loaded & LOADS_APART[name] == set()
+
+
+# =====================================================================
+# Late imports: only from a module not imported at the top
+# =====================================================================
+
+def _package_sources(node):
+    """The package modules an ImportFrom node imports from: ``.m`` for
+    ``from .m import x``, each m for ``from . import m``."""
+    if not isinstance(node, ast.ImportFrom) or node.level != 1:
+        return []
+    return [node.module] if node.module else [a.name for a in node.names]
+
+
+def _needless_late_imports(tree):
+    """(module, line) of each import below the top level of tree from a
+    package module its top level imports from already."""
+    early = {m for node in tree.body for m in _package_sources(node)}
+    top = {id(node) for node in tree.body}
+    return sorted((m, node.lineno) for node in ast.walk(tree)
+                  if id(node) not in top
+                  for m in _package_sources(node) if m in early)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_a_function_imports_late_only_what_its_module_does_not(name):
+    assert _needless_late_imports(TREES[name]) == []
+
+
+def test_the_late_import_guard_sees_each_shape():
+    tree = ast.parse("from .a import x\n"
+                     "from . import b\n"
+                     "def f():\n"
+                     "    from .a import y\n"
+                     "    from .c import z\n"
+                     "class K:\n"
+                     "    def g(self):\n"
+                     "        from . import b\n")
+    assert _needless_late_imports(tree) == [("a", 4), ("b", 8)]

@@ -150,6 +150,20 @@ def test_element_precision_is_the_minimum():
     assert F.terms[Monomial(C3, [1, 0])].precexp.as_fraction() == 2
 
 
+def test_an_invisible_product_is_known_to_the_factors_bounds():
+    # no term survives a zero factor; the product is known to the least
+    # of (precision of one factor) + (Gauss bound of the other)
+    z = HomogeneousElement.zero(C3, "untilt", 1, 1, Fraction(1, 3))
+    for other, want in [
+            (uvar(C3, 1, 0), Fraction(1, 3)),
+            (uvar(C3, 1, 0, UntiltElement.uniformizer(C3)), Fraction(4, 3)),
+            (HomogeneousElement.zero(C3, "untilt", 1, 1, Fraction(1, 9)),
+             Fraction(4, 9))]:
+        for prod in (z * other, other * z):
+            assert prod.is_zero() and prod.degree == 2
+            assert prod.precexp == want
+
+
 def test_element_square_expands():
     T0 = uvar(C3, 2, 0)
     T1 = uvar(C3, 2, 1)
@@ -378,6 +392,12 @@ def test_evaluate_fractional_exponent_on_uniformizer_powers():
             UntiltElement.one(C3)})
     pt = AdicPoint.classical(*[UntiltElement.uniformizer(C3)] * 2)
     assert evaluate(F, pt) == UntiltElement.uniformizer(C3)
+    # p^(2/9) to the 1/3 is p^(2/27) exactly, though sharp would root
+    # t^(2/27) by 27 more, off this lattice
+    G = HomogeneousElement(C3, "untilt", 1, Fraction(1, 3), {
+        Monomial(C3, [Fraction(1, 3)]): UntiltElement.one(C3)})
+    pt = AdicPoint.classical(UntiltElement.monomial(C3, 1, Fraction(2, 9)))
+    assert evaluate(G, pt) == UntiltElement.monomial(C3, 1, Fraction(2, 27))
 
 
 def test_evaluate_fractional_exponent_through_preimage():
@@ -407,6 +427,24 @@ def test_evaluate_a_tilt_element_at_the_tilt_coordinates():
         pt = AdicPoint.classical(*[sharp(y, C3.prec) for y in (y0, y1)],
                                  tilts=[y0, y1])
         assert evaluate(F, pt) == want
+
+
+def test_evaluate_a_tilt_element_at_evident_tilts():
+    # F = T0^(1/3) T1^(2/3) + t T0 at (p, 0) and (p, p), which tilt to
+    # (t, 0) and (t, t) without carrying a tilt coordinate
+    F = HomogeneousElement(C3, "tilt", 2, 1, {
+        Monomial(C3, [Fraction(1, 3), Fraction(2, 3)]): TiltElement.one(C3),
+        Monomial(C3, [1, 0]): TiltElement.uniformizer(C3)})
+    p = UntiltElement.uniformizer(C3)
+    for second, want in [(UntiltElement.zero(C3), {2: 1}),
+                         (p, {1: 1, 2: 1})]:
+        pt = AdicPoint.classical(p, second)
+        assert evaluate(F, pt) == TiltElement(C3, want)
+    # a coordinate with no tilt answers until a monomial uses it
+    pt = AdicPoint.classical(p, UntiltElement.one(C3) + p)
+    assert evaluate(tvar(C3, 2, 0), pt) == TiltElement.uniformizer(C3)
+    with pytest.raises(IndeterminateError, match="has no tilt"):
+        evaluate(F, pt)
 
 
 def test_evaluate_reports_missing_roots():
@@ -662,6 +700,31 @@ def test_contract_reports_indeterminate_when_precision_runs_out():
     assert row["equality"] == "pass"
     assert row["inequality"] == "indeterminate"
     assert not report.passed
+
+
+def test_contract_reads_a_side_known_only_below_the_depth():
+    # a valuation known only to lie past a bound below c: a sure value
+    # under that bound on the other side fails, one past it is undecided
+    third = Fraction(1, 3)
+    one = UntiltElement.one(C3)
+    # f is zero modulo p^(1/3), against g = T0 and g = t T0
+    f = HomogeneousElement.zero(C3, "untilt", 1, 1, third)
+    rows = [verify_contract(f, g, 1, third, [AdicPoint.classical(one)])
+            .rows[0] for g in (tvar(C3, 1, 0),
+                               tvar(C3, 1, 0, TiltElement.uniformizer(C3)))]
+    # g = T0 - T1 vanishes modulo p^(1/3) at (1 + O(p^(1/3)), 1),
+    # against f = T0 and f = p T0
+    x = AdicPoint.classical(one.with_precision(third), one)
+    g = tvar(C3, 2, 0) - tvar(C3, 2, 1)
+    rows += [verify_contract(uvar(C3, 2, 0, c), g, 1, third, [x]).rows[0]
+             for c in (one, UntiltElement.uniformizer(C3))]
+    assert [(r["f_valuation"], r["sharp_valuation"],
+             r["difference_valuation"], r["equality"], r["inequality"])
+            for r in rows] == [
+        (">=1/3", "0", "0", "fail", "fail"),
+        (">=1/3", "1", ">=1/3", "indeterminate", "indeterminate"),
+        ("0", ">=1/3", "0", "fail", "fail"),
+        ("1", ">=1/3", ">=1/3", "indeterminate", "indeterminate")]
 
 
 def test_contract_refuses_an_empty_sample(monkeypatch):
