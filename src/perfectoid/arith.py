@@ -9,15 +9,22 @@ F_p[t^(1/p^inf)], modeled by ``TiltElement`` the same way with t in place
 of p and no carries.
 
 Representation.  With m = dencap, every exponent of a computation lies on
-the lattice (1/p^m) Z, so an element is stored as integers only: a map
-{j: digit} for the terms digit * X^(j/p^m), indices ascending, and the
-precision numerator K, the element being known modulo X^(K/p^m).  This
+the lattice (1/p^m) Z, and an element is stored as integers only, with
+the precision numerator K: the element is known modulo X^(K/p^m).  This
 is the finite layer Z_p[p^(1/p^m)] = Z_p[u]/(u^(p^m) - p), u = p^(1/p^m),
-resp. F_p[[u]], u = t^(1/p^m), truncated at u^K.  Sums and products add
-indices; on the untilt side a coefficient c at j leaves c mod p and
-carries c // p to j + p^m, because p * p^(j/p^m) = p^((j + p^m)/p^m).
-A product is known below min(K1 + v2, K2 + v1, prec * p^m), v the index
-of the lowest digit (K when none is visible).
+resp. F_p[[u]], u = t^(1/p^m), truncated at u^K.  A tilt element is its
+digit map {j: digit} for the terms digit * t^(j/p^m), indices
+ascending.  An untilt element is its layer coefficients {r: C_r},
+0 <= r < p^m, each C_r an integer modulo p^L_r with L_r the number of
+levels q with q p^m + r < K (the fixed-precision p-adic numbers of
+Caruso, arXiv:1701.06794, one for each residue r): the digits at
+j = q p^m + r are the base-p digits of C_r, because
+p * p^(j/p^m) = p^((j + p^m)/p^m), so a carry is integer arithmetic and
+the digit map is a view read from the coefficients.  Sums add digits
+(resp. coefficients), and products add indices, folding u^(p^m) to p
+on the untilt side.  A product is known below
+min(K1 + v2, K2 + v1, prec * p^m), v the index of the lowest digit (K
+when none is visible).
 
 Exponents are elements of Z[1/p], and at the API boundary they are
 ``Fraction``s: constructors take maps keyed by ints or Fractions and
@@ -40,17 +47,19 @@ writes every JSON form, and every public reader of one follows
 ``_json_reader``: text is parsed, fields are checked, never converted,
 and a malformed document is refused with a typed error.  The modules
 above (tatealg, polyroots, adicdisc) compute on the same indices: they
-read ``_digits``, ``_low()`` and ``_k`` and convert exponents with
-``_lattice_index``.
+read ``_low()``, ``is_zero()``, ``_k`` and the digit view ``_digits``,
+multiply and accumulate through ``_dot``, and convert exponents with
+``_lattice_index``; only arith and tiltkit's layer conversion read an
+untilt element's coefficients.
 
     ValExp                  -- an exponent handed out: a Fraction
     FieldConfig             -- (p, prec, dencap) for a whole computation
-    UntiltElement           -- digits with base-p carries
+    UntiltElement           -- layer coefficients, carries inside integers
     TiltElement             -- digits over F_p, Frobenius and exact p-th roots
     reduce_mod_uniformizer  -- the mod-p residue written on the t side
     lift_mod_uniformizer    -- the digit-preserving section of reduce
     pth_root_mod            -- p-th roots modulo p^k for k <= 1
-    invert_unit             -- digit-by-digit long division
+    invert_unit             -- long division on the u-power series
     divide_exact            -- exact division when the quotient is integral
 
 Nothing numeric is converted: an integer argument goes through
@@ -305,8 +314,10 @@ def check_prime(p: int) -> None:
         raise ConfigError(f"p = {p} is not prime")
 
 
-# A lattice scale p^dencap of more bits than this is refused before it is
-# computed: every digit index is a multiple of it or below prec times it.
+# A lattice scale p^dencap or a coefficient modulus p^prec of more bits
+# than this is refused before it is computed: every digit index is a
+# multiple of the scale or below prec times it, and every layer
+# coefficient of an untilt element is below the modulus.
 _SCALE_BITS = 2 ** 20
 
 
@@ -332,6 +343,10 @@ class FieldConfig(_Value):
         if dencap * (p.bit_length() - 1) > _SCALE_BITS:
             raise BudgetError(
                 f"dencap = {dencap} puts the lattice scale {p}^{dencap} "
+                f"beyond {_SCALE_BITS} bits")
+        if prec * (p.bit_length() - 1) > _SCALE_BITS:
+            raise BudgetError(
+                f"prec = {prec} puts the coefficient modulus {p}^{prec} "
                 f"beyond {_SCALE_BITS} bits")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "prec", prec)
@@ -509,43 +524,57 @@ def _index_from_json(data, config: FieldConfig) -> int:
 
 
 def _product_index(a: "_DigitElement", b: "_DigitElement") -> int:
-    """The precision index of the product a * b.  Each factor's
-    uncertainty is scaled by the other factor's valuation; when no digit
-    is visible the precision is the only lower bound on the valuation."""
-    return min(a._k + b._low(), b._k + a._low(), a.config.full)
-
-
-def _mul_rows(acc: dict[int, int], a: dict[int, int], b: dict[int, int],
-              k: int) -> dict[int, int]:
-    """Adds the products of the digit maps a and b below index k into
-    the raw map acc, and returns acc.  Both maps ascend, so each row
-    stops at the first index that reaches k: digits and carries at or
-    above k are dropped."""
-    row = list(b.items())
-    for j1, c1 in a.items():
-        for j2, c2 in row:
-            j = j1 + j2
-            if j >= k:
-                break
-            acc[j] = acc.get(j, 0) + c1 * c2
-    return acc
+    """The precision index of the product a * b,
+    min(k_a + v_b, k_b + v_a, full): each factor's uncertainty is scaled
+    by the other factor's valuation, and when no digit is visible the
+    precision is the only lower bound on the valuation.  A factor known
+    to full precision bounds nothing, so its partner's valuation is not
+    read: a product of two exact factors reads none."""
+    full = a.config.full
+    k = full
+    if a._k < full:
+        k = a._k + b._low()
+    if b._k < k:
+        k = min(k, b._k + a._low())
+    return min(k, full)
 
 
 class _DigitElement(_Frozen):
     """Common machinery of the two element kinds.
 
-    An element is stored on its config's lattice: ``_digits`` maps the
+    An element is stored on its config's lattice, in the slot ``_store``,
+    and is known modulo X^(_k/p^dencap).  What ``_store`` holds is the
+    kind's own canonical form (see each class): the digit map of a tilt
+    element, the layer coefficients of an untilt one.  Either form is
+    unique, so equality is structural; it is written out here rather
+    than taken from ``_Value``, for the shortcut on a shared config
+    object.  ``_digits`` is the digit map {j: digit} of either kind, the
     index j of the term digit * X^(j/p^dencap) to the digit in 1..p-1,
-    with the indices in increasing order and below ``_k``, and the
-    element is known modulo X^(_k/p^dencap).  Canonical form is unique,
-    so equality is structural; it is written out here rather than taken
-    from ``_Value``, for the shortcut on a shared config object.
-    ``digits`` and ``precexp`` give the same data with Fraction
-    exponents (``ValExp``); the text and JSON writers walk ``_digits``
-    in its stored order.
+    indices ascending and below ``_k``: the text and JSON writers walk
+    it, and ``digits`` and ``precexp`` give the same data with Fraction
+    exponents (``ValExp``).
+
+    Each kind supplies the operations on its form, and the ring
+    operations here are written once on top of them (all indices are
+    lattice indices, X^(j/p^dencap) at j):
+
+        _normalize(acc, config, k)  the form of sum c X^j over a map
+                                    {j: c} of any integers, j >= 0,
+                                    modulo X^k
+        _reduce(acc, config, k)     the form of a map shaped like the
+                                    form, of any integers, modulo X^k
+        _mul_into(acc, a, b, config, k)
+                                    adds the product of the forms a and
+                                    b, modulo X^k, into such a map acc
+        _low()                      a certified lower bound on the
+                                    valuation: the first digit, or the
+                                    precision when no digit is visible
+        _digit(j)                   the digit at j, 0 when none is stored
+        _at(k)                      self modulo X^k, 0 <= k <= full
+        _shift(s)                   self times X^s
     """
 
-    __slots__ = ("config", "_digits", "_k")
+    __slots__ = ("config", "_k", "_store")
 
     kind = "?"
     symbol = "?"
@@ -560,8 +589,16 @@ class _DigitElement(_Frozen):
             raise KernelError(f"not a digit mapping: {digits!r}")
         acc: dict[int, int] = {}
         off = None      # the first key off the lattice, refused last
+        scale = config.scale
         for e, c in digits.items():
-            j = _index(e, config)
+            # _index, inline for the int and Fraction keys
+            if type(e) is int:
+                j = e * scale
+            elif type(e) is Fraction:
+                q, r = divmod(scale, e.denominator)
+                j = None if r else e.numerator * q
+            else:
+                j = _index(e, config)
             if j is None:
                 f = Fraction(e)
                 if f < 0:
@@ -572,39 +609,30 @@ class _DigitElement(_Frozen):
             if j < 0:
                 raise KernelError(
                     f"negative digit exponent {_exp_text(j, config)}")
-            if not _is_int(c):
+            if type(c) is not int and not _is_int(c):
                 raise KernelError(f"digit {c!r} is not an integer")
-            acc[j] = acc.get(j, 0) + c
+            acc[j] = acc[j] + c if j in acc else c
         k = (config.full if precexp is None
              else _precision_index(precexp, config))
         if off is not None:
             raise _exponent_error(off, config)
         _set_config(self, config)
         _set_k(self, k)
-        _set_digits(self, self._normalize(acc, config, k))
+        _set_store(self, self._normalize(acc, config, k))
 
     # -- canonicalization ------------------------------------------------
 
-    @staticmethod
-    def _normalize(acc: dict[int, int], config: FieldConfig,
-                   k: int) -> dict[int, int]:
-        """Canonical digits, in increasing index order, of the sum of
-        c * X^(j/p^dencap) over acc, modulo X^(k/p^dencap)."""
-        raise NotImplementedError
-
     @classmethod
-    def _canonical(cls, config: FieldConfig, digits: dict[int, int],
-                   k: int):
-        """Wraps lattice digits that are already in canonical form.
+    def _canonical(cls, config: FieldConfig, store: dict, k: int):
+        """Wraps a form that is already canonical at k <= config.full.
 
-        The caller guarantees what ``_normalize`` would establish: indices
-        strictly below k <= config.full, in increasing order, with values
-        in 1..p-1.  The dict is kept, not copied; nothing mutates it.
+        The caller guarantees what ``_normalize`` would establish; the
+        dict is kept, not copied, and nothing mutates it.
         """
         self = object.__new__(cls)
         _set_config(self, config)
         _set_k(self, k)
-        _set_digits(self, digits)
+        _set_store(self, store)
         return self
 
     @classmethod
@@ -612,6 +640,20 @@ class _DigitElement(_Frozen):
         """The element sum c * X^(j/p^dencap) over acc, modulo
         X^(k/p^dencap); acc may hold any integers at any indices >= 0."""
         return cls._canonical(config, cls._normalize(acc, config, k), k)
+
+    @classmethod
+    def _dot(cls, config: FieldConfig, pairs, k: int, start=None):
+        """start + the sum of x * y over pairs, modulo X^(k/p^dencap),
+        with one ``_mul_into`` a pair and one reduction: the
+        product-accumulate of ``_addmul`` and of the callers outside
+        arith.  The elements are of this class on config (start may be
+        None), and k is the caller's: it promotes the representatives
+        above their own precision when it is larger."""
+        acc = dict(start._store) if start is not None else {}
+        mul = cls._mul_into
+        for x, y in pairs:
+            mul(acc, x._store, y._store, config, k)
+        return cls._canonical(config, cls._reduce(acc, config, k), k)
 
     # -- constructors ----------------------------------------------------
 
@@ -654,26 +696,19 @@ class _DigitElement(_Frozen):
 
     def is_zero(self) -> bool:
         """True when no digit is visible at the current precision."""
-        return not self._digits
+        return not self._store
 
     def valuation(self):
         """Smallest stored exponent; INF when a == 0 at current precision."""
-        for j in self._digits:
-            return ValExp(j, self.config.scale)
-        return INF
-
-    def _low(self) -> int:
-        # Lattice index of a certified lower bound on the valuation: the
-        # first digit, or the precision when no digit is visible.
-        for j in self._digits:
-            return j
-        return self._k
+        if not self._store:
+            return INF
+        return ValExp(self._low(), self.config.scale)
 
     def digit_at(self, exponent) -> int:
         """The digit at the exponent, 0 when none is stored; an exponent
         off the lattice or below zero is refused as the constructor
         refuses it."""
-        return self._digits.get(_lattice_index(exponent, self.config), 0)
+        return self._digit(_lattice_index(exponent, self.config))
 
     # -- precision handling ----------------------------------------------
 
@@ -686,13 +721,6 @@ class _DigitElement(_Frozen):
         representative of a residue class.
         """
         return self._at(_precision_index(precexp, self.config))
-
-    def _at(self, k: int):
-        # self read modulo X^(k/p^dencap), 0 <= k <= config.full
-        if k >= self._k:
-            return self._canonical(self.config, self._digits, k)
-        return self._canonical(
-            self.config, {j: c for j, c in self._digits.items() if j < k}, k)
 
     def shift(self, s):
         """Multiplies by the uniformizer to the power s (s may be negative).
@@ -716,26 +744,21 @@ class _DigitElement(_Frozen):
                 f"by {self.symbol}^{_fraction_text(-sf)}")
         raise _exponent_error(sf, self.config)
 
-    def _shift(self, s: int):
-        # shift by s / p^dencap
+    def _shift_bound(self, s: int) -> int:
+        """The precision index of self shifted by s / p^dencap, after the
+        refusals of that shift: no precision left, or a digit that would
+        land below exponent 0."""
         config = self.config
         k = self._k + s
         if k < 0:
             raise PrecisionError(
                 f"shift by {_exp_text(s, config)} leaves no precision "
                 f"(precexp {_exp_text(self._k, config)})")
-        low = self._low()
-        if self._digits and low + s < 0:
+        if s < 0 and self._store and (low := self._low()) + s < 0:
             raise DivisionError(
                 f"digit at exponent {_exp_text(low, config)} does not "
                 f"divide by {self.symbol}^{_exp_text(-s, config)}")
-        k = min(k, config.full)
-        digits = {}
-        for j, c in self._digits.items():
-            if j + s >= k:
-                break
-            digits[j + s] = c
-        return self._canonical(config, digits, k)
+        return min(k, config.full)
 
     # -- ring structure --------------------------------------------------
 
@@ -760,10 +783,13 @@ class _DigitElement(_Frozen):
         if type(other) is not type(self) or other.config is not self.config:
             other = self._coerce(other)
             self._check_compatible(other)
-        acc = dict(self._digits)
-        for j, c in other._digits.items():
-            acc[j] = acc.get(j, 0) + sign * c
-        return self._make(self.config, acc, min(self._k, other._k))
+        config = self.config
+        k = min(self._k, other._k)
+        acc = dict(self._store)
+        get = acc.get
+        for j, c in other._store.items():
+            acc[j] = get(j, 0) + sign * c
+        return self._canonical(config, self._reduce(acc, config, k), k)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -771,8 +797,10 @@ class _DigitElement(_Frozen):
     __radd__ = __add__
 
     def __neg__(self):
-        return self._make(self.config,
-                          {j: -c for j, c in self._digits.items()}, self._k)
+        config = self.config
+        return self._canonical(config, self._reduce(
+            {j: -c for j, c in self._store.items()}, config, self._k),
+            self._k)
 
     def __sub__(self, other):
         return self._sum(other, -1)
@@ -784,11 +812,10 @@ class _DigitElement(_Frozen):
         if type(other) is not type(self) or other.config is not self.config:
             other = self._coerce(other)
             self._check_compatible(other)
-        a, b, config = self._digits, other._digits, self.config
-        # _product_index, inline: the first index of a map is its _low()
-        k = min(self._k + next(iter(b), other._k),
-                other._k + next(iter(a), self._k), config.full)
-        return self._make(config, _mul_rows({}, a, b, k), k)
+        config = self.config
+        k = _product_index(self, other)
+        return self._canonical(config, self._reduce(self._mul_into(
+            {}, self._store, other._store, config, k), config, k), k)
 
     __rmul__ = __mul__
 
@@ -799,9 +826,8 @@ class _DigitElement(_Frozen):
         y = self._coerce(y)
         x._check_compatible(y)
         self._check_compatible(x)
-        k = min(self._k, _product_index(x, y))
-        return self._make(self.config, _mul_rows(
-            dict(self._digits), x._digits, y._digits, k), k)
+        return self._dot(self.config, ((x, y),),
+                         min(self._k, _product_index(x, y)), self)
 
     def __pow__(self, n: int):
         _integer(n, "power", 0)
@@ -824,7 +850,7 @@ class _DigitElement(_Frozen):
         return (self.kind == other.kind
                 and (self.config is other.config
                      or self.config == other.config)
-                and self._k == other._k and self._digits == other._digits)
+                and self._k == other._k and self._store == other._store)
 
     def __hash__(self):
         return hash((self.kind, self.config, self._k,
@@ -866,70 +892,147 @@ class _DigitElement(_Frozen):
 # faster than object.__setattr__, which looks the slot up by name.
 _set_config = _DigitElement.config.__set__
 _set_k = _DigitElement._k.__set__
-_set_digits = _DigitElement._digits.__set__
+_set_store = _DigitElement._store.__set__
 
 
 class UntiltElement(_DigitElement):
-    """Truncated integral element of the characteristic-0 field.
+    """Truncated integral element of the characteristic-0 field, stored
+    as its coefficients on the layer Z_p[u]/(u^S - p), u = p^(1/S),
+    S = p^dencap.
 
-    Carries move a unit from exponent e to exponent e + 1, index j to
-    j + p^dencap; that is valid for fractional e as well, because
-    p * p^e = p^(e+1).
+    The index j = q S + r (0 <= r < S) is the term p^q u^r, so the
+    digits at the indices r, r + S, r + 2S, ... are the base-p digits of
+    one integer: ``_coeffs`` (the slot ``_store``) maps r to
+    C_r = sum_q digit_(q S + r) p^q.  A carry, p * p^e = p^(e+1), is
+    integer arithmetic inside C_r.  Known modulo u^K, K = ``_k``, the
+    element keeps each C_r modulo p^L_r, L_r = ceil((K - r) / S), the
+    number of levels q with q S + r < K: a term C u^r lies in u^K exactly
+    when p^L_r divides C.  Canonical form keeps the nonzero C_r so
+    reduced, in no particular order; the ascending digit map ``_digits``
+    is read from it on each access.
     """
+
+    __slots__ = ()
 
     kind = "untilt"
     symbol = "p"
     _carries = True
 
+    _coeffs = _DigitElement._store
+
+    @staticmethod
+    def _reduce(acc, config, k):
+        # C_r modulo p^L_r: L_r = q + 1 below the residue k mod S, and q
+        # from it on, with q = k // S
+        q, cut = divmod(k, config.scale)
+        mod = config.p ** q
+        if not cut:
+            return {r: v for r, c in acc.items() if (v := c % mod)}
+        high = mod * config.p
+        return {r: v for r, c in acc.items()
+                if (v := c % (high if r < cut else mod))}
+
     @staticmethod
     def _normalize(acc, config, k):
-        # One pass over the keys of acc in increasing order.  A carry
-        # raises its index by exactly p^dencap, so it lands ahead of the
-        # pass and waits in ``carried`` until the pass reaches it.  Only
-        # the carry indices that are not keys of acc (a borrow running
-        # past the last key, say) also go on the heap ``spill``, which is
-        # drained in order before each key; the sentinel key k drains the
-        # rest.  Carries at or past k are dropped.
+        # index j = q S + r adds c p^q to C_r; an index at or past k
+        # lies in u^k and adds nothing
         p, scale = config.p, config.scale
-        keys = sorted(acc)
-        keys.append(k)
-        carried = {}
-        spill = []
-        out = {}
-        for j in keys:
-            while True:
-                if spill and spill[0] < j:
-                    i = heappop(spill)
-                    c = carried.pop(i)
-                elif j < k:
-                    i = j
-                    c = acc[j] + carried.pop(j) if j in carried else acc[j]
+        coeffs = {}
+        for j, c in acc.items():
+            if j < k:
+                q, r = divmod(j, scale)
+                if q:
+                    c *= p ** q
+                coeffs[r] = coeffs[r] + c if r in coeffs else c
+        return UntiltElement._reduce(coeffs, config, k)
+
+    @staticmethod
+    def _mul_into(acc, a, b, config, k):
+        # u^(r1 + r2) = p u^(r1 + r2 - S) once r1 + r2 reaches S
+        p, scale = config.p, config.scale
+        get = acc.get
+        row = list(b.items())
+        for r1, c1 in a.items():
+            c1p = c1 * p
+            for r2, c2 in row:
+                r = r1 + r2
+                if r < scale:
+                    acc[r] = get(r, 0) + c1 * c2
                 else:
-                    return out
-                carry, digit = divmod(c, p)
-                if digit:
-                    out[i] = digit
-                if carry and (up := i + scale) < k:
-                    if up in carried:
-                        carried[up] += carry
-                    else:
-                        carried[up] = carry
-                        if up not in acc:
-                            heappush(spill, up)
-                if i == j:
+                    r -= scale
+                    acc[r] = get(r, 0) + c1p * c2
+        return acc
+
+    @property
+    def _digits(self) -> dict[int, int]:
+        # the base-p digits of each C_r, at r, r + S, r + 2S, ...
+        p, scale = self.config.p, self.config.scale
+        found = []
+        for r, c in self._coeffs.items():
+            while c:
+                c, d = divmod(c, p)
+                if d:
+                    found.append((r, d))
+                r += scale
+        found.sort()
+        return dict(found)
+
+    def _low(self) -> int:
+        # the least r + S v_p(C_r), searched only below the best so far
+        p, scale = self.config.p, self.config.scale
+        best = self._k
+        for j, c in self._coeffs.items():
+            while j < best:
+                if c % p:
+                    best = j
                     break
+                c //= p
+                j += scale
+        return best
+
+    def _digit(self, j: int) -> int:
+        if j >= self._k:
+            return 0
+        q, r = divmod(j, self.config.scale)
+        return self._coeffs.get(r, 0) // self.config.p ** q % self.config.p
+
+    def _at(self, k: int):
+        if k >= self._k:
+            # each C_r is below p^L_r at self's precision, so at k's
+            return self._canonical(self.config, self._coeffs, k)
+        return self._canonical(
+            self.config, self._reduce(self._coeffs, self.config, k), k)
+
+    def _shift(self, s: int):
+        # C_r u^r times u^s is C_r p^q u^r' with r + s = q S + r'; q < 0
+        # divides exactly once no digit lands below exponent 0
+        config = self.config
+        k = self._shift_bound(s)
+        p, scale = config.p, config.scale
+        acc = {}
+        for r, c in self._coeffs.items():
+            if r + s < k:
+                q, r2 = divmod(r + s, scale)
+                acc[r2] = c * p ** q if q >= 0 else c // p ** -q
+        return self._canonical(config, self._reduce(acc, config, k), k)
 
 
 class TiltElement(_DigitElement):
-    """Truncated integral element of the characteristic-p field.
+    """Truncated integral element of the characteristic-p field, stored
+    as its digit map: ``_digits`` (the slot ``_store``) maps each index
+    to its digit in 1..p-1, indices ascending and below ``_k``.
 
     No carries: digit arithmetic is componentwise in F_p, and Frobenius
     x -> x^p is pure exponent scaling.
     """
 
+    __slots__ = ()
+
     kind = "tilt"
     symbol = "t"
     _carries = False
+
+    _digits = _DigitElement._store
 
     @staticmethod
     def _normalize(acc, config, k):
@@ -942,6 +1045,45 @@ class TiltElement(_DigitElement):
             if digit:
                 out[j] = digit
         return out
+
+    _reduce = _normalize
+
+    @staticmethod
+    def _mul_into(acc, a, b, config, k):
+        # Both maps ascend, so each row stops at the first index that
+        # reaches k: digits at or above k are dropped.
+        get = acc.get
+        row = list(b.items())
+        for j1, c1 in a.items():
+            for j2, c2 in row:
+                j = j1 + j2
+                if j >= k:
+                    break
+                acc[j] = get(j, 0) + c1 * c2
+        return acc
+
+    def _low(self) -> int:
+        for j in self._digits:
+            return j
+        return self._k
+
+    def _digit(self, j: int) -> int:
+        return self._digits.get(j, 0)
+
+    def _at(self, k: int):
+        if k >= self._k:
+            return self._canonical(self.config, self._digits, k)
+        return self._canonical(
+            self.config, {j: c for j, c in self._digits.items() if j < k}, k)
+
+    def _shift(self, s: int):
+        k = self._shift_bound(s)
+        digits = {}
+        for j, c in self._digits.items():
+            if j + s >= k:
+                break
+            digits[j + s] = c
+        return self._canonical(self.config, digits, k)
 
     def frobenius(self) -> "TiltElement":
         """x -> x^p: every exponent is multiplied by p, digits are fixed."""
@@ -1008,35 +1150,36 @@ class TiltElement(_DigitElement):
 # The mod-p identification between the two rings
 # =====================================================================
 
-def _below_one(a: _DigitElement) -> tuple[dict[int, int], int]:
-    # the digits of a with exponent < 1, and min(precexp, 1), as indices
-    scale = a.config.scale
-    digits = {}
-    for j, c in a._digits.items():
-        if j >= scale:
-            break
-        digits[j] = c
-    return digits, min(a._k, scale)
-
-
 def reduce_mod_uniformizer(a: UntiltElement) -> TiltElement:
     """The residue of a modulo p, written on the t side.
 
-    Keeps exactly the digits with exponent < 1 and reinterprets p^e as
-    t^e; the result is known modulo t^min(precexp, 1).
+    Keeps exactly the digits with exponent < 1, the lowest base-p digit
+    of each layer coefficient, and reinterprets p^e as t^e; the result
+    is known modulo t^min(precexp, 1).
     """
     if not isinstance(a, UntiltElement):
         raise ConfigError(f"reduce_mod_uniformizer expects untilt, got "
                           f"{getattr(a, 'kind', type(a).__name__)}")
-    return TiltElement._canonical(a.config, *_below_one(a))
+    p, coeffs = a.config.p, a._coeffs
+    return TiltElement._canonical(
+        a.config, {r: d for r in sorted(coeffs) if (d := coeffs[r] % p)},
+        min(a._k, a.config.scale))
 
 
 def lift_mod_uniformizer(a: TiltElement) -> UntiltElement:
-    """The canonical digit-preserving section of reduce_mod_uniformizer."""
+    """The canonical digit-preserving section of reduce_mod_uniformizer:
+    a digit d at exponent r / p^dencap < 1 is the layer coefficient
+    C_r = d."""
     if not isinstance(a, TiltElement):
         raise ConfigError(f"lift_mod_uniformizer expects tilt, got "
                           f"{getattr(a, 'kind', type(a).__name__)}")
-    return UntiltElement._canonical(a.config, *_below_one(a))
+    scale = a.config.scale
+    coeffs = {}
+    for j, c in a._digits.items():
+        if j >= scale:
+            break
+        coeffs[j] = c
+    return UntiltElement._canonical(a.config, coeffs, min(a._k, scale))
 
 
 def pth_root_mod(a: UntiltElement, k) -> UntiltElement:
@@ -1067,50 +1210,55 @@ def pth_root_mod(a: UntiltElement, k) -> UntiltElement:
 def invert_unit(a: _DigitElement) -> _DigitElement:
     """The inverse of a unit (valuation 0), to a's own precision.
 
-    Digit-by-digit long division on the lattice: the remainder
-    1 - (quotient so far) * a is kept as unnormalized coefficients, and
-    each step takes its smallest index j, whose coefficient c is final,
-    sets quotient digit q = c / a_0 mod p there and subtracts q X^j a.
-    That leaves c - q a_0, a multiple of p, at j; on the untilt side it
-    carries to j + p^dencap.  Indices at or above the precision are
-    dropped.
+    Long division on the power series in u = X^(1/p^dencap): with a the
+    series sum A_n u^n over its form (a tilt element's digits, an untilt
+    element's layer coefficients, whose u^S = p folds back afterwards),
+    the inverse is sum B_n u^n with B_0 = 1/A_0 and
+    B_n = -(1/A_0) sum_(i>0) A_i B_(n-i).  Only the indices n that sums
+    of a's indices reach are visited, in increasing order, and a term
+    at or above the precision K lies in u^K and is dropped.  B_n is kept
+    modulo p on the tilt side and modulo p^ceil((K - n)/S) on the untilt
+    side, which is all that B_n u^n, and every later B it feeds, keeps
+    below u^K.
     """
-    digits = a._digits
-    config = a.config
-    if 0 not in digits:
-        got = _exp_text(a._low(), config) if digits else "INF"
+    config, k, store = a.config, a._k, a._store
+    p = config.p
+    if store.get(0, 0) % p == 0:
+        got = _exp_text(a._low(), config) if store else "INF"
         raise DivisionError(f"invert_unit needs valuation 0, got {got}")
-    p, k = config.p, a._k
-    step = config.scale if a._carries else 0
-    a0 = digits[0]
-    a0_inv = pow(a0, -1, p)
-    rest = list(digits.items())[1:]
+    # B_n is kept modulo p^level, level = ceil((k - n)/scale), which
+    # drops by one each time n reaches ``drop``; on the tilt side the
+    # scale is k itself, so the level stays 1
+    scale = config.scale if a._carries else k
+    level = -(-k // scale)
+    mod = p ** level
+    drop = k - (level - 1) * scale
+    inverse = pow(store[0], -1, mod)
+    rest = sorted(store.items())[1:]
     out = {}
     pending = {0: 1}
     heap = [0]
     while heap:
-        j = heappop(heap)
-        c = pending.pop(j)
-        q = c * a0_inv % p
-        carry = (c - q * a0) // p if step else 0
-        if q:
-            out[j] = q
-            for i, ai in rest:
-                up = j + i
+        n = heappop(heap)
+        while n >= drop:
+            mod //= p
+            drop += scale
+        b = pending.pop(n) * inverse % mod
+        if b:
+            out[n] = b
+            for i, c in rest:
+                up = n + i
                 if up >= k:
                     break
                 if up in pending:
-                    pending[up] -= q * ai
+                    pending[up] -= b * c
                 else:
-                    pending[up] = -q * ai
+                    pending[up] = -b * c
                     heappush(heap, up)
-        if carry and j + step < k:
-            up = j + step
-            if up in pending:
-                pending[up] += carry
-            else:
-                pending[up] = carry
-                heappush(heap, up)
+    # the tilt digits come out ascending and in 1..p-1; the untilt terms
+    # B_n u^n fold onto the layer
+    if a._carries:
+        return a._make(config, out, k)
     return a._canonical(config, out, k)
 
 

@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .arith import (
     ConfigError,
+    DencapError,
     IndeterminateError,
     KernelError,
     TiltElement,
@@ -33,7 +34,6 @@ from .arith import (
     _integer,
     _json_reader,
     _kind_class,
-    _mul_rows,
     _Value,
     divide_exact,
     element_from_json,
@@ -152,7 +152,7 @@ class Polynomial(_Value):
         delta = first._coerce(delta)
         first._check_compatible(delta)
         config = self.config
-        if not delta._digits and delta._k == config.full:
+        if delta.is_zero() and delta._k == config.full:
             return self
         p, full, d = config.p, config.full, self.degree
         kd, vd = delta._k, delta._low()
@@ -181,14 +181,11 @@ class Polynomial(_Value):
                 k_i = min(k_i, k1 + vm, km + v1)
             ks.append(k_i)
         top = max(ks)
-        make = first._make
-        step = delta._digits
+        dot = first._dot
         vals = list(coeffs)
         for i in range(d):
             for j in range(d - 1, i - 1, -1):
-                vals[j] = make(config, _mul_rows(
-                    dict(vals[j]._digits), vals[j + 1]._digits, step, top),
-                    top)
+                vals[j] = dot(config, ((vals[j + 1], delta),), top, vals[j])
         return Polynomial([b._at(k) for b, k in zip(vals, ks)])
 
     def __repr__(self):
@@ -361,8 +358,12 @@ def hensel_root(P: Polynomial, x0):
             f"Hensel precondition fails: v(P(x0)) = {residual.valuation()} "
             f"is not greater than 2 v(P'(x0)) = "
             f"{Fraction(2 * deriv._low(), P.config.scale)}")
+    # v(P(x)) = 2 v(P'(x)) + e with e at least one lattice step, and
+    # each Newton step at least doubles e, so full.bit_length() steps
+    # take the residual past full precision; two more are spare.
+    steps = P.config.full.bit_length() + 2
     x = x0
-    for _ in range(P.config.prec + 2):
+    for _ in range(steps):
         step = divide_exact(residual, P.derivative_at(x))
         x = x - step
         low = residual._low()
@@ -373,7 +374,7 @@ def hensel_root(P: Polynomial, x0):
             raise RootError(f"Newton iteration stalled at residual "
                             f"valuation {residual.valuation()}")
     raise RootError(
-        f"no convergence within {P.config.prec + 2} Newton steps "
+        f"no convergence within {steps} Newton steps "
         f"(residual valuation {residual.valuation()})")
 
 
@@ -389,7 +390,7 @@ def _segment_digit_candidates(P: Polynomial, exp: int):
     p = P.config.p
     lows = {j: c._low() for j, c in enumerate(P.coeffs) if not c.is_zero()}
     best = min(low + j * exp for j, low in lows.items())
-    contributions = {j: P.coeffs[j]._digits[low]
+    contributions = {j: P.coeffs[j]._digit(low)
                      for j, low in lows.items() if low + j * exp == best}
     out = []
     for cand in range(1, p):
@@ -559,9 +560,9 @@ def mixed_root_refine(P: Polynomial):
 
     Raises:
         RootError: a stage has no characteristic-p root, a rescale
-            exponent leaves the lattice, or the loop runs out of
-            stages (one per unit of working precision) or of usable
-            precision.
+            exponent or the lift of a stage root leaves the lattice, or
+            the loop runs out of stages (one per unit of working
+            precision) or of usable precision.
     """
     if P.kind != "untilt":
         raise ConfigError("mixed_root_refine expects an untilt polynomial")
@@ -579,10 +580,10 @@ def mixed_root_refine(P: Polynomial):
     # zero ends the loop
     scale_exp = 0
     R = P
+    # x_acc changes only where a stage adds a digit, and is checked there
+    if P(x_acc).is_zero():
+        return x_acc
     for _ in range(full):
-        if P(x_acc).is_zero():
-            return x_acc
-
         reduced = [reduce_mod_uniformizer(c) for c in R.coeffs]
         while len(reduced) > 1 and reduced[-1].is_zero():
             reduced.pop()
@@ -599,7 +600,12 @@ def mixed_root_refine(P: Polynomial):
 
         if not y.is_zero():
             from .tiltkit import sharp
-            y_sharp = sharp(y.root(0), full)
+            try:
+                y_sharp = sharp(y.root(0), full)
+            except DencapError as exc:
+                raise RootError(
+                    f"the lift of the stage root {y!r} leaves the dencap "
+                    f"lattice: {exc}") from exc
             x_acc = x_acc + y_sharp._shift(scale_exp)
             R = R.shifted(y_sharp)
             if P(x_acc).is_zero():

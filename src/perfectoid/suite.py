@@ -25,7 +25,6 @@ from .arith import (
     KernelError,
     TiltElement,
     UntiltElement,
-    _mul_rows,
     _product_index,
     _Value,
 )
@@ -362,10 +361,7 @@ def _poly_mul(f, g, config):
         pairs = [(a, g.coeffs[n - i]) for i, a in enumerate(f.coeffs)
                  if 0 <= n - i <= g.degree]
         k = min(_product_index(a, b) for a, b in pairs)
-        acc = {}
-        for a, b in pairs:
-            _mul_rows(acc, a._digits, b._digits, k)
-        out.append(UntiltElement._make(config, acc, k))
+        out.append(UntiltElement._dot(config, pairs, k))
     return Polynomial.trimmed(out)
 
 

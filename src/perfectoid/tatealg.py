@@ -244,7 +244,7 @@ class HomogeneousElement(_Value):
         acc = {}
         for mono, coeff in items.items():
             cut = coeff._at(k)
-            if cut._digits:
+            if not cut.is_zero():
                 acc[mono] = cut
         object.__setattr__(self, "config", config)
         object.__setattr__(self, "kind", kind)

@@ -18,6 +18,12 @@ Teichmüller expansions.
 
 Powering in ``sharp`` runs on a "layer": an element of
 (Z/mod)[u]/(u^(p^M) - p), u = p^(1/p^M), held sparse until it is dense.
+An untilt element is stored as the sparse layer of the whole lattice,
+its coefficients {r: C_r} (see ``arith``), so a layer and an element
+convert by re-indexing alone: slot r of the layer of depth M is the
+coefficient at r * p^(dencap - M) (``_layer_points``, and back
+``_layer_to_element``, which reduces each C_r to the precision), with
+no base-p digits read or written.
 A power starts on sparse maps {r: C_r}, multiplied term by term with
 u^(p^M) folded to p, because inputs of a few digits have few terms in
 the early rounds.  A map of one term takes no product at all:
@@ -122,7 +128,9 @@ _DENSE_FLOOR = 162
 
 def _depth(digits: dict[int, int], config: FieldConfig) -> int:
     """The smallest m such that every index of the lattice digits is an
-    exponent on the 1/p^m lattice."""
+    exponent on the 1/p^m lattice; of layer coefficients {r: C_r}, the
+    depth of the element's digits, whose indices are r plus multiples
+    of p^dencap."""
     p, m = config.p, config.dencap
     coarse = gcd(config.scale, *digits)
     while coarse > 1:
@@ -131,55 +139,25 @@ def _depth(digits: dict[int, int], config: FieldConfig) -> int:
     return m
 
 
-def _layer_points(digits: dict[int, int], m: int,
+def _layer_points(terms: dict[int, int], m: int,
                   config: FieldConfig) -> dict[int, int]:
-    """The nonzero coefficients {r: C_r} of sum_r C_r * p^(r/p^m), the
-    element with the given lattice digits, m at most the config's dencap.
-
-    Digits below a precision exponent K give C_r < p^ceil(K).
-    """
-    p = config.p
-    size, step = p ** m, config.scale // p ** m
-    points = {}
-    for j, c in digits.items():
-        q, r = divmod(j // step, size)
-        points[r] = points.get(r, 0) + c * p ** q
-    return points
+    """The coefficients {r: C_r} on the layer of depth m, u = p^(1/p^m),
+    of terms on the whole lattice below exponent 1: an untilt element's
+    layer coefficients, or the digits of a residue.  m is at least the
+    depth of every index (``_depth``), and index j is slot
+    j / p^(dencap - m)."""
+    step = config.scale // config.p ** m
+    return {j // step: c for j, c in terms.items()}
 
 
 def _layer_to_element(points: dict[int, int], m: int, config: FieldConfig,
                       k: int) -> UntiltElement:
-    """The element sum_r C_r * p^(r/p^M) modulo p^(k/p^dencap), from
-    the nonzero C_r.
-
-    Base-p digit q of C_r sits at exponent q + r/p^M, lattice index
-    (q * p^M + r) * p^(dencap - M); these indices are pairwise distinct,
-    so the digits already form the canonical expansion and need no
-    carries.  They are emitted in increasing index order.  Only levels
-    q below ceil(k / scale) can fall below k, and each C_r is read from
-    its lowest nonzero digit on, at the level gcd(C_r, p^levels) gives:
-    a power's coefficients are divisible by high powers of p at most
-    indices (see ``_pth_power``), so most C_r have one digit to read.
-    """
-    p, scale = config.p, config.scale
-    step = scale // p ** m
-    levels = -(-k // scale)
-    top = p ** levels
-    first = {p ** q: q * scale for q in range(levels)}
-    found = []
-    for r, c in points.items():
-        if c := c % top:
-            g = gcd(c, top)
-            j, c = first[g] + r * step, c // g
-            while c >= p:
-                c, d = divmod(c, p)
-                if d:
-                    found.append((j, d))
-                j += scale
-            found.append((j, c))
-    found.sort()
-    return UntiltElement._canonical(
-        config, {j: d for j, d in found if j < k}, k)
+    """The element sum_r C_r * p^(r/p^m) modulo p^(k/p^dencap), from
+    the nonzero C_r: slot r is the layer coefficient at r * p^(dencap - m)
+    on the whole lattice, reduced to the precision."""
+    step = config.scale // config.p ** m
+    return UntiltElement._canonical(config, UntiltElement._reduce(
+        {r * step: c for r, c in points.items()}, config, k), k)
 
 
 def _slot_width(length: int, mod: int, c: int) -> int:
@@ -462,9 +440,9 @@ def untilt_power_pn(x: UntiltElement, n: int) -> UntiltElement:
         else:
             k = min(x._k * p ** n, full)
         return UntiltElement._canonical(config, {}, k)
-    m = _depth(x._digits, config)
+    m = _depth(x._coeffs, config)
     top = -(-x._k // config.scale)
-    vec = _power_layer(_layer_points(x._digits, m, config), m, p, n, top)
+    vec = _power_layer(_layer_points(x._coeffs, m, config), m, p, n, top)
     return _layer_to_element(vec, m, config, x._k)
 
 

@@ -16,7 +16,11 @@ one-argument ``Fraction()`` or ``int()``.  A sixth is the import layout:
 importing ``adicdisc`` loads neither ``tatealg`` nor ``tiltkit``, and
 importing ``tatealg`` neither ``adicdisc`` nor ``polyroots``.  A seventh
 keeps late imports for that layout: a function imports from a package
-module only when its own module does not import from it at the top.
+module only when its own module does not import from it at the top.  An
+eighth keeps an element's stored form inside arith: outside it, only
+tiltkit's conversion between an untilt element and a layer reads or
+builds the layer coefficients, and every other module goes through
+``_low()``, ``is_zero()``, the digit view ``_digits`` and ``_dot``.
 """
 
 import ast
@@ -343,3 +347,60 @@ def test_the_late_import_guard_sees_each_shape():
                      "    def g(self):\n"
                      "        from . import b\n")
     assert _needless_late_imports(tree) == [("a", 4), ("b", 8)]
+
+
+# =====================================================================
+# Stored form: an untilt element's layer coefficients stay in arith
+# =====================================================================
+
+# The attributes that read or build an element's stored form: the slot
+# and its untilt name, and the form's own reduction and product.  An
+# untilt element's ``_canonical`` takes a form too.
+STORAGE = {"_store", "_coeffs", "_reduce", "_mul_into"}
+# The functions outside arith that may use them, with the reason each may.
+STORAGE_USERS = {
+    "tiltkit.untilt_power_pn": "reads an element's coefficients as the "
+    "layer it powers",
+    "tiltkit._layer_to_element": "builds an element from a layer's "
+    "coefficients",
+}
+
+
+def _storage_uses(module, tree):
+    """{(function, line)} for each use of ``STORAGE`` or of
+    ``UntiltElement._canonical`` in a function of the tree."""
+    found = set()
+    for name, func in _functions(tree):
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute) and (
+                    node.attr in STORAGE
+                    or (node.attr == "_canonical"
+                        and getattr(node.value, "id", None)
+                        == "UntiltElement")):
+                found.add((f"{module}.{name}", node.lineno))
+    return found
+
+
+STORAGE_USES = set().union(*(_storage_uses(module, tree)
+                             for module, tree in TREES.items()
+                             if module != "arith"))
+
+
+def test_only_arith_and_the_layer_conversion_touch_the_stored_form():
+    assert sorted(use for use in STORAGE_USES
+                  if use[0] not in STORAGE_USERS) == []
+
+
+def test_the_storage_exemptions_are_still_needed():
+    assert set(STORAGE_USERS) <= {name for name, _ in STORAGE_USES}
+
+
+def test_the_storage_guard_sees_each_shape():
+    tree = ast.parse("def f(x):\n"
+                     "    def g():\n"
+                     "        return x._coeffs\n"
+                     "    return UntiltElement._canonical(x.config, {}, 0)\n"
+                     "def h(x):\n"
+                     "    return TiltElement._canonical(x._digits, x._k)\n")
+    assert _storage_uses("m", tree) == {("m.f", 3), ("m.f.g", 3),
+                                        ("m.f", 4)}
