@@ -254,8 +254,8 @@ class AdicPoint(_Value):
             raise ConfigError(f"coordinate index must be one of "
                               f"0..{self.nvars - 1}, got {i!r}")
         x, y = self.coords[i], self.tilts[i]
-        if y is None and list(x._digits.values()) in ([], [1]):
-            return TiltElement._make(x.config, dict.fromkeys(x._digits, 1),
+        if y is None and list((digits := x._digits).values()) in ([], [1]):
+            return TiltElement._make(x.config, dict.fromkeys(digits, 1),
                                      x.config.full)
         return y
 

@@ -48,9 +48,10 @@ writes every JSON form, and every public reader of one follows
 and a malformed document is refused with a typed error.  The modules
 above (tatealg, polyroots, adicdisc) compute on the same indices: they
 read ``_low()``, ``is_zero()``, ``_k`` and the digit view ``_digits``,
-multiply and accumulate through ``_dot``, and convert exponents with
-``_lattice_index``; only arith and tiltkit's layer conversion read an
-untilt element's coefficients.
+multiply and accumulate through ``_dot`` and take powers with
+``_power`` (the one product-accumulate and the one square-and-multiply
+loop), and convert exponents with ``_lattice_index``; only arith and
+tiltkit's layer conversion read an untilt element's coefficients.
 
     ValExp                  -- an exponent handed out: a Fraction
     FieldConfig             -- (p, prec, dencap) for a whole computation
@@ -539,6 +540,20 @@ def _product_index(a: "_DigitElement", b: "_DigitElement") -> int:
     return min(k, full)
 
 
+def _power(base, n: int, mul):
+    """base^n for n >= 1 by square-and-multiply with the product mul,
+    from the low bit of n: the first factor is base itself, not a
+    product by one, and base is squared only while bits remain."""
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else mul(out, base)
+        n >>= 1
+        if not n:
+            return out
+        base = mul(base, base)
+
+
 class _DigitElement(_Frozen):
     """Common machinery of the two element kinds.
 
@@ -830,17 +845,9 @@ class _DigitElement(_Frozen):
                          min(self._k, _product_index(x, y)), self)
 
     def __pow__(self, n: int):
-        _integer(n, "power", 0)
-        out = type(self).one(self.config)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return out
+        if not _integer(n, "power", 0):
+            return type(self).one(self.config)
+        return _power(self, n, type(self).__mul__)
 
     # -- identity --------------------------------------------------------
 

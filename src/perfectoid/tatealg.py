@@ -26,6 +26,9 @@ integers j standing for j/p^dencap.  ``Monomial.exps``, ``degree``,
 built on access (``exps`` as ``ValExp``, which keeps ``as_fraction()``);
 the JSON form and monomial text are written and read by the digit
 elements' exponent codec on the indices.
+
+Products and powers are arith's (``_dot`` for each coefficient of a
+product, ``_power`` for powers); a power of w shifts each coefficient.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ from .arith import (
     FieldConfig,
     KernelError,
     PrecisionError,
-    TiltElement,
-    UntiltElement,
     ValExp,
     _exp_pair,
     _exponent_error,
@@ -55,8 +56,10 @@ from .arith import (
     _json_reader,
     _kind_class,
     _lattice_index,
+    _power,
     _power_text,
     _precision_index,
+    _product_index,
     _Value,
     divide_exact,
     dumps,
@@ -358,18 +361,19 @@ class HomogeneousElement(_Value):
         return self + (-other)
 
     def __mul__(self, other):
+        # one _dot per output monomial, over its coefficient pairs, at the
+        # least precision of their products
         self._check(other, same_degree=False)
-        acc: dict[Monomial, object] = {}
-        k = self.config.full
+        config = self.config
+        pairs: dict[Monomial, list] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                prod = c1 * c2
-                mono = m1 * m2
-                if mono in acc:
-                    acc[mono] = acc[mono] + prod
-                else:
-                    acc[mono] = prod
-                k = min(k, prod._k)
+                pairs.setdefault(m1 * m2, []).append((c1, c2))
+        dot = _kind_class(self.kind)._dot
+        acc = {mono: dot(config, group,
+                         min(_product_index(x, y) for x, y in group))
+               for mono, group in pairs.items()}
+        k = config.full
         if not acc:
             # precision of an invisible product, from the factors' bounds
             k = min(self._k + other._gauss_low(),
@@ -377,16 +381,14 @@ class HomogeneousElement(_Value):
         return self._like(acc, k, self._deg + other._deg)
 
     def __pow__(self, n: int):
-        _integer(n, "power", 0)
-        out = HomogeneousElement.one(self.config, self.kind, self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        if not _integer(n, "power", 0):
+            return HomogeneousElement.one(self.config, self.kind, self.nvars)
+        return _power(self, n, HomogeneousElement.__mul__)
+
+    def _shifted(self, s: int) -> "HomogeneousElement":
+        # self times w^(s/p^dencap), s >= 0, one coefficient at a time
+        return self._like({m: c._shift(s) for m, c in self.terms.items()},
+                          min(self._k + s, self.config.full))
 
     def scalar_mul(self, x) -> "HomogeneousElement":
         """Multiplies every coefficient by the ring constant x."""
@@ -627,8 +629,7 @@ def _expand(h: HomogeneousElement, g: HomogeneousElement, cur: int,
             r_term = HomogeneousElement._make(
                 config, "untilt", h.nvars, h._deg - gi._deg,
                 {mono / lead_mono: q_coeff}, config.full)
-            scalar = UntiltElement.one(config)._shift(shift)
-            work = work - (gi * r_term).scalar_mul(scalar)
+            work = work - (gi * r_term)._shifted(shift)
             if j in result:
                 result[j] = result[j] + r_term
             else:
@@ -722,8 +723,7 @@ def approximate(f: HomogeneousElement, c, eps) -> HomogeneousElement:
             s_i = _residue_lift(r_i)
             if s_i.is_zero():
                 continue
-            scalar = TiltElement.one(config)._shift(mu - cur * j // scale)
-            term = (_tilt_power(g, j) * s_i).scalar_mul(scalar)
+            term = (_tilt_power(g, j) * s_i)._shifted(mu - cur * j // scale)
             delta = term if delta is None else delta + term
         if delta is not None:
             g = g + delta

@@ -79,6 +79,7 @@ from .arith import (
     _integer,
     _is_int,
     _json_reader,
+    _power,
     _Value,
     element_from_json,
 )
@@ -274,19 +275,6 @@ def _dense(vec, size: int) -> list[int]:
     return dense
 
 
-def _pow_pn(vec, p: int, k: int, mul):
-    """vec^(p^k) by k rounds of square-and-multiply with the product mul."""
-    for _ in range(k):
-        acc, base, e = None, vec, p
-        while e:
-            if e & 1:
-                acc = base if acc is None else mul(acc, base)
-            if e := e >> 1:
-                base = mul(base, base)
-        vec = acc
-    return vec
-
-
 def _one_term_power(points: dict[int, int], p: int, rounds: int, size: int,
                     c: int, mod: int) -> dict[int, int]:
     """(C * u^r)^(p^rounds) in (Z/mod)[u]/(u^size - c), for points the
@@ -295,8 +283,9 @@ def _one_term_power(points: dict[int, int], p: int, rounds: int, size: int,
     With r * p^rounds = q * size + r', the power is C^(p^rounds) c^q
     u^r': it is empty once c^q vanishes modulo mod, so once q reaches the
     modulus exponent for c = p, and at any q >= 1 for the truncation
-    c = 0.  It equals the power taken product by product (``_pow_pn``
-    over ``_layer_product``), which reduces every product modulo mod.
+    c = 0.  It equals the power taken product by product (rounds of
+    ``_power`` over ``_layer_product``), which reduces every product
+    modulo mod.
     """
     [(r, coeff)] = points.items()
     e = p ** rounds
@@ -321,7 +310,7 @@ def _pth_power(a: list[int], p: int, i: int, e: int) -> list[int]:
     a power on a layer p times smaller and a few products there to low
     precision, not the plain power's products on the whole layer modulo
     p^e.  Below that bound, at i = 0 and on one slot the power is the
-    plain one (``_pow_pn``).
+    plain one (``_power``).
 
     a^p meets the condition with i + 1: for i = 0 it is the sum of
     c_r^p u^(p r) modulo p, and for i >= 1 the U-term meets it by
@@ -332,8 +321,7 @@ def _pth_power(a: list[int], p: int, i: int, e: int) -> list[int]:
     size = len(a)
     mod = p ** e
     if i == 0 or size == 1 or 2 * i + (p > 2) < e:
-        return _pow_pn(a, p, 1,
-                       partial(_layer_product, c=p, size=size, mod=mod))
+        return _power(a, p, partial(_layer_product, c=p, size=size, mod=mod))
     u = a[::p]
     out = [0] * size
     out[::p] = _pth_power(u, p, i - 1, e)
@@ -402,8 +390,8 @@ def _power_layer(points: dict[int, int], m: int, p: int, n: int,
             if len(vec) == 1:
                 return _one_term_power(vec, p, left + 1, size, p,
                                        p ** max(top, 1))
-            vec = _pow_pn(vec, p, 1,
-                          partial(_layer_product, c=p, size=size, mod=p ** e))
+            vec = _power(vec, p,
+                         partial(_layer_product, c=p, size=size, mod=p ** e))
         else:
             vec = _pth_power(vec, p, rounds - 1 - left, e)
     if type(vec) is dict:
@@ -724,11 +712,14 @@ def _witt_op(a: WittVector, b: WittVector, op: str) -> WittVector:
     def teichmuller(root: dict, k: int, shift: int) -> dict:
         # [y] modulo p^(k+1) from a lift of y^(1/p^k), raised to p^k
         if len(root) > 1:
-            return _pow_pn(root, p, k, lambda x, y: mul(x, y, shift))
+            product = partial(mul, shift=shift)
+            for _ in range(k):
+                root = _power(root, p, product)
+            return root
         if not root:
             return {}
         # One term, a unit digit: taken product by product, each of the
-        # k rounds would square and multiply (``_pow_pn``) one term pair
+        # k rounds would square and multiply (``_power``) one term pair
         # at a time, and no product would be empty, since the power lands
         # at most where the digit it lifts sits, below bounds[shift].
         # Each such product is charged before the closed form.

@@ -13,7 +13,14 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+import perfectoid
 from perfectoid.arith import FieldConfig, TiltElement, UntiltElement
+
+# The processes the tests start import the package from where this one
+# found it: installed, or under src/ by pytest's pythonpath setting.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    os.path.dirname(os.path.dirname(perfectoid.__file__)),
+    os.environ.get("PYTHONPATH"))))
 
 settings.register_profile(
     "kernel",

@@ -459,6 +459,30 @@ def test_ring_axioms(config, kind, data):
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=60)
 @given(data=st.data())
+def test_power_loop_is_the_repeated_product(config, kind, data):
+    # square-and-multiply from the low bit makes no product by one:
+    # bit_length - 1 squarings and bit_count - 1 further products
+    a = data.draw(elements(config, kind, vary_precision=True))
+    n = data.draw(st.integers(1, 12))
+    products = []
+
+    def mul(x, y):
+        products.append((x, y))
+        return x * y
+
+    want = a
+    for _ in range(n - 1):
+        want = want * a
+    assert arith._power(a, n, mul) == want
+    assert len(products) == n.bit_length() + n.bit_count() - 2
+    assert a ** n == want
+    assert a ** 0 == _cls(kind).one(config)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"p{c.p}")
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=60)
+@given(data=st.data())
 def test_valuation_laws(config, kind, data):
     a = data.draw(elements(config, kind))
     b = data.draw(elements(config, kind))

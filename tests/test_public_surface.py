@@ -20,7 +20,9 @@ module only when its own module does not import from it at the top.  An
 eighth keeps an element's stored form inside arith: outside it, only
 tiltkit's conversion between an untilt element and a layer reads or
 builds the layer coefficients, and every other module goes through
-``_low()``, ``is_zero()``, the digit view ``_digits`` and ``_dot``.
+``_low()``, ``is_zero()``, the digit view ``_digits`` and ``_dot``.  A
+ninth keeps one square-and-multiply loop: only ``arith._power`` tests an
+exponent's low bit (``& 1``).
 """
 
 import ast
@@ -404,3 +406,41 @@ def test_the_storage_guard_sees_each_shape():
                      "    return TiltElement._canonical(x._digits, x._k)\n")
     assert _storage_uses("m", tree) == {("m.f", 3), ("m.f.g", 3),
                                         ("m.f", 4)}
+
+
+# =====================================================================
+# One power loop: only arith._power tests an exponent's low bit
+# =====================================================================
+
+POWER_LOOP = "arith._power"
+
+
+def _low_bit_tests(module, tree):
+    """{(function, line)} for each ``x & 1`` in a function of the tree."""
+    found = set()
+    for name, func in _functions(tree):
+        for node in ast.walk(func):
+            if (isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.BitAnd)
+                    and any(isinstance(side, ast.Constant)
+                            and side.value == 1
+                            for side in (node.left, node.right))):
+                found.add((f"{module}.{name}", node.lineno))
+    return found
+
+
+LOW_BIT_TESTS = set().union(*(_low_bit_tests(module, tree)
+                              for module, tree in TREES.items()))
+
+
+def test_only_the_power_loop_tests_an_exponents_low_bit():
+    assert {name for name, _ in LOW_BIT_TESTS} == {POWER_LOOP}
+
+
+def test_the_low_bit_guard_sees_each_shape():
+    tree = ast.parse("def f(n):\n"
+                     "    def g(e):\n"
+                     "        return 1 & e\n"
+                     "    return n & 1 or n & 2 or n | 1\n")
+    assert _low_bit_tests("m", tree) == {("m.f", 3), ("m.f", 4),
+                                         ("m.f.g", 3)}

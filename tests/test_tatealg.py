@@ -3,6 +3,7 @@
 import json
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -162,6 +163,72 @@ def test_an_invisible_product_is_known_to_the_factors_bounds():
         for prod in (z * other, other * z):
             assert prod.is_zero() and prod.degree == 2
             assert prod.precexp == want
+
+
+def _homogeneous(data, config, kind, nvars, deg, unit):
+    # one to three terms of degree deg * unit, unit a lattice index,
+    # known to a precision most often in the upper half, so that the
+    # coefficients are often inexact; few degrees and exponents, so that
+    # products share monomials
+    monos = [exps for exps in product(range(deg + 1), repeat=nvars)
+             if sum(exps) == deg]
+    nonzero = elements(config, kind, max_terms=4).filter(
+        lambda c: not c.is_zero())
+    terms = {}
+    for exps in data.draw(st.permutations(monos))[:data.draw(
+            st.integers(1, 3))]:
+        terms[Monomial(config, [Fraction(e * unit, config.scale)
+                                for e in exps])] = data.draw(nonzero)
+    full = config.full
+    k = data.draw(st.integers(full // 2, full) | st.integers(0, full))
+    return HomogeneousElement(config, kind, nvars,
+                              Fraction(deg * unit, config.scale), terms,
+                              Fraction(k, config.scale))
+
+
+def _schoolbook_mul(f, g):
+    # the product of every term pair, summed with +; with no pair, zero
+    # known to min(precision + Gauss bound of the other factor)
+    config, kind, nvars = f.config, f.kind, f.nvars
+    degree = f.degree + g.degree
+    pairs = [(m1 * m2, c1 * c2) for m1, c1 in f.terms.items()
+             for m2, c2 in g.terms.items()]
+    if not pairs:
+        def low(h):
+            return min((c.valuation() for c in h.terms.values()),
+                       default=h.precexp)
+        return HomogeneousElement.zero(
+            config, kind, nvars, degree,
+            min(f.precexp + low(g), g.precexp + low(f), config.prec))
+    out = HomogeneousElement.zero(config, kind, nvars, degree)
+    for mono, coeff in pairs:
+        out = out + HomogeneousElement(config, kind, nvars, degree,
+                                       {mono: coeff})
+    return out
+
+
+@pytest.mark.parametrize("config", [
+    FieldConfig(2, 4, 2), FieldConfig(3, 3, 2), FieldConfig(5, 2, 1)],
+    ids=lambda c: f"p{c.p}")
+@pytest.mark.parametrize("kind", ["untilt", "tilt"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_product_and_power_match_the_schoolbook(config, kind, data):
+    nvars = data.draw(st.integers(1, 3))
+    unit = data.draw(st.sampled_from([1, config.scale]))
+    f, g = (_homogeneous(data, config, kind, nvars,
+                         data.draw(st.integers(0, 3)), unit)
+            for _ in range(2))
+    want = _schoolbook_mul(f, g)
+    for got in (f * g, g * f):
+        assert got == want
+        assert got.dumps() == want.dumps()
+    n = data.draw(st.integers(0, 3))
+    want = HomogeneousElement.one(config, kind, nvars)
+    for _ in range(n):
+        want = _schoolbook_mul(want, f)
+    assert f ** n == want
+    assert (f ** n).dumps() == want.dumps()
 
 
 def test_element_square_expands():
