@@ -629,7 +629,10 @@ def tilt_point_check(fb: Polynomial, x: AdicPoint) -> dict:
     The point correspondence sends x to the valuation f -> |f^sharp(x)|
     on the characteristic-p side, so the two exponents must agree.  The
     check computes both independently with ``eval_at``: the sharp image
-    of fb at x, and fb itself at the tilt of x.
+    of fb at x, and fb itself at the tilt of x.  Each coefficient c is
+    lifted at its own precision, the integer part of its precision
+    exponent, so a coefficient known below t^prec lifts to an untilt one
+    known that far; one known below t^1 has no lift (PrecisionError).
 
     Args:
         fb: polynomial over the tilt.
@@ -643,13 +646,15 @@ def tilt_point_check(fb: Polynomial, x: AdicPoint) -> dict:
 
     Raises:
         IndeterminateError: a vanishing-at-precision evaluation.
+        PrecisionError: a coefficient known only below t^1.
     """
     if not isinstance(fb, Polynomial) or fb.kind != "tilt":
         raise ConfigError("tilt_point_check expects a polynomial over the "
                           "tilt")
     from .tiltkit import sharp
-    prec = fb.config.prec
-    untilt_exp = eval_at(Polynomial([sharp(c, prec) for c in fb.coeffs]), x)
+    scale = fb.config.scale
+    untilt_exp = eval_at(
+        Polynomial([sharp(c, c._k // scale) for c in fb.coeffs]), x)
     tilt_exp = eval_at(fb, x)
     return {"untilt_exponent": untilt_exp, "tilt_exponent": tilt_exp,
             "match": untilt_exp == tilt_exp}

@@ -24,7 +24,12 @@ the digit map is a view read from the coefficients.  Sums add digits
 (resp. coefficients), and products add indices, folding u^(p^m) to p
 on the untilt side.  A product is known below
 min(K1 + v2, K2 + v1, prec * p^m), v the index of the lowest digit (K
-when none is visible).
+when none is visible).  Division is one long division of power series
+in u: the inverse of a unit a is 1 / a, known below K_a, and the
+quotient a / b is (a / u^v) / (b / u^v), v = v_b, whose divisor
+leads with a unit; it is known below min(K_a, K_b - v + v_a,
+prec * p^m) - v, the precision a product by the inverse of b / u^v
+would have, moved down by v.
 
 Exponents are elements of Z[1/p], and at the API boundary they are
 ``Fraction``s: constructors take maps keyed by ints or Fractions and
@@ -45,13 +50,16 @@ reduces j / p^dencap to num / p^denpow in integers, ``_power_text`` and
 read it back; refusals word an index with ``_exp_text``.  ``dumps``
 writes every JSON form, and every public reader of one follows
 ``_json_reader``: text is parsed, fields are checked, never converted,
-and a malformed document is refused with a typed error.  The modules
-above (tatealg, polyroots, adicdisc) compute on the same indices: they
-read ``_low()``, ``is_zero()``, ``_k`` and the digit view ``_digits``,
-multiply and accumulate through ``_dot`` and take powers with
-``_power`` (the one product-accumulate and the one square-and-multiply
-loop), and convert exponents with ``_lattice_index``; only arith and
-tiltkit's layer conversion read an untilt element's coefficients.
+and a malformed document is refused with a typed error.
+``element_from_json`` then decides from the fields it read whether the
+document is the element's own JSON form, and builds no JSON form to
+compare.  The modules above (tatealg, polyroots, adicdisc) compute on
+the same indices: they read ``_low()``, ``is_zero()``, ``_k`` and the
+digit view ``_digits``, multiply and accumulate through ``_dot`` and
+take powers with ``_power`` (the one product-accumulate and the one
+square-and-multiply loop), and convert exponents with
+``_lattice_index``; only arith and tiltkit's layer conversion read an
+untilt element's coefficients.
 
     ValExp                  -- an exponent handed out: a Fraction
     FieldConfig             -- (p, prec, dencap) for a whole computation
@@ -60,8 +68,8 @@ tiltkit's layer conversion read an untilt element's coefficients.
     reduce_mod_uniformizer  -- the mod-p residue written on the t side
     lift_mod_uniformizer    -- the digit-preserving section of reduce
     pth_root_mod            -- p-th roots modulo p^k for k <= 1
-    invert_unit             -- long division on the u-power series
-    divide_exact            -- exact division when the quotient is integral
+    invert_unit             -- 1 / a: one long division on the u-power series
+    divide_exact            -- a / b: one long division by b's unit part
 
 Nothing numeric is converted: an integer argument goes through
 ``_integer`` (an int, not a bool, at least a bound), a rational one
@@ -89,7 +97,7 @@ import json
 import re
 from contextvars import ContextVar
 from fractions import Fraction
-from functools import wraps
+from functools import lru_cache, wraps
 from heapq import heappop, heappush
 from math import log10
 from typing import Mapping
@@ -522,6 +530,13 @@ def _index_from_json(data, config: FieldConfig) -> int:
         raise DencapError(f"exponent {_int_text(num)}/{p}^{denpow} needs "
                           f"denominator p^{denpow}, cap is p^{cap}")
     return num * p ** (cap - denpow)
+
+
+def _reduced(data, config: FieldConfig) -> bool:
+    """Whether the exponent {"num": n, "denpow": d} that
+    ``_index_from_json`` read is in the form ``_index_json`` writes."""
+    denpow = data["denpow"]
+    return not denpow or (denpow <= config.dencap and data["num"] % config.p)
 
 
 def _product_index(a: "_DigitElement", b: "_DigitElement") -> int:
@@ -1214,73 +1229,126 @@ def pth_root_mod(a: UntiltElement, k) -> UntiltElement:
 # Division
 # =====================================================================
 
-def invert_unit(a: _DigitElement) -> _DigitElement:
-    """The inverse of a unit (valuation 0), to a's own precision.
+def _from_digits(cls, config: FieldConfig, digits: dict[int, int],
+                 k: int) -> _DigitElement:
+    """The element of cls known modulo X^(k/p^dencap) whose terms are
+    digits {j: c}, j ascending and below k: on the tilt side each c in
+    1..p-1, the digit map as it stands; on the untilt side any integers,
+    folded onto the layer."""
+    if cls._carries:
+        return cls._make(config, digits, k)
+    return cls._canonical(config, digits, k)
 
-    Long division on the power series in u = X^(1/p^dencap): with a the
-    series sum A_n u^n over its form (a tilt element's digits, an untilt
-    element's layer coefficients, whose u^S = p folds back afterwards),
-    the inverse is sum B_n u^n with B_0 = 1/A_0 and
-    B_n = -(1/A_0) sum_(i>0) A_i B_(n-i).  Only the indices n that sums
-    of a's indices reach are visited, in increasing order, and a term
-    at or above the precision K lies in u^K and is dropped.  B_n is kept
-    modulo p on the tilt side and modulo p^ceil((K - n)/S) on the untilt
-    side, which is all that B_n u^n, and every later B it feeds, keeps
-    below u^K.
-    """
-    config, k, store = a.config, a._k, a._store
+
+def _series(x: _DigitElement, v: int) -> list[tuple[int, int]]:
+    """The terms (n, c) of x / u^v as a power series sum c u^n in
+    u = X^(1/p^dencap), n ascending, for v at most x's valuation: a tilt
+    element's digits, an untilt element's layer coefficients C_r u^r,
+    each moved down by v.  A coefficient that would land below u^0 is
+    C_r p^(-t) u^(r - v + tS), S = p^dencap and t the least that lifts
+    it to u^0 or above; p^t divides it, since r + S v_p(C_r) >= v."""
+    if not v:
+        return sorted(x._store.items())
+    if not x._carries:
+        return [(j - v, c) for j, c in x._store.items()]
+    p, scale = x.config.p, x.config.scale
+    terms = []
+    for r, c in x._store.items():
+        n = r - v
+        if n < 0:
+            t = -(n // scale)
+            n += t * scale
+            c //= p ** t
+        terms.append((n, c))
+    terms.sort()
+    return terms
+
+
+def _long_division(x: _DigitElement, num, den, k: int) -> _DigitElement:
+    """The element of x's kind and config, known modulo u^k, whose
+    u-power series Q solves Q * den = num: the series ``num`` and
+    ``den`` are term lists as ``_series`` gives them, ``den`` starting
+    with a unit at u^0.  Q_n = (1/D_0)(N_n - sum_(i>0) D_i Q_(n-i)) is
+    computed for the indices n that num's indices and sums with den's
+    reach, in increasing order, and a term at or above k lies in u^k and
+    is dropped.  Q_n is kept modulo p on the tilt side and modulo
+    p^ceil((k - n)/S) on the untilt side, which is all that Q_n u^n,
+    and every later Q it feeds, keeps below u^k; the untilt terms then
+    fold onto the layer."""
+    config = x.config
     p = config.p
-    if store.get(0, 0) % p == 0:
-        got = _exp_text(a._low(), config) if store else "INF"
-        raise DivisionError(f"invert_unit needs valuation 0, got {got}")
-    # B_n is kept modulo p^level, level = ceil((k - n)/scale), which
-    # drops by one each time n reaches ``drop``; on the tilt side the
-    # scale is k itself, so the level stays 1
-    scale = config.scale if a._carries else k
-    level = -(-k // scale)
-    mod = p ** level
-    drop = k - (level - 1) * scale
-    inverse = pow(store[0], -1, mod)
-    rest = sorted(store.items())[1:]
     out = {}
-    pending = {0: 1}
-    heap = [0]
-    while heap:
-        n = heappop(heap)
-        while n >= drop:
-            mod //= p
-            drop += scale
-        b = pending.pop(n) * inverse % mod
-        if b:
-            out[n] = b
-            for i, c in rest:
-                up = n + i
-                if up >= k:
-                    break
-                if up in pending:
-                    pending[up] -= b * c
-                else:
-                    pending[up] = -b * c
-                    heappush(heap, up)
-    # the tilt digits come out ascending and in 1..p-1; the untilt terms
-    # B_n u^n fold onto the layer
-    if a._carries:
-        return a._make(config, out, k)
-    return a._canonical(config, out, k)
+    if k:
+        # Q_n is kept modulo p^level, level = ceil((k - n)/scale), which
+        # drops by one each time n reaches ``drop``; on the tilt side the
+        # scale is k itself, so the level stays 1
+        scale = config.scale if x._carries else k
+        level = -(-k // scale)
+        mod = p ** level
+        drop = k - (level - 1) * scale
+        inverse = pow(den[0][1], -1, mod)
+        rest = den[1:]
+        pending = dict(num)
+        heap = list(pending)
+        while heap:
+            n = heappop(heap)
+            if n >= k:
+                break
+            while n >= drop:
+                mod //= p
+                drop += scale
+            q = pending.pop(n) * inverse % mod
+            if q:
+                out[n] = q
+                for i, c in rest:
+                    up = n + i
+                    if up >= k:
+                        break
+                    if up in pending:
+                        pending[up] -= q * c
+                    else:
+                        pending[up] = -q * c
+                        heappush(heap, up)
+    # the tilt digits come out ascending and in 1..p-1
+    return _from_digits(type(x), config, out, k)
+
+
+def invert_unit(a: _DigitElement) -> _DigitElement:
+    """The inverse of a unit (valuation 0), to a's own precision: the
+    long division of 1 by a (``_long_division``)."""
+    store = a._store
+    if store.get(0, 0) % a.config.p == 0:
+        got = _exp_text(a._low(), a.config) if store else "INF"
+        raise DivisionError(f"invert_unit needs valuation 0, got {got}")
+    return _long_division(a, ((0, 1),), _series(a, 0), a._k)
 
 
 def divide_exact(a: _DigitElement, b: _DigitElement) -> _DigitElement:
     """a / b when b divides a exactly in the integral ring.
 
-    Requires valuation(b) <= valuation(a); the quotient has every digit at
-    a nonnegative exponent or the division fails.
+    One long division of a / u^v by b / u^v, v = v(b), whose leading
+    term is a unit (``_series``, ``_long_division``).  The quotient is
+    known below K - v, where K = min(K_a, K_b - v + v_a, full) is the
+    precision of a times the inverse of b / u^v: the precision a carries,
+    and b's scaled by a's valuation v_a (K_a when a shows no digit).
+    Refused with PrecisionError when K < v, then with DivisionError when
+    v_a < v: a digit of the quotient would land below exponent 0.
     """
     a._check_compatible(b)
     if b.is_zero():
         raise DivisionError("division by zero at current precision")
-    v = b._low()
-    q = a * invert_unit(b._shift(-v))
-    return q._shift(-v)
+    config = a.config
+    v, va = b._low(), a._low()
+    k = min(a._k, b._k - v + va, config.full)
+    if k < v:
+        raise PrecisionError(
+            f"shift by {_exp_text(-v, config)} leaves no precision "
+            f"(precexp {_exp_text(k, config)})")
+    if va < v:
+        raise DivisionError(
+            f"digit at exponent {_exp_text(va, config)} does not divide "
+            f"by {a.symbol}^{_exp_text(v, config)}")
+    return _long_division(a, _series(a, v), _series(b, v), k - v)
 
 
 # =====================================================================
@@ -1401,19 +1469,46 @@ def _json_reader(what: str, error: type = KernelError):
     return wrap
 
 
+# The reader's configs, each validated once for its (p, prec, dencap)
+# of exact ints: a bool or another int subclass is validated afresh.
+_reader_config = lru_cache(maxsize=32)(FieldConfig)
+
+
 @_json_reader("element")
 def element_from_json(data: dict | str) -> _DigitElement:
-    """Rebuilds an element from its canonical JSON form."""
+    """Rebuilds an element from its canonical JSON form, the one
+    ``to_json()`` writes.
+
+    Every field is read and checked first, with the refusals of a
+    malformed document.  The document is then refused as not in
+    canonical form unless it has exactly the six keys, ``terms`` is a
+    list, and each term exactly num, denpow and digit; every exponent
+    num / p^denpow is reduced (denpow = 0, or p does not divide num and
+    denpow <= dencap); precexp is at most prec; the term indices
+    strictly ascend and lie below precexp; and every digit is in
+    1..p-1.  Those are the documents the element they describe writes
+    back unchanged, so no JSON form is built to compare.
+    """
     cls = _kind_class(data["kind"])
-    config = FieldConfig(data["p"], data["prec"], data["dencap"])
-    k = _index_from_json(data["precexp"], config)
-    acc = {}
-    for term in data["terms"]:
+    p, prec, dencap = data["p"], data["prec"], data["dencap"]
+    config = (_reader_config(p, prec, dencap)
+              if type(p) is type(prec) is type(dencap) is int
+              else FieldConfig(p, prec, dencap))
+    precexp = data["precexp"]
+    k = _index_from_json(precexp, config)
+    canonical = (len(data) == 6 and len(precexp) == 2 and k <= config.full
+                 and _reduced(precexp, config))
+    terms = data["terms"]
+    digits = {}
+    last = -1
+    for term in terms:
         j, digit = _index_from_json(term, config), term["digit"]
         if type(digit) is not int:
             raise TypeError(f"digit {digit!r} is not an integer")
-        acc[j] = digit
-    element = cls._make(config, acc, min(k, config.full))
-    if element.to_json() != data:
+        canonical = (canonical and last < j and 0 < digit < p
+                     and len(term) == 3 and _reduced(term, config))
+        digits[j] = digit
+        last = j
+    if not (canonical and last < k and isinstance(terms, list)):
         raise KernelError("element JSON is not in canonical form")
-    return element
+    return _from_digits(cls, config, digits, k)

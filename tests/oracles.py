@@ -12,14 +12,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import combinations, product
 from math import ceil, comb, floor, gcd
 
 from perfectoid.arith import (
+    DivisionError,
     FieldConfig,
     KernelError,
     TiltElement,
     UntiltElement,
+    _exp_text,
+    _index_from_json,
+    _json_reader,
+    _kind_class,
 )
 
 
@@ -278,6 +284,86 @@ def reference_monomial_repr(m) -> str:
 
 def reference_monomial_json(m) -> list:
     return [_reference_exp_json(e, m.config.p) for e in m.exps]
+
+
+# ---------------------------------------------------------------------
+# Division and the JSON reader as the package composed them before
+# both became one pass.
+#
+# The quotient a / b is a times the inverse of b's unit part b / X^v,
+# shifted down by v: an inverse by long division with numerator 1, a
+# product, and two shifts.  The JSON reader builds the element from
+# what it read, normalizing, and accepts the document only when the
+# element's own JSON form equals it.
+# ---------------------------------------------------------------------
+
+def reference_invert_unit(a):
+    """The inverse of a unit, to a's precision: B_0 = 1/A_0 and
+    B_n = -(1/A_0) sum_(i>0) A_i B_(n-i) over a's form as a series in
+    u = X^(1/p^dencap), B_n kept modulo p^ceil((K - n)/p^dencap) on the
+    untilt side and modulo p on the tilt side."""
+    config, k, store = a.config, a._k, a._store
+    p = config.p
+    if store.get(0, 0) % p == 0:
+        got = _exp_text(a._low(), config) if store else "INF"
+        raise DivisionError(f"invert_unit needs valuation 0, got {got}")
+    scale = config.scale if a._carries else k
+    level = -(-k // scale)
+    mod = p ** level
+    drop = k - (level - 1) * scale
+    inverse = pow(store[0], -1, mod)
+    rest = sorted(store.items())[1:]
+    out = {}
+    pending = {0: 1}
+    heap = [0]
+    while heap:
+        n = heappop(heap)
+        while n >= drop:
+            mod //= p
+            drop += scale
+        b = pending.pop(n) * inverse % mod
+        if b:
+            out[n] = b
+            for i, c in rest:
+                up = n + i
+                if up >= k:
+                    break
+                if up in pending:
+                    pending[up] -= b * c
+                else:
+                    pending[up] = -b * c
+                    heappush(heap, up)
+    if a._carries:
+        return a._make(config, out, k)
+    return a._canonical(config, out, k)
+
+
+def reference_divide_exact(a, b):
+    """a * invert_unit(b / X^v), shifted down by v = v(b)."""
+    a._check_compatible(b)
+    if b.is_zero():
+        raise DivisionError("division by zero at current precision")
+    v = b._low()
+    return (a * reference_invert_unit(b._shift(-v)))._shift(-v)
+
+
+@_json_reader("element")
+def reference_element_from_json(data):
+    """The element a JSON document describes, refused unless the
+    element's ``to_json()`` is the document itself."""
+    cls = _kind_class(data["kind"])
+    config = FieldConfig(data["p"], data["prec"], data["dencap"])
+    k = _index_from_json(data["precexp"], config)
+    acc = {}
+    for term in data["terms"]:
+        j, digit = _index_from_json(term, config), term["digit"]
+        if type(digit) is not int:
+            raise TypeError(f"digit {digit!r} is not an integer")
+        acc[j] = digit
+    element = cls._make(config, acc, min(k, config.full))
+    if element.to_json() != data:
+        raise KernelError("element JSON is not in canonical form")
+    return element
 
 
 # ---------------------------------------------------------------------

@@ -23,6 +23,7 @@ from perfectoid.arith import (
     FieldConfig,
     IndeterminateError,
     KernelError,
+    PrecisionError,
     TiltElement,
     UntiltElement,
 )
@@ -497,6 +498,22 @@ def test_tilt_check_variable_plus_uniformizer_at_gauss():
     out = tilt_point_check(fb, AdicPoint.gauss(C))
     assert out == {"untilt_exponent": Fraction(0),
                    "tilt_exponent": Fraction(0), "match": True}
+
+
+def test_tilt_check_lifts_each_coefficient_at_its_own_precision():
+    # 1 + O(t^(4/3)) lifts to 1 + O(p), not to p^4: both sides read the
+    # Gauss value 0 where the lift at the working precision was refused
+    fb = Polynomial([TiltElement(C, {0: 1}, Fraction(4, 3)),
+                     TiltElement.one(C)])
+    out = tilt_point_check(fb, AdicPoint.gauss(C))
+    assert out == {"untilt_exponent": Fraction(0),
+                   "tilt_exponent": Fraction(0), "match": True}
+    # a coefficient known below t^1 has no lift
+    coarse = Polynomial([TiltElement(C, {0: 1}, Fraction(2, 3)),
+                         TiltElement.one(C)])
+    with pytest.raises(PrecisionError, match="^target precision must be "
+                                             "a positive integer, got 0$"):
+        tilt_point_check(coarse, AdicPoint.gauss(C))
 
 
 def test_tilt_check_at_uniformizer_powers():

@@ -1,6 +1,8 @@
 """Digit arithmetic: frozen examples, algebraic laws, serialization."""
 
+import copy
 import json
+import random
 import sys
 import time
 from fractions import Fraction
@@ -815,6 +817,145 @@ def test_malformed_json_text_is_refused_typed():
         element_from_json('{"kind": "tilt",')
 
 
+# An element at FieldConfig(3, 4, 2): 2*p^(1/3) + 1*p^(4/3) + O(p^4).
+_DOC = {"kind": "untilt", "p": 3, "prec": 4, "dencap": 2,
+        "precexp": {"num": 4, "denpow": 0},
+        "terms": [{"num": 1, "denpow": 1, "digit": 2},
+                  {"num": 4, "denpow": 1, "digit": 1}]}
+_T0, _T1 = _DOC["terms"]
+_UNREDUCED = {"num": 3, "denpow": 2, "digit": 2}
+_NOT_CANONICAL = (KernelError, "element JSON is not in canonical form")
+
+# Documents the reader refuses, each with the refusal's type and text: a
+# document it reads but that is not the element's own JSON form, and
+# malformed ones whose refusal comes before that judgement.
+NONCANONICAL_ELEMENT_DOCS = [
+    ("term-unreduced", {"terms": [_UNREDUCED, _T1]}, *_NOT_CANONICAL),
+    ("term-unreduced-past-dencap",
+     {"terms": [{"num": 27, "denpow": 4, "digit": 2}, _T1]},
+     *_NOT_CANONICAL),
+    ("term-zero-over-p", {"terms": [{"num": 0, "denpow": 1, "digit": 1},
+                                    _T1]}, *_NOT_CANONICAL),
+    ("precexp-unreduced", {"precexp": {"num": 36, "denpow": 2}},
+     *_NOT_CANONICAL),
+    ("precexp-zero-over-p", {"precexp": {"num": 0, "denpow": 1},
+                             "terms": []}, *_NOT_CANONICAL),
+    ("descending", {"terms": [_T1, _T0]}, *_NOT_CANONICAL),
+    ("repeated", {"terms": [_T0, _T0]}, *_NOT_CANONICAL),
+    ("digit-0", {"terms": [_T0, dict(_T1, digit=0)]}, *_NOT_CANONICAL),
+    ("digit-p", {"terms": [_T0, dict(_T1, digit=3)]}, *_NOT_CANONICAL),
+    ("tilt-digit-above-p", {"kind": "tilt",
+                            "terms": [_T0, dict(_T1, digit=7)]},
+     *_NOT_CANONICAL),
+    ("tilt-digit-negative", {"kind": "tilt",
+                             "terms": [_T0, dict(_T1, digit=-1)]},
+     *_NOT_CANONICAL),
+    ("term-at-precexp", {"precexp": {"num": 4, "denpow": 1}},
+     *_NOT_CANONICAL),
+    ("term-past-precexp", {"precexp": {"num": 1, "denpow": 0}},
+     *_NOT_CANONICAL),
+    ("precexp-above-prec", {"precexp": {"num": 5, "denpow": 0}},
+     *_NOT_CANONICAL),
+    ("extra-key", {"note": 1}, *_NOT_CANONICAL),
+    ("extra-term-key", {"terms": [dict(_T0, x=0), _T1]}, *_NOT_CANONICAL),
+    ("extra-precexp-key", {"precexp": {"num": 4, "denpow": 0, "x": 0}},
+     *_NOT_CANONICAL),
+    ("terms-tuple", {"terms": (_T0, _T1)}, *_NOT_CANONICAL),
+    ("unreduced-then-float-digit",
+     {"terms": [_UNREDUCED, dict(_T1, digit=1.0)]}, KernelError,
+     "malformed element JSON: digit 1.0 is not an integer"),
+    ("unreduced-then-off-lattice",
+     {"terms": [_UNREDUCED, {"num": 1, "denpow": 3, "digit": 1}]},
+     DencapError, "exponent 1/3^3 needs denominator p^3, cap is p^2"),
+    ("extra-key-then-missing-digit",
+     {"note": 1, "terms": [_T0, {"num": 4, "denpow": 1}]}, KernelError,
+     "malformed element JSON: 'digit'"),
+    ("bool-p-unreduced", {"p": True, "terms": [_UNREDUCED]}, ConfigError,
+     "p, prec and dencap must be integers, got True, 4, 2"),
+]
+
+
+@pytest.mark.parametrize("changes, error, message",
+                         [case[1:] for case in NONCANONICAL_ELEMENT_DOCS],
+                         ids=[case[0] for case in NONCANONICAL_ELEMENT_DOCS])
+def test_noncanonical_element_json_is_refused(changes, error, message):
+    assert element_from_json(copy.deepcopy(_DOC)) == UntiltElement(
+        FieldConfig(3, 4, 2), {Fraction(1, 3): 2, Fraction(4, 3): 1})
+    doc = {**copy.deepcopy(_DOC), **copy.deepcopy(changes)}
+    with pytest.raises(error) as info:
+        element_from_json(doc)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def _mutations(draw, doc, p, cap):
+    """doc, changed by one to three of the edits a hand-written document
+    could carry: unreduced exponents, digits out of range, terms out of
+    order, repeated, dropped or added, another precision or kind, extra
+    or missing keys, a tuple for the terms."""
+    exponents = st.fixed_dictionaries({"num": st.integers(0, 30),
+                                       "denpow": st.integers(0, cap + 2)})
+    for _ in range(draw(st.integers(1, 3))):
+        terms = doc["terms"]
+        edit = draw(st.sampled_from([
+            "unreduce-term", "unreduce-precexp", "digit", "swap",
+            "repeat", "drop", "insert", "precexp", "kind", "extra-key",
+            "extra-term-key", "missing-key", "tuple"]))
+        i = draw(st.integers(0, max(len(terms) - 1, 0)))
+        if edit == "unreduce-precexp" or (edit == "unreduce-term"
+                                          and terms):
+            part = doc["precexp"] if edit == "unreduce-precexp" \
+                else terms[i]
+            k = draw(st.integers(1, 2))
+            part["num"] *= p ** k
+            part["denpow"] += k
+        elif edit == "digit" and terms:
+            terms[i]["digit"] = draw(st.integers(-1, 2 * p))
+        elif edit == "swap" and len(terms) > 1:
+            j = draw(st.integers(0, len(terms) - 1))
+            terms[i], terms[j] = terms[j], terms[i]
+        elif edit == "repeat" and terms:
+            terms.insert(i, dict(terms[i]))
+        elif edit == "drop" and terms:
+            del terms[i]
+        elif edit == "insert":
+            terms.insert(i, {**draw(exponents),
+                             "digit": draw(st.integers(1, p - 1))})
+        elif edit == "precexp":
+            doc["precexp"] = draw(exponents)
+        elif edit == "kind":
+            doc["kind"] = "tilt" if doc["kind"] == "untilt" else "untilt"
+        elif edit == "extra-key":
+            doc["x"] = 0
+        elif edit == "extra-term-key" and terms:
+            terms[i]["x"] = 0
+        elif edit == "missing-key":
+            part = draw(st.sampled_from([doc, doc["precexp"], *terms]))
+            del part[draw(st.sampled_from(sorted(part)))]
+            return doc
+        elif edit == "tuple":
+            doc["terms"] = tuple(terms)
+            return doc
+    return doc
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_element_json_is_read_as_the_element_would_write_it(data):
+    # a document is accepted exactly when the element it describes
+    # writes it back unchanged, and refused as the composed reference
+    # refuses it
+    config = FieldConfig(data.draw(st.sampled_from([2, 3, 5])),
+                         data.draw(st.integers(1, 4)),
+                         data.draw(st.integers(0, 3)))
+    x = data.draw(elements(config, data.draw(st.sampled_from(KINDS)),
+                           vary_precision=True))
+    doc = x.to_json()
+    if data.draw(st.booleans()):
+        doc = _mutations(data.draw, doc, config.p, config.dencap)
+    assert _outcome(element_from_json, copy.deepcopy(doc)) == \
+        _outcome(oracles.reference_element_from_json, copy.deepcopy(doc))
+
+
 # =====================================================================
 # The lattice core against the dense oracle, at any precision
 # =====================================================================
@@ -948,6 +1089,58 @@ def test_division_matches_dense_oracle_at_any_precision(config, kind, data):
     assert oracles.dense_truncate(
         oracles.dense_mul(db, dq, config, kind), kq + vb) == \
         oracles.dense_truncate(da, kq + vb)
+
+
+def _outcome(operation, *args):
+    """What an operation gives: its element's digits and precision, or
+    its refusal's type and text."""
+    try:
+        x = operation(*args)
+    except KernelError as exc:
+        return type(exc), str(exc)
+    return x.kind, x.digits, x.precexp
+
+
+@pytest.mark.parametrize("config", ORACLE_CONFIGS[:4],
+                         ids=lambda c: f"p{c.p}n{c.prec}m{c.dencap}")
+@pytest.mark.parametrize("kind", KINDS)
+def test_division_matches_the_composed_reference(config, kind):
+    # divide_exact and invert_unit against a * invert_unit(b / X^v)
+    # shifted down by v, on the benchmark's digit configs: divisors of
+    # any valuation and precision, exact multiples, numerators that do
+    # not divide, and operands known only modulo X^0
+    rng = random.Random(f"{config!r} {kind}")
+    cls, scale, full = _cls(kind), config.scale, config.full
+
+    def element(terms, low=full, known=full):
+        indices = [rng.randrange(low), *(rng.randrange(full)
+                                         for _ in range(terms - 1))]
+        return cls(config, {Fraction(j, scale): rng.randrange(1, config.p)
+                            for j in indices[:terms]},
+                   Fraction(known, scale))
+
+    def any_precision():
+        return rng.choice([full, full, rng.randint(0, full)])
+
+    for _ in range(120):
+        b = element(rng.randint(1, 6), rng.choice([1, 2 * scale, full]),
+                    any_precision())
+        numerators = [element(rng.randint(0, 6), full, any_precision()),
+                      cls.zero(config, 0),
+                      element(rng.randint(1, 4), full, 0)]
+        c = element(rng.randint(1, 4), rng.choice([1, full]),
+                    any_precision())
+        multiple = c * b
+        numerators += [multiple,
+                       multiple + cls.monomial(config, 1, 0),
+                       multiple + element(1, max(1, b._low()))]
+        for a in numerators:
+            assert _outcome(divide_exact, a, b) == \
+                _outcome(oracles.reference_divide_exact, a, b)
+        for u in (b, b.shift(-b.valuation()) if not b.is_zero() else b,
+                  cls.zero(config, 0)):
+            assert _outcome(invert_unit, u) == \
+                _outcome(oracles.reference_invert_unit, u)
 
 
 # =====================================================================
